@@ -9,7 +9,7 @@
 // memory sequentially:
 //
 //  1. a tight decrement pass over the load vector that counts releasing bins
-//     (SWAR, 8 cells per word, at Width8);
+//     (SWAR, 8 cells per word, at Width8; branch-free at Width16/32);
 //  2. one Drawer.Fill bulk draw for all destinations — exactly the released
 //     count of bounded draws, in bin order, so the consumed RNG sequence is
 //     identical to the scalar loop's (the sparse path has always used Fill
@@ -118,19 +118,7 @@ var (
 // order, so those rounds take the scalar path regardless of kernel).
 func (s *State) releaseUniformDenseBatched(d *Drawer) int {
 	// Pass 1: decrement every non-empty bin, counting releases.
-	var released int
-	switch s.width {
-	case Width8:
-		if s.onEmptied == nil {
-			released = decDense8SWAR(s.load8)
-		} else {
-			released = decDenseW(s, s.load8)
-		}
-	case Width16:
-		released = decDenseW(s, s.load16)
-	default:
-		released = decDenseW(s, s.load32)
-	}
+	released := s.decDense()
 	if released == 0 {
 		return 0
 	}
@@ -165,21 +153,44 @@ func (s *State) releaseUniformDenseBatched(d *Drawer) int {
 	return released
 }
 
-// decDenseW decrements every non-empty bin (the width-generic pass 1),
-// tracking zeroed bins for the OnEmptied callback in increasing bin order —
-// the same order the scalar loop reports them in.
-func decDenseW[L loadElem](s *State, load []L) int {
-	released := 0
-	track := s.onEmptied != nil
-	for u := range load {
-		if l := load[u]; l > 0 {
-			l--
-			load[u] = l
-			if track && l == 0 {
-				s.zeroed = append(s.zeroed, int32(u))
-			}
-			released++
+// decDense is pass 1 of the batched round and the whole dense ReleaseEach
+// when nothing observes per-bin order: decrement every non-empty bin and
+// return the number of releases. Without an OnEmptied callback the pass has
+// no data-dependent branch — SWAR at Width8, decDenseNZ at Width16/32 — so
+// the ~50/50 empty/non-empty pattern of a dense round costs no
+// mispredictions.
+func (s *State) decDense() int {
+	if s.onEmptied != nil {
+		// Emptied bins are tracked in increasing bin order, the order the
+		// scalar loop reports them in.
+		switch s.width {
+		case Width8:
+			return releaseEachDenseW(s, s.load8, nil)
+		case Width16:
+			return releaseEachDenseW(s, s.load16, nil)
+		default:
+			return releaseEachDenseW(s, s.load32, nil)
 		}
+	}
+	switch s.width {
+	case Width8:
+		return decDense8SWAR(s.load8)
+	case Width16:
+		return decDenseNZ(s.load16)
+	default:
+		return decDenseNZ(s.load32)
+	}
+}
+
+// decDenseNZ decrements every non-empty bin without branching on the load:
+// nz is 1 for a positive load and 0 for an empty bin (uint64(l)−1 has its
+// top bit set only when l = 0; loads are never negative).
+func decDenseNZ[L loadElem](load []L) int {
+	released := 0
+	for u, l := range load {
+		nz := 1 - int((uint64(l)-1)>>63)
+		load[u] = l - L(nz)
+		released += nz
 	}
 	return released
 }
@@ -256,8 +267,7 @@ func zeroMask8(v uint64) uint64 {
 }
 
 // decDense8SWAR decrements every non-zero byte lane of load and returns the
-// number of lanes decremented — pass 1 of the batched round at Width8, and
-// the dense ReleaseEach fast path when nothing observes per-bin order.
+// number of lanes decremented — decDense at Width8.
 // Decremented lanes hold ≥ 1, so the word-wide subtraction never borrows
 // across lanes.
 func decDense8SWAR(load []uint8) int {

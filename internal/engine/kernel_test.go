@@ -260,34 +260,61 @@ func TestStageDenseOverflow(t *testing.T) {
 	}
 }
 
-// TestKernelReleaseEach pins the SWAR ReleaseEach fast path (Width8, no
-// observers) against the generic loop.
+// TestKernelReleaseEach pins the batched ReleaseEach fast path — the SWAR
+// decrement at Width8, the branch-free one at Width16 and Width32 — against
+// the generic loop, with and without an OnEmptied tracker (which keeps the
+// branching decrement).
 func TestKernelReleaseEach(t *testing.T) {
 	loads := uniformRandom(1013, 1500, rng.New(11))
-	run := func(k Kernel) ([]int32, int) {
-		st, err := New(loads, Options{Width: Width8, Kernel: k})
-		if err != nil {
-			t.Fatal(err)
+	for _, w := range []Width{Width8, Width16, Width32} {
+		for _, tracked := range []bool{false, true} {
+			run := func(k Kernel) ([]int32, int, []int) {
+				var emptied []int
+				opts := Options{Width: w, Kernel: k}
+				if tracked {
+					opts.OnEmptied = func(u int) { emptied = append(emptied, u) }
+				}
+				st, err := New(loads, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := 0
+				d := NewDrawer(rng.New(3))
+				for r := 0; r < 50; r++ {
+					// Alternate ReleaseEach (self-loop decrement) with real
+					// rounds so the occupancy keeps changing.
+					total += st.ReleaseEach(nil)
+					st.Commit()
+					st.ReleaseUniform(d, nil)
+					st.Commit()
+				}
+				if err := st.CheckInvariants(); err != nil {
+					t.Fatalf("w%d kernel %v: %v", w, k, err)
+				}
+				if st.Width() != w {
+					t.Fatalf("w%d kernel %v: width moved to %v", w, k, st.Width())
+				}
+				return st.LoadsCopy(), total, emptied
+			}
+			la, ta, ea := run(KernelBatched)
+			lb, tb, eb := run(KernelScalar)
+			if ta != tb || !reflect.DeepEqual(la, lb) || !reflect.DeepEqual(ea, eb) {
+				t.Fatalf("w%d tracked=%v: ReleaseEach diverged: released %d vs %d", w, tracked, ta, tb)
+			}
 		}
-		total := 0
-		d := NewDrawer(rng.New(3))
-		for r := 0; r < 50; r++ {
-			// Alternate ReleaseEach (self-loop decrement) with real rounds so
-			// the occupancy keeps changing.
-			total += st.ReleaseEach(nil)
-			st.Commit()
-			st.ReleaseUniform(d, nil)
-			st.Commit()
-		}
-		if err := st.CheckInvariants(); err != nil {
-			t.Fatalf("kernel %v: %v", k, err)
-		}
-		return st.LoadsCopy(), total
 	}
-	la, ta := run(KernelBatched)
-	lb, tb := run(KernelScalar)
-	if ta != tb || !reflect.DeepEqual(la, lb) {
-		t.Fatalf("ReleaseEach diverged: released %d vs %d", ta, tb)
+}
+
+// TestDecDenseNZ checks the branch-free decrement bin by bin at the edges
+// of both wider cell types.
+func TestDecDenseNZ(t *testing.T) {
+	l16 := []uint16{0, 1, 2, math.MaxUint16, 0, 7}
+	if got := decDenseNZ(l16); got != 4 || !reflect.DeepEqual(l16, []uint16{0, 0, 1, math.MaxUint16 - 1, 0, 6}) {
+		t.Fatalf("Width16: released %d, loads %v", got, l16)
+	}
+	l32 := []int32{math.MaxInt32, 0, 1, 0}
+	if got := decDenseNZ(l32); got != 2 || !reflect.DeepEqual(l32, []int32{math.MaxInt32 - 1, 0, 0, 0}) {
+		t.Fatalf("Width32: released %d, loads %v", got, l32)
 	}
 }
 

@@ -691,10 +691,11 @@ func rebuildWorkW[L loadElem](s *State, load []L) {
 func (s *State) ReleaseEach(visit func(u int)) int {
 	s.beginRound()
 	if !s.sparse {
-		if s.kernel == KernelBatched && s.width == Width8 && visit == nil && s.onEmptied == nil {
-			// Nothing observes per-bin order: the SWAR decrement is the
-			// whole dense release (worklist and stats rebuild at Commit).
-			return decDense8SWAR(s.load8)
+		if s.kernel == KernelBatched && visit == nil {
+			// Nothing observes per-bin order: the batched kernel's
+			// decrement is the whole dense release (worklist and stats
+			// rebuild at Commit).
+			return s.decDense()
 		}
 		switch s.width {
 		case Width8:

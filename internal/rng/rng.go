@@ -145,6 +145,40 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	return hi
 }
 
+// Fill32n sets dst[i] to a uniform value in [0, n) for every i, in index
+// order: the values, and the final state, of len(dst) successive
+// Uint64n(n) calls. It is the bulk form the stepping layers draw
+// destinations with — the generator state and Lemire's rejection threshold
+// stay in locals for the whole batch instead of round-tripping through
+// memory and two calls per draw. The threshold -n % n is below n, so
+// rejecting iff lo < thresh is exactly Uint64n's test. It panics unless
+// 1 ≤ n ≤ 2³¹, so that every value fits an int32.
+func (r *Source) Fill32n(dst []int32, n uint64) {
+	if n == 0 || n > 1<<31 {
+		panic("rng: Fill32n bound outside [1, 2^31]")
+	}
+	thresh := -n % n
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		for {
+			x := bits.RotateLeft64(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+			hi, lo := bits.Mul64(x, n)
+			if lo >= thresh {
+				dst[i] = int32(hi)
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {

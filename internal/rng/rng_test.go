@@ -361,6 +361,82 @@ func BenchmarkUint64n(b *testing.B) {
 	_ = sink
 }
 
+// TestFill32nMatchesUint64n pins the bulk draw to the scalar one: the same
+// values and the same final State as repeated Uint64n, for every bound
+// shape — 1 (every draw is 0), small odd, decimal, a power of two (no
+// rejection possible), and the int32 ceiling.
+//
+// A random state cannot reach the rejection branch in a test: the
+// threshold 2⁶⁴ mod n is below n ≤ 2³¹, so a draw rejects with probability
+// under 2⁻³³. The second start state therefore has s[1] = 0, which makes the
+// next raw word 0; its product with n has low half 0, below the threshold
+// of every n that is not a power of two, so the first draw of each batch
+// from that state is rejected.
+func TestFill32nMatchesUint64n(t *testing.T) {
+	forced := [4]uint64{golden, 0, 3, 5}
+	for _, n := range []uint64{1, 3, 1000, 1 << 22, 1<<31 - 1, 3 << 29} {
+		for _, start := range [][4]uint64{NewStream(17, n).State(), forced} {
+			a, b := New(0), New(0)
+			if err := a.SetState(start); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.SetState(start); err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{0, 1, 7, 512, 4099} {
+				got := make([]int32, size)
+				a.Fill32n(got, n)
+				for i := range got {
+					if want := b.Uint64n(n); uint64(got[i]) != want {
+						t.Fatalf("n=%d size=%d: draw %d = %d, Uint64n %d", n, size, i, got[i], want)
+					}
+				}
+				if a.State() != b.State() {
+					t.Fatalf("n=%d size=%d: state diverged after the batch", n, size)
+				}
+			}
+		}
+		if n&(n-1) == 0 {
+			continue
+		}
+		// From the forced state one draw consumes two raw words.
+		r, raw := New(0), New(0)
+		_ = r.SetState(forced)
+		_ = raw.SetState(forced)
+		r.Fill32n(make([]int32, 1), n)
+		raw.Uint64()
+		if r.State() == raw.State() {
+			t.Fatalf("n=%d: the forced draw was not rejected", n)
+		}
+		raw.Uint64()
+		if r.State() != raw.State() {
+			t.Fatalf("n=%d: the forced draw consumed more than two words", n)
+		}
+	}
+}
+
+func TestFill32nPanicsOutsideInt32(t *testing.T) {
+	for _, n := range []uint64{0, 1<<31 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fill32n(_, %d) did not panic", n)
+				}
+			}()
+			New(1).Fill32n(make([]int32, 1), n)
+		}()
+	}
+}
+
+func BenchmarkFill32n(b *testing.B) {
+	r := New(1)
+	dst := make([]int32, 512)
+	b.SetBytes(int64(len(dst)) * 4)
+	for i := 0; i < b.N; i++ {
+		r.Fill32n(dst, 12345)
+	}
+}
+
 func BenchmarkFloat64(b *testing.B) {
 	r := New(1)
 	var sink float64

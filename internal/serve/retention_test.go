@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,6 +74,42 @@ func TestResultCacheAcrossRestart(t *testing.T) {
 	_, hs2 := newTestServer(t, Options{Workers: 1, Dir: dir})
 	if got := submit(t, hs2, quickSpec(5)); !got.Cached || got.Status != StatusDone {
 		t.Fatalf("post-restart resubmission: status %s cached %v", got.Status, got.Cached)
+	}
+}
+
+// TestResultCacheReadYourWrites: once a run's result is readable, an
+// identical resubmission is answered from the result cache. The worker
+// writes the cache entry before it publishes the run as done, so a client
+// that reads the result and resubmits at once never misses; the waiter
+// spins on the run state to make that window as narrow as a client can.
+func TestResultCacheReadYourWrites(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1})
+	for i := 0; i < 50; i++ {
+		sp := Spec{Seed: uint64(1000 + i), N: 64, Rounds: 2, Shards: 1}
+		first, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			info, ok := s.Info(first.ID)
+			if !ok {
+				t.Fatalf("run %s disappeared", first.ID)
+			}
+			if info.Status == StatusDone && info.Summary != nil {
+				break
+			}
+			if info.Status.Terminal() {
+				t.Fatalf("run %s reached %s (error %q)", first.ID, info.Status, info.Error)
+			}
+			runtime.Gosched()
+		}
+		hit, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || hit.Status != StatusDone {
+			t.Fatalf("submission %d: resubmitted right after its result: status %s cached %v", i, hit.Status, hit.Cached)
+		}
 	}
 }
 

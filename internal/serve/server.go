@@ -570,17 +570,13 @@ func (s *Server) execute(r *run) {
 			}
 		})
 	default:
-		s.finishRun(r, func(info *RunInfo) {
-			info.Status = StatusDone
-			info.Round = round
-			info.Summary = summary
-		})
-		// Feed the result cache (first writer wins; later identical runs
-		// would store a bit-identical summary anyway). A concurrent gc()
-		// may already have collected this run between the terminal
-		// transition above and here — skip the write then, or the entry
-		// would outlive every future sweep (gc evicts entries by their
-		// producing run's id).
+		// Feed the result cache before publishing the result (first writer
+		// wins; later identical runs would store a bit-identical summary
+		// anyway): a client that reads the result and resubmits the same
+		// law at once must hit the cache. The run is not terminal yet, so
+		// gc() cannot have collected it; the live guard keeps an entry from
+		// outliving its run should that ever change (gc evicts entries by
+		// their producing run's id).
 		s.mu.Lock()
 		if _, live := s.runs[id]; live {
 			if key := specKey(spec); s.cache[key].summary == nil {
@@ -588,6 +584,11 @@ func (s *Server) execute(r *run) {
 			}
 		}
 		s.mu.Unlock()
+		s.finishRun(r, func(info *RunInfo) {
+			info.Status = StatusDone
+			info.Round = round
+			info.Summary = summary
+		})
 	}
 	s.logger.Info("run left worker", "id", id, "status", string(r.Info().Status),
 		"round", round, "elapsed_ms", float64(s.now().Sub(start))/float64(time.Millisecond))

@@ -25,7 +25,17 @@ type shardPart struct {
 	// between the phases and reset after commit. The phase barrier orders
 	// writers and readers.
 	out [][]int32
+	// blk is the release phase's draw block: destinations are drawn
+	// drawBlock at a time and routed while the block is in L1. Allocated on
+	// the shard's first release.
+	blk *[drawBlock]int32
+
+	released int // release count of the in-flight round
+	staged   int // arrival count of the in-flight round
 }
+
+// drawBlock is the length of a shard's release draw block (2 KiB).
+const drawBlock = 512
 
 // Group is the in-process kernel of the round protocol: it holds shards
 // [Lo, Hi) of a run partitioned into Shards contiguous shards over N bins,
@@ -55,8 +65,11 @@ type Group struct {
 	// the phases, drained and reset by Commit.
 	inbox [][][]int32
 
-	released []int // per owned shard, release counts of the in-flight round
-	staged   []int // per owned shard, arrival counts of the in-flight round
+	// The per-shard phase bodies, bound on first use (so a round hands the
+	// runner no fresh closure, and building a group allocates none), and
+	// the release phase's arrival rule.
+	releaseFn, commitFn func(i int)
+	arrivals            Arrivals
 }
 
 // PartitionSize returns the canonical size of shard i when n bins are
@@ -186,15 +199,13 @@ func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
 		return nil, errors.New("shard: group with nil runner")
 	}
 	g := &Group{
-		n:        n,
-		s:        s,
-		lo:       lo,
-		hi:       hi,
-		shift:    -1,
-		parts:    make([]shardPart, hi-lo),
-		runner:   runner,
-		released: make([]int, hi-lo),
-		staged:   make([]int, hi-lo),
+		n:      n,
+		s:      s,
+		lo:     lo,
+		hi:     hi,
+		shift:  -1,
+		parts:  make([]shardPart, hi-lo),
+		runner: runner,
 	}
 	if q, r := n/s, n%s; r == 0 && q&(q-1) == 0 {
 		g.shift = bits.TrailingZeros(uint(q))
@@ -254,35 +265,60 @@ func (g *Group) owns(s int) bool { return s >= g.lo && s < g.hi }
 // Release runs the release phase on every owned shard: remove one ball
 // from each non-empty bin, decide the shard's arrival count via arrivals,
 // draw that many uniform destinations in [0, n) from the shard's private
-// stream, and stage them in the per-destination outgoing buffers. Returns
-// after the phase barrier.
+// stream, and stage them in the per-destination outgoing buffers (with a
+// single shard, straight into its state). Returns after the phase barrier.
 func (g *Group) Release(arrivals Arrivals) {
 	sp := obs.StartSpan("release", obs.LanePhases)
 	tm := obs.StartTimer()
-	n := g.n
-	g.runner.Run(func(i int) {
-		sh := &g.parts[i]
-		released := sh.state.ReleaseEach(nil)
-		k := arrivals(g.lo+i, released, sh.src)
-		src, out, bound := sh.src, sh.out, uint64(n)
-		if shift := g.shift; shift >= 0 {
-			for j := 0; j < k; j++ {
-				v := src.Uint64n(bound)
-				d := v >> uint(shift)
-				out[d] = append(out[d], int32(v))
-			}
-		} else {
-			for j := 0; j < k; j++ {
-				v := int(src.Uint64n(bound))
-				d := g.ShardOf(v)
-				out[d] = append(out[d], int32(v))
-			}
-		}
-		g.released[i] = released
-		g.staged[i] = k
-	})
+	if g.releaseFn == nil {
+		g.releaseFn = g.releaseShard
+	}
+	g.arrivals = arrivals
+	g.runner.Run(g.releaseFn)
+	g.arrivals = nil
 	tm.ObserveSeconds(mPhaseRelease)
 	sp.End()
+}
+
+// releaseShard is owned shard i's release. The destinations are drawn in
+// drawBlock blocks — the identical Uint64n sequence, one bulk Fill32n per
+// block — and each block is appended to the out rows of its destination
+// shards. With a single shard, routing is the identity: each block is
+// staged straight into the state, exactly as Commit would stage the row
+// (staged arrivals are counts, so staging them a phase early changes
+// nothing), and no row is written or read back.
+func (g *Group) releaseShard(i int) {
+	sh := &g.parts[i]
+	released := sh.state.ReleaseEach(nil)
+	k := g.arrivals(g.lo+i, released, sh.src)
+	sh.released, sh.staged = released, k
+	if k == 0 {
+		return
+	}
+	if sh.blk == nil {
+		sh.blk = new([drawBlock]int32)
+	}
+	bound, out := uint64(g.n), sh.out
+	for k > 0 {
+		blk := sh.blk[:min(k, drawBlock)]
+		k -= len(blk)
+		sh.src.Fill32n(blk, bound)
+		switch {
+		case g.s == 1:
+			sh.state.DepositBatch(blk, 0)
+		case g.shift >= 0:
+			shift := uint(g.shift)
+			for _, v := range blk {
+				d := v >> shift
+				out[d] = append(out[d], v)
+			}
+		default:
+			for _, v := range blk {
+				d := g.ShardOf(int(v))
+				out[d] = append(out[d], v)
+			}
+		}
+	}
 }
 
 // Outgoing returns the staged buffer from owned shard src to global shard
@@ -310,35 +346,10 @@ func (g *Group) Deliver(src, dst int, buf []int32) {
 func (g *Group) Commit() {
 	sp := obs.StartSpan("commit", obs.LanePhases)
 	tm := obs.StartTimer()
-	count := obs.Enabled()
-	g.runner.Run(func(i int) {
-		sh := &g.parts[i]
-		d := g.lo + i
-		base := int32(sh.base)
-		balls, msgs := 0, 0
-		for s := 0; s < g.s; s++ {
-			var buf []int32
-			if g.owns(s) {
-				buf = g.parts[s-g.lo].out[d]
-				sh.state.DepositBatch(buf, base)
-				g.parts[s-g.lo].out[d] = buf[:0]
-			} else {
-				buf = g.inbox[i][s]
-				sh.state.DepositBatch(buf, base)
-				g.inbox[i][s] = buf[:0]
-			}
-			if count && len(buf) > 0 && s != d {
-				balls += len(buf)
-				msgs++
-			}
-		}
-		sh.state.Commit()
-		if count {
-			// One atomic add per shard per round, never per ball.
-			mExchangeBalls.Add(uint64(balls))
-			mExchangeMsgs.Add(uint64(msgs))
-		}
-	})
+	if g.commitFn == nil {
+		g.commitFn = g.commitShard
+	}
+	g.runner.Run(g.commitFn)
 	if g.lo > 0 || g.hi < g.s {
 		for i := range g.parts {
 			out := g.parts[i].out
@@ -351,6 +362,37 @@ func (g *Group) Commit() {
 	}
 	tm.ObserveSeconds(mPhaseCommit)
 	sp.End()
+}
+
+// commitShard is owned shard i's commit.
+func (g *Group) commitShard(i int) {
+	sh := &g.parts[i]
+	d := g.lo + i
+	base := int32(sh.base)
+	count := obs.Enabled()
+	balls, msgs := 0, 0
+	for s := 0; s < g.s; s++ {
+		var buf []int32
+		if g.owns(s) {
+			buf = g.parts[s-g.lo].out[d]
+			sh.state.DepositBatch(buf, base)
+			g.parts[s-g.lo].out[d] = buf[:0]
+		} else {
+			buf = g.inbox[i][s]
+			sh.state.DepositBatch(buf, base)
+			g.inbox[i][s] = buf[:0]
+		}
+		if count && len(buf) > 0 && s != d {
+			balls += len(buf)
+			msgs++
+		}
+	}
+	sh.state.Commit()
+	if count {
+		// One atomic add per shard per round, never per ball.
+		mExchangeBalls.Add(uint64(balls))
+		mExchangeMsgs.Add(uint64(msgs))
+	}
 }
 
 // N returns the global number of bins.
@@ -391,8 +433,8 @@ func (g *Group) EmptyBins() int {
 // last round (0 before the first). Valid from Release on.
 func (g *Group) Released() int {
 	t := 0
-	for _, r := range g.released {
-		t += r
+	for i := range g.parts {
+		t += g.parts[i].released
 	}
 	return t
 }
@@ -401,8 +443,8 @@ func (g *Group) Released() int {
 // round (0 before the first). Valid from Release on.
 func (g *Group) Staged() int {
 	t := 0
-	for _, k := range g.staged {
-		t += k
+	for i := range g.parts {
+		t += g.parts[i].staged
 	}
 	return t
 }

@@ -238,13 +238,13 @@ func TestInitialSnapshot(t *testing.T) {
 // sequential one, so the trajectory equals core.Process driven by
 // rng.NewStream(seed, 0) exactly.
 func TestSingleShardMatchesSequential(t *testing.T) {
-	const (
-		n    = 257 // deliberately not a power of two
-		seed = 7
-	)
+	const seed = 7
+	// n is deliberately not a power of two; 2500 spans several release
+	// draw blocks per round.
 	for name, loads := range map[string][]int32{
-		"one-per-bin": config.OnePerBin(n),
-		"all-in-one":  config.AllInOne(n, n),
+		"one-per-bin":      config.OnePerBin(257),
+		"all-in-one":       config.AllInOne(257, 257),
+		"one-per-bin-2500": config.OnePerBin(2500),
 	} {
 		p, err := NewProcess(loads, seed, Options{Shards: 1})
 		if err != nil {
@@ -271,12 +271,18 @@ func TestSingleShardMatchesSequential(t *testing.T) {
 }
 
 // TestTetrisSingleShardMatchesSequential pins the same anchor for the
-// batched process under all three arrival laws.
+// batched process under all three arrival laws. Their arrival count is not
+// the release count, so this also covers a single shard staging its draw
+// blocks straight into the state when k ≠ released; n = 3001 throws
+// several blocks per round, the last one partial.
 func TestTetrisSingleShardMatchesSequential(t *testing.T) {
-	const (
-		n    = 130
-		seed = 11
-	)
+	const seed = 11
+	for _, n := range []int{130, 3001} {
+		testTetrisSingleShard(t, n, seed)
+	}
+}
+
+func testTetrisSingleShard(t *testing.T, n int, seed uint64) {
 	for _, law := range []tetris.ArrivalLaw{tetris.Deterministic, tetris.BinomialArrivals, tetris.PoissonArrivals} {
 		p, err := NewTetris(config.AllInOne(n, n), seed,
 			TetrisOptions{Options: Options{Shards: 1}, Law: law, Lambda: 0.7})
@@ -295,18 +301,45 @@ func TestTetrisSingleShardMatchesSequential(t *testing.T) {
 		got, want := p.LoadsCopy(), ref.LoadsCopy()
 		for u := range got {
 			if got[u] != want[u] {
-				t.Fatalf("law %v: bin %d: %d vs sequential %d", law, u, got[u], want[u])
+				t.Fatalf("n=%d law %v: bin %d: %d vs sequential %d", n, law, u, got[u], want[u])
 			}
 		}
 		if p.Balls() != ref.Balls() {
-			t.Fatalf("law %v: balls %d vs %d", law, p.Balls(), ref.Balls())
+			t.Fatalf("n=%d law %v: balls %d vs %d", n, law, p.Balls(), ref.Balls())
 		}
 		// The first-emptying tracker must agree with the sequential one.
 		for u := 0; u < n; u++ {
 			if p.FirstEmptyRound(u) != ref.FirstEmptyRound(u) {
-				t.Fatalf("law %v: bin %d first-empty %d vs %d",
-					law, u, p.FirstEmptyRound(u), ref.FirstEmptyRound(u))
+				t.Fatalf("n=%d law %v: bin %d first-empty %d vs %d",
+					n, law, u, p.FirstEmptyRound(u), ref.FirstEmptyRound(u))
 			}
+		}
+	}
+}
+
+// TestGroupRoundAllocs: once warm, a sharded round allocates nothing — the
+// draw blocks, exchange rows and phase bodies all live on the Group. S = 1
+// covers the direct staging of draw blocks (at the Width8 and Width16 cell
+// types the recovery regime runs at), S = 8 the routed exchange rows.
+func TestGroupRoundAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		width  engine.Width
+	}{{1, engine.WidthAuto}, {1, engine.Width16}, {8, engine.WidthAuto}} {
+		e, err := NewEngine(config.OnePerBin(1<<14), 3, Options{Shards: tc.shards, Workers: 1, Width: tc.width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Step(relaunch) // warm-up round
+		allocs := testing.AllocsPerRun(64, func() {
+			e.g.Release(relaunch)
+			e.g.Commit()
+		})
+		if allocs != 0 {
+			t.Errorf("S=%d width %v: a round allocates %v times, want 0", tc.shards, tc.width, allocs)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
