@@ -245,8 +245,8 @@ func run(args []string, out io.Writer) error {
 	if *ckptPath != "" && *process != "original" {
 		return fmt.Errorf("-checkpoint supports only -process original (got %q)", *process)
 	}
-	if *n < 1 {
-		return fmt.Errorf("need n >= 1, got %d", *n)
+	if *n < 1 || *n > shard.MaxBins {
+		return fmt.Errorf("need 1 <= n <= %d (2^31), got %d", shard.MaxBins, *n)
 	}
 	if *shards < 0 {
 		return fmt.Errorf("need shards >= 0, got %d", *shards)

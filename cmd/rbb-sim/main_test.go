@@ -276,6 +276,7 @@ func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
 	cases := [][]string{
 		{"-n", "0"},
+		{"-n", "2147483649"}, // 2^31 + 1: past the int32 bin-index limit
 		{"-rounds", "-1"},
 		{"-process", "bogus"},
 		{"-init", "bogus"},
@@ -471,7 +472,7 @@ func TestObservabilityNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{"rbb_phase_seconds", "rbb_rounds_total", "rbb_ckpt_writes_total"} {
+	for _, family := range []string{"rbb_phase_seconds", "rbb_rounds_total", "rbb_ckpt_writes_total", "rbb_ckpt_bytes_total"} {
 		if !strings.Contains(string(prom), family) {
 			t.Errorf("metrics dump missing family %s", family)
 		}

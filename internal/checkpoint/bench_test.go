@@ -42,21 +42,13 @@ var benchSnap = sync.OnceValue(func() *Snapshot {
 	return &Snapshot{Seed: 7, Engine: eng, Observer: pipe.Snapshot()}
 })
 
-// countWriter measures bytes on the wire without buffering them.
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
 func benchEncode(b *testing.B, save func(w io.Writer, snap *Snapshot) error) {
 	snap := benchSnap()
 	b.SetBytes(int64(benchN)) // throughput in bins/s
 	b.ResetTimer()
 	var wire int64
 	for i := 0; i < b.N; i++ {
-		var cw countWriter
+		cw := countingWriter{w: io.Discard}
 		if err := save(&cw, snap); err != nil {
 			b.Fatal(err)
 		}
@@ -109,4 +101,59 @@ func BenchmarkDecodeV2Flate(b *testing.B) {
 	benchDecode(b, func(w io.Writer, snap *Snapshot) error {
 		return SaveOptions(w, snap, Options{Compress: true})
 	})
+}
+
+// BenchmarkCheckpointWrite compares the two ways of writing one in-process
+// checkpoint at the stationary shape n = 2²², S = 8 (a dense one-per-bin
+// run a few rounds in): gather copies every shard out as a
+// shard.EngineSnapshot ([]int32 loads) and encodes that with SaveOptions;
+// live encodes the frames straight from the shards, as Run does. Both
+// write the same bytes to a counting writer, so the pair isolates the
+// encode path; B/op is the gather's 4n-byte copy against about one frame
+// per encoder.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	const n, shards = 1 << 22, 8
+	p, err := shard.NewProcess(config.OnePerBin(n), 7, shard.Options{Shards: shards})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	pipe, err := shard.NewPipeline([]float64{0.5, 0.99})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		p.Step()
+		pipe.Observe(p)
+	}
+	obs := pipe.Snapshot()
+	for _, bc := range []struct {
+		name  string
+		write func(w io.Writer) error
+	}{
+		{"gather", func(w io.Writer) error {
+			eng, err := p.Snapshot()
+			if err != nil {
+				return err
+			}
+			return SaveOptions(w, &Snapshot{Seed: 7, Engine: eng, Observer: obs}, Options{})
+		}},
+		{"live", func(w io.Writer) error {
+			return writeEngine(w, p.Engine(), 7, obs, Options{})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(n) // throughput in bins/s
+			b.ReportAllocs()
+			var wire int64
+			for i := 0; i < b.N; i++ {
+				cw := countingWriter{w: io.Discard}
+				if err := bc.write(&cw); err != nil {
+					b.Fatal(err)
+				}
+				wire = cw.n
+			}
+			b.ReportMetric(float64(wire), "wire-bytes")
+		})
+	}
 }

@@ -48,6 +48,21 @@
 // the engine's storage width (Θ(log n) max loads w.h.p. make uint8 the
 // common case), which is what shrinks a checkpoint ~4× before compression.
 //
+// # Streaming from live shards
+//
+// Run never gathers a whole-run snapshot. Every shard frame of a running
+// engine comes from one encoder, EncodeShards, which reads the live shard
+// (shard.Group.ShardView): its rng state, its loads at the storage width
+// (a single byte copy at width 8) and its worklist words, rebuilt first
+// when a dense round left them stale. Up to GOMAXPROCS shards encode
+// concurrently, each encoder reusing one frame buffer, so a write
+// allocates about one frame per encoder rather than the 4 bytes per bin of
+// an []int32 gather. In-process engines stream through it directly; the
+// multi-process workers answer a snapshot request with it and the
+// coordinator relays their frames (StreamProcess). Save and SaveOptions
+// remain the encoders of a gathered Snapshot — the resume, migration and
+// test paths — and write the identical bytes.
+//
 // # Format v1 (legacy, still loaded)
 //
 // Version 1 is the monolithic form: the same header fields (no hcrc),
@@ -118,11 +133,13 @@ const (
 	frameObserver = 2
 )
 
-// Format sanity caps: far above every supported configuration (ROADMAP
-// targets n ≥ 10⁹ ≈ 2³⁰), low enough that a corrupted header cannot demand
-// absurd work before the per-field validation rejects it.
+// Format sanity caps. maxBins is the engine's own limit (shard.MaxBins,
+// 2³¹), so a checkpoint of a run that could not step is rejected at its
+// header; the others sit far above every supported configuration, low
+// enough that a corrupted header cannot demand absurd work before the
+// per-field validation rejects it.
 const (
-	maxBins      = 1 << 34
+	maxBins      = shard.MaxBins
 	maxShards    = 1 << 20
 	maxQuantiles = 1 << 10
 )

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/shard"
 )
@@ -128,30 +129,139 @@ func ReadHeader(r io.Reader) (Header, error) {
 // appendFrame assembles one frame around an already-encoded raw payload,
 // compressing it when asked and appending the frame CRC.
 func appendFrame(dst []byte, kind byte, index uint32, width byte, compress bool, payload []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	var e frameEncoder
+	return e.finish(append(dst, payload...), start, kind, index, width, compress)
+}
+
+// frameEncoder assembles v2 frames through buffers — and flate state —
+// that it reuses from one frame to the next. The zero value is ready.
+type frameEncoder struct {
+	buf []byte       // the frame under construction
+	z   bytes.Buffer // compressed payload
+	fw  *flate.Writer
+}
+
+// finish completes the frame b[start:], a reserved frameHeaderSize
+// prologue followed by the raw payload: it compresses the payload in place
+// when asked, fills in the prologue and appends the frame CRC.
+func (e *frameEncoder) finish(b []byte, start int, kind byte, index uint32, width byte, compress bool) ([]byte, error) {
 	enc := byte(0)
 	if compress {
-		var cb bytes.Buffer
-		cb.Grow(len(payload)/4 + 64)
-		fw, err := flate.NewWriter(&cb, flate.BestSpeed)
+		e.z.Reset()
+		if e.fw == nil {
+			fw, err := flate.NewWriter(&e.z, flate.BestSpeed)
+			if err != nil {
+				return b[:start], fmt.Errorf("checkpoint: save: %w", err)
+			}
+			e.fw = fw
+		} else {
+			e.fw.Reset(&e.z)
+		}
+		_, err := e.fw.Write(b[start+frameHeaderSize:])
+		if err == nil {
+			err = e.fw.Close()
+		}
 		if err != nil {
-			return dst, fmt.Errorf("checkpoint: save: %w", err)
+			return b[:start], fmt.Errorf("checkpoint: save: %w", err)
 		}
-		if _, err = fw.Write(payload); err == nil {
-			err = fw.Close()
-		}
-		if err != nil {
-			return dst, fmt.Errorf("checkpoint: save: %w", err)
-		}
-		payload = cb.Bytes()
+		b = append(b[:start+frameHeaderSize], e.z.Bytes()...)
 		enc = 1
 	}
-	start := len(dst)
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, index)
-	dst = append(dst, width, enc)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
+	f := b[start:]
+	f[0] = kind
+	binary.LittleEndian.PutUint32(f[1:], index)
+	f[5], f[6] = width, enc
+	binary.LittleEndian.PutUint64(f[7:], uint64(len(f)-frameHeaderSize))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(f, castagnoli)), nil
+}
+
+// liveShardFrame encodes owned shard s of g as one v2 frame straight from
+// live shard memory (shard.Group.ShardView) into the encoder's buffer: the
+// same bytes AppendShardFrame writes for the shard's SnapshotShard, without
+// the []int32/[]uint64 copies. The frame is valid until the encoder's next
+// frame.
+func (e *frameEncoder) liveShardFrame(g *shard.Group, s int, compress bool) ([]byte, error) {
+	v := g.ShardView(s)
+	nwords := (v.Size + 63) / 64
+	raw := 32 + 8 + v.Size*int(v.Width)/8 + 8 + nwords*8
+	b := slices.Grow(e.buf[:0], frameHeaderSize+raw+4)[:frameHeaderSize]
+	for _, x := range v.RNG {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(v.Size))
+	b = v.AppendLoads(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(nwords))
+	b, err := v.AppendWork(b)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: shard %d: %w", s, err)
+	}
+	b, err = e.finish(b, 0, frameShard, uint32(s), v.Width, compress)
+	e.buf = b
+	return b, err
+}
+
+// encodeFrames encodes frames [lo, hi) with encode on up to GOMAXPROCS
+// goroutines and hands them to emit in order. Each goroutine encodes
+// through a frameEncoder taken from a pool of one per worker and returned
+// once its frame is emitted, so the frames in flight — and the frame
+// buffers one call allocates — number at most one per worker. After the
+// first error emit sees no more frames, but every goroutine is still
+// drained so none is left behind.
+func encodeFrames(lo, hi int, encode func(e *frameEncoder, i int) ([]byte, error), emit func(frame []byte) error) error {
+	workers := min(runtime.GOMAXPROCS(0), hi-lo)
+	type result struct {
+		e     *frameEncoder
+		frame []byte
+		err   error
+	}
+	free := make(chan *frameEncoder, workers)
+	for range workers {
+		free <- new(frameEncoder)
+	}
+	// A channel of per-frame channels keeps the output in order. It holds
+	// one slot per encoder: the dispatcher cannot run further ahead than
+	// the pool lets it anyway.
+	frames := make(chan chan result, workers)
+	go func() {
+		for i := lo; i < hi; i++ {
+			ch := make(chan result, 1)
+			frames <- ch
+			e := <-free
+			go func() {
+				frame, err := encode(e, i)
+				ch <- result{e, frame, err}
+			}()
+		}
+		close(frames)
+	}()
+	var err error
+	for ch := range frames {
+		r := <-ch
+		if err == nil {
+			err = r.err
+		}
+		if err == nil {
+			err = emit(r.frame)
+		}
+		free <- r.e
+	}
+	return err
+}
+
+// EncodeShards encodes the shards g owns as v2 shard frames straight from
+// live shard memory and hands each to emit, in shard order. It is the one
+// shard-frame encoder of running engines: checkpoint.Run streams an
+// in-process engine's checkpoint through it, and the multi-process workers
+// answer a snapshot request with it. Up to GOMAXPROCS shards encode
+// concurrently, each encoder reusing one frame buffer, so a call allocates
+// about one frame per encoder however many shards g holds. A frame is
+// valid only until emit returns. g must be between rounds.
+func EncodeShards(g *shard.Group, compress bool, emit func(frame []byte) error) error {
+	return encodeFrames(g.Lo(), g.Hi(), func(e *frameEncoder, s int) ([]byte, error) {
+		return e.liveShardFrame(g, s, compress)
+	}, emit)
 }
 
 // AppendShardFrame encodes shard index of an engine snapshot as one v2
@@ -400,54 +510,55 @@ func SaveOptions(dst io.Writer, snap *Snapshot, opts Options) error {
 		return err
 	}
 	eng := snap.Engine
-	bw := bufio.NewWriterSize(dst, 1<<16)
-	err := WriteHeader(bw, Header{
+	h := Header{
 		Seed:     snap.Seed,
 		N:        eng.N,
 		Shards:   len(eng.Shards),
 		Round:    eng.Round,
 		Observer: snap.Observer != nil,
 		Compress: opts.Compress,
+	}
+	return writeFramed(dst, h, snap.Observer, func(e *frameEncoder, i int) ([]byte, error) {
+		frame, err := AppendShardFrame(e.buf[:0], &eng.Shards[i], i, eng.N, len(eng.Shards), opts.Compress)
+		e.buf = frame
+		return frame, err
 	})
-	if err != nil {
+}
+
+// writeEngine streams the checkpoint of the in-process engine e to dst,
+// every shard frame encoded straight from live shard memory (the encoder
+// of EncodeShards). The bytes equal SaveOptions over e.Snapshot(), without
+// the whole-run []int32 gather.
+func writeEngine(dst io.Writer, e *shard.Engine, seed uint64, obs *shard.PipelineSnapshot, opts Options) error {
+	h := Header{
+		Seed:     seed,
+		N:        e.N(),
+		Shards:   e.Shards(),
+		Round:    e.Round(),
+		Observer: obs != nil,
+		Compress: opts.Compress,
+	}
+	g := e.Group()
+	return writeFramed(dst, h, obs, func(fe *frameEncoder, s int) ([]byte, error) {
+		return fe.liveShardFrame(g, s, opts.Compress)
+	})
+}
+
+// writeFramed writes one v2 checkpoint to dst: the header h, the h.Shards
+// shard frames that encode produces (through encodeFrames, in shard
+// order), and the observer frame when obs is non-nil.
+func writeFramed(dst io.Writer, h Header, obs *shard.PipelineSnapshot, encode func(e *frameEncoder, i int) ([]byte, error)) error {
+	bw := bufio.NewWriterSize(dst, 1<<16)
+	if err := WriteHeader(bw, h); err != nil {
 		return err
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(eng.Shards))
-	type result struct {
-		buf []byte
-		err error
-	}
-	// A channel of per-frame channels keeps output in shard order while the
-	// window (2×workers in-flight frames) bounds resident encoded bytes;
-	// the writer drains every channel even after an error so no encoder
-	// goroutine is left behind.
-	frames := make(chan chan result, 2*workers)
-	go func() {
-		sem := make(chan struct{}, workers)
-		for i := range eng.Shards {
-			ch := make(chan result, 1)
-			frames <- ch
-			sem <- struct{}{}
-			go func(i int, ch chan<- result) {
-				defer func() { <-sem }()
-				buf, err := AppendShardFrame(nil, &eng.Shards[i], i, eng.N, len(eng.Shards), opts.Compress)
-				ch <- result{buf, err}
-			}(i, ch)
-		}
-		close(frames)
-	}()
-	for ch := range frames {
-		r := <-ch
-		if err == nil {
-			err = r.err
-		}
-		if err == nil {
-			_, err = bw.Write(r.buf)
-		}
-	}
-	if err == nil && snap.Observer != nil {
+	err := encodeFrames(0, h.Shards, encode, func(frame []byte) error {
+		_, err := bw.Write(frame)
+		return err
+	})
+	if err == nil && obs != nil {
 		var buf []byte
-		if buf, err = AppendObserverFrame(nil, snap.Observer, opts.Compress); err == nil {
+		if buf, err = AppendObserverFrame(nil, obs, h.Compress); err == nil {
 			_, err = bw.Write(buf)
 		}
 	}

@@ -14,22 +14,14 @@ import (
 // one, never a torn file — which the CRCs would reject anyway, but a valid
 // previous checkpoint is strictly better than a rejected torn one.
 func WriteFile(path string, snap *Snapshot) error {
-	return WriteFileOptions(path, snap, Options{})
-}
-
-// WriteFileOptions is WriteFile with explicit serialization options.
-func WriteFileOptions(path string, snap *Snapshot, opts Options) error {
 	// Save's own errors already carry the package prefix; OS-level errors
 	// name the file, so neither needs further wrapping.
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return SaveOptions(w, snap, opts)
-	})
+	return WriteFileFunc(path, func(w io.Writer) error { return Save(w, snap) })
 }
 
 // WriteFileFunc atomically replaces path with whatever write produces —
-// the streaming form of WriteFileOptions, for engines that serialize their
-// own checkpoint stream (see StreamProcess) instead of handing back a
-// snapshot to encode here.
+// the streaming form of WriteFile, which Run uses to write a checkpoint
+// straight from a running engine instead of from a gathered snapshot.
 func WriteFileFunc(path string, write func(io.Writer) error) error {
 	return atomicio.WriteFile(path, write)
 }

@@ -49,25 +49,62 @@ type Policy struct {
 	OnWrite func(seconds float64)
 }
 
-// Process is the engine surface Run drives: a round stepper that can
-// snapshot its complete deterministic state between rounds. *shard.Process
-// implements it, and so does the multi-process coordinator engine of
-// internal/shard/transport/proc — which is how `rbb-sim -procs P` shares
-// this runner (periodic, triggered and snapshot-and-stop checkpoints)
-// with single-process runs.
+// Process is the engine surface Run drives: a round stepper whose complete
+// deterministic state can be checkpointed between rounds. Snapshot gathers
+// that state into memory (resume tooling and tests use it); Run never
+// does, it streams. *shard.Process implements Process, and so does the
+// multi-process coordinator engine of internal/shard/transport/wire —
+// which is how `rbb-sim -procs P` shares this runner (periodic, triggered
+// and snapshot-and-stop checkpoints) with single-process runs.
 type Process interface {
 	engine.Stepper
 	Snapshot() (*shard.EngineSnapshot, error)
 }
 
 // StreamProcess is implemented by engines that serialize their own
-// checkpoint stream — the proc transport's coordinator, whose workers
-// encode their shards concurrently into self-checksummed frames that the
-// coordinator relays straight to dst. Run prefers this path over
-// Process.Snapshot when it is available: it removes the coordinator-side
-// snapshot gather and whole-blob buffer from checkpointing entirely.
+// checkpoint stream — the multi-process coordinator, whose workers encode
+// their shards concurrently into self-checksummed frames (EncodeShards)
+// that the coordinator relays straight to dst.
 type StreamProcess interface {
 	StreamCheckpoint(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts Options) error
+}
+
+// engineProcess is implemented by processes over an in-process sharded
+// engine (*shard.Process): Run streams their checkpoints straight from
+// live shard memory.
+type engineProcess interface {
+	Engine() *shard.Engine
+}
+
+// streamFunc writes one whole checkpoint stream of a running engine.
+type streamFunc func(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts Options) error
+
+// streamer returns how Run writes p's checkpoint stream: through the
+// engine's own StreamCheckpoint, or by encoding an in-process engine's
+// live shards. Either way no whole-run snapshot is gathered.
+func streamer(p Process) (streamFunc, error) {
+	switch p := p.(type) {
+	case StreamProcess:
+		return p.StreamCheckpoint, nil
+	case engineProcess:
+		e := p.Engine()
+		return func(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts Options) error {
+			return writeEngine(dst, e, seed, obs, opts)
+		}, nil
+	}
+	return nil, fmt.Errorf("checkpoint: %T streams no checkpoint (want a StreamProcess or an in-process shard engine)", p)
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	k, err := c.w.Write(p)
+	c.n += int64(k)
+	return k, err
 }
 
 // Run drives p to round target under pol, notifying obs (and pol.Pipeline)
@@ -94,6 +131,13 @@ func Run(ctx context.Context, p Process, target int64, pol Policy, obs ...engine
 	if pol.Pipeline != nil {
 		obs = append([]engine.Observer{pol.Pipeline}, obs...)
 	}
+	var stream streamFunc
+	if pol.Path != "" {
+		var err error
+		if stream, err = streamer(p); err != nil {
+			return p.Round(), false, err
+		}
+	}
 	// written remembers the round of the last successful write, so a
 	// trigger snapshot landing on a periodic boundary or the final round
 	// does not produce two identical back-to-back full writes.
@@ -108,26 +152,18 @@ func Run(ctx context.Context, p Process, target int64, pol Policy, obs ...engine
 		if pol.Pipeline != nil {
 			obs = pol.Pipeline.Snapshot()
 		}
-		opts := Options{Compress: pol.Compress}
-		if sp, ok := p.(StreamProcess); ok {
-			err := WriteFileFunc(pol.Path, func(w io.Writer) error {
-				return sp.StreamCheckpoint(w, pol.Seed, obs, opts)
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			eng, err := p.Snapshot()
-			if err != nil {
-				return err
-			}
-			snap := &Snapshot{Seed: pol.Seed, Engine: eng, Observer: obs}
-			if err := WriteFileOptions(pol.Path, snap, opts); err != nil {
-				return err
-			}
+		var bytes int64
+		err := WriteFileFunc(pol.Path, func(w io.Writer) error {
+			cw := &countingWriter{w: w}
+			err := stream(cw, pol.Seed, obs, Options{Compress: pol.Compress})
+			bytes = cw.n
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		seconds := time.Since(start).Seconds()
-		noteCkptWrite(seconds)
+		noteCkptWrite(seconds, bytes)
 		span.End()
 		if pol.OnWrite != nil {
 			pol.OnWrite(seconds)

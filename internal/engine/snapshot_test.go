@@ -170,3 +170,90 @@ func (f *fakeStepper) EmptyBins() int     { return f.s.EmptyBins() }
 func (f *fakeStepper) NonEmptyBins() int  { return f.s.NonEmptyBins() }
 func (f *fakeStepper) Load(u int) int32   { return f.s.Load(u) }
 func (f *fakeStepper) LoadsCopy() []int32 { return f.s.LoadsCopy() }
+
+// TestAppendLoadAndWorkBytes: the serialization reads return Snapshot's
+// loads at the storage width (little-endian) and Snapshot's worklist words,
+// at every width and for cuts after dense rounds (stale worklist) and
+// sparse rounds — and, like Snapshot, refuse a mid-round cut. The reads go
+// first on every cut, so the stale words are rebuilt by AppendWorkBytes
+// itself, not by an earlier Snapshot.
+func TestAppendLoadAndWorkBytes(t *testing.T) {
+	const n = 1000 // not a multiple of 64: the last worklist word is partial
+	dense := make([]int32, n)
+	for i := range dense {
+		dense[i] = int32(i % 3) // two thirds non-empty ⇒ dense rounds
+	}
+	sparse := make([]int32, n)
+	sparse[7] = 600 // one non-empty bin ⇒ sparse rounds, width 16 by value
+	for _, tc := range []struct {
+		name   string
+		loads  []int32
+		floor  Width
+		want   Width
+		sparse bool
+	}{
+		{"dense/w8", dense, WidthAuto, Width8, false},
+		{"dense/w16", dense, Width16, Width16, false},
+		{"dense/w32", dense, Width32, Width32, false},
+		{"sparse/w16", sparse, WidthAuto, Width16, true},
+		{"sparse/w32", sparse, Width32, Width32, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.loads, Options{Width: tc.floor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewDrawer(rng.New(9))
+			for r := 0; r < 5; r++ {
+				s.ReleaseUniform(d, nil)
+				s.Commit()
+			}
+			if s.Width() != tc.want {
+				t.Fatalf("width %v, want %v", s.Width(), tc.want)
+			}
+			// Dense rounds leave the worklist stale; sparse ones keep it.
+			if s.sparse != tc.sparse || s.workStale == tc.sparse {
+				t.Fatalf("cut after the wrong round kind: sparse=%v stale=%v", s.sparse, s.workStale)
+			}
+			lb := s.AppendLoadBytes([]byte{0xee})
+			wb, err := s.AppendWorkBytes([]byte{0xee})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loads, work, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := int(tc.want) / 8
+			if lb[0] != 0xee || len(lb) != 1+k*n {
+				t.Fatalf("load bytes: prefix %#x, %d bytes, want %d", lb[0], len(lb)-1, k*n)
+			}
+			for u, l := range loads {
+				var got int32
+				for j := k - 1; j >= 0; j-- {
+					got = got<<8 | int32(lb[1+u*k+j])
+				}
+				if got != l {
+					t.Fatalf("bin %d: serialized load %d, want %d", u, got, l)
+				}
+			}
+			if wb[0] != 0xee || len(wb) != 1+8*len(work) {
+				t.Fatalf("work bytes: prefix %#x, %d bytes, want %d", wb[0], len(wb)-1, 8*len(work))
+			}
+			for i, w := range work {
+				var got uint64
+				for j := 7; j >= 0; j-- {
+					got = got<<8 | uint64(wb[1+8*i+j])
+				}
+				if got != w {
+					t.Fatalf("worklist word %d: %#x, want %#x", i, got, w)
+				}
+			}
+			s.ReleaseUniform(d, nil)
+			if _, err := s.AppendWorkBytes(nil); err == nil {
+				t.Error("mid-round AppendWorkBytes accepted")
+			}
+			s.Commit()
+		})
+	}
+}

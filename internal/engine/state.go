@@ -55,10 +55,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -1089,11 +1091,8 @@ func commitDenseW[L loadElem](load, arr []L, lim int64, start int, max int32, em
 // from an inconsistent state. It must not be called mid-round (between a
 // Release* call and Commit).
 func (s *State) Snapshot() (loads []int32, work []uint64, err error) {
-	if s.inRound {
-		return nil, nil, errors.New("engine: Snapshot mid-round")
-	}
-	if s.workStale {
-		s.rebuildWork()
+	if err := s.syncWork("Snapshot"); err != nil {
+		return nil, nil, err
 	}
 	loads = s.LoadsCopy()
 	work = make([]uint64, s.work.NumWords())
@@ -1101,6 +1100,58 @@ func (s *State) Snapshot() (loads []int32, work []uint64, err error) {
 		work[i] = s.work.Word(i)
 	}
 	return loads, work, nil
+}
+
+// AppendLoadBytes appends the load vector at its storage width to dst —
+// one byte per bin at Width8, little-endian uint16 or int32 values at
+// Width16 and Width32 — and returns the extended slice. It reads the live
+// backing array (at Width8 the whole append is one byte copy), so a
+// checkpoint writer serializes the loads without an int32 copy of them.
+func (s *State) AppendLoadBytes(dst []byte) []byte {
+	switch s.width {
+	case Width8:
+		return append(dst, s.load8...)
+	case Width16:
+		dst = slices.Grow(dst, 2*s.n)
+		for _, l := range s.load16 {
+			dst = binary.LittleEndian.AppendUint16(dst, l)
+		}
+	default:
+		dst = slices.Grow(dst, 4*s.n)
+		for _, l := range s.load32 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
+		}
+	}
+	return dst
+}
+
+// AppendWorkBytes appends the worklist words (the ones Snapshot copies) to
+// dst as little-endian uint64 values and returns the extended slice. Words
+// a dense round left stale are rebuilt first. Like Snapshot it must not be
+// called mid-round.
+func (s *State) AppendWorkBytes(dst []byte) ([]byte, error) {
+	if err := s.syncWork("AppendWorkBytes"); err != nil {
+		return dst, err
+	}
+	nw := s.work.NumWords()
+	dst = slices.Grow(dst, 8*nw)
+	for i := range nw {
+		dst = binary.LittleEndian.AppendUint64(dst, s.work.Word(i))
+	}
+	return dst, nil
+}
+
+// syncWork readies the worklist bits for a reader between rounds,
+// rebuilding them if a dense round left them stale; op names the caller in
+// the mid-round error.
+func (s *State) syncWork(op string) error {
+	if s.inRound {
+		return fmt.Errorf("engine: %s mid-round", op)
+	}
+	if s.workStale {
+		s.rebuildWork()
+	}
+	return nil
 }
 
 // Restore replaces the configuration from a snapshot taken with Snapshot.
@@ -1127,11 +1178,8 @@ func (s *State) Restore(loads []int32, work []uint64) error {
 // CheckInvariants verifies that the worklist, counters and cached maximum
 // agree with the load vector; tests call it after arbitrary rounds.
 func (s *State) CheckInvariants() error {
-	if s.inRound {
-		return errors.New("engine: CheckInvariants mid-round")
-	}
-	if s.workStale {
-		s.rebuildWork()
+	if err := s.syncWork("CheckInvariants"); err != nil {
+		return err
 	}
 	if s.width < s.minWidth {
 		return fmt.Errorf("engine: width %d below floor %d", uint8(s.width), uint8(s.minWidth))

@@ -252,6 +252,7 @@ func TestBadInput(t *testing.T) {
 	for _, body := range []string{
 		`{`,                                                 // malformed JSON
 		`{"seed":1,"rounds":10}`,                            // n missing
+		`{"n":2147483649,"rounds":10}`,                      // n over 2^31
 		`{"n":100}`,                                         // rounds missing
 		`{"n":100,"rounds":-1}`,                             // negative rounds
 		`{"n":10,"rounds":5,"shards":20}`,                   // shards > n

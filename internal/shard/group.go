@@ -37,6 +37,11 @@ type shardPart struct {
 // drawBlock is the length of a shard's release draw block (2 KiB).
 const drawBlock = 512
 
+// MaxBins is the largest supported bin count, 2³¹: destinations travel as
+// int32 bin indices and are drawn by rng.Source.Fill32n, whose bound may
+// not exceed 2³¹. Every frontend rejects a larger n before allocating.
+const MaxBins = 1 << 31
+
 // Group is the in-process kernel of the round protocol: it holds shards
 // [Lo, Hi) of a run partitioned into Shards contiguous shards over N bins,
 // and executes the per-shard release and commit phases on them through a
@@ -186,8 +191,8 @@ func NewGroupFromSnapshot(snap *EngineSnapshot, lo, hi int, runner transport.Run
 // newGroupFrame allocates the group skeleton (partition bookkeeping,
 // buffers) without shard states.
 func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
-	if n < 1 {
-		return nil, errors.New("shard: group with no bins")
+	if n < 1 || n > MaxBins {
+		return nil, fmt.Errorf("shard: %d bins outside [1, %d]", n, MaxBins)
 	}
 	if s < 1 || s > n {
 		return nil, fmt.Errorf("shard: %d shards for %d bins", s, n)
@@ -505,6 +510,33 @@ func (g *Group) SnapshotShard(s int) (ShardSnapshot, error) {
 	}
 	return ShardSnapshot{RNG: sh.src.State(), Loads: loads, Work: work, Width: uint8(sh.state.Width())}, nil
 }
+
+// ShardView is one owned shard's checkpoint state read in place: the
+// fields of its ShardSnapshot, with the loads and worklist words appended
+// straight from live memory instead of copied out as []int32/[]uint64.
+// Valid between rounds, until the group's next Release.
+type ShardView struct {
+	RNG   [4]uint64 // rng stream state
+	Width uint8     // storage width of the loads, in bits
+	Size  int       // owned bins
+	state *engine.State
+}
+
+// ShardView returns the in-place checkpoint view of owned shard s (global
+// id).
+func (g *Group) ShardView(s int) ShardView {
+	sh := &g.parts[s-g.lo]
+	return ShardView{RNG: sh.src.State(), Width: uint8(sh.state.Width()), Size: sh.size, state: sh.state}
+}
+
+// AppendLoads appends the shard's loads at its storage width (see
+// engine.State.AppendLoadBytes).
+func (v ShardView) AppendLoads(dst []byte) []byte { return v.state.AppendLoadBytes(dst) }
+
+// AppendWork appends the shard's worklist words, little-endian, rebuilding
+// them first if a dense round left them stale (see
+// engine.State.AppendWorkBytes).
+func (v ShardView) AppendWork(dst []byte) ([]byte, error) { return v.state.AppendWorkBytes(dst) }
 
 // CheckInvariants verifies every owned shard's internal invariants and the
 // partition bookkeeping, including that no staged exchange buffer leaked

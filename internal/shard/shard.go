@@ -373,6 +373,11 @@ func RestoreEngine(snap *EngineSnapshot, opts Options) (*Engine, error) {
 	return e, nil
 }
 
+// Group returns the protocol kernel holding every shard of the engine.
+// internal/checkpoint reads it (Group.ShardView) to stream a checkpoint
+// straight from live shard memory; callers must not step it.
+func (e *Engine) Group() *Group { return e.g }
+
 // Close releases the engine's transport resources (the pool's persistent
 // workers). The engine must not be stepped afterwards. Idempotent.
 func (e *Engine) Close() error { return e.g.Close() }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -27,6 +28,12 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := NewTetris([]int32{1}, 1, TetrisOptions{Law: tetris.ArrivalLaw(99)}); err == nil {
 		t.Error("bogus arrival law accepted")
+	}
+	// Past 2^31 bins a destination no longer fits an int32: the group frame
+	// refuses the shape before it allocates a single shard.
+	big := &EngineSnapshot{N: MaxBins + 1, Shards: make([]ShardSnapshot, 1)}
+	if _, err := NewGroupFromSnapshot(big, 0, 1, nil, GroupOptions{}); err == nil || !strings.Contains(err.Error(), "2147483648") {
+		t.Errorf("n = 2^31+1: %v, want an error naming the 2147483648-bin limit", err)
 	}
 }
 

@@ -2,7 +2,9 @@ package proc_test
 
 import (
 	"bytes"
+	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -90,6 +92,56 @@ func TestTransportInvarianceMatrix(t *testing.T) {
 	for _, v := range variants[1:] {
 		if got := v.run(); !bytes.Equal(got, ref) {
 			t.Errorf("%s: final checkpoint differs from %s (%d vs %d bytes)", v.name, variants[0].name, len(got), len(ref))
+		}
+	}
+}
+
+// TestStreamedCheckpointMatchesInProcess: checkpoint.Run writes the same
+// file whether the shard frames come from worker processes (encoded there,
+// relayed by the coordinator) or from the in-process engine's live shards
+// — one encoder, checkpoint.EncodeShards, on both sides — for raw and
+// compressed frames. The all-in-one start mixes widths: shard 0 holds every
+// ball at width 16, the others run at width 8.
+func TestStreamedCheckpointMatchesInProcess(t *testing.T) {
+	const (
+		n      = 20011
+		s      = 7
+		seed   = 5
+		rounds = 40
+	)
+	loads := config.AllInOne(n, n)
+	write := func(path string, p checkpoint.Process, compress bool) []byte {
+		t.Helper()
+		pipe, err := shard.NewPipeline([]float64{0.5, 0.99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := checkpoint.Policy{Path: path, Every: 16, Seed: seed, Pipeline: pipe, Compress: compress}
+		if _, _, err := checkpoint.Run(context.Background(), p, rounds, pol); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dir := t.TempDir()
+	for _, compress := range []bool{false, true} {
+		in, err := shard.NewProcess(loads, seed, shard.Options{Shards: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := write(filepath.Join(dir, "inproc.ckpt"), in, compress)
+		in.Close()
+		e, err := proc.NewProcess(loads, seed, proc.Options{Shards: s, Procs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := write(filepath.Join(dir, "proc.ckpt"), e, compress)
+		e.Close()
+		if !bytes.Equal(got, want) {
+			t.Errorf("compress=%v: worker-streamed checkpoint (%d bytes) differs from the in-process one (%d bytes)", compress, len(got), len(want))
 		}
 	}
 }

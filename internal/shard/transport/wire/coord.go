@@ -472,13 +472,14 @@ func (co *Coordinator) relay() error {
 
 // StreamCheckpoint serializes the run straight to dst in checkpoint format
 // v2: every worker encodes its own shards into self-checksummed frames
-// concurrently, and the coordinator relays the frame bytes in shard order
-// without decoding — or ever materializing — them. The result is what
-// checkpoint.SaveOptions would produce from Snapshot, minus the
-// coordinator-side gather and whole-blob buffer. checkpoint.Run prefers
-// this path (see checkpoint.StreamProcess). A failure mid-stream is
-// unrecoverable (the control stream is desynchronized) and shuts the
-// links down like a Step failure.
+// concurrently (checkpoint.EncodeShards, the encoder in-process engines
+// stream through too), and the coordinator relays the frame bytes in shard
+// order without decoding — or ever materializing — them. The result is
+// what checkpoint.SaveOptions would produce from Snapshot, minus the
+// coordinator-side gather and whole-blob buffer. checkpoint.Run writes
+// this engine's checkpoints through it (see checkpoint.StreamProcess). A
+// failure mid-stream is unrecoverable (the control stream is
+// desynchronized) and shuts the links down like a Step failure.
 func (co *Coordinator) StreamCheckpoint(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts checkpoint.Options) error {
 	if co.closed {
 		return errors.New("wire: StreamCheckpoint on closed coordinator")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -454,49 +453,19 @@ func workerMeshReceive(st *workerState, j int, pc *conn) error {
 	return nil
 }
 
-// workerSnapshot encodes the owned shards as checkpoint v2 frames —
-// concurrently, in a bounded window — and streams them to the coordinator
-// in shard order. Across P workers this is the fan-out that makes a
-// multi-process checkpoint encode scale with the process count.
+// workerSnapshot encodes the owned shards as checkpoint v2 frames straight
+// from live shard memory — concurrently, in a bounded window
+// (checkpoint.EncodeShards) — and streams them to the coordinator in shard
+// order. Across P workers this is the fan-out that makes a multi-process
+// checkpoint encode scale with the process count.
 func workerSnapshot(c *conn, g *shard.Group, compress bool) error {
 	c.wByte(mSnapshot)
-	type result struct {
-		buf []byte
-		err error
-	}
-	workers := min(runtime.GOMAXPROCS(0), g.Hi()-g.Lo())
-	frames := make(chan chan result, 2*workers)
-	go func() {
-		sem := make(chan struct{}, workers)
-		for s := g.Lo(); s < g.Hi(); s++ {
-			ch := make(chan result, 1)
-			frames <- ch
-			sem <- struct{}{}
-			go func(s int, ch chan<- result) {
-				defer func() { <-sem }()
-				ss, err := g.SnapshotShard(s)
-				if err != nil {
-					ch <- result{nil, err}
-					return
-				}
-				buf, err := checkpoint.AppendShardFrame(nil, &ss, s, g.N(), g.Shards(), compress)
-				ch <- result{buf, err}
-			}(s, ch)
-		}
-		close(frames)
-	}()
-	var ferr error
-	for ch := range frames {
-		r := <-ch
-		if ferr == nil {
-			ferr = r.err
-		}
-		if ferr == nil {
-			c.wBlob(r.buf)
-		}
-	}
-	if ferr != nil {
-		return ferr
+	err := checkpoint.EncodeShards(g, compress, func(frame []byte) error {
+		c.wBlob(frame)
+		return c.werr
+	})
+	if err != nil {
+		return err
 	}
 	c.flush()
 	return c.werr

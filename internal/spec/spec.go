@@ -181,8 +181,8 @@ func (sp *RunSpec) Normalize(defaultCheckpointEvery int64) error {
 	default:
 		return fmt.Errorf("unknown process %q (want %s|%s|%s)", sp.Process, ProcessRBB, ProcessTetris, ProcessBatches)
 	}
-	if sp.N < 1 {
-		return fmt.Errorf("need n >= 1, got %d", sp.N)
+	if sp.N < 1 || sp.N > shard.MaxBins {
+		return fmt.Errorf("need 1 <= n <= %d (2^31), got %d", shard.MaxBins, sp.N)
 	}
 	if sp.Rounds < 1 {
 		return fmt.Errorf("need rounds >= 1, got %d", sp.Rounds)

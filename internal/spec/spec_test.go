@@ -200,6 +200,20 @@ func TestNormalizePlacement(t *testing.T) {
 	}
 }
 
+// TestNormalizeBinLimit: n is capped at 2^31 — bins are int32 indices
+// drawn by rng.Source.Fill32n — with an error naming the limit, and the
+// cap itself is a valid spec. Validation allocates nothing per bin.
+func TestNormalizeBinLimit(t *testing.T) {
+	at := RunSpec{N: 1 << 31, Rounds: 1}
+	if err := at.Normalize(0); err != nil {
+		t.Errorf("n = 2^31 rejected: %v", err)
+	}
+	over := RunSpec{N: 1<<31 + 1, Rounds: 1}
+	if err := over.Normalize(0); err == nil || !strings.Contains(err.Error(), "2147483648") {
+		t.Errorf("n = 2^31+1: %v, want an error naming the 2147483648-bin limit", err)
+	}
+}
+
 // TestNormalizeErrors covers the law-plane validation.
 func TestNormalizeErrors(t *testing.T) {
 	cases := []struct {
