@@ -32,16 +32,13 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/shard/transport/proc"
 	"repro/internal/shard/transport/tcp"
 )
 
 func main() {
-	// Runs placed on a multi-process transport (placement.transport proc or
-	// tcp with no hosts) re-execute this binary as their workers; such a
-	// child never reaches the CLI — it runs the exchange protocol on its
-	// pipes or socket and exits inside MaybeWorker.
-	proc.MaybeWorker()
+	// Runs placed on a tcp transport with no hosts re-execute this binary
+	// as their workers; such a child never reaches the CLI — it runs the
+	// exchange protocol on its socket and exits inside MaybeWorker.
 	tcp.MaybeWorker()
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "rbb-serve:", err)

@@ -8,20 +8,20 @@
 // value for results that reproduce across machines.
 //
 // Phase placement is selectable and never affects results: -transport
-// picks where the rounds execute — in process (pool: persistent workers
-// with shard→worker affinity, the default; spawn: per-phase goroutines),
-// across local worker processes over pipes (proc), or across TCP worker
-// processes (tcp; tcp-mesh adds direct worker↔worker exchange delivery so
-// the coordinator relays only barriers, stats and checkpoints). TCP
-// workers self-spawn on loopback by default; -hosts dials
-// `rbb-sim -worker -listen` daemons on other machines instead. -procs P
-// sets the worker process count (P alone implies -transport proc, the
-// historical behavior). The original, tetris — every process kind with a
-// serializable arrival rule — run under every placement, and the
-// trajectory is a pure function of (seed, n, shards) under all of them:
-// the CI equivalence gates diff multi-process runs against single-process
-// ones byte for byte. Internally the flags lower into spec.RunSpec, the
-// same canonical run description rbb-serve accepts over HTTP.
+// picks where the rounds execute — in process on persistent workers with
+// shard→worker affinity (pool, the default), or across TCP worker
+// processes (tcp: exchanges relayed through the coordinator; tcp-mesh:
+// delivered worker↔worker, so the coordinator relays only barriers, stats
+// and checkpoints). TCP workers self-spawn on loopback by default; -hosts
+// dials `rbb-sim -worker -listen` daemons on other machines instead.
+// -procs P sets the worker process count, and P alone implies -transport
+// tcp-mesh. The retired names spawn and proc still resolve, to pool and
+// tcp-mesh. The original, tetris — every process kind with a serializable
+// arrival rule — run under every placement, and the trajectory is a pure
+// function of (seed, n, shards) under all of them: the CI equivalence
+// gates diff multi-process runs against single-process ones byte for
+// byte. Internally the flags lower into spec.RunSpec, the same canonical
+// run description rbb-serve accepts over HTTP.
 //
 // Long runs survive restarts: -checkpoint writes whole-run snapshots
 // (periodically with -checkpoint-every, on SIGTERM/SIGINT, and at
@@ -84,16 +84,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/shard"
-	"repro/internal/shard/transport/proc"
 	"repro/internal/shard/transport/tcp"
 	"repro/internal/spec"
 )
 
 func main() {
 	// A process spawned as a transport worker never reaches the CLI: it
-	// runs the exchange protocol on its pipes (proc) or socket (tcp) and
-	// exits inside MaybeWorker.
-	proc.MaybeWorker()
+	// runs the exchange protocol on its socket and exits inside
+	// MaybeWorker.
 	tcp.MaybeWorker()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rbb-sim:", err)
@@ -133,8 +131,8 @@ func run(args []string, out io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "random seed")
 		every     = fs.Int64("report-every", 0, "print a row every K rounds (0 = auto, ~20 rows)")
 		shards    = fs.Int("shards", 0, "shard count for the data-parallel engine, original|tetris only (0 = GOMAXPROCS; the run is a pure function of seed, n and this value)")
-		transp    = fs.String("transport", "", "phase transport: pool (in-process persistent workers with shard affinity, default) | spawn (in-process per-phase goroutines) | proc (worker processes over pipes) | tcp | tcp-mesh (worker processes over TCP; mesh delivers exchanges worker-to-worker); never affects results")
-		procs     = fs.Int("procs", 0, "worker processes for -transport proc|tcp|tcp-mesh (0 or 1 = in-process; -procs P alone implies -transport proc; each worker holds a contiguous shard range; never affects results)")
+		transp    = fs.String("transport", "", "phase transport: pool (in-process persistent workers with shard affinity, default) | tcp | tcp-mesh (worker processes over TCP; mesh delivers exchanges worker-to-worker); the retired names spawn and proc resolve to pool and tcp-mesh; never affects results")
+		procs     = fs.Int("procs", 0, "worker processes for -transport tcp|tcp-mesh (0 = 2); -procs P > 1 with no -transport implies tcp-mesh, and 0 or 1 then stays in process; each worker holds a contiguous shard range; never affects results")
 		hostsF    = fs.String("hosts", "", "comma-separated `rbb-sim -worker -listen` daemon addresses (host:port) for -transport tcp|tcp-mesh; default: self-spawned loopback workers")
 		workerF   = fs.Bool("worker", false, "run as a TCP transport worker instead of a simulation (requires -connect or -listen)")
 		connectF  = fs.String("connect", "", "with -worker: dial this coordinator address, serve one session, exit")
@@ -196,10 +194,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pl, err := placementFromFlags(*transp, *procs, *hostsF, *kernelF)
-	if err != nil {
-		return err
-	}
+	pl := placementFromFlags(*transp, *procs, *hostsF, *kernelF)
 	// Telemetry sinks are side channels (file or stderr, never stdout), so
 	// -trace and -metrics cannot perturb byte-compared summaries. Started
 	// before the mode split below so every mode (fresh, resumed) is covered.
@@ -221,7 +216,7 @@ func run(args []string, out io.Writer) error {
 		// are rejected rather than silently ignored. Placement flags
 		// (-transport, -procs, -hosts, -kernel, workers) stay free: they
 		// never change the law, so any checkpoint resumes under any
-		// placement — a run born on pipes migrates to a TCP mesh across
+		// placement — a run born in process migrates to a TCP mesh across
 		// machines mid-flight, or switches dense kernels.
 		fixed := map[string]bool{
 			"n": true, "m": true, "seed": true, "init": true, "process": true,
@@ -275,12 +270,8 @@ func run(args []string, out io.Writer) error {
 	if err := rs.NormalizePlacement(); err != nil {
 		return err
 	}
-	switch rs.Placement.Transport {
-	case spec.TransportPool, spec.TransportSpawn:
-	default:
-		if *process != "original" && *process != "tetris" {
-			return fmt.Errorf("-transport %s supports only -process original|tetris (got %q)", rs.Placement.Transport, *process)
-		}
+	if rs.Placement.Transport != spec.TransportPool && *process != "original" && *process != "tetris" {
+		return fmt.Errorf("-transport %s supports only -process original|tetris (got %q)", rs.Placement.Transport, *process)
 	}
 
 	var s engine.Stepper
@@ -341,8 +332,6 @@ func run(args []string, out io.Writer) error {
 			shardInfo = fmt.Sprintf(" shards=%d", p.Engine().Shards())
 		case *shard.Tetris:
 			shardInfo = fmt.Sprintf(" shards=%d", p.Engine().Shards())
-		case *proc.Engine:
-			shardInfo = fmt.Sprintf(" shards=%d procs=%d", p.Shards(), p.Procs())
 		case *tcp.Engine:
 			shardInfo = fmt.Sprintf(" shards=%d procs=%d transport=%s", p.Shards(), p.Procs(), rs.Placement.Transport)
 		}
@@ -515,10 +504,9 @@ func printSummary(out io.Writer, sum shard.Summary) error {
 }
 
 // runResumed rebuilds a run from a checkpoint file on the requested
-// placement — in process, over local worker processes, or over a TCP
-// worker mesh (the snapshot doubles as the worker join payload, so a run
-// born under one placement migrates to any other, machines included) —
-// and continues it to the target round.
+// placement — in process or over TCP workers (the snapshot doubles as the
+// worker join payload, so a run born under one placement migrates to any
+// other, machines included) — and continues it to the target round.
 func runResumed(out io.Writer, path string, target, every int64, ckptPath string, ckptEvery int64, pl spec.Placement, compress, timings, jsonOut bool) error {
 	snap, err := checkpoint.ReadFile(path)
 	if err != nil {
@@ -541,10 +529,7 @@ func runResumed(out io.Writer, path string, target, every int64, ckptPath string
 	shards := len(snap.Engine.Shards)
 	var info string
 	if pe, ok := sp.(interface{ Procs() int }); ok {
-		info = fmt.Sprintf(" procs=%d", pe.Procs())
-		if t := rs.Placement.Transport; t != spec.TransportProc {
-			info += fmt.Sprintf(" transport=%s", t)
-		}
+		info = fmt.Sprintf(" procs=%d transport=%s", pe.Procs(), rs.Placement.Transport)
 	}
 	if target < p.Round() {
 		return fmt.Errorf("checkpoint is already at round %d, past the target -rounds %d (the flag counts total rounds from the original start, not additional rounds)", p.Round(), target)
@@ -646,36 +631,19 @@ func reportInterval(every, rounds int64) int64 {
 }
 
 // placementFromFlags folds the CLI placement flags into the canonical
-// spec.Placement. -procs keeps its historical meaning: P alone implies
-// -transport proc (worker processes over pipes); with an explicit
-// multi-process transport it just sets the worker process count.
-// Validation beyond flag folding belongs to spec.NormalizePlacement.
-func placementFromFlags(transport string, procs int, hosts, kernel string) (spec.Placement, error) {
-	if procs < 0 {
-		return spec.Placement{}, fmt.Errorf("need procs >= 0, got %d", procs)
+// spec.Placement: -procs P > 1 with no -transport implies the loopback
+// TCP mesh. Validation belongs to spec.NormalizePlacement.
+func placementFromFlags(transport string, procs int, hosts, kernel string) spec.Placement {
+	pl := spec.Placement{Transport: transport, Procs: procs, Kernel: kernel}
+	if transport == "" && procs > 1 {
+		pl.Transport = spec.TransportTCPMesh
 	}
-	pl := spec.Placement{Transport: transport, Kernel: kernel}
-	if hosts != "" {
-		for _, h := range strings.Split(hosts, ",") {
-			if h = strings.TrimSpace(h); h != "" {
-				pl.Hosts = append(pl.Hosts, h)
-			}
+	for _, h := range strings.Split(hosts, ",") {
+		if h = strings.TrimSpace(h); h != "" {
+			pl.Hosts = append(pl.Hosts, h)
 		}
 	}
-	switch transport {
-	case spec.TransportProc, spec.TransportTCP, spec.TransportTCPMesh:
-		pl.Procs = procs
-	case "":
-		if procs > 1 {
-			pl.Transport = spec.TransportProc
-			pl.Procs = procs
-		}
-	default:
-		if procs > 1 {
-			return spec.Placement{}, fmt.Errorf("-procs %d needs a multi-process -transport (proc|tcp|tcp-mesh), got %q", procs, transport)
-		}
-	}
-	return pl, nil
+	return pl
 }
 
 // seededLoads builds the initial configuration for the sequential process

@@ -12,39 +12,44 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/shard"
-	"repro/internal/shard/transport/proc"
 	"repro/internal/shard/transport/tcp"
 )
 
 // TestMain doubles as the transport worker entry point: coordinator
 // engines spawned by these tests re-execute the test binary, and
-// MaybeWorker diverts the children into the worker protocol (pipes or
-// TCP).
+// MaybeWorker diverts the children into the worker protocol.
 func TestMain(m *testing.M) {
-	proc.MaybeWorker()
 	tcp.MaybeWorker()
 	os.Exit(m.Run())
 }
 
-// TestRunTransports: the -transport flag is placement only — pool and
-// spawn runs print byte-identical output.
+// TestRunTransports: the retired -transport names still run — spawn on
+// the pool, proc on the loopback TCP mesh — and print the byte-identical
+// -json summary of the in-process run.
 func TestRunTransports(t *testing.T) {
-	args := []string{"-n", "512", "-rounds", "200", "-shards", "4", "-seed", "5"}
-	var pool, spawn strings.Builder
-	if err := run(append(args, "-transport", "pool"), &pool); err != nil {
+	args := []string{"-n", "512", "-rounds", "200", "-shards", "4", "-quantiles", "0.5", "-seed", "5", "-json"}
+	var inproc strings.Builder
+	if err := run(args, &inproc); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-transport", "spawn"), &spawn); err != nil {
-		t.Fatal(err)
-	}
-	if pool.String() != spawn.String() {
-		t.Fatalf("transport changed the output:\n%s\n%s", pool.String(), spawn.String())
+	for _, extra := range [][]string{
+		{"-transport", "spawn"},
+		{"-transport", "proc", "-procs", "2"},
+	} {
+		var got strings.Builder
+		if err := run(append(append([]string(nil), args...), extra...), &got); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		if got.String() != inproc.String() {
+			t.Errorf("%v changed the summary:\n%s\n%s", extra, got.String(), inproc.String())
+		}
 	}
 }
 
-// TestRunProcs: a -procs 2 run produces the byte-identical -json summary
-// of the in-process run (the CLI face of the transport-invariance
-// contract), and the human header names the process count.
+// TestRunProcs: a -procs 2 run — the loopback TCP mesh — produces the
+// byte-identical -json summary of the in-process run (the CLI face of the
+// transport-invariance contract), and the human header names the process
+// count and the transport.
 func TestRunProcs(t *testing.T) {
 	args := []string{"-n", "1024", "-rounds", "150", "-shards", "4", "-quantiles", "0.5", "-seed", "9", "-json"}
 	var inproc, multi strings.Builder
@@ -61,7 +66,7 @@ func TestRunProcs(t *testing.T) {
 	if err := run([]string{"-n", "256", "-rounds", "50", "-shards", "4", "-procs", "2", "-seed", "3"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "shards=4 procs=2") {
+	if !strings.Contains(sb.String(), "shards=4 procs=2 transport=tcp-mesh") {
 		t.Errorf("header missing procs info:\n%s", sb.String())
 	}
 }
@@ -95,8 +100,8 @@ func TestRunTCPTransports(t *testing.T) {
 }
 
 // TestRunTetrisProcs: tetris crosses process boundaries too — its arrival
-// rule travels in the worker init frame — so tetris over pipes and over a
-// TCP mesh matches the in-process run byte for byte.
+// rule travels in the worker init frame — so tetris under -procs and over
+// the TCP star matches the in-process run byte for byte.
 func TestRunTetrisProcs(t *testing.T) {
 	args := []string{"-n", "256", "-rounds", "300", "-process", "tetris", "-shards", "4", "-seed", "6", "-json"}
 	var inproc strings.Builder
@@ -105,7 +110,7 @@ func TestRunTetrisProcs(t *testing.T) {
 	}
 	for _, extra := range [][]string{
 		{"-procs", "2"},
-		{"-transport", "tcp-mesh", "-procs", "2"},
+		{"-transport", "tcp", "-procs", "2"},
 	} {
 		var got strings.Builder
 		if err := run(append(args, extra...), &got); err != nil {
@@ -290,7 +295,7 @@ func TestRunErrors(t *testing.T) {
 		{"-procs", "-1"},
 		{"-procs", "2", "-process", "token"},
 		{"-procs", "2", "-transport", "spawn"},
-		{"-hosts", "localhost:1", "-transport", "proc"},
+		{"-hosts", "localhost:1", "-transport", "spawn"},
 		{"-hosts", "localhost:1", "-transport", "tcp", "-procs", "2"},
 		{"-hosts", "a,b,c", "-transport", "tcp", "-shards", "2"},
 		{"-connect", "localhost:1"},

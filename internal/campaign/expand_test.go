@@ -258,7 +258,7 @@ func TestCampaignIDLawOnly(t *testing.T) {
 		t.Error("concurrency changed the campaign ID")
 	}
 	if got := mk(func(cs *CampaignSpec) {
-		cs.Base.Placement = spec.Placement{Transport: spec.TransportSpawn}
+		cs.Base.Placement = spec.Placement{Transport: spec.TransportTCPMesh, Procs: 1}
 	}); got != base {
 		t.Error("placement changed the campaign ID")
 	}

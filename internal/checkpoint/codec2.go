@@ -32,9 +32,9 @@ const (
 func maxCompressedLen(raw uint64) uint64 { return raw + raw/8 + 64 }
 
 // Header is the fixed v2 preamble: everything needed to size and validate
-// the frames that follow. WriteHeader/ReadHeader exist so the proc
-// transport can emit a checkpoint stream without the coordinator ever
-// holding more than one relayed frame.
+// the frames that follow. WriteHeader/ReadHeader exist so the
+// multi-process transport can emit a checkpoint stream without the
+// coordinator ever holding more than one relayed frame.
 type Header struct {
 	// Seed is the run's master seed (provenance).
 	Seed uint64
@@ -266,8 +266,8 @@ func EncodeShards(g *shard.Group, compress bool, emit func(frame []byte) error) 
 
 // AppendShardFrame encodes shard index of an engine snapshot as one v2
 // checkpoint frame and appends it to dst. A frame is self-contained — own
-// CRC, self-described width and encoding — which is what lets the proc
-// transport's workers encode their own shards concurrently and stream the
+// CRC, self-described width and encoding — which is what lets the
+// multi-process transport's workers encode their own shards concurrently and stream the
 // bytes to a coordinator that only relays them. The stored width is the
 // snapshot's recorded storage width; an unrecorded width (a snapshot that
 // came from a v1 checkpoint) stores at the narrowest fit, mirroring what
@@ -478,8 +478,8 @@ func readObserverFrame(br io.Reader, wantEnc int8) (*shard.PipelineSnapshot, err
 }
 
 // DecodeShardFrame parses exactly one shard frame from data — the inverse
-// of AppendShardFrame, used by the proc transport's workers on join
-// payloads. The frame's self-described encoding is honored; data must hold
+// of AppendShardFrame, used by the multi-process transport's workers on
+// join payloads. The frame's self-described encoding is honored; data must hold
 // the frame and nothing else.
 func DecodeShardFrame(data []byte, n, shards int) (int, shard.ShardSnapshot, error) {
 	br := bytes.NewReader(data)

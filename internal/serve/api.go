@@ -31,9 +31,8 @@
 // and its byte-exact Summary encoding match `rbb-sim -json` for the same
 // spec, no matter how many other runs share the scheduler. The worker
 // budget, the per-run phase workers and the requested placement
-// (Spec.Placement: in-process pool or spawn, local worker processes over
-// pipes, or TCP workers — self-spawned or daemons on other hosts) change
-// wall-clock only.
+// (Spec.Placement: the in-process pool, or TCP workers — self-spawned on
+// loopback or daemons on other hosts) change wall-clock only.
 //
 // # Result cache
 //
@@ -69,9 +68,10 @@ import (
 )
 
 // Spec is a run submission — the canonical spec.RunSpec, verbatim. The
-// HTTP body is its JSON encoding; see the spec package for every field,
-// the placement surface and the compatibility shim that keeps
-// pre-placement bodies (flat "transport" field) decoding unchanged.
+// HTTP body is its JSON encoding; see the spec package for every field
+// and the placement surface. Unknown fields are rejected, so a
+// pre-placement body with the flat "transport" field gets a 400 naming
+// it.
 type Spec = spec.RunSpec
 
 // Process kinds accepted by Spec.Process, re-exported for callers of the

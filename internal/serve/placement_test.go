@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/shard/transport/proc"
 	"repro/internal/shard/transport/tcp"
 	"repro/internal/spec"
 )
@@ -33,7 +32,6 @@ func startWorkerDaemon(t *testing.T) string {
 // multi-process transport re-execute the test binary as their workers, and
 // MaybeWorker diverts those children into the worker protocol.
 func TestMain(m *testing.M) {
-	proc.MaybeWorker()
 	tcp.MaybeWorker()
 	os.Exit(m.Run())
 }
@@ -44,7 +42,7 @@ func TestMain(m *testing.M) {
 func TestSubmitPlacement(t *testing.T) {
 	s, hs := newTestServer(t, Options{Workers: 1, RunWorkers: 1})
 	for i, pl := range []spec.Placement{
-		{Transport: spec.TransportProc, Procs: 2},
+		{Transport: spec.TransportTCP, Procs: 2},
 		{Transport: spec.TransportTCPMesh, Procs: 2},
 	} {
 		sp := Spec{Seed: uint64(100 + i), N: 512, Rounds: 150, Shards: 4, Quantiles: []float64{0.5}, Placement: pl}
@@ -67,7 +65,7 @@ func TestSubmitPlacementCacheShared(t *testing.T) {
 	ref := waitStatus(t, s, first.ID, StatusDone)
 
 	placed := base
-	placed.Placement = spec.Placement{Transport: spec.TransportProc, Procs: 2}
+	placed.Placement = spec.Placement{Transport: spec.TransportTCPMesh, Procs: 2}
 	second := submit(t, hs, placed)
 	got := waitStatus(t, s, second.ID, StatusDone)
 	if got.Summary == nil || !reflect.DeepEqual(*got.Summary, *ref.Summary) {
@@ -102,31 +100,29 @@ func TestSubmitKernelPlacement(t *testing.T) {
 	}
 }
 
-// TestSubmitLegacyFlatTransport pins the compat shim: the exact flat JSON
-// body every pre-placement client sent (PR 4–7 era, with the top-level
-// "transport" field) is still accepted and still runs.
+// TestSubmitLegacyFlatTransport: the pre-placement flat body (top-level
+// "transport" field) is no longer a spec field, so the strict decoder
+// rejects it with a 400 whose error names the field — a client learns to
+// move it under "placement" instead of having it silently dropped.
 func TestSubmitLegacyFlatTransport(t *testing.T) {
-	s, hs := newTestServer(t, Options{Workers: 1})
+	_, hs := newTestServer(t, Options{Workers: 1})
 	body := `{"seed":5,"n":256,"rounds":60,"shards":2,"quantiles":[0.5],"transport":"spawn"}`
 	resp, err := http.Post(hs.URL+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy flat body rejected: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("flat transport body: status %d, want 400", resp.StatusCode)
 	}
-	var info RunInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	var got struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if info.Spec.Placement.Transport != spec.TransportSpawn || info.Spec.Transport != "" {
-		t.Fatalf("flat transport did not normalize into the placement: %+v", info.Spec)
-	}
-	done := waitStatus(t, s, info.ID, StatusDone)
-	want := refSummary(t, Spec{Seed: 5, N: 256, Rounds: 60, Shards: 2, Quantiles: []float64{0.5}})
-	if done.Summary == nil || !reflect.DeepEqual(*done.Summary, want) {
-		t.Fatalf("legacy run diverged: %+v", done.Summary)
+	if !strings.Contains(got.Error, `"transport"`) {
+		t.Fatalf("error %q does not name the flat transport field", got.Error)
 	}
 }
 

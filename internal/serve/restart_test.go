@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -197,5 +198,64 @@ func TestRestartHistory(t *testing.T) {
 	}
 	if next.ID == info.ID {
 		t.Fatalf("ID reused after restart: %s", next.ID)
+	}
+}
+
+// TestRestoreRetiredPlacements: a manifest written by an older binary can
+// queue runs on the retired placements "spawn" and "proc". Restore
+// re-queues specs as stored, without re-normalizing them, so Build and
+// Open must resolve the names themselves: the "spawn" run starts fresh on
+// the pool, and the "proc" run resumes its in-process checkpoint on the
+// loopback TCP mesh. Both finish with the summary of the law.
+func TestRestoreRetiredPlacements(t *testing.T) {
+	dir := t.TempDir()
+	law := Spec{Seed: 21, N: 512, Rounds: 120, Shards: 4, Quantiles: []float64{0.5}}
+	stored := func(id, placement, status string, round int) string {
+		return fmt.Sprintf(`{"id":%q,"spec":{"version":1,"process":"rbb","seed":21,"n":512,"m":512,"rounds":120,`+
+			`"shards":4,"init":"one-per-bin","quantiles":[0.5],"stream_every":1,"placement":%s},"status":%q,"round":%d}`,
+			id, placement, status, round)
+	}
+	manifest := `{"next_id":3,"runs":[` +
+		stored("r000001", `{"transport":"spawn","kernel":"batched"}`, "queued", 0) + `,` +
+		stored("r000002", `{"transport":"proc","procs":2,"kernel":"batched"}`, "running", 60) + `]}`
+	if err := os.WriteFile(filepath.Join(dir, "runs.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// r000002's checkpoint: the law cut at round 60 by an in-process run.
+	normalized := law
+	if err := normalized.Normalize(0); err != nil {
+		t.Fatal(err)
+	}
+	loads, err := normalized.MakeLoads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := shard.NewProcess(loads, law.Seed, shard.Options{Shards: law.Shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pipe, err := shard.NewPipeline(law.Quantiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &store{dir: dir}
+	pol := checkpoint.Policy{Path: st.CheckpointPath("r000002"), Seed: law.Seed, Pipeline: pipe}
+	if _, _, err := checkpoint.Run(context.Background(), p, 60, pol); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{Workers: 1, RunWorkers: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	want := refSummary(t, law)
+	for _, id := range []string{"r000001", "r000002"} {
+		done := waitStatus(t, s, id, StatusDone)
+		if done.Summary == nil || !reflect.DeepEqual(*done.Summary, want) {
+			t.Errorf("%s (%s) diverged from the law:\n got %+v\nwant %+v", id, done.Spec.Placement.Transport, done.Summary, want)
+		}
 	}
 }

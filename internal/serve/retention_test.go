@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/spec"
 )
 
 // quickSpec is a small rbb spec completing in well under a second.
@@ -45,7 +47,7 @@ func TestResultCache(t *testing.T) {
 
 	// Placement and snapshot knobs are not part of the key.
 	alt := quickSpec(1)
-	alt.Transport = "spawn"
+	alt.Placement = spec.Placement{Transport: spec.TransportTCPMesh, Procs: 2}
 	alt.StreamEvery = 7
 	if got := submit(t, hs, alt); !got.Cached {
 		t.Error("transport/stream-only difference missed the cache")

@@ -616,8 +616,8 @@ func streamObserver(r *run, pipe *shard.Pipeline, spec Spec) engine.Observer {
 // runRBB executes (or resumes) a checkpointable rbb run under
 // checkpoint.Run: periodic snapshots, on-demand trigger snapshots, and
 // snapshot-and-stop on ctx cancellation. The spec's placement decides
-// where the rounds execute — in process, over worker-process pipes, or
-// over TCP workers — never what they compute.
+// where the rounds execute — in process or over TCP workers — never what
+// they compute.
 func (s *Server) runRBB(ctx context.Context, r *run, sp Spec) (int64, bool, *shard.Summary, error) {
 	id := r.Info().ID
 	var (

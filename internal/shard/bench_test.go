@@ -79,20 +79,18 @@ func BenchmarkSeqAllInOne(b *testing.B) {
 	benchSequential(b, config.AllInOne(benchN, benchN))
 }
 
-// The transport ablation pair (BENCH_pool.json, EXPERIMENTS E23): the
-// identical decomposition stepped through the persistent affinity pool
-// versus spawn-per-phase. Two regimes: many short phases (small bins per
-// shard, S = 64 — the per-phase goroutine create/join cost of spawn is a
-// visible fraction of the round) and the big-n shape of the recorded
-// BENCH_shard.json comparison.
+// The persistent pool at the two shapes of the recorded transport ablation
+// (BENCH_pool.json, EXPERIMENTS E23): many short phases (small bins per
+// shard, S = 64, where per-phase fixed costs are a visible fraction of the
+// round) and the big-n shape of the recorded BENCH_shard.json comparison.
 const (
 	ablateSmallN = 1 << 16
 	ablateShards = 64
 )
 
-func benchTransport(b *testing.B, n, shards int, kind TransportKind) {
+func benchPool(b *testing.B, n, shards int) {
 	p, err := NewProcess(config.OnePerBin(n), 1,
-		Options{Shards: shards, Workers: runtime.GOMAXPROCS(0), Transport: kind})
+		Options{Shards: shards, Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,17 +145,9 @@ func BenchmarkShardBalancedObsOn(b *testing.B) {
 }
 
 func BenchmarkShardPoolSmallS64(b *testing.B) {
-	benchTransport(b, ablateSmallN, ablateShards, TransportPool)
-}
-
-func BenchmarkShardSpawnSmallS64(b *testing.B) {
-	benchTransport(b, ablateSmallN, ablateShards, TransportSpawn)
+	benchPool(b, ablateSmallN, ablateShards)
 }
 
 func BenchmarkShardPoolBigS8(b *testing.B) {
-	benchTransport(b, benchN, benchShards, TransportPool)
-}
-
-func BenchmarkShardSpawnBigS8(b *testing.B) {
-	benchTransport(b, benchN, benchShards, TransportSpawn)
+	benchPool(b, benchN, benchShards)
 }

@@ -143,7 +143,7 @@ func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Run
 // stream and storage width with the same structural cross-checks as
 // RestoreEngine (gopts.Width is the restore-side floor; a shard never
 // restores narrower than its snapshot recorded, so resumed runs keep the
-// ratchet). The proc transport uses it — with the serialized checkpoint as
+// ratchet). The multi-process transport uses it — with the serialized checkpoint as
 // the join payload — to migrate shard ranges into worker processes. Only
 // the snapshot entries of shards [lo, hi) are read, so a sub-range caller
 // may hand in a sparsely populated Shards slice.

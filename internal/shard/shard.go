@@ -38,23 +38,23 @@
 // # Transports
 //
 // The protocol kernel (Group) is placement-agnostic: where the per-shard
-// phase work executes is delegated to a transport. In-process, Options.
-// Transport selects between a persistent worker pool with shard→worker
-// affinity (TransportPool, the default — each shard is stepped by the same
-// long-lived goroutine for the engine's lifetime) and per-phase goroutine
-// spawning (TransportSpawn, the original behavior). Across processes,
-// internal/shard/transport/proc runs shard ranges in worker processes
-// connected by pipes. All transports execute the identical protocol, so
-// the trajectory never depends on the choice — only wall-clock does.
+// phase work executes is delegated to a transport. In process it is the
+// persistent worker pool with shard→worker affinity (local.Pool): each
+// shard is stepped by the same long-lived goroutine for the engine's
+// lifetime. Across processes, internal/shard/transport/tcp runs shard
+// ranges in worker processes — self-spawned on loopback or daemons on
+// other hosts — each stepping its range on its own pool. All transports
+// execute the identical protocol, so the trajectory never depends on the
+// choice — only wall-clock does.
 //
 // # Determinism contract
 //
 // A run is a pure function of (seed, n, S): shard s performs its arrival-
 // count draws and then exactly one destination draw per staged ball, in
 // local bin order, from its private stream, so neither the number of
-// workers, their placement (pool, spawn, processes), nor their scheduling
-// can affect the trajectory (Workers and Transport only change wall-clock;
-// the P-invariance and transport-invariance tests pin this).
+// workers, their placement (pool, processes), nor their scheduling can
+// affect the trajectory (Workers only changes wall-clock; the P-invariance
+// and transport-invariance tests pin this).
 //
 // The layer is law-equivalent — NOT trajectory-equivalent — to
 // internal/engine: with S shards the destination draws come from S
@@ -73,60 +73,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/rng"
-	"repro/internal/shard/transport"
 	"repro/internal/shard/transport/local"
 )
-
-// TransportKind selects the in-process phase-execution transport of an
-// Engine. The trajectory is independent of the choice by construction.
-type TransportKind int
-
-const (
-	// TransportPool is the persistent worker pool with shard→worker
-	// affinity (the default): W long-lived goroutines, each stepping a
-	// fixed contiguous block of shards for the engine's lifetime, so a
-	// shard's working set stays in one core's cache hierarchy and its
-	// lazily-faulted pages are first-touched on the stepping worker.
-	TransportPool TransportKind = iota
-	// TransportSpawn launches fresh goroutines for every phase — the
-	// pre-pool behavior, kept as the ablation baseline and for callers
-	// that create many short-lived engines.
-	TransportSpawn
-)
-
-// String returns the flag spelling of the kind.
-func (k TransportKind) String() string {
-	switch k {
-	case TransportPool:
-		return "pool"
-	case TransportSpawn:
-		return "spawn"
-	}
-	return fmt.Sprintf("TransportKind(%d)", int(k))
-}
-
-// ParseTransportKind parses a transport name: "pool" (or empty, the
-// default) and "spawn".
-func ParseTransportKind(s string) (TransportKind, error) {
-	switch s {
-	case "", "pool":
-		return TransportPool, nil
-	case "spawn":
-		return TransportSpawn, nil
-	}
-	return 0, fmt.Errorf("shard: unknown transport %q (want pool|spawn)", s)
-}
-
-// newRunner builds the in-process runner for the kind.
-func (k TransportKind) newRunner(shards, workers int) (transport.Runner, error) {
-	switch k {
-	case TransportPool:
-		return local.NewPool(shards, workers), nil
-	case TransportSpawn:
-		return local.NewSpawn(shards, workers), nil
-	}
-	return nil, fmt.Errorf("shard: unknown transport kind %d", int(k))
-}
 
 // Options configures an Engine.
 type Options struct {
@@ -139,9 +87,6 @@ type Options struct {
 	// to Shards). 0 means min(GOMAXPROCS, Shards). The trajectory is
 	// independent of Workers.
 	Workers int
-	// Transport selects the in-process phase transport (default
-	// TransportPool). The trajectory is independent of it.
-	Transport TransportKind
 	// OnEmptied, if non-nil, is invoked during the commit phase for every
 	// bin (global index) that was non-empty at the start of the round and
 	// is empty after arrivals merge. Calls for bins of one shard arrive in
@@ -218,10 +163,7 @@ func NewEngine(loads []int32, seed uint64, opts Options) (*Engine, error) {
 		return nil, errors.New("shard: NewEngine with no bins")
 	}
 	s, w := opts.resolve(n)
-	runner, err := opts.Transport.newRunner(s, w)
-	if err != nil {
-		return nil, err
-	}
+	runner := local.NewPool(s, w)
 	g, err := NewGroup(n, s, 0, s, loads, seed, runner, opts.groupOptions())
 	if err != nil {
 		runner.Close()
@@ -280,11 +222,11 @@ type EngineSnapshot struct {
 // InitialSnapshot builds the round-zero EngineSnapshot of a fresh run —
 // exactly the state NewEngine(loads, seed, Options{Shards: shards,
 // Width: width}) would snapshot before its first Step — without
-// constructing an engine. The proc transport uses it (serialized through
-// internal/checkpoint) as the worker join payload; shards follows the
-// Options.Shards convention (0 means GOMAXPROCS, clamped to n) and width
-// the Options.Width one (the floor of each shard's auto-fitted storage
-// width).
+// constructing an engine. The multi-process transport uses it (serialized
+// through internal/checkpoint) as the worker join payload; shards follows
+// the Options.Shards convention (0 means GOMAXPROCS, clamped to n) and
+// width the Options.Width one (the floor of each shard's auto-fitted
+// storage width).
 func InitialSnapshot(loads []int32, seed uint64, shards int, width engine.Width) (*EngineSnapshot, error) {
 	n := len(loads)
 	if n < 1 {
@@ -342,12 +284,12 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 
 // RestoreEngine rebuilds an engine from a snapshot. The shard count comes
 // from the snapshot (opts.Shards is ignored — it is part of the saved
-// random law); Workers, Transport and OnEmptied are taken from opts as
-// usual. Every structural property is validated: the per-shard slice sizes
-// must match the canonical partition of N into len(Shards) shards, the
-// worklist words must agree with the loads, and the rng states must be
-// valid. The restored engine's Released/Staged read 0 until its first Step
-// (the in-flight counters of the pre-snapshot round are not part of the
+// random law); Workers and OnEmptied are taken from opts as usual. Every
+// structural property is validated: the per-shard slice sizes must match
+// the canonical partition of N into len(Shards) shards, the worklist words
+// must agree with the loads, and the rng states must be valid. The
+// restored engine's Released/Staged read 0 until its first Step (the
+// in-flight counters of the pre-snapshot round are not part of the
 // trajectory).
 func RestoreEngine(snap *EngineSnapshot, opts Options) (*Engine, error) {
 	if snap == nil {
@@ -359,10 +301,7 @@ func RestoreEngine(snap *EngineSnapshot, opts Options) (*Engine, error) {
 	}
 	opts.Shards = s
 	_, w := opts.resolve(snap.N)
-	runner, err := opts.Transport.newRunner(s, w)
-	if err != nil {
-		return nil, err
-	}
+	runner := local.NewPool(s, w)
 	g, err := NewGroupFromSnapshot(snap, 0, s, runner, opts.groupOptions())
 	if err != nil {
 		runner.Close()

@@ -121,10 +121,9 @@ func TestWorkerInvariance(t *testing.T) {
 }
 
 // TestTransportInvariance is the in-process half of the transport
-// contract: with (seed, n, S) fixed, spawn-per-phase and the persistent
-// pool (at several worker counts, under both dense kernels) produce
-// byte-identical trajectories. The cross-process half lives in
-// transport/proc's matrix test.
+// contract: with (seed, n, S) fixed, the persistent pool at several worker
+// counts, under both dense kernels, produces byte-identical trajectories.
+// The cross-process half lives in transport/tcp's matrix test.
 func TestTransportInvariance(t *testing.T) {
 	const (
 		n      = 1 << 13
@@ -133,13 +132,11 @@ func TestTransportInvariance(t *testing.T) {
 		rounds = 250
 	)
 	loads := config.AllInOne(n, n)
-	variants := []Options{
-		{Shards: shards, Workers: 4, Transport: TransportSpawn},
-		{Shards: shards, Workers: 1, Transport: TransportPool},
-		{Shards: shards, Workers: 4, Transport: TransportPool},
-		{Shards: shards, Workers: shards, Transport: TransportPool},
-		{Shards: shards, Workers: 4, Transport: TransportPool, Kernel: engine.KernelScalar},
-		{Shards: shards, Workers: 4, Transport: TransportSpawn, Kernel: engine.KernelScalar},
+	var variants []Options
+	for _, k := range []engine.Kernel{engine.KernelBatched, engine.KernelScalar} {
+		for _, w := range []int{1, 4, shards} {
+			variants = append(variants, Options{Shards: shards, Workers: w, Kernel: k})
+		}
 	}
 	var ref []int32
 	var refMax int32
@@ -167,34 +164,18 @@ func TestTransportInvariance(t *testing.T) {
 			continue
 		}
 		if wm != refMax {
-			t.Fatalf("variant %d (%v W=%d): window max %d vs %d", vi, opts.Transport, opts.Workers, wm, refMax)
+			t.Fatalf("variant %d (%v W=%d): window max %d vs %d", vi, opts.Kernel, opts.Workers, wm, refMax)
 		}
 		for u := range got {
 			if got[u] != ref[u] {
-				t.Fatalf("variant %d (%v W=%d): bin %d: load %d vs %d", vi, opts.Transport, opts.Workers, u, got[u], ref[u])
+				t.Fatalf("variant %d (%v W=%d): bin %d: load %d vs %d", vi, opts.Kernel, opts.Workers, u, got[u], ref[u])
 			}
 		}
 	}
 }
 
-// TestTransportKindParse covers the flag surface of the transport enum.
-func TestTransportKindParse(t *testing.T) {
-	for in, want := range map[string]TransportKind{"": TransportPool, "pool": TransportPool, "spawn": TransportSpawn} {
-		got, err := ParseTransportKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseTransportKind(%q) = %v, %v", in, got, err)
-		}
-		if in != "" && got.String() != in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), in)
-		}
-	}
-	if _, err := ParseTransportKind("bogus"); err == nil {
-		t.Error("bogus transport accepted")
-	}
-}
-
 // TestInitialSnapshot pins that the engine-free fresh-run snapshot equals
-// the snapshot of a freshly built engine — the proc transport's fresh-run
+// the snapshot of a freshly built engine — the multi-process transport's fresh-run
 // join payload depends on this identity.
 func TestInitialSnapshot(t *testing.T) {
 	const n, s, seed = 1000, 7, 23

@@ -1,16 +1,13 @@
-// Package local implements the in-process transports of the sharded round
-// protocol: Spawn, which launches fresh goroutines for every phase (the
-// original engine behavior), and Pool, a persistent worker pool with
-// shard→worker affinity (the default since the transport refactor).
+// Package local implements the in-process transport of the sharded round
+// protocol: Pool, a persistent worker pool with shard→worker affinity.
 //
-// Spawn pays a goroutine create/join per worker per phase — two phases per
-// round — which shows up once rounds get short (small n, many shards) and
-// scatters a shard's state across whichever OS threads the fresh goroutines
-// land on. Pool keeps W long-lived workers, each owning a fixed contiguous
-// block of shards; a shard is stepped by the same worker for the lifetime
-// of the engine, so its working set stays in one core's cache hierarchy
-// (and, with a first-touch NUMA policy, its lazily-faulted pages stay on
-// the node that steps it — see engine.State.Prefault).
+// Pool keeps W long-lived workers, each owning a fixed contiguous block of
+// shards; a shard is stepped by the same worker for the lifetime of the
+// engine, so its working set stays in one core's cache hierarchy (and,
+// with a first-touch NUMA policy, its lazily-faulted pages stay on the node
+// that steps it — see engine.State.Prefault). Spawning fresh goroutines
+// for every phase instead never beat it (BENCH_pool.json), so the pool is
+// the only in-process runner.
 package local
 
 import (
@@ -26,84 +23,21 @@ import (
 // mBarrierWait records, per worker per phase, how long that worker's slice
 // of the phase barrier idled for stragglers: phase wall time minus the
 // worker's own busy time. Observational only — see the obs package doc.
-var (
-	mBarrierPool = obs.Default.Histogram("rbb_barrier_wait_seconds",
-		"Per-worker idle time at the phase barrier (phase duration minus worker busy time).",
-		nil, obs.Label{Key: "transport", Value: "pool"})
-	mBarrierSpawn = obs.Default.Histogram("rbb_barrier_wait_seconds",
-		"Per-worker idle time at the phase barrier (phase duration minus worker busy time).",
-		nil, obs.Label{Key: "transport", Value: "spawn"})
-)
+var mBarrierWait = obs.Default.Histogram("rbb_barrier_wait_seconds",
+	"Per-worker idle time at the phase barrier (phase duration minus worker busy time).",
+	nil, obs.Label{Key: "transport", Value: "pool"})
 
 // observeBarrier turns a phase's total wall time and per-worker busy times
 // into barrier-wait observations.
-func observeBarrier(h *obs.Histogram, total time.Duration, busy []time.Duration) {
+func observeBarrier(total time.Duration, busy []time.Duration) {
 	for _, b := range busy {
 		wait := total - b
 		if wait < 0 {
 			wait = 0
 		}
-		h.Observe(wait.Seconds())
+		mBarrierWait.Observe(wait.Seconds())
 	}
 }
-
-// Spawn is the spawn-per-phase runner: Run starts one goroutine per worker,
-// distributes the shards round-robin, and joins them. It holds no
-// resources; Close is a no-op.
-type Spawn struct {
-	shards  int
-	workers int
-}
-
-// NewSpawn returns a spawn-per-phase runner over shards shards using up to
-// workers goroutines per phase (clamped to [1, shards]).
-func NewSpawn(shards, workers int) *Spawn {
-	return &Spawn{shards: shards, workers: clampWorkers(shards, workers)}
-}
-
-// Run implements transport.Runner.
-func (s *Spawn) Run(f func(i int)) {
-	if s.workers == 1 {
-		for i := 0; i < s.shards; i++ {
-			f(i)
-		}
-		return
-	}
-	measure := obs.Enabled()
-	var busy []time.Duration
-	var t0 time.Time
-	if measure {
-		busy = make([]time.Duration, s.workers)
-		t0 = time.Now()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			start := time.Time{}
-			if measure {
-				start = time.Now()
-			}
-			for i := w; i < s.shards; i += s.workers {
-				f(i)
-			}
-			if measure {
-				busy[w] = time.Since(start)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if measure {
-		observeBarrier(mBarrierSpawn, time.Since(t0), busy)
-	}
-}
-
-// Close implements transport.Runner (no-op).
-func (s *Spawn) Close() error { return nil }
-
-// Workers returns the per-phase goroutine count.
-func (s *Spawn) Workers() int { return s.workers }
 
 // poolShared is the part of a Pool reachable from its worker goroutines and
 // from the GC cleanup. It deliberately excludes the Pool struct itself, so
@@ -228,7 +162,7 @@ func (p *Pool) Run(f func(i int)) {
 	}
 	p.wg.Wait()
 	if measure {
-		observeBarrier(mBarrierPool, time.Since(t0), p.busy)
+		observeBarrier(time.Since(t0), p.busy)
 	}
 }
 
@@ -257,8 +191,5 @@ func clampWorkers(shards, workers int) int {
 	return workers
 }
 
-// Compile-time interface checks.
-var (
-	_ transport.Runner = (*Spawn)(nil)
-	_ transport.Runner = (*Pool)(nil)
-)
+// Compile-time interface check.
+var _ transport.Runner = (*Pool)(nil)

@@ -6,49 +6,35 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/shard/transport"
 )
 
-// runners builds one of each runner kind for a (shards, workers) shape.
-func runners(shards, workers int) map[string]transport.Runner {
-	return map[string]transport.Runner{
-		"spawn": NewSpawn(shards, workers),
-		"pool":  NewPool(shards, workers),
-	}
-}
-
 // TestRunCoversEveryShard: Run must call f exactly once per shard index
-// and act as a barrier, for every runner kind and several shapes.
+// and act as a barrier, for several shapes.
 func TestRunCoversEveryShard(t *testing.T) {
 	for _, tc := range []struct{ shards, workers int }{
 		{1, 1}, {7, 1}, {8, 3}, {16, 16}, {5, 9} /* workers clamp */, {64, 0}, /* GOMAXPROCS */
 	} {
-		for name, r := range runners(tc.shards, tc.workers) {
-			counts := make([]int32, tc.shards)
-			for round := 0; round < 3; round++ {
-				r.Run(func(i int) { atomic.AddInt32(&counts[i], 1) })
+		p := NewPool(tc.shards, tc.workers)
+		counts := make([]int32, tc.shards)
+		for round := 0; round < 3; round++ {
+			p.Run(func(i int) { atomic.AddInt32(&counts[i], 1) })
+		}
+		for i, c := range counts {
+			if c != 3 {
+				t.Errorf("%d/%d: shard %d ran %d times, want 3", tc.shards, tc.workers, i, c)
 			}
-			for i, c := range counts {
-				if c != 3 {
-					t.Errorf("%s %d/%d: shard %d ran %d times, want 3", name, tc.shards, tc.workers, i, c)
-				}
-			}
-			if err := r.Close(); err != nil {
-				t.Errorf("%s: close: %v", name, err)
-			}
-			if err := r.Close(); err != nil {
-				t.Errorf("%s: second close: %v", name, err)
-			}
+		}
+		if err := p.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := p.Close(); err != nil {
+			t.Errorf("second close: %v", err)
 		}
 	}
 }
 
 // TestWorkerClamp pins the 0-means-GOMAXPROCS and clamp-to-shards rules.
 func TestWorkerClamp(t *testing.T) {
-	if w := NewSpawn(4, 99).Workers(); w != 4 {
-		t.Errorf("spawn workers = %d, want 4", w)
-	}
 	p := NewPool(4, 99)
 	if w := p.Workers(); w != 4 {
 		t.Errorf("pool workers = %d, want 4", w)

@@ -1,4 +1,4 @@
-package proc_test
+package tcp_test
 
 import (
 	"io"
@@ -7,18 +7,18 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/engine"
-	"repro/internal/shard/transport/proc"
+	"repro/internal/shard/transport/tcp"
 )
 
 // The recorded end-to-end checkpoint-encode comparison under the
-// multi-process transport (BENCH_compact.json): the streamed path — every
-// worker encodes its own shards as v2 frames in parallel, the coordinator
-// relays bytes — against the gather-then-encode shape of the pre-v2
-// protocol, where the coordinator first materializes the whole
-// EngineSnapshot and then serializes it centrally. The gather baseline
-// rides today's streaming plumbing, so it is if anything faster than the
-// true historical path; the recorded ratio is conservative. Acceptance
-// shape: n = 2²⁵, S = 8, P = 4.
+// multi-process transport (BENCH_compact.json), on the loopback mesh: the
+// streamed path — every worker encodes its own shards as v2 frames in
+// parallel, the coordinator relays bytes — against the gather-then-encode
+// shape of the pre-v2 protocol, where the coordinator first materializes
+// the whole EngineSnapshot and then serializes it centrally. The gather
+// baseline rides today's streaming plumbing, so it is if anything faster
+// than the true historical path; the recorded ratio is conservative.
+// Acceptance shape: n = 2²⁵, S = 8, P = 4.
 const (
 	benchN      = 1 << 25
 	benchShards = 8
@@ -33,10 +33,10 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func benchEngine(b *testing.B, width engine.Width) *proc.Engine {
+func benchEngine(b *testing.B, width engine.Width) *tcp.Engine {
 	b.Helper()
-	e, err := proc.NewProcess(config.OnePerBin(benchN), 7,
-		proc.Options{Shards: benchShards, Procs: benchProcs, Width: width})
+	e, err := tcp.NewProcess(config.OnePerBin(benchN), 7,
+		tcp.Options{Shards: benchShards, Procs: benchProcs, Width: width, Mesh: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,19 +62,19 @@ func benchStream(b *testing.B, opts checkpoint.Options) {
 	b.ReportMetric(float64(wire), "wire-bytes")
 }
 
-func BenchmarkProcStreamV2Raw(b *testing.B) {
+func BenchmarkMeshStreamV2Raw(b *testing.B) {
 	benchStream(b, checkpoint.Options{})
 }
 
-func BenchmarkProcStreamV2Flate(b *testing.B) {
+func BenchmarkMeshStreamV2Flate(b *testing.B) {
 	benchStream(b, checkpoint.Options{Compress: true})
 }
 
-// BenchmarkProcGatherEncode reconstructs the pre-v2 end-to-end shape with
+// BenchmarkMeshGatherEncode reconstructs the pre-v2 end-to-end shape with
 // today's plumbing: load state pinned at int32 (the pre-compaction
-// representation, 4× the pipe bytes), the whole EngineSnapshot gathered
+// representation, 4× the wire bytes), the whole EngineSnapshot gathered
 // and decoded at the coordinator, then serialized centrally in one pass.
-func BenchmarkProcGatherEncode(b *testing.B) {
+func BenchmarkMeshGatherEncode(b *testing.B) {
 	e := benchEngine(b, engine.Width32)
 	b.SetBytes(int64(benchN))
 	b.ResetTimer()
@@ -89,10 +89,10 @@ func BenchmarkProcGatherEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkProcStepDense keeps a round-throughput number next to the
+// BenchmarkMeshStepDense keeps a round-throughput number next to the
 // encode pair so a regression in the hot loop cannot hide behind
 // checkpoint wins.
-func BenchmarkProcStepDense(b *testing.B) {
+func BenchmarkMeshStepDense(b *testing.B) {
 	e := benchEngine(b, engine.WidthAuto)
 	b.SetBytes(int64(benchN))
 	b.ResetTimer()

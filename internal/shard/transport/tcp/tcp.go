@@ -1,17 +1,17 @@
-// Package tcp is the multi-machine transport of the sharded round
-// protocol: a coordinator Engine drives the transport-agnostic wire
-// protocol (package internal/shard/transport/wire) over TCP sockets, so a
-// run can span worker processes on other hosts. The join payload is the
-// checkpoint blob, exactly as over pipes — any checkpoint reopens under
-// any worker count, transport or machine set, and the trajectory stays the
-// same pure function of (seed, n, S, rule), byte-pinned by the
-// transport-invariance matrix.
+// Package tcp is the multi-process transport of the sharded round
+// protocol: a coordinator Engine drives the wire protocol (package
+// internal/shard/transport/wire) over TCP sockets, so a run can span
+// worker processes on this host or on others. The join payload is the
+// checkpoint format — any checkpoint reopens under any worker count,
+// topology or machine set, and the trajectory stays the same pure function
+// of (seed, n, S, rule), byte-pinned by the transport-invariance matrix.
 //
 // Workers come to exist three ways:
 //
-//   - Self-spawn (the default, and what tests and single-box runs use):
-//     the coordinator listens on Options.Listen (127.0.0.1:0 unless set)
-//     and re-executes the current binary P times with RBB_TCP_CONNECT set;
+//   - Self-spawn (the default, and the only local multi-process path:
+//     what `rbb-sim -procs P`, tests and single-box runs use): the
+//     coordinator listens on Options.Listen (127.0.0.1:0 unless set) and
+//     re-executes the current binary P times with RBB_TCP_CONNECT set;
 //     each child calls MaybeWorker, dials back and serves the session.
 //   - External dial-in (Options.External): operators launch
 //     `rbb-sim -worker -connect host:port` on other machines against a

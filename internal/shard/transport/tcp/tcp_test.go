@@ -2,25 +2,26 @@ package tcp_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/config"
 	"repro/internal/shard"
-	"repro/internal/shard/transport/proc"
 	"repro/internal/shard/transport/tcp"
 	"repro/internal/tetris"
 )
 
-// The coordinator re-executes this test binary as its workers: the proc
-// hook serves pipe workers, the tcp hook dials back self-spawned tcp
-// workers. In a normal test process both return immediately.
+// The coordinator re-executes this test binary as its workers: the hook
+// dials back self-spawned workers. In a normal test process it returns
+// immediately.
 func TestMain(m *testing.M) {
-	proc.MaybeWorker()
 	tcp.MaybeWorker()
 	os.Exit(m.Run())
 }
@@ -40,10 +41,11 @@ func ckptBytes(t *testing.T, seed uint64, p checkpoint.Process) []byte {
 	return b.Bytes()
 }
 
-// TestTransportInvarianceMatrixTCP extends the transport-invariance
-// matrix across the TCP transport: the in-process pool, the pipe
-// transport, the TCP star and the TCP worker mesh must all produce
-// byte-identical checkpoints for the same (seed, n, S).
+// TestTransportInvarianceMatrixTCP is the transport-invariance matrix: the
+// in-process pool (W = 4, the reference, and W = 1), the TCP star and the
+// TCP worker mesh must all produce byte-identical checkpoints for the same
+// (seed, n, S). Full size is n = 2²⁰, S = 8 (the CI equivalence scale);
+// -short drops n to 2¹⁶ for the race job.
 func TestTransportInvarianceMatrixTCP(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
@@ -84,12 +86,12 @@ func TestTransportInvarianceMatrixTCP(t *testing.T) {
 		name  string
 		build func() (checkpoint.Process, func() error, error)
 	}{
-		{"proc-P2", func() (checkpoint.Process, func() error, error) {
-			e, err := proc.NewProcess(loads, seed, proc.Options{Shards: s, Procs: 2, Workers: 2})
+		{"pool-W1", func() (checkpoint.Process, func() error, error) {
+			p, err := shard.NewProcess(loads, seed, shard.Options{Shards: s, Workers: 1})
 			if err != nil {
 				return nil, nil, err
 			}
-			return e, e.Close, nil
+			return p, p.Close, nil
 		}},
 		{"tcp-P2", func() (checkpoint.Process, func() error, error) {
 			e, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Workers: 2})
@@ -115,11 +117,115 @@ func TestTransportInvarianceMatrixTCP(t *testing.T) {
 	}
 }
 
-// TestTCPMigrationFromPipes pins the cross-transport resume path: a run
-// born on the pipe transport, checkpointed mid-flight and reopened on
-// TCP mesh workers with a different P must land byte-identical to an
-// uninterrupted in-process run.
-func TestTCPMigrationFromPipes(t *testing.T) {
+// TestStreamedCheckpointMatchesInProcess: checkpoint.Run writes the same
+// file whether the shard frames come from mesh workers (encoded there,
+// relayed by the coordinator) or from the in-process engine's live shards
+// — one encoder, checkpoint.EncodeShards, on both sides — for raw and
+// compressed frames. The all-in-one start mixes widths: shard 0 holds every
+// ball at width 16, the others run at width 8.
+func TestStreamedCheckpointMatchesInProcess(t *testing.T) {
+	const (
+		n      = 20011
+		s      = 7
+		seed   = 5
+		rounds = 40
+	)
+	loads := config.AllInOne(n, n)
+	write := func(path string, p checkpoint.Process, compress bool) []byte {
+		t.Helper()
+		pipe, err := shard.NewPipeline([]float64{0.5, 0.99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := checkpoint.Policy{Path: path, Every: 16, Seed: seed, Pipeline: pipe, Compress: compress}
+		if _, _, err := checkpoint.Run(context.Background(), p, rounds, pol); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dir := t.TempDir()
+	for _, compress := range []bool{false, true} {
+		in, err := shard.NewProcess(loads, seed, shard.Options{Shards: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := write(filepath.Join(dir, "inproc.ckpt"), in, compress)
+		in.Close()
+		e, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Mesh: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := write(filepath.Join(dir, "mesh.ckpt"), e, compress)
+		e.Close()
+		if !bytes.Equal(got, want) {
+			t.Errorf("compress=%v: worker-streamed checkpoint (%d bytes) differs from the in-process one (%d bytes)", compress, len(got), len(want))
+		}
+	}
+}
+
+// TestMeshStats pins the folded per-round statistics of a mesh run against
+// an in-process run of the same law: MaxLoad, EmptyBins, Released and
+// Staged must match round for round, and ball conservation must hold.
+func TestMeshStats(t *testing.T) {
+	const (
+		n      = 4096
+		s      = 4
+		seed   = 11
+		rounds = 120
+	)
+	loads := config.AllInOne(n, n)
+	ref, err := shard.NewProcess(loads, seed, shard.Options{Shards: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	e, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Mesh: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if e.Balls() != int64(n) {
+		t.Fatalf("balls %d, want %d", e.Balls(), n)
+	}
+	if e.N() != n || e.Shards() != s || e.Procs() != 2 {
+		t.Fatalf("shape: n=%d s=%d procs=%d", e.N(), e.Shards(), e.Procs())
+	}
+	for r := 0; r < rounds; r++ {
+		ref.Step()
+		e.Step()
+		if e.MaxLoad() != ref.MaxLoad() || e.EmptyBins() != ref.EmptyBins() {
+			t.Fatalf("round %d: stats diverge: max %d vs %d, empty %d vs %d",
+				r, e.MaxLoad(), ref.MaxLoad(), e.EmptyBins(), ref.EmptyBins())
+		}
+		if e.Released() != ref.Engine().Released() || e.Staged() != ref.Engine().Staged() {
+			t.Fatalf("round %d: flow diverges: released %d vs %d, staged %d vs %d",
+				r, e.Released(), ref.Engine().Released(), e.Staged(), ref.Engine().Staged())
+		}
+	}
+	got, want := e.LoadsCopy(), ref.LoadsCopy()
+	for u := range got {
+		if got[u] != want[u] {
+			t.Fatalf("bin %d: load %d vs %d", u, got[u], want[u])
+		}
+	}
+	if e.Balls() != int64(n) {
+		t.Fatalf("balls %d after %d rounds, want %d", e.Balls(), rounds, n)
+	}
+	if e.Round() != rounds {
+		t.Fatalf("round %d, want %d", e.Round(), rounds)
+	}
+}
+
+// TestTCPMigrationStarToMesh pins the cross-topology resume path: a run
+// born on the TCP star at P = 2, checkpointed mid-flight and reopened on
+// TCP mesh workers at P = 3 must land byte-identical to an uninterrupted
+// in-process run. (rbb-sim's TestRunResumeTCPMigration covers the
+// in-process-born leg.)
+func TestTCPMigrationStarToMesh(t *testing.T) {
 	const (
 		n     = 1 << 14
 		seed  = 29
@@ -137,9 +243,9 @@ func TestTCPMigrationFromPipes(t *testing.T) {
 	full.Run(total)
 	want := ckptBytes(t, seed, full)
 
-	first, err := proc.NewProcess(loads, seed, proc.Options{Shards: s, Procs: 2})
+	first, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2})
 	if err != nil {
-		t.Fatalf("proc.NewProcess: %v", err)
+		t.Fatalf("tcp.NewProcess: %v", err)
 	}
 	for r := 0; r < half; r++ {
 		first.Step()
@@ -165,7 +271,7 @@ func TestTCPMigrationFromPipes(t *testing.T) {
 		e.Step()
 	}
 	if got := ckptBytes(t, seed, e); !bytes.Equal(got, want) {
-		t.Fatalf("pipes-born run migrated to tcp mesh diverged from uninterrupted run")
+		t.Fatalf("star-born run migrated to tcp mesh diverged from uninterrupted run")
 	}
 }
 
@@ -236,7 +342,7 @@ func TestTCPHostsAndProbe(t *testing.T) {
 
 // TestArrivalRulesOverTCP pins the serialized arrival rules: each rule
 // kind crosses the wire and produces the same trajectory on TCP mesh
-// workers as the pipe transport (byte-identical checkpoints) and as the
+// workers as on the TCP star (byte-identical checkpoints) and as the
 // in-process Tetris engine (identical loads and ball counts).
 func TestArrivalRulesOverTCP(t *testing.T) {
 	const (
@@ -264,23 +370,23 @@ func TestArrivalRulesOverTCP(t *testing.T) {
 			ref.Run(rounds)
 			rule := ref.Rule()
 
-			pipe, err := proc.NewProcess(loads, seed, proc.Options{Shards: s, Procs: 2, Rule: rule})
+			star, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Rule: rule})
 			if err != nil {
-				t.Fatalf("proc.NewProcess: %v", err)
+				t.Fatalf("tcp.NewProcess: %v", err)
 			}
-			defer pipe.Close()
+			defer star.Close()
 			mesh, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Rule: rule, Mesh: true})
 			if err != nil {
 				t.Fatalf("tcp.NewProcess: %v", err)
 			}
 			defer mesh.Close()
 			for r := 0; r < rounds; r++ {
-				pipe.Step()
+				star.Step()
 				mesh.Step()
 			}
 
-			if got, want := ckptBytes(t, seed, mesh), ckptBytes(t, seed, pipe); !bytes.Equal(got, want) {
-				t.Fatalf("%s rule: tcp-mesh checkpoint differs from proc", l.name)
+			if got, want := ckptBytes(t, seed, mesh), ckptBytes(t, seed, star); !bytes.Equal(got, want) {
+				t.Fatalf("%s rule: tcp-mesh checkpoint differs from the star", l.name)
 			}
 			if got, want := mesh.Balls(), ref.Balls(); got != want {
 				t.Fatalf("%s rule: Balls() = %d over tcp, %d in process", l.name, got, want)
@@ -354,13 +460,17 @@ func TestTCPValidation(t *testing.T) {
 	if _, err := tcp.New(nil, tcp.Options{}); err == nil {
 		t.Fatalf("New(nil) succeeded")
 	}
+	if _, err := tcp.NewProcess(nil, 1, tcp.Options{Shards: 2, Procs: 2}); err == nil {
+		t.Fatalf("NewProcess with no bins succeeded")
+	}
 	if _, err := tcp.NewProcess(make([]int32, 8), 1, tcp.Options{Shards: 2, Procs: 3, Hosts: []string{"a", "b"}}); err == nil {
 		t.Fatalf("mismatched Procs vs Hosts succeeded")
 	}
 	if _, err := tcp.NewProcess(make([]int32, 8), 1, tcp.Options{Shards: 2, Hosts: []string{"a", "b", "c"}}); err == nil {
 		t.Fatalf("more hosts than shards succeeded")
 	}
-	// Procs above S clamps rather than errors, mirroring proc.
+	// Procs above S clamps rather than errors (placement must never change
+	// the law).
 	e, err := tcp.NewProcess(make([]int32, 16), 1, tcp.Options{Shards: 2, Procs: 8})
 	if err != nil {
 		t.Fatalf("NewProcess: %v", err)

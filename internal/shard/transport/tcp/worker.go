@@ -19,7 +19,7 @@ func IsWorker() bool { return os.Getenv(connectEnvVar) != "" }
 // self-spawned as one: it dials the coordinator named by RBB_TCP_CONNECT,
 // serves the session and exits. In any other process it returns
 // immediately. Every binary that constructs a tcp Engine must call it
-// first thing in main (alongside proc.MaybeWorker).
+// first thing in main.
 func MaybeWorker() {
 	addr := os.Getenv(connectEnvVar)
 	if addr == "" {

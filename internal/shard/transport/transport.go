@@ -6,19 +6,18 @@
 //
 // The round protocol itself (what runs inside a phase, which buffers move
 // between release and commit) lives in internal/shard; a Runner decides
-// only *where* the per-shard work executes: freshly spawned goroutines
-// (transport/local.Spawn), a persistent worker pool with shard→worker
-// affinity (transport/local.Pool, the default), or — one level up, where
-// whole shard ranges live in other processes — the multi-process
-// coordinator in transport/proc, which composes a local Runner inside each
-// worker process.
+// only *where* the per-shard work executes. The one implementation is the
+// persistent worker pool with shard→worker affinity (transport/local.Pool).
+// One level up, where whole shard ranges live in other processes, the
+// multi-process coordinator in transport/tcp drives worker processes that
+// each step their range on a local Pool.
 //
 // The determinism contract of internal/shard survives any Runner by
 // construction: every per-shard phase function draws only from that shard's
 // private rng stream and touches only that shard's state and buffer rows,
 // so placement (and scheduling) can change wall-clock but never the
-// trajectory. The transport-invariance matrix test in transport/proc pins
-// this across all shipped runners.
+// trajectory. The transport-invariance matrix test in transport/tcp pins
+// this across the pool, the TCP star and the TCP mesh.
 package transport
 
 // Runner executes per-shard phase work over the shards held in-process.

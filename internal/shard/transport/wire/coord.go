@@ -35,10 +35,10 @@ var (
 // fail fast and shut down cleanly. The coordinator owns the stream from
 // NewCoordinator on.
 type Link struct {
-	// R and W are the stream halves (a pipe pair, one socket).
+	// R and W are the stream halves (one socket).
 	R io.Reader
 	W io.Writer
-	// Name identifies the worker in errors: a peer address, a pid.
+	// Name identifies the worker in errors: its peer address.
 	Name string
 	// Tx and Rx count raw stream bytes when non-nil.
 	Tx, Rx *obs.Counter
@@ -49,9 +49,6 @@ type Link struct {
 	// CloseIO force-closes the underlying stream, unblocking any pending
 	// read or write on either end. Required.
 	CloseIO func()
-	// Finalize reaps the worker after CloseIO (bounded process wait,
-	// socket teardown). Optional.
-	Finalize func() error
 
 	c      *conn
 	lo, hi int
@@ -73,10 +70,9 @@ type Config struct {
 	// relaunch, the repeated balls-into-bins law).
 	Rule shard.ArrivalRule
 	// Mesh switches the exchange from coordinator relay (star) to direct
-	// worker↔worker delivery; workers must be able to open peer
-	// listeners (the tcp transport can, pipes cannot).
+	// worker↔worker delivery.
 	Mesh bool
-	// Transport labels errors and barrier metrics ("proc", "tcp", ...).
+	// Transport labels errors and barrier metrics ("tcp", "tcp-mesh").
 	Transport string
 }
 
@@ -86,8 +82,8 @@ type Config struct {
 // it in their Engine types; create with NewCoordinator. Not safe for
 // concurrent use.
 //
-// A transport failure mid-run — a worker crash, a broken pipe or socket —
-// is unrecoverable and surfaces as a panic from Step, because
+// A transport failure mid-run — a worker crash, a broken socket — is
+// unrecoverable and surfaces as a panic from Step, because
 // engine.Stepper leaves no error channel; the coordinator's state is
 // authoritative only at round boundaries and a half-exchanged round cannot
 // be rolled back. On any failure the coordinator closes every link first
@@ -278,10 +274,9 @@ func (co *Coordinator) linkErr(l *Link, doing string, err error) error {
 	return err
 }
 
-// abort shuts every link down after a failure: a best-effort quit frame,
-// then a forced stream close — the clean cancellation that unblocks the
-// surviving workers (they observe EOF at a frame boundary and exit) —
-// then the transport finalizers. Idempotent.
+// abort shuts every link down: a best-effort quit frame, then a forced
+// stream close — the clean cancellation that unblocks the workers (they
+// observe EOF at a frame boundary and exit). Idempotent.
 func (co *Coordinator) abort() {
 	if co.closed {
 		return
@@ -296,39 +291,13 @@ func (co *Coordinator) abort() {
 			l.CloseIO()
 		}
 	}
-	for _, l := range co.links {
-		if l.Finalize != nil {
-			l.Finalize()
-		}
-	}
 }
 
-// Close shuts the workers down: a quit frame, stream close, then the
-// transports' finalizers (bounded process wait, socket teardown).
-// Idempotent.
+// Close shuts the workers down (see abort); the transport reaps any
+// processes it spawned. Idempotent.
 func (co *Coordinator) Close() error {
-	if co.closed {
-		return nil
-	}
-	co.closed = true
-	var firstErr error
-	for _, l := range co.links {
-		if l.c != nil {
-			l.c.wByte(mQuit)
-			l.c.flush()
-		}
-		if l.CloseIO != nil {
-			l.CloseIO()
-		}
-	}
-	for _, l := range co.links {
-		if l.Finalize != nil {
-			if err := l.Finalize(); err != nil && firstErr == nil {
-				firstErr = co.linkErr(l, "closing", err)
-			}
-		}
-	}
-	return firstErr
+	co.abort()
+	return nil
 }
 
 // Step advances one synchronous round across the workers. It panics on a

@@ -1,10 +1,9 @@
-// Package wire is the transport-agnostic framing and round protocol shared
-// by the multi-process transports (transport/proc over pipes, transport/tcp
-// over sockets): a Coordinator in the submitting process drives P workers,
-// each holding a contiguous range of the run's shards in a shard.Group, over
-// any pair of byte streams. The transports only differ in how the streams
-// come to exist — spawned pipes or dialed sockets — and hand them to this
-// package as Links.
+// Package wire is the framing and round protocol of the multi-process
+// transport: a Coordinator in the submitting process drives P workers,
+// each holding a contiguous range of the run's shards in a shard.Group,
+// over one byte stream per worker. Package transport/tcp makes the streams
+// — sockets to self-spawned, dial-in or daemon workers — and hands them to
+// this package as Links; nothing here depends on how they came to exist.
 //
 // # Worker join payload
 //
@@ -54,7 +53,7 @@
 // buffers carry explicit indices that are validated against the sender's
 // range on receipt. The trajectory is the same pure function of
 // (seed, n, S, rule) as in-process execution — pinned byte-for-byte by the
-// transport-invariance matrix test and the CI proc-/tcp-equivalence gates.
+// transport-invariance matrix test and the CI procs-/tcp-equivalence gates.
 package wire
 
 import (
@@ -70,11 +69,11 @@ import (
 
 // ProtoVersion is the wire protocol version, checked at worker join so a
 // mixed-binary deployment fails loudly instead of desynchronizing.
-// Version 3 moved the framing out of transport/proc and added the arrival
-// rule to the init frame, the released/staged counts to the stats frame,
-// and the roster/ready/peer frames of the worker↔worker mesh. Version 4
-// added the dense-round kernel byte to the init frame (after the width
-// floor).
+// Version 3 moved the framing out of the (since retired) pipes transport
+// and added the arrival rule to the init frame, the released/staged counts
+// to the stats frame, and the roster/ready/peer frames of the
+// worker↔worker mesh. Version 4 added the dense-round kernel byte to the
+// init frame (after the width floor).
 const ProtoVersion = 4
 
 // Message types. Every frame is one type byte followed by a type-specific

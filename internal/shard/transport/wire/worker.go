@@ -26,12 +26,8 @@ const (
 
 // WorkerConfig configures the worker side of the protocol.
 type WorkerConfig struct {
-	// Tx and Rx count raw control-stream bytes when non-nil.
-	Tx, Rx *obs.Counter
 	// NewPeerListener opens the listener other workers dial in mesh mode
-	// and returns it with the address to advertise in the roster. nil
-	// means the transport cannot mesh (pipes); joining a mesh run then
-	// fails loudly.
+	// and returns it with the address to advertise in the roster.
 	NewPeerListener func() (net.Listener, string, error)
 	// PeerCounters returns the tx/rx byte counters for one peer stream
 	// (keyed by the peer's roster address). Optional.
@@ -69,7 +65,7 @@ func (st *workerState) close() {
 // returned as io.EOF so listener-mode workers can treat reachability
 // probes (dial, then close) as non-events.
 func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
-	c := newConn(r, w, cfg.Tx, cfg.Rx)
+	c := newConn(r, w, nil, nil)
 	st, err := workerJoin(c, cfg)
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
@@ -170,10 +166,6 @@ func workerJoin(c *conn, cfg WorkerConfig) (*workerState, error) {
 	var ln net.Listener
 	advertise := ""
 	if st.mesh {
-		if cfg.NewPeerListener == nil {
-			g.Close()
-			return nil, errors.New("mesh mode unsupported on this transport")
-		}
 		if ln, advertise, err = cfg.NewPeerListener(); err != nil {
 			g.Close()
 			return nil, fmt.Errorf("opening peer listener: %w", err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/shard"
-	"repro/internal/shard/transport/proc"
 	"repro/internal/shard/transport/tcp"
 	"repro/internal/tetris"
 )
@@ -70,8 +69,8 @@ func (sp RunSpec) Build(hostWorkers int) (Process, error) {
 	width := engine.Width(sp.LoadWidth)
 	kernel := sp.Kernel()
 	switch kind := sp.transport(); kind {
-	case TransportPool, TransportSpawn:
-		shOpts := shard.Options{Shards: sp.Shards, Workers: w, Transport: sp.PoolKind(), Width: width, Kernel: kernel}
+	case TransportPool:
+		shOpts := shard.Options{Shards: sp.Shards, Workers: w, Width: width, Kernel: kernel}
 		if sp.Process == ProcessRBB {
 			return shard.NewProcess(loads, sp.Seed, shOpts)
 		}
@@ -80,15 +79,6 @@ func (sp RunSpec) Build(hostWorkers int) (Process, error) {
 			law = tetris.BinomialArrivals
 		}
 		return shard.NewTetris(loads, sp.Seed, shard.TetrisOptions{Options: shOpts, Law: law, Lambda: sp.Lambda})
-	case TransportProc:
-		rule, err := sp.Rule()
-		if err != nil {
-			return nil, err
-		}
-		return proc.NewProcess(loads, sp.Seed, proc.Options{
-			Shards: sp.Shards, Procs: sp.Placement.Procs, Workers: w, Rule: rule, Width: width,
-			Kernel: kernel,
-		})
 	case TransportTCP, TransportTCPMesh:
 		rule, err := sp.Rule()
 		if err != nil {
@@ -99,7 +89,7 @@ func (sp RunSpec) Build(hostWorkers int) (Process, error) {
 			Kernel: kernel, Mesh: kind == TransportTCPMesh, Hosts: sp.Placement.Hosts,
 		})
 	default:
-		return nil, fmt.Errorf("unknown placement.transport %q", sp.transport())
+		return nil, fmt.Errorf("unknown placement.transport %q", kind)
 	}
 }
 
@@ -115,21 +105,13 @@ func (sp RunSpec) Open(snap *checkpoint.Snapshot, hostWorkers int) (Process, *sh
 	w := sp.workers(hostWorkers)
 	kernel := sp.Kernel()
 	switch kind := sp.transport(); kind {
-	case TransportPool, TransportSpawn:
-		return checkpoint.Resume(snap, shard.Options{Workers: w, Transport: sp.PoolKind(), Kernel: kernel})
-	case TransportProc, TransportTCP, TransportTCPMesh:
-		var (
-			p   Process
-			err error
-		)
-		if kind == TransportProc {
-			p, err = proc.New(snap, proc.Options{Procs: sp.Placement.Procs, Workers: w, Kernel: kernel})
-		} else {
-			p, err = tcp.New(snap, tcp.Options{
-				Procs: sp.Placement.Procs, Workers: w, Kernel: kernel,
-				Mesh: kind == TransportTCPMesh, Hosts: sp.Placement.Hosts,
-			})
-		}
+	case TransportPool:
+		return checkpoint.Resume(snap, shard.Options{Workers: w, Kernel: kernel})
+	case TransportTCP, TransportTCPMesh:
+		p, err := tcp.New(snap, tcp.Options{
+			Procs: sp.Placement.Procs, Workers: w, Kernel: kernel,
+			Mesh: kind == TransportTCPMesh, Hosts: sp.Placement.Hosts,
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,7 +124,7 @@ func (sp RunSpec) Open(snap *checkpoint.Snapshot, hostWorkers int) (Process, *sh
 		}
 		return p, pipe, nil
 	default:
-		return nil, nil, fmt.Errorf("unknown placement.transport %q", sp.transport())
+		return nil, nil, fmt.Errorf("unknown placement.transport %q", kind)
 	}
 }
 

@@ -3,8 +3,7 @@
 // into it and every backend is built from it: cmd/rbb-sim's flags, the
 // rbb-serve submission body and the persisted run manifest are all
 // RunSpecs, and Build/Open lower a normalized RunSpec into the in-process
-// sharded engines (internal/shard), the pipe transport
-// (internal/shard/transport/proc) or the TCP transport
+// sharded engines (internal/shard) or the TCP transport
 // (internal/shard/transport/tcp).
 //
 // The struct splits into two planes:
@@ -21,10 +20,12 @@
 // # Compatibility
 //
 // RunSpec keeps the flat JSON field names served since the first rbb-serve
-// release, so every pre-placement client body decodes unchanged. The one
-// superseded field is the flat "transport" (pool|spawn): it is retained as
-// a documented shim that Normalize folds into Placement.Transport.
-// Normalized specs always carry "version": 1 and a populated "placement".
+// release. The pre-placement flat "transport" field is gone: rbb-serve
+// decodes bodies strictly, so one carrying it gets a 400 naming the field.
+// Stored specs may still name the retired placements "spawn" and "proc";
+// one resolver maps them onto "pool" and "tcp-mesh" (see
+// Placement.Transport). Normalized specs always carry "version": 1 and a
+// populated "placement".
 package spec
 
 import (
@@ -63,11 +64,6 @@ const (
 	// TransportPool steps the run in process on the persistent worker pool
 	// with shard→worker affinity (the default).
 	TransportPool = "pool"
-	// TransportSpawn steps the run in process with per-phase goroutines.
-	TransportSpawn = "spawn"
-	// TransportProc spreads the run over Procs local worker processes
-	// connected by pipes (star topology).
-	TransportProc = "proc"
 	// TransportTCP spreads the run over worker processes connected by TCP
 	// sockets — self-spawned locally, or daemons named by Hosts — with
 	// exchanges relayed through the coordinator (star topology).
@@ -83,15 +79,17 @@ const (
 // results.
 type Placement struct {
 	// Transport is one of the Transport* kinds (default TransportPool).
+	// The retired names "spawn" (per-phase goroutines) and "proc" (local
+	// worker processes over pipes) still resolve, to TransportPool and
+	// TransportTCPMesh, so stored specs naming them keep running.
 	Transport string `json:"transport,omitempty"`
-	// Workers is the phase worker goroutine count — of the run itself for
-	// the in-process transports, of each worker process for the
-	// multi-process ones (0 = the host default: rbb-serve's -run-workers,
-	// or GOMAXPROCS).
+	// Workers is the phase worker goroutine count — of the run itself on
+	// the in-process pool, of each worker process for the tcp transports
+	// (0 = the host default: rbb-serve's -run-workers, or GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Procs is the worker process count P for the proc and tcp transports
-	// (default 2; clamped to the shard count). With Hosts it must be
-	// absent or len(Hosts).
+	// Procs is the worker process count P for the tcp transports (default
+	// 2; clamped to the shard count). With Hosts it must be absent or
+	// len(Hosts).
 	Procs int `json:"procs,omitempty"`
 	// Hosts lists worker daemon addresses ("host:port", one worker each)
 	// for the tcp transports; empty self-spawns Procs local workers.
@@ -101,15 +99,6 @@ type Placement struct {
 	// trajectory — the kernels are byte-equivalent — so it is excluded
 	// from ResultKey.
 	Kernel string `json:"kernel,omitempty"`
-}
-
-// multiProcess reports whether the transport crosses process boundaries.
-func (p Placement) multiProcess() bool {
-	switch p.Transport {
-	case TransportProc, TransportTCP, TransportTCPMesh:
-		return true
-	}
-	return false
 }
 
 // RunSpec is one run submission. The zero value of every optional field
@@ -156,13 +145,6 @@ type RunSpec struct {
 	LoadWidth int `json:"load_width,omitempty"`
 	// Placement says where the run executes; see Placement.
 	Placement Placement `json:"placement,omitzero"`
-
-	// Transport is the pre-placement flat transport field (pool|spawn).
-	//
-	// Deprecated: set Placement.Transport. Normalize folds this field into
-	// the placement and clears it; it exists so every pre-placement client
-	// body and persisted manifest keeps decoding to the same run.
-	Transport string `json:"transport,omitempty"`
 }
 
 // Normalize fills defaults in place and validates the spec.
@@ -253,31 +235,21 @@ func (sp *RunSpec) Normalize(defaultCheckpointEvery int64) error {
 	return sp.NormalizePlacement()
 }
 
-// NormalizePlacement folds the deprecated flat transport into the
-// placement, fills placement defaults and validates the combination. It
-// is the placement-only slice of Normalize, for frontends (cmd/rbb-sim)
-// whose remaining fields keep CLI semantics — shards 0 = GOMAXPROCS,
-// rounds 0 allowed — that Normalize's service defaults would override.
+// NormalizePlacement resolves the transport name, fills placement defaults
+// and validates the combination. It is the placement-only slice of
+// Normalize, for frontends (cmd/rbb-sim) whose remaining fields keep CLI
+// semantics — shards 0 = GOMAXPROCS, rounds 0 allowed — that Normalize's
+// service defaults would override.
 // With Shards 0 the procs-vs-shards checks are left to the engines, which
 // clamp.
 func (sp *RunSpec) NormalizePlacement() error {
 	p := &sp.Placement
-	if p.Transport == "" {
-		p.Transport = sp.Transport // the pre-placement shim; "" falls through
-	}
-	if sp.Transport != "" && sp.Transport != p.Transport {
-		return fmt.Errorf("transport %q contradicts placement.transport %q (the flat field is a deprecated alias; drop it)",
-			sp.Transport, p.Transport)
-	}
-	sp.Transport = "" // normalized specs carry the placement only
-	if p.Transport == "" {
-		p.Transport = TransportPool
-	}
+	p.Transport = sp.transport()
 	switch p.Transport {
-	case TransportPool, TransportSpawn, TransportProc, TransportTCP, TransportTCPMesh:
+	case TransportPool, TransportTCP, TransportTCPMesh:
 	default:
-		return fmt.Errorf("unknown placement.transport %q (want %s|%s|%s|%s|%s)", p.Transport,
-			TransportPool, TransportSpawn, TransportProc, TransportTCP, TransportTCPMesh)
+		return fmt.Errorf("unknown placement.transport %q (want %s|%s|%s)", p.Transport,
+			TransportPool, TransportTCP, TransportTCPMesh)
 	}
 	if _, err := engine.ParseKernel(p.Kernel); err != nil {
 		return fmt.Errorf("unknown placement.kernel %q (want batched|scalar)", p.Kernel)
@@ -291,10 +263,10 @@ func (sp *RunSpec) NormalizePlacement() error {
 	if p.Procs < 0 {
 		return fmt.Errorf("need placement.procs >= 0, got %d", p.Procs)
 	}
-	if !p.multiProcess() {
+	if p.Transport == TransportPool {
 		if p.Procs > 1 {
-			return fmt.Errorf("placement.procs %d needs a multi-process transport (%s|%s|%s), got %q",
-				p.Procs, TransportProc, TransportTCP, TransportTCPMesh, p.Transport)
+			return fmt.Errorf("placement.procs %d needs a multi-process transport (%s|%s), got %q",
+				p.Procs, TransportTCP, TransportTCPMesh, p.Transport)
 		}
 		if len(p.Hosts) > 0 {
 			return fmt.Errorf("placement.hosts needs a tcp transport, got %q", p.Transport)
@@ -303,9 +275,6 @@ func (sp *RunSpec) NormalizePlacement() error {
 		return nil
 	}
 	if len(p.Hosts) > 0 {
-		if p.Transport == TransportProc {
-			return fmt.Errorf("placement.hosts needs a tcp transport, got %q", p.Transport)
-		}
 		if p.Procs != 0 && p.Procs != len(p.Hosts) {
 			return fmt.Errorf("placement.procs %d contradicts %d placement.hosts (drop procs: hosts implies it)",
 				p.Procs, len(p.Hosts))
@@ -327,16 +296,20 @@ func (sp *RunSpec) NormalizePlacement() error {
 	return nil
 }
 
-// transport resolves the effective transport kind, tolerating
-// un-normalized specs (pre-placement manifests carry only the flat field).
+// transport is the one resolver of the effective transport kind: empty
+// means the pool, and the retired names map onto their successors —
+// "spawn" onto the pool, "proc" onto the loopback TCP mesh. Normalize,
+// Build and Open all go through it; Build and Open need it because
+// rbb-serve re-queues persisted specs without re-normalizing them.
 func (sp RunSpec) transport() string {
-	if sp.Placement.Transport != "" {
-		return sp.Placement.Transport
+	switch t := sp.Placement.Transport; t {
+	case "", "spawn":
+		return TransportPool
+	case "proc":
+		return TransportTCPMesh
+	default:
+		return t
 	}
-	if sp.Transport != "" {
-		return sp.Transport
-	}
-	return TransportPool
 }
 
 // ResultKey canonicalizes the result-determining fields of a normalized
@@ -366,15 +339,4 @@ func (sp RunSpec) Kernel() engine.Kernel {
 		return engine.KernelBatched
 	}
 	return k
-}
-
-// PoolKind maps the effective transport onto the in-process phase
-// transport handed to shard.Options: the in-process kinds map to
-// themselves, and the multi-process ones to the pool (each worker process
-// steps its range on its local pool).
-func (sp RunSpec) PoolKind() shard.TransportKind {
-	if sp.transport() == TransportSpawn {
-		return shard.TransportSpawn
-	}
-	return shard.TransportPool
 }

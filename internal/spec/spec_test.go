@@ -37,48 +37,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(sp, back) {
 		t.Fatalf("re-normalizing a normalized spec changed it:\n got %+v\nwant %+v", back, sp)
 	}
-	// The deprecated flat field never reappears in normalized output.
-	if strings.Contains(string(blob), `"transport":"tcp-mesh"`) && !strings.Contains(string(blob), `"placement"`) {
-		t.Fatalf("normalized spec serialized the flat transport: %s", blob)
-	}
 }
 
-// TestCompatShim: every pre-placement client body — the flat
-// {"transport": "pool"|"spawn"} shape served since the first rbb-serve —
-// keeps decoding to the same run. The flat field folds into the placement
-// and is cleared; a contradiction between the two is an error, not a
-// silent pick.
+// TestCompatShim: stored specs naming the retired placements keep
+// running. The one resolver maps "spawn" onto the pool and "proc" onto the
+// loopback TCP mesh, both through Normalize and through transport() on an
+// un-normalized spec — the path rbb-serve's restore takes, since it
+// re-queues persisted specs without re-normalizing them.
 func TestCompatShim(t *testing.T) {
-	legacy := `{"seed":1,"n":256,"rounds":50,"transport":"spawn"}`
-	var sp RunSpec
-	if err := json.Unmarshal([]byte(legacy), &sp); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Normalize(0); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Placement.Transport != TransportSpawn || sp.Transport != "" {
-		t.Fatalf("flat transport did not fold into the placement: %+v", sp)
-	}
-
-	// Agreeing duplicate is tolerated; contradiction is rejected.
-	agree := RunSpec{N: 8, Rounds: 1, Transport: TransportSpawn, Placement: Placement{Transport: TransportSpawn}}
-	if err := agree.Normalize(0); err != nil {
-		t.Fatalf("agreeing flat+placement transport rejected: %v", err)
-	}
-	bad := RunSpec{N: 8, Rounds: 1, Transport: TransportPool, Placement: Placement{Transport: TransportSpawn}}
-	if err := bad.Normalize(0); err == nil || !strings.Contains(err.Error(), "contradicts") {
-		t.Fatalf("contradicting transports accepted: %v", err)
-	}
-
-	// Un-normalized manifests (flat field only) still resolve: the tolerant
-	// readers used by Build/Open fall back to the flat field.
-	old := RunSpec{Transport: TransportSpawn}
-	if got := old.transport(); got != TransportSpawn {
-		t.Fatalf("transport() = %q, want spawn", got)
-	}
-	if old.PoolKind() == (RunSpec{}).PoolKind() {
-		t.Fatal("PoolKind did not distinguish spawn from the pool default")
+	for _, tc := range []struct {
+		stored string
+		want   Placement
+	}{
+		{"", Placement{Transport: TransportPool, Kernel: "batched"}},
+		{"spawn", Placement{Transport: TransportPool, Kernel: "batched"}},
+		{"proc", Placement{Transport: TransportTCPMesh, Procs: 2, Kernel: "batched"}},
+		{TransportTCP, Placement{Transport: TransportTCP, Procs: 2, Kernel: "batched"}},
+	} {
+		raw := RunSpec{N: 64, Rounds: 1, Shards: 4, Placement: Placement{Transport: tc.stored}}
+		if got := raw.transport(); got != tc.want.Transport {
+			t.Errorf("transport() of stored %q = %q, want %q", tc.stored, got, tc.want.Transport)
+		}
+		if err := raw.Normalize(0); err != nil {
+			t.Fatalf("stored %q: %v", tc.stored, err)
+		}
+		if !reflect.DeepEqual(raw.Placement, tc.want) {
+			t.Errorf("stored %q normalized to %+v, want %+v", tc.stored, raw.Placement, tc.want)
+		}
 	}
 }
 
@@ -168,17 +153,18 @@ func TestNormalizePlacement(t *testing.T) {
 		{name: "unknown kernel", in: RunSpec{Placement: Placement{Kernel: "vectorized"}}, wantErr: "unknown placement.kernel"},
 		{name: "scalar kernel", in: RunSpec{Placement: Placement{Kernel: "scalar"}}, want: Placement{Transport: TransportPool, Kernel: "scalar"}},
 		{name: "procs on pool", in: RunSpec{Placement: Placement{Transport: TransportPool, Procs: 2}}, wantErr: "multi-process transport"},
-		{name: "hosts on spawn", in: RunSpec{Placement: Placement{Transport: TransportSpawn, Hosts: []string{"a"}}}, wantErr: "placement.hosts needs a tcp transport"},
-		{name: "hosts on proc", in: RunSpec{Placement: Placement{Transport: TransportProc, Hosts: []string{"a"}}}, wantErr: "placement.hosts needs a tcp transport"},
-		{name: "proc defaults procs", in: RunSpec{Placement: Placement{Transport: TransportProc}}, want: Placement{Transport: TransportProc, Procs: 2, Kernel: "batched"}},
+		{name: "hosts on spawn", in: RunSpec{Placement: Placement{Transport: "spawn", Hosts: []string{"a"}}}, wantErr: "placement.hosts needs a tcp transport"},
+		{name: "hosts on proc", in: RunSpec{Placement: Placement{Transport: "proc", Hosts: []string{"a"}}},
+			want: Placement{Transport: TransportTCPMesh, Procs: 1, Hosts: []string{"a"}, Kernel: "batched"}},
+		{name: "proc defaults procs", in: RunSpec{Placement: Placement{Transport: "proc"}}, want: Placement{Transport: TransportTCPMesh, Procs: 2, Kernel: "batched"}},
 		{name: "hosts imply procs", in: RunSpec{Placement: Placement{Transport: TransportTCP, Hosts: []string{"a:1", "b:1"}}},
 			want: Placement{Transport: TransportTCP, Procs: 2, Hosts: []string{"a:1", "b:1"}, Kernel: "batched"}},
 		{name: "procs contradict hosts", in: RunSpec{Placement: Placement{Transport: TransportTCP, Procs: 3, Hosts: []string{"a:1"}}}, wantErr: "contradicts"},
 		{name: "hosts exceed shards", in: RunSpec{Shards: 2, Placement: Placement{Transport: TransportTCPMesh, Hosts: []string{"a", "b", "c"}}}, wantErr: "hosts <= shards"},
-		{name: "procs exceed shards", in: RunSpec{Shards: 2, Placement: Placement{Transport: TransportProc, Procs: 4}}, wantErr: "exceeds"},
-		{name: "cli shards 0 skips shard checks", in: RunSpec{Placement: Placement{Transport: TransportProc, Procs: 64}},
-			want: Placement{Transport: TransportProc, Procs: 64, Kernel: "batched"}},
-		{name: "negative procs", in: RunSpec{Placement: Placement{Transport: TransportProc, Procs: -1}}, wantErr: "procs >= 0"},
+		{name: "procs exceed shards", in: RunSpec{Shards: 2, Placement: Placement{Transport: TransportTCPMesh, Procs: 4}}, wantErr: "exceeds"},
+		{name: "cli shards 0 skips shard checks", in: RunSpec{Placement: Placement{Transport: TransportTCPMesh, Procs: 64}},
+			want: Placement{Transport: TransportTCPMesh, Procs: 64, Kernel: "batched"}},
+		{name: "negative procs", in: RunSpec{Placement: Placement{Transport: TransportTCPMesh, Procs: -1}}, wantErr: "procs >= 0"},
 		{name: "negative workers", in: RunSpec{Placement: Placement{Workers: -1}}, wantErr: "workers >= 0"},
 	}
 	for _, tc := range cases {

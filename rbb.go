@@ -134,9 +134,8 @@ func NewTetris(loads []int32, src *Source, opts TetrisOptions) (*Tetris, error) 
 // ShardOptions configures the data-parallel sharded engine
 // (internal/shard): Shards selects the partition — and with it the random
 // law's decomposition, so a run is a pure function of (seed, n, Shards) —
-// while Workers and Transport (the persistent affinity worker pool, the
-// default, or per-phase goroutine spawning) only select placement and
-// never affect the trajectory.
+// while Workers (the goroutine count of the persistent affinity worker
+// pool) only selects placement and never affects the trajectory.
 type ShardOptions = shard.Options
 
 // ShardedProcess is the data-parallel repeated balls-into-bins engine: the
