@@ -176,7 +176,9 @@ func cmdRun(args []string, out io.Writer, fromManifest bool) error {
 		Concurrency:     *conc,
 		HostWorkers:     *workers,
 		CheckpointEvery: *ckptEvery,
-		Server:          *server,
+	}
+	if *server != "" {
+		opts.Exec = campaign.Remote(*server)
 	}
 	if !*quiet {
 		// Progress goes to stderr: stdout carries only the final table so

@@ -13,7 +13,9 @@
 // processes (tcp: exchanges relayed through the coordinator; tcp-mesh:
 // delivered worker↔worker, so the coordinator relays only barriers, stats
 // and checkpoints). TCP workers self-spawn on loopback by default; -hosts
-// dials `rbb-sim -worker -listen` daemons on other machines instead.
+// dials worker daemons on other machines instead, each started as
+// `rbb-sim -worker -listen addr` — the one worker mode an operator
+// launches (self-spawned workers dial back on their own).
 // -procs P sets the worker process count, and P alone implies -transport
 // tcp-mesh. The retired names spawn and proc still resolve, to pool and
 // tcp-mesh. The original, tetris — every process kind with a serializable
@@ -134,8 +136,7 @@ func run(args []string, out io.Writer) error {
 		transp    = fs.String("transport", "", "phase transport: pool (in-process persistent workers with shard affinity, default) | tcp | tcp-mesh (worker processes over TCP; mesh delivers exchanges worker-to-worker); the retired names spawn and proc resolve to pool and tcp-mesh; never affects results")
 		procs     = fs.Int("procs", 0, "worker processes for -transport tcp|tcp-mesh (0 = 2); -procs P > 1 with no -transport implies tcp-mesh, and 0 or 1 then stays in process; each worker holds a contiguous shard range; never affects results")
 		hostsF    = fs.String("hosts", "", "comma-separated `rbb-sim -worker -listen` daemon addresses (host:port) for -transport tcp|tcp-mesh; default: self-spawned loopback workers")
-		workerF   = fs.Bool("worker", false, "run as a TCP transport worker instead of a simulation (requires -connect or -listen)")
-		connectF  = fs.String("connect", "", "with -worker: dial this coordinator address, serve one session, exit")
+		workerF   = fs.Bool("worker", false, "run as a TCP worker daemon for -hosts coordinators instead of a simulation (requires -listen)")
 		listenF   = fs.String("listen", "", "with -worker: listen on this address and serve coordinator sessions until killed")
 		quant     = fs.String("quantiles", "", "comma-separated probabilities in (0,1); streams P² sketches of the per-round max load and prints them in the summary (e.g. 0.5,0.9,0.99)")
 		ckptPath  = fs.String("checkpoint", "", "write whole-run checkpoints to this file (original process only): every -checkpoint-every rounds, on SIGTERM/SIGINT, and at completion")
@@ -164,19 +165,13 @@ func run(args []string, out io.Writer) error {
 		// sessions whose init frames carry the whole run (checkpoint blob +
 		// wire-encoded arrival rule), so the law flags above are meaningless
 		// here and ignored.
-		switch {
-		case *connectF != "" && *listenF != "":
-			return errors.New("-worker takes exactly one of -connect and -listen")
-		case *connectF != "":
-			return tcp.Connect(*connectF)
-		case *listenF != "":
-			return tcp.ListenAndServe(*listenF, os.Stderr)
-		default:
-			return errors.New("-worker requires -connect addr or -listen addr")
+		if *listenF == "" {
+			return errors.New("-worker requires -listen addr")
 		}
+		return tcp.ListenAndServe(*listenF, os.Stderr)
 	}
-	if *connectF != "" || *listenF != "" {
-		return errors.New("-connect and -listen require -worker")
+	if *listenF != "" {
+		return errors.New("-listen requires -worker")
 	}
 	if *rounds < 0 {
 		return fmt.Errorf("need rounds >= 0, got %d", *rounds)

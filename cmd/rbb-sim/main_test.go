@@ -298,10 +298,8 @@ func TestRunErrors(t *testing.T) {
 		{"-hosts", "localhost:1", "-transport", "spawn"},
 		{"-hosts", "localhost:1", "-transport", "tcp", "-procs", "2"},
 		{"-hosts", "a,b,c", "-transport", "tcp", "-shards", "2"},
-		{"-connect", "localhost:1"},
 		{"-listen", "localhost:0"},
 		{"-worker"},
-		{"-worker", "-connect", "localhost:1", "-listen", "localhost:0"},
 	}
 	for _, args := range cases {
 		if err := run(args, &sb); err == nil {

@@ -1,10 +1,12 @@
 // Package campaign turns single runs into phase diagrams: a versioned
 // CampaignSpec declares axes over the law plane of spec.RunSpec (n, m,
 // lambda, seed, process — the fields that feed ResultKey), expands
-// deterministically into an ordered list of point RunSpecs, and a
-// bounded-concurrency runner drives the points either in process
-// (spec.Build / spec.Open + internal/checkpoint) or against a running
-// rbb-serve. A campaign is resumable mid-flight: an atomic JSON manifest
+// deterministically into an ordered list of point RunSpecs, and one
+// bounded-concurrency driver (Run) hands each point to an Executor: in
+// process (spec.RunSpec.Start + checkpoint.Run, the default), against a
+// running rbb-serve (Remote), or — when rbb-serve hosts the campaign
+// itself — the server's own scheduler. A campaign is resumable
+// mid-flight: an atomic JSON manifest
 // records per-point status and result digests, SIGTERM snapshots in-flight
 // rbb points through the checkpoint machinery, and re-running the same
 // spec skips completed points byte-identically. Completed points fold into

@@ -23,6 +23,7 @@ type remoteRun struct {
 	Round   int64          `json:"round"`
 	Error   string         `json:"error,omitempty"`
 	Summary *shard.Summary `json:"summary,omitempty"`
+	Cached  bool           `json:"cached,omitempty"`
 }
 
 // client executes campaign points against a running rbb-serve. Identical
@@ -35,7 +36,10 @@ type client struct {
 	poll time.Duration
 }
 
-func newClient(base string) *client {
+// Remote returns the executor that runs points against the rbb-serve at
+// base URL: each point is submitted as an ordinary run and polled to a
+// terminal state.
+func Remote(base string) Executor {
 	return &client{base: strings.TrimRight(base, "/"), hc: &http.Client{}, poll: 150 * time.Millisecond}
 }
 
@@ -88,52 +92,57 @@ func (c *client) do(req *http.Request, want int, out any) error {
 	return json.Unmarshal(body, out)
 }
 
-// runPoint drives one point remotely: submit (or re-attach to runID from
-// an interrupted campaign), then poll until the run is terminal. A
-// cancelled ctx reports interruption and keeps the remote run going — the
-// server owns its durability, and resume re-attaches by run id (or, if
-// the server lost it to retention, resubmits and rides the result cache).
-func (c *client) runPoint(ctx context.Context, sp spec.RunSpec, runID string) (sum *shard.Summary, round int64, id string, interrupted bool, err error) {
+// RunPoint drives one point remotely: submit (or re-attach to runID from
+// an interrupted campaign), report the run id through started, then poll
+// until the run is terminal. A cancelled ctx reports interruption and
+// keeps the remote run going — the server owns its durability, and resume
+// re-attaches by run id (or, if the server lost it to retention,
+// resubmits and rides the result cache).
+func (c *client) RunPoint(ctx context.Context, pt Point, runID string, started func(string)) (PointRun, error) {
 	if runID != "" {
 		// Re-attach: a vanished run (404 after retention GC) falls back to
 		// a fresh submission of the same law.
 		if _, err := c.get(ctx, runID); err != nil {
 			if ctx.Err() != nil {
-				return nil, 0, runID, true, nil
+				return PointRun{RunID: runID, Interrupted: true}, nil
 			}
 			runID = ""
 		}
 	}
 	if runID == "" {
-		runID, err = c.submit(ctx, sp)
-		if err != nil {
+		var err error
+		if runID, err = c.submit(ctx, pt.Spec); err != nil {
 			if ctx.Err() != nil {
-				return nil, 0, "", true, nil
+				return PointRun{Interrupted: true}, nil
 			}
-			return nil, 0, "", false, err
+			return PointRun{}, err
 		}
 	}
+	started(runID)
 	t := time.NewTicker(c.poll)
 	defer t.Stop()
 	for {
 		info, err := c.get(ctx, runID)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, 0, runID, true, nil
+				return PointRun{RunID: runID, Interrupted: true}, nil
 			}
-			return nil, 0, runID, false, err
+			return PointRun{RunID: runID}, err
 		}
+		run := PointRun{Round: info.Round, RunID: runID}
 		switch info.Status {
 		case "done":
-			return info.Summary, info.Round, runID, false, nil
+			run.Summary, run.Cached = info.Summary, info.Cached
+			return run, nil
 		case "failed":
-			return nil, info.Round, runID, false, fmt.Errorf("remote run %s failed: %s", runID, info.Error)
+			return run, fmt.Errorf("remote run %s failed: %s", runID, info.Error)
 		case "cancelled":
-			return nil, info.Round, runID, false, fmt.Errorf("remote run %s was cancelled", runID)
+			return run, fmt.Errorf("remote run %s was cancelled", runID)
 		}
 		select {
 		case <-ctx.Done():
-			return nil, info.Round, runID, true, nil
+			run.Interrupted = true
+			return run, nil
 		case <-t.C:
 		}
 	}

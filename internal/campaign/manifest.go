@@ -16,9 +16,10 @@ import (
 // PointStatus is the lifecycle state of one campaign point.
 type PointStatus string
 
-// Point lifecycle. There is no persisted "running": a crash mid-point
-// leaves the manifest saying pending (plus whatever checkpoint the point
-// wrote), which is exactly what resume needs to believe.
+// Point lifecycle. A point is persisted "running" (with its run id) as
+// soon as its run exists; a crash mid-point leaves it so, and resume
+// reads it back as pending — its checkpoint or its remote run id carries
+// the progress.
 const (
 	StatusPending PointStatus = "pending"
 	StatusRunning PointStatus = "running"
@@ -46,7 +47,10 @@ type PointState struct {
 	Digest string `json:"digest,omitempty"`
 	// RunID is the remote run's identity when the point executes against
 	// an rbb-serve (resume re-attaches to it instead of re-submitting).
+	// It is persisted while the point runs.
 	RunID string `json:"run_id,omitempty"`
+	// Cached marks a done point whose result came from a result cache.
+	Cached bool `json:"cached,omitempty"`
 	// Error is the failure cause when Status is failed.
 	Error string `json:"error,omitempty"`
 }

@@ -18,11 +18,11 @@ var (
 		"Wall-clock duration of one completed campaign point.", nil)
 )
 
-// NotePoint records one point outcome. interrupted marks a point whose
-// run was stopped mid-flight (it stays pending in the manifest). Exported
-// so out-of-package schedulers (the serve campaign driver) feed the same
-// counters as the in-process runner.
-func NotePoint(st PointStatus, interrupted bool, seconds float64) {
+// notePoint records one point outcome. interrupted marks a point whose
+// run was stopped mid-flight (it stays pending in the manifest). Every
+// executor's outcomes pass through the runner, so in-process, remote and
+// serve-hosted campaigns feed the same series.
+func notePoint(st PointStatus, interrupted bool, seconds float64) {
 	if !obs.Enabled() {
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/engine"
 	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/table"
@@ -22,21 +21,49 @@ type Options struct {
 	Dir string
 	// Concurrency overrides the spec's concurrent-point budget when > 0.
 	Concurrency int
-	// HostWorkers is the host's default phase worker count per point
-	// (0 = GOMAXPROCS), overridden per point by the base placement.
+	// HostWorkers is the host's default phase worker count per in-process
+	// point (0 = GOMAXPROCS), overridden per point by the base placement.
 	HostWorkers int
-	// CheckpointEvery is the periodic snapshot period (rounds) for rbb
-	// points whose spec does not set its own. 0 writes only interrupt
-	// and final snapshots.
+	// CheckpointEvery is the periodic snapshot period (rounds) for
+	// in-process rbb points whose spec does not set its own. 0 writes
+	// only interrupt and final snapshots.
 	CheckpointEvery int64
-	// Server, when set, executes points against a running rbb-serve at
-	// this base URL instead of in process; identical law points hit the
-	// server's result cache.
-	Server string
+	// Exec runs each point. nil runs points in process (spec.Start +
+	// checkpoint.Run, checkpointing rbb points into Dir); Remote(url)
+	// runs them against a running rbb-serve, where identical law points
+	// hit the server's result cache; rbb-serve passes its own scheduler.
+	Exec Executor
 	// OnPoint, when non-nil, observes every point state transition
 	// (running, done, failed, and back-to-pending on interruption) from
 	// the worker goroutines; it must be safe for concurrent use.
 	OnPoint func(PointState)
+}
+
+// Executor runs one campaign point. RunPoint drives pt to a terminal
+// outcome: a PointRun with the summary (done), an error (failed), or
+// PointRun.Interrupted when ctx was cancelled mid-flight (the point drops
+// back to pending for a resume). runID is the run id the manifest holds
+// for the point from an earlier attempt ("" if none); an executor whose
+// runs outlive the campaign process re-attaches to it. started must be
+// called once, as soon as the point's run exists, with its run id (""
+// for runs that have none): it marks the point running and persists the
+// id, so a campaign killed mid-point re-attaches instead of resubmitting.
+type Executor interface {
+	RunPoint(ctx context.Context, pt Point, runID string, started func(runID string)) (PointRun, error)
+}
+
+// PointRun is one point execution's outcome.
+type PointRun struct {
+	// Summary is the point's result; nil unless the run completed.
+	Summary *shard.Summary
+	// Round is the last completed round.
+	Round int64
+	// RunID is the executor's run identity ("" in process).
+	RunID string
+	// Cached marks a result answered from a result cache.
+	Cached bool
+	// Interrupted reports a run stopped by ctx before completing.
+	Interrupted bool
 }
 
 // Result is a campaign execution's outcome.
@@ -60,10 +87,9 @@ type Result struct {
 
 // runner is the shared state of one campaign execution.
 type runner struct {
-	opts   Options
-	spec   CampaignSpec
-	plan   *Plan
-	remote *client
+	opts Options
+	spec CampaignSpec
+	plan *Plan
 
 	mu     sync.Mutex
 	states []PointState
@@ -81,10 +107,10 @@ func Run(ctx context.Context, cs CampaignSpec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &runner{opts: opts, spec: cs, plan: plan}
-	if opts.Server != "" {
-		r.remote = newClient(opts.Server)
+	if opts.Exec == nil {
+		opts.Exec = local{dir: opts.Dir, hostWorkers: opts.HostWorkers, checkpointEvery: opts.CheckpointEvery}
 	}
+	r := &runner{opts: opts, spec: cs, plan: plan}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, err
@@ -210,42 +236,32 @@ func (r *runner) transition(i int, mutate func(*PointState)) {
 }
 
 // runPoint drives point i to a terminal state (or to an interrupted
-// pending state when ctx is cancelled mid-flight).
+// pending state when ctx is cancelled mid-flight) through the executor.
 func (r *runner) runPoint(ctx context.Context, i int) {
 	pt := r.plan.Points[i]
-	r.transition(i, func(st *PointState) { st.Status = StatusRunning })
+	r.mu.Lock()
+	prevRunID := r.states[i].RunID
+	r.mu.Unlock()
 	start := time.Now()
-	var (
-		sum         *shard.Summary
-		round       int64
-		runID       string
-		interrupted bool
-		err         error
-	)
-	if r.remote != nil {
-		r.mu.Lock()
-		prevRunID := r.states[i].RunID
-		r.mu.Unlock()
-		sum, round, runID, interrupted, err = r.remote.runPoint(ctx, pt.Spec, prevRunID)
-	} else {
-		sum, round, interrupted, err = r.runLocal(ctx, pt)
-	}
+	run, err := r.opts.Exec.RunPoint(ctx, pt, prevRunID, func(runID string) {
+		r.transition(i, func(st *PointState) { st.Status, st.RunID = StatusRunning, runID })
+	})
 	switch {
 	case err != nil:
-		NotePoint(StatusFailed, false, 0)
+		notePoint(StatusFailed, false, 0)
 		r.transition(i, func(st *PointState) {
-			st.Status, st.Error, st.Round, st.RunID = StatusFailed, err.Error(), round, runID
+			st.Status, st.Error, st.Round, st.RunID = StatusFailed, err.Error(), run.Round, run.RunID
 		})
-	case interrupted:
-		NotePoint(StatusPending, true, 0)
+	case run.Interrupted:
+		notePoint(StatusPending, true, 0)
 		r.transition(i, func(st *PointState) {
-			st.Status, st.Round, st.RunID = StatusPending, round, runID
+			st.Status, st.Round, st.RunID = StatusPending, run.Round, run.RunID
 		})
 	default:
-		NotePoint(StatusDone, false, time.Since(start).Seconds())
+		notePoint(StatusDone, false, time.Since(start).Seconds())
 		r.transition(i, func(st *PointState) {
-			st.Status, st.Round, st.RunID = StatusDone, round, runID
-			st.Summary, st.Digest, st.Error = sum, SummaryDigest(sum), ""
+			st.Status, st.Round, st.RunID, st.Cached = StatusDone, run.Round, run.RunID, run.Cached
+			st.Summary, st.Digest, st.Error = run.Summary, SummaryDigest(run.Summary), ""
 		})
 		if r.opts.Dir != "" {
 			// The point's checkpoint has served its purpose; the summary
@@ -255,72 +271,38 @@ func (r *runner) runPoint(ctx context.Context, i int) {
 	}
 }
 
-// runLocal executes one point in process: rbb points run under the
-// checkpoint machinery (resume from the point's snapshot if one exists,
-// periodic + interrupt snapshots into the campaign directory), the leaky
-// bins processes run to completion or replay from round zero after an
-// interruption — both reproduce the identical trajectory either way.
-func (r *runner) runLocal(ctx context.Context, pt Point) (*shard.Summary, int64, bool, error) {
+// local is the in-process executor: rbb points checkpoint into the
+// campaign directory (resuming from the point's snapshot if one exists,
+// periodic + interrupt snapshots), the leaky-bins processes run to
+// completion or replay from round zero after an interruption — both
+// reproduce the identical trajectory either way.
+type local struct {
+	dir             string
+	hostWorkers     int
+	checkpointEvery int64
+}
+
+// RunPoint implements Executor.
+func (l local) RunPoint(ctx context.Context, pt Point, _ string, started func(string)) (PointRun, error) {
 	sp := pt.Spec
-	ckptPath := ""
-	if r.opts.Dir != "" && sp.Process == spec.ProcessRBB {
-		ckptPath = CheckpointPath(r.opts.Dir, pt.ID)
+	pol := checkpoint.Policy{Every: sp.CheckpointEvery, Seed: sp.Seed}
+	if pol.Every == 0 {
+		pol.Every = l.checkpointEvery
 	}
-	var (
-		proc spec.Process
-		pipe *shard.Pipeline
-	)
-	if ckptPath != "" {
-		if _, statErr := os.Stat(ckptPath); statErr == nil {
-			snap, err := checkpoint.ReadFile(ckptPath)
-			if err != nil {
-				return nil, 0, false, fmt.Errorf("resume %s: %w", pt.ID, err)
-			}
-			// The file is keyed only by point id; cross-check its identity
-			// against the spec so a stale or foreign checkpoint can never
-			// impersonate this point's trajectory.
-			if snap.Seed != sp.Seed || snap.Engine.N != sp.N || len(snap.Engine.Shards) != sp.Shards {
-				return nil, 0, false, fmt.Errorf("resume %s: checkpoint is for (seed %d, n %d, shards %d), point wants (seed %d, n %d, shards %d)",
-					pt.ID, snap.Seed, snap.Engine.N, len(snap.Engine.Shards), sp.Seed, sp.N, sp.Shards)
-			}
-			if proc, pipe, err = sp.Open(snap, r.opts.HostWorkers); err != nil {
-				return nil, 0, false, fmt.Errorf("resume %s: %w", pt.ID, err)
-			}
-		}
+	if l.dir != "" && sp.Process == spec.ProcessRBB {
+		pol.Path = CheckpointPath(l.dir, pt.ID)
 	}
-	if proc == nil {
-		var err error
-		if proc, err = sp.Build(r.opts.HostWorkers); err != nil {
-			return nil, 0, false, err
-		}
+	proc, pipe, err := sp.Start(pol.Path, l.hostWorkers)
+	if err != nil {
+		return PointRun{}, err
 	}
 	defer proc.Close()
-	if pipe == nil {
-		var err error
-		if pipe, err = shard.NewPipeline(sp.Quantiles); err != nil {
-			return nil, 0, false, err
-		}
-	}
-	var (
-		round   int64
-		stopped bool
-	)
-	if cp, ok := proc.(checkpoint.Process); ok && sp.Process == spec.ProcessRBB {
-		every := sp.CheckpointEvery
-		if every == 0 {
-			every = r.opts.CheckpointEvery
-		}
-		pol := checkpoint.Policy{Path: ckptPath, Every: every, Seed: sp.Seed, Pipeline: pipe}
-		var err error
-		if round, stopped, err = checkpoint.Run(ctx, cp, sp.Rounds, pol); err != nil {
-			return nil, round, stopped, err
-		}
-	} else {
-		round, stopped = engine.RunContext(ctx, proc, sp.Rounds, pipe)
-	}
-	if stopped {
-		return nil, round, true, nil
+	started("")
+	pol.Pipeline = pipe
+	round, stopped, err := checkpoint.Run(ctx, proc, sp.Rounds, pol)
+	if err != nil || stopped {
+		return PointRun{Round: round, Interrupted: stopped}, err
 	}
 	sum := pipe.SummaryFor(proc)
-	return &sum, round, false, nil
+	return PointRun{Summary: &sum, Round: round}, nil
 }

@@ -216,7 +216,7 @@ func TestPointFailureContinues(t *testing.T) {
 		}
 	}
 	if snapPath == "" {
-		t.Skip("no interrupt snapshot materialized; nothing to poison")
+		t.Fatal("no interrupt snapshot materialized; nothing to poison")
 	}
 	// Fresh campaign dir with the stale snapshot planted under the wrong
 	// point id (a different seed's point).

@@ -13,8 +13,9 @@ import (
 // Policy configures whole-run checkpointing for Run.
 type Policy struct {
 	// Path is the checkpoint destination, atomically replaced on every
-	// write. Empty disables checkpointing (Run degenerates to a plain
-	// observe loop, still cancellable through its context).
+	// write. Empty disables checkpointing: Run then drives any
+	// engine.Stepper as a plain observe loop, still cancellable through
+	// its context. A set Path requires a Process.
 	Path string
 	// Every is the period of the periodic hook: a snapshot is written after
 	// every Every-th completed round. 0 writes only the final (and
@@ -49,13 +50,14 @@ type Policy struct {
 	OnWrite func(seconds float64)
 }
 
-// Process is the engine surface Run drives: a round stepper whose complete
-// deterministic state can be checkpointed between rounds. Snapshot gathers
-// that state into memory (resume tooling and tests use it); Run never
-// does, it streams. *shard.Process implements Process, and so does the
-// multi-process coordinator engine of internal/shard/transport/wire —
-// which is how `rbb-sim -procs P` shares this runner (periodic, triggered
-// and snapshot-and-stop checkpoints) with single-process runs.
+// Process is the engine surface Run checkpoints: a round stepper whose
+// complete deterministic state can be checkpointed between rounds.
+// Snapshot gathers that state into memory (resume tooling and tests use
+// it); Run never does, it streams. *shard.Process implements Process,
+// and so does the multi-process coordinator engine of
+// internal/shard/transport/wire — which is how `rbb-sim -procs P` shares
+// this runner (periodic, triggered and snapshot-and-stop checkpoints)
+// with single-process runs.
 type Process interface {
 	engine.Stepper
 	Snapshot() (*shard.EngineSnapshot, error)
@@ -108,23 +110,31 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // Run drives p to round target under pol, notifying obs (and pol.Pipeline)
-// after every round. All checkpoint hooks are barrier-synchronized for
-// free: Engine.Step returns only after the release and commit barriers, so
-// every snapshot taken between Steps is a consistent whole-run cut — no
-// extra synchronization protocol exists, by construction.
+// after every round. It is the one run loop: cmd/rbb-sim, rbb-serve and
+// in-process campaign points all step through it, checkpointed or not.
+// All checkpoint hooks are barrier-synchronized for free: Engine.Step
+// returns only after the release and commit barriers, so every snapshot
+// taken between Steps is a consistent whole-run cut — no extra
+// synchronization protocol exists, by construction.
 //
-// Cancelling ctx is the snapshot-and-stop hook: Run writes a snapshot at
-// the next round boundary and returns early with stopped = true. Both
-// cmd/rbb-sim and rbb-serve share this path — the CLI derives ctx from
-// SIGTERM/SIGINT via signal.NotifyContext, the server from its shutdown
-// and per-run cancellation contexts — so there is exactly one
-// snapshot-and-stop implementation.
+// With pol.Path empty, p may be any stepper (tetris and batches included).
+// With pol.Path set, p must be a Process; anything else is refused before
+// the first step. The check is on the Process interface, not on the
+// engine: a *shard.Tetris exposes Engine() too, and streaming its shards
+// would write a file that later resumes as an rbb run.
+//
+// Cancelling ctx is the snapshot-and-stop hook: Run stops at the next
+// round boundary (after at least one round), writes a snapshot when
+// pol.Path is set, and returns early with stopped = true. The CLI derives
+// ctx from SIGTERM/SIGINT via signal.NotifyContext, the server from its
+// shutdown and per-run cancellation contexts, the campaign runner from
+// its own — so there is exactly one snapshot-and-stop implementation.
 //
 // Run returns the number of completed rounds and whether it stopped early
 // on ctx. When pol.Path is set, a snapshot is on disk at return: written
 // every pol.Every rounds, on each pol.Trigger receive, at cancellation,
 // and at normal completion.
-func Run(ctx context.Context, p Process, target int64, pol Policy, obs ...engine.Observer) (int64, bool, error) {
+func Run(ctx context.Context, p engine.Stepper, target int64, pol Policy, obs ...engine.Observer) (int64, bool, error) {
 	// The pipeline observes before the caller's observers, so a caller
 	// observer reading the pipeline (the server's stream events do) sees
 	// the accumulators already folded over the round it is looking at.
@@ -133,8 +143,12 @@ func Run(ctx context.Context, p Process, target int64, pol Policy, obs ...engine
 	}
 	var stream streamFunc
 	if pol.Path != "" {
+		cp, ok := p.(Process)
+		if !ok {
+			return p.Round(), false, fmt.Errorf("checkpoint: %T cannot be checkpointed (not a checkpoint.Process)", p)
+		}
 		var err error
-		if stream, err = streamer(p); err != nil {
+		if stream, err = streamer(cp); err != nil {
 			return p.Round(), false, err
 		}
 	}

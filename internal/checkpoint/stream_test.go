@@ -155,7 +155,9 @@ func TestLoadRejectsBinsOverLimit(t *testing.T) {
 
 // TestRunRejectsUnstreamable: Run streams every checkpoint, so a Process
 // that is neither a StreamProcess nor an in-process engine is refused
-// before its first round when checkpointing is on.
+// before its first round when checkpointing is on — and so is a stepper
+// that is no Process at all, even one exposing an in-process engine: a
+// *shard.Tetris streamed as a checkpoint would later resume as rbb.
 func TestRunRejectsUnstreamable(t *testing.T) {
 	p, _ := newStreamRun(t, config.OnePerBin(64), 2, engine.WidthAuto, 0)
 	defer p.Close()
@@ -169,6 +171,56 @@ func TestRunRejectsUnstreamable(t *testing.T) {
 	if _, _, err := Run(context.Background(), gatherOnly{p}, 5, Policy{}); err != nil {
 		t.Errorf("Run without checkpoints: %v", err)
 	}
+
+	tp := newTetris(t)
+	defer tp.Close()
+	if _, _, err := Run(context.Background(), tp, 5, Policy{Path: path}); err == nil {
+		t.Fatal("Run checkpointed a tetris process")
+	}
+	if tp.Round() != 0 {
+		t.Errorf("refused tetris run stepped to round %d", tp.Round())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused runs left a checkpoint behind (stat: %v)", err)
+	}
+}
+
+// TestRunPlainStepper: with no Path, Run drives any stepper — here a
+// tetris process — to its target, observing every round, and a cancelled
+// context stops it between rounds, after that round's observers.
+func TestRunPlainStepper(t *testing.T) {
+	tp := newTetris(t)
+	defer tp.Close()
+	var observed int64
+	count := engine.ObserverFunc(func(engine.Stepper) { observed++ })
+	round, stopped, err := Run(context.Background(), tp, 25, Policy{}, count)
+	if err != nil || stopped || round != 25 || tp.Round() != 25 || observed != 25 {
+		t.Fatalf("open ctx: round=%d stopped=%v err=%v observed=%d, want 25/false/nil/25", round, stopped, err, observed)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen int64
+	stopAt := engine.ObserverFunc(func(s engine.Stepper) {
+		seen++
+		if s.Round() == 30 {
+			cancel()
+		}
+	})
+	round, stopped, err = Run(ctx, tp, 1000, Policy{}, stopAt)
+	if err != nil || !stopped || round != 30 || tp.Round() != 30 || seen != 5 {
+		t.Fatalf("cancelled ctx: round=%d stopped=%v err=%v observed=%d, want 30/true/nil/5", round, stopped, err, seen)
+	}
+}
+
+// newTetris builds a small sharded tetris process.
+func newTetris(t *testing.T) *shard.Tetris {
+	t.Helper()
+	tp, err := shard.NewTetris(config.OnePerBin(64), 3, shard.TetrisOptions{Options: shard.Options{Shards: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
 }
 
 // gatherOnly exposes a process through the Process interface alone.

@@ -1,7 +1,5 @@
 package engine
 
-import "context"
-
 // Stepper is the uniform round-advancing surface of every synchronous
 // engine in this repository (core.Process, core.TokenProcess,
 // core.ChoicesProcess, tetris.Process, walks.Traversal, and the Jackson
@@ -54,30 +52,6 @@ func Run(s Stepper, rounds int64, obs ...Observer) {
 			o.Observe(s)
 		}
 	}
-}
-
-// RunContext advances s by at most rounds rounds, notifying every observer
-// after each round, and stops early — between rounds, never mid-round — once
-// ctx is cancelled. It returns the number of rounds completed by this call
-// and whether it stopped on ctx. Cancellation is checked after each round's
-// observers, so every completed round has been observed exactly once; a
-// ctx already cancelled on entry completes zero rounds. The service
-// frontend drives non-checkpointable processes through this loop (the
-// checkpointable ones go through checkpoint.Run, which adds the
-// snapshot-on-stop hook).
-func RunContext(ctx context.Context, s Stepper, rounds int64, obs ...Observer) (int64, bool) {
-	for i := int64(0); i < rounds; i++ {
-		select {
-		case <-ctx.Done():
-			return i, true
-		default:
-		}
-		s.Step()
-		for _, o := range obs {
-			o.Observe(s)
-		}
-	}
-	return rounds, false
 }
 
 // RunUntil steps s until pred returns true or maxRounds rounds have

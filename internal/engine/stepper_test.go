@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/rng"
@@ -29,38 +28,6 @@ func TestRunZeroRounds(t *testing.T) {
 	Run(p, 0)
 	if p.Round() != 0 {
 		t.Fatalf("Round = %d after observer-free zero-round run", p.Round())
-	}
-}
-
-func TestRunContext(t *testing.T) {
-	// An open context runs to the budget and observes every round.
-	p := newMiniProcess(allInOne(32, 32), 4)
-	var rounds int64
-	count := ObserverFunc(func(Stepper) { rounds++ })
-	done, stopped := RunContext(context.Background(), p, 25, count)
-	if done != 25 || stopped || p.Round() != 25 || rounds != 25 {
-		t.Fatalf("open ctx: done=%d stopped=%v round=%d observed=%d, want 25/false/25/25",
-			done, stopped, p.Round(), rounds)
-	}
-	// A context cancelled mid-run stops between rounds, after the round's
-	// observers.
-	ctx, cancel := context.WithCancel(context.Background())
-	var seen int64
-	stopAt := ObserverFunc(func(s Stepper) {
-		seen++
-		if s.Round() == 30 {
-			cancel()
-		}
-	})
-	done, stopped = RunContext(ctx, p, 1000, stopAt)
-	if !stopped || done != 5 || p.Round() != 30 || seen != 5 {
-		t.Fatalf("cancelled ctx: done=%d stopped=%v round=%d observed=%d, want 5/true/30/5",
-			done, stopped, p.Round(), seen)
-	}
-	// A context already cancelled on entry completes zero rounds.
-	done, stopped = RunContext(ctx, p, 10)
-	if done != 0 || !stopped || p.Round() != 30 {
-		t.Fatalf("pre-cancelled ctx: done=%d stopped=%v round=%d, want 0/true/30", done, stopped, p.Round())
 	}
 }
 

@@ -1,24 +1,24 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/table"
 )
 
-// CampaignInfo is the public state of one campaign. Campaigns are an
-// in-memory orchestration layer: every point is an ordinary run (durable,
+// CampaignInfo is the public state of one campaign. The server hosts
+// campaign.Run, the same driver rbb-campaign uses, with the server's own
+// scheduler as its executor: every point is an ordinary run (durable,
 // cached, resumable through the run machinery), while the campaign record
-// itself dies with the process — durable campaign resumability lives in
-// cmd/rbb-campaign, whose manifest directory survives restarts.
-// Resubmitting a campaign after a restart rides the result cache, so
-// completed points cost nothing the second time.
+// itself lives in memory and dies with the process — durable campaign
+// resumability lives in cmd/rbb-campaign, whose manifest directory
+// survives restarts. Resubmitting a campaign after a restart rides the
+// result cache, so completed points cost nothing the second time.
 type CampaignInfo struct {
 	ID string `json:"id"`
 	// Name is the spec's label; LawID is the campaign's law identity
@@ -51,32 +51,12 @@ type CampaignEvent struct {
 	Points int    `json:"points"`
 }
 
-// campaignRun is one tracked campaign: public info, per-point states for
-// the final aggregation, and the stream fan-out hub (same best-effort
-// contract as run's).
+// campaignRun is one tracked campaign: public info, the aggregate table
+// once done, and the stream hub (whose mutex guards the rest).
 type campaignRun struct {
-	mu     sync.Mutex
-	info   CampaignInfo
-	spec   campaign.CampaignSpec
-	plan   *campaign.Plan
-	states []campaign.PointState
-	table  *table.Table
-	subs   map[chan []byte]struct{}
-}
-
-func newCampaignRun(id string, cs campaign.CampaignSpec, plan *campaign.Plan) *campaignRun {
-	c := &campaignRun{
-		info: CampaignInfo{ID: id, Name: cs.Name, LawID: plan.ID, Status: StatusQueued, Points: len(plan.Points)},
-		spec: cs,
-		plan: plan,
-		subs: make(map[chan []byte]struct{}),
-	}
-	for _, pt := range plan.Points {
-		c.states = append(c.states, campaign.PointState{
-			ID: pt.ID, Index: pt.Index, Coords: pt.Coords, Status: campaign.StatusPending,
-		})
-	}
-	return c
+	hub
+	info  CampaignInfo
+	table *table.Table
 }
 
 // Info returns a copy of the public state.
@@ -94,78 +74,50 @@ func (c *campaignRun) Aggregate() *table.Table {
 	return c.table
 }
 
-// subscribe registers a stream channel, nil when already terminal.
+// subscribe registers a stream channel, nil once the campaign is terminal.
 func (c *campaignRun) subscribe() chan []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.info.Status.Terminal() {
 		return nil
 	}
-	ch := make(chan []byte, 64)
-	c.subs[ch] = struct{}{}
-	return ch
+	return c.addLocked()
 }
 
-func (c *campaignRun) unsubscribe(ch chan []byte) {
+// notePoint is the campaign's OnPoint hook: it refreshes the counters and
+// fans the point transition out to subscribers. In memory every point
+// reaches at most one terminal state, so the counters just add up.
+func (c *campaignRun) notePoint(st campaign.PointState) {
 	c.mu.Lock()
-	if _, ok := c.subs[ch]; ok {
-		delete(c.subs, ch)
-		close(ch)
-	}
-	c.mu.Unlock()
-}
-
-// transition mutates point i under the lock, refreshes the counters and
-// fans the event out to subscribers (best-effort, never blocking the
-// driver). cached marks a point completion answered from the result
-// cache.
-func (c *campaignRun) transition(i int, cached bool, mutate func(*campaign.PointState)) {
-	c.mu.Lock()
-	mutate(&c.states[i])
-	st := c.states[i]
-	done, failed := 0, 0
-	for j := range c.states {
-		switch c.states[j].Status {
-		case campaign.StatusDone:
-			done++
-		case campaign.StatusFailed:
-			failed++
+	defer c.mu.Unlock()
+	switch st.Status {
+	case campaign.StatusDone:
+		c.info.Done++
+		if st.Cached {
+			c.info.Cached++
 		}
-	}
-	if cached {
-		c.info.Cached++
+	case campaign.StatusFailed:
+		c.info.Failed++
 	}
 	c.info.Status = StatusRunning
-	c.info.Done, c.info.Failed = done, failed
-	ev := CampaignEvent{
+	blob, _ := json.Marshal(CampaignEvent{
 		Point: st.ID, Index: st.Index, RunID: st.RunID, Status: string(st.Status),
-		Cached: cached, Done: done, Failed: failed, Points: c.info.Points,
-	}
-	blob, _ := json.Marshal(ev)
-	for ch := range c.subs {
-		select {
-		case ch <- blob:
-		default: // slow subscriber: drop the sample, never the campaign
-		}
-	}
-	c.mu.Unlock()
+		Cached: st.Cached, Done: c.info.Done, Failed: c.info.Failed, Points: c.info.Points,
+	})
+	c.sendLocked(blob)
 }
 
 // finish applies the terminal state and closes every subscriber channel.
-func (c *campaignRun) finish(mutate func(*CampaignInfo)) {
+func (c *campaignRun) finish(status Status, errText string, tb *table.Table) {
 	c.mu.Lock()
-	mutate(&c.info)
-	subs := c.subs
-	c.subs = make(map[chan []byte]struct{})
-	c.mu.Unlock()
-	for ch := range subs {
-		close(ch)
-	}
+	defer c.mu.Unlock()
+	c.info.Status, c.info.Error, c.table = status, errText, tb
+	c.closeLocked()
 }
 
-// SubmitCampaign expands and starts a campaign: its points become
-// ordinary submissions (identical law points hit the result cache) driven
-// by a goroutine pool bounded by the spec's Concurrency.
+// SubmitCampaign validates a campaign and starts it: campaign.Run drives
+// its points as ordinary submissions (identical law points hit the result
+// cache) with the spec's Concurrency.
 func (s *Server) SubmitCampaign(cs campaign.CampaignSpec) (CampaignInfo, error) {
 	plan, err := cs.Expand()
 	if err != nil {
@@ -174,21 +126,19 @@ func (s *Server) SubmitCampaign(cs campaign.CampaignSpec) (CampaignInfo, error) 
 	s.mu.Lock()
 	s.nextCampaign++
 	id := fmt.Sprintf("c%06d", s.nextCampaign)
-	c := newCampaignRun(id, cs, plan)
+	c := &campaignRun{info: CampaignInfo{ID: id, Name: cs.Name, LawID: plan.ID, Status: StatusQueued, Points: len(plan.Points)}}
 	s.campaigns[id] = c
 	s.campaignOrder = append(s.campaignOrder, id)
 	s.mu.Unlock()
 	s.logger.Info("campaign queued", "id", id, "law_id", plan.ID, "points", len(plan.Points))
 	s.wg.Add(1)
-	go s.driveCampaign(c)
+	go s.driveCampaign(c, cs)
 	return c.Info(), nil
 }
 
 // CampaignRunInfo returns the public state of one campaign.
 func (s *Server) CampaignRunInfo(id string) (CampaignInfo, bool) {
-	s.mu.Lock()
-	c, ok := s.campaigns[id]
-	s.mu.Unlock()
+	c, ok := s.lookupCampaign(id)
 	if !ok {
 		return CampaignInfo{}, false
 	}
@@ -218,148 +168,80 @@ func (s *Server) lookupCampaign(id string) (*campaignRun, bool) {
 	return c, ok
 }
 
-// awaitRun blocks until the run reaches a terminal state or the server
-// shuts down, returning the last observed state.
-func (s *Server) awaitRun(r *run) RunInfo {
-	for {
-		ch := r.subscribe()
-		if ch == nil {
-			return r.Info()
-		}
-	drain:
-		for {
-			select {
-			case _, open := <-ch:
-				if !open {
-					break drain
-				}
-			case <-s.stopCtx.Done():
-				r.unsubscribe(ch)
-				return r.Info()
-			}
-		}
-		info := r.Info()
-		// A non-terminal state after the hub closed means the run was
-		// re-queued by a shutdown; with the server stopping there is
-		// nothing left to wait for.
-		if info.Status.Terminal() || s.stopCtx.Err() != nil {
-			return info
-		}
-	}
-}
-
-// driveCampaign executes a campaign's points through the ordinary Submit
-// path with a bounded driver pool. Point failures don't stop the
-// campaign; a server shutdown does (in-flight point runs snapshot and
-// requeue through the run machinery, and the campaign reports failed —
-// resubmit after restart to ride the result cache).
-func (s *Server) driveCampaign(c *campaignRun) {
+// driveCampaign runs a campaign through campaign.Run with the server's
+// scheduler as the executor. Point failures don't stop the campaign; a
+// server shutdown does (in-flight point runs snapshot and requeue through
+// the run machinery, and the campaign reports failed — resubmit after
+// restart to ride the result cache).
+func (s *Server) driveCampaign(c *campaignRun, cs campaign.CampaignSpec) {
 	defer s.wg.Done()
-	conc := c.spec.Concurrency
-	if conc < 1 {
-		conc = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if s.stopCtx.Err() != nil {
-					continue
-				}
-				s.driveCampaignPoint(c, i)
-			}
-		}()
-	}
-	for i := range c.plan.Points {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	info := c.Info()
+	res, err := campaign.Run(s.stopCtx, cs, campaign.Options{Exec: pointExec{s}, OnPoint: c.notePoint})
 	switch {
-	case s.stopCtx.Err() != nil && info.Done+info.Failed < info.Points:
-		c.finish(func(ci *CampaignInfo) {
-			ci.Status = StatusFailed
-			ci.Error = "interrupted by server shutdown (campaign progress is in-memory; resubmit to ride the result cache)"
-		})
-	case info.Failed > 0:
-		c.finish(func(ci *CampaignInfo) {
-			ci.Status = StatusFailed
-			ci.Error = fmt.Sprintf("%d of %d points failed", info.Failed, info.Points)
-		})
+	case res == nil:
+		c.finish(StatusFailed, err.Error(), nil) // unreachable: SubmitCampaign expanded the spec
+	case res.Stopped:
+		c.finish(StatusFailed, "interrupted by server shutdown (campaign progress is in-memory; resubmit to ride the result cache)", nil)
+	case res.Failed > 0:
+		c.finish(StatusFailed, fmt.Sprintf("%d of %d points failed", res.Failed, len(res.Points)), nil)
+	case err != nil:
+		c.finish(StatusFailed, fmt.Sprintf("aggregate: %v", err), nil)
 	default:
-		c.mu.Lock()
-		states := append([]campaign.PointState(nil), c.states...)
-		c.mu.Unlock()
-		tb, err := campaign.Aggregate(c.spec, c.plan, states)
-		if err != nil {
-			c.finish(func(ci *CampaignInfo) {
-				ci.Status = StatusFailed
-				ci.Error = fmt.Sprintf("aggregate: %v", err)
-			})
-			break
-		}
-		c.mu.Lock()
-		c.table = tb
-		c.mu.Unlock()
-		c.finish(func(ci *CampaignInfo) { ci.Status = StatusDone })
+		c.finish(StatusDone, "", res.Table)
 	}
-	info = c.Info()
+	info := c.Info()
 	s.logger.Info("campaign finished", "id", info.ID, "status", string(info.Status),
 		"done", info.Done, "failed", info.Failed)
 }
 
-// driveCampaignPoint runs one point: submit, await, record. Terminal
-// outcomes feed campaign.NotePoint so the serve process exposes the same
-// rbb_campaign_points_total / rbb_campaign_point_seconds series as the
-// in-process runner.
-func (s *Server) driveCampaignPoint(c *campaignRun, i int) {
-	pt := c.plan.Points[i]
-	start := time.Now()
-	info, err := s.Submit(pt.Spec)
+// pointExec is the serve-hosted campaign executor: each point is an
+// ordinary Submit, awaited to a terminal state.
+type pointExec struct{ s *Server }
+
+// RunPoint implements campaign.Executor.
+func (e pointExec) RunPoint(ctx context.Context, pt campaign.Point, _ string, started func(string)) (campaign.PointRun, error) {
+	info, err := e.s.Submit(pt.Spec)
 	if err != nil {
-		campaign.NotePoint(campaign.StatusFailed, false, 0)
-		c.transition(i, false, func(st *campaign.PointState) {
-			st.Status, st.Error = campaign.StatusFailed, err.Error()
-		})
-		return
+		return campaign.PointRun{}, err
 	}
-	c.transition(i, false, func(st *campaign.PointState) {
-		st.Status, st.RunID = campaign.StatusRunning, info.ID
-	})
-	r, ok := s.lookup(info.ID)
+	started(info.ID)
+	r, ok := e.s.lookup(info.ID)
 	if !ok {
-		campaign.NotePoint(campaign.StatusFailed, false, 0)
-		c.transition(i, false, func(st *campaign.PointState) {
-			st.Status, st.Error = campaign.StatusFailed, "run vanished (retention policy evicted it mid-campaign)"
-		})
-		return
+		return campaign.PointRun{RunID: info.ID}, errors.New("run vanished (retention policy evicted it mid-campaign)")
 	}
-	final := s.awaitRun(r)
+	final := awaitRun(ctx, r)
+	run := campaign.PointRun{Round: final.Round, RunID: final.ID}
 	switch {
 	case final.Status == StatusDone && final.Summary != nil:
-		campaign.NotePoint(campaign.StatusDone, false, time.Since(start).Seconds())
-		c.transition(i, final.Cached, func(st *campaign.PointState) {
-			st.Status, st.Round = campaign.StatusDone, final.Round
-			st.Summary, st.Digest = final.Summary, campaign.SummaryDigest(final.Summary)
-		})
+		run.Summary, run.Cached = final.Summary, final.Cached
+		return run, nil
 	case final.Status.Terminal():
-		campaign.NotePoint(campaign.StatusFailed, false, 0)
-		c.transition(i, false, func(st *campaign.PointState) {
-			st.Status = campaign.StatusFailed
-			st.Error = fmt.Sprintf("run %s %s: %s", final.ID, final.Status, final.Error)
-		})
-	default:
-		// Server shutdown re-queued the run; leave the point pending for
-		// the terminal accounting (the campaign reports interrupted).
-		campaign.NotePoint(campaign.StatusPending, true, 0)
-		c.transition(i, false, func(st *campaign.PointState) {
-			st.Status, st.Round = campaign.StatusPending, final.Round
-		})
+		return run, fmt.Errorf("run %s %s: %s", final.ID, final.Status, final.Error)
+	}
+	// Server shutdown re-queued the run; the point drops back to pending
+	// and the campaign reports interrupted.
+	run.Interrupted = true
+	return run, nil
+}
+
+// awaitRun blocks until the run leaves the scheduler or ctx (the server's
+// stop context) ends, returning the last observed state. The run's hub
+// closes only when the run turns terminal or a shutdown re-queues it, and
+// a re-queue implies ctx has ended, so one subscription suffices.
+func awaitRun(ctx context.Context, r *run) RunInfo {
+	ch := r.subscribe()
+	if ch == nil {
+		return r.Info()
+	}
+	defer r.unsubscribe(ch)
+	for {
+		select {
+		case _, open := <-ch:
+			if !open {
+				return r.Info()
+			}
+		case <-ctx.Done():
+			return r.Info()
+		}
 	}
 }
 
@@ -436,50 +318,5 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, req *http.Request) 
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
-	sse := strings.Contains(req.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	// Flush the header frame now: a subscriber must see the stream open
-	// before the first event, which can be arbitrarily far away.
-	if flusher != nil {
-		flusher.Flush()
-	}
-	writeLine := func(blob []byte) {
-		if sse {
-			fmt.Fprintf(w, "data: %s\n\n", blob)
-		} else {
-			w.Write(blob)
-			w.Write([]byte("\n"))
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	ch := c.subscribe()
-	if ch != nil {
-		defer c.unsubscribe(ch)
-	loop:
-		for {
-			select {
-			case blob, open := <-ch:
-				if !open {
-					break loop
-				}
-				writeLine(blob)
-			case <-req.Context().Done():
-				return
-			}
-		}
-	}
-	blob, err := json.Marshal(c.Info())
-	if err != nil {
-		return
-	}
-	writeLine(blob)
+	writeStream(w, req, &c.hub, c.subscribe(), func() any { return c.Info() })
 }

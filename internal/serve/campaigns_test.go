@@ -238,6 +238,41 @@ func TestCampaignStream(t *testing.T) {
 	waitCampaign(t, s, info.ID)
 }
 
+// TestCampaignShutdown: a server shutdown mid-campaign fails the
+// campaign with the in-memory interruption message, and its in-flight
+// point counts as interrupted, not failed.
+func TestCampaignShutdown(t *testing.T) {
+	s, hs := newTestServer(t, Options{Workers: 1})
+	blocker := submit(t, hs, Spec{Seed: 1, N: 256, Rounds: 1 << 40})
+	waitStatus(t, s, blocker.ID, StatusRunning)
+	const series = `rbb_campaign_points_total{status="interrupted"}`
+	before := metricValue(t, scrapeMetrics(t, hs), series)
+	cs := testCampaignSpec()
+	cs.Concurrency = 1
+	info := submitCampaign(t, hs, cs)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if ci, _ := s.CampaignRunInfo(info.ID); ci.Status == StatusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never started a point")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.Shutdown()
+	final, _ := s.CampaignRunInfo(info.ID)
+	if final.Status != StatusFailed || !strings.HasPrefix(final.Error, "interrupted by server shutdown") {
+		t.Fatalf("campaign after shutdown = %+v", final)
+	}
+	if final.Done != 0 || final.Failed != 0 {
+		t.Errorf("counted %d done, %d failed points; want none", final.Done, final.Failed)
+	}
+	if got := metricValue(t, scrapeMetrics(t, hs), series); got != before+1 {
+		t.Errorf("interrupted points counter = %v, want %v", got, before+1)
+	}
+}
+
 // TestCampaignValidation: malformed and invalid specs are 400s, unknown
 // campaigns 404, aggregates of unfinished campaigns 409.
 func TestCampaignValidation(t *testing.T) {
@@ -269,7 +304,9 @@ func TestCampaignValidation(t *testing.T) {
 // TestCampaignRemoteRunner points the campaign CLI runner at a live
 // rbb-serve: points execute as server runs, the manifest and aggregate
 // artifacts land in the local campaign directory, and the result equals
-// an in-process campaign of the same spec byte for byte.
+// an in-process campaign of the same spec byte for byte — as does the
+// aggregate of the same campaign hosted by a fresh server, in every
+// format: the three executors share one driver.
 func TestCampaignRemoteRunner(t *testing.T) {
 	_, hs := newTestServer(t, Options{Workers: 2})
 
@@ -281,7 +318,7 @@ func TestCampaignRemoteRunner(t *testing.T) {
 
 	dir := t.TempDir()
 	csRemote := testCampaignSpec()
-	res, err := campaign.Run(context.Background(), csRemote, campaign.Options{Dir: dir, Server: hs.URL})
+	res, err := campaign.Run(context.Background(), csRemote, campaign.Options{Dir: dir, Exec: campaign.Remote(hs.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,5 +342,96 @@ func TestCampaignRemoteRunner(t *testing.T) {
 		if string(ref) != string(got) {
 			t.Errorf("%s differs between in-process and remote campaign:\n%s\nvs\n%s", name, got, ref)
 		}
+	}
+
+	hosted, hsHosted := newTestServer(t, Options{Workers: 2})
+	info := submitCampaign(t, hsHosted, testCampaignSpec())
+	if final := waitCampaign(t, hosted, info.ID); final.Status != StatusDone || final.Cached != 0 {
+		t.Fatalf("serve-hosted campaign = %+v", final)
+	}
+	for name, format := range map[string]string{
+		campaign.ArtifactJSON: "json", campaign.ArtifactCSV: "csv", campaign.ArtifactText: "text",
+	} {
+		ref, err := os.ReadFile(filepath.Join(refDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getAggregate(t, hsHosted, info.ID, format); !bytes.Equal(got, ref) {
+			t.Errorf("serve-hosted /aggregate?format=%s differs from in-process %s:\n%s\nvs\n%s", format, name, got, ref)
+		}
+	}
+}
+
+// TestCampaignRemoteRunIDPersisted: a remote point's run id is in the
+// campaign manifest while the point runs, so a campaign killed hard at
+// that moment re-attaches to the server run on resume instead of
+// submitting a duplicate.
+func TestCampaignRemoteRunIDPersisted(t *testing.T) {
+	s, hs := newTestServer(t, Options{Workers: 1})
+	// Park the lone worker: the campaign's first point stays queued on
+	// the server for as long as the test needs it.
+	blocker := submit(t, hs, Spec{Seed: 1, N: 256, Rounds: 1 << 40})
+	waitStatus(t, s, blocker.ID, StatusRunning)
+	cs := testCampaignSpec()
+	cs.Concurrency = 1
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := campaign.Run(ctx, cs, campaign.Options{Dir: dir, Exec: campaign.Remote(hs.URL)})
+		done <- err
+	}()
+
+	// What a SIGKILL would leave behind: the manifest while point 0 runs.
+	var (
+		killed []byte
+		runID  string
+	)
+	deadline := time.Now().Add(10 * time.Second)
+	for runID == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("running point's run id never reached the manifest")
+		}
+		time.Sleep(5 * time.Millisecond)
+		m, err := campaign.ReadManifest(dir)
+		if err != nil || m == nil {
+			continue
+		}
+		if st := m.Points[0]; st.Status == campaign.StatusRunning && st.RunID != "" {
+			runID = st.RunID
+			if killed, err = os.ReadFile(campaign.ManifestPath(dir)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if info, ok := s.Info(runID); !ok || info.Status != StatusQueued {
+		t.Fatalf("manifest run id %s is not the queued server run (found %v, %+v)", runID, ok, info)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	killedDir := t.TempDir()
+	if err := os.WriteFile(campaign.ManifestPath(killedDir), killed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runs := len(s.Runs())
+	res, err := campaign.Run(context.Background(), cs, campaign.Options{Dir: killedDir, Exec: campaign.Remote(hs.URL)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != len(res.Points) {
+		t.Fatalf("resumed campaign = %+v", res)
+	}
+	if got := res.Points[0].RunID; got != runID {
+		t.Errorf("resumed point 0 ran as %s, want the re-attached %s", got, runID)
+	}
+	if added := len(s.Runs()) - runs; added != len(res.Points)-1 {
+		t.Errorf("resume submitted %d runs, want %d (point 0 re-attaches)", added, len(res.Points)-1)
 	}
 }

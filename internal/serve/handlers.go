@@ -195,6 +195,16 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, errUnknownRun.Error())
 		return
 	}
+	writeStream(w, req, &r.hub, r.subscribe(), func() any { return r.Info() })
+}
+
+// writeStream is the one /stream writer, for runs and campaigns alike:
+// it relays the events of ch (a subscription to h; nil when the owner was
+// already terminal) as NDJSON, or as SSE frames under Accept:
+// text/event-stream, then ends with final() — the authoritative post-run
+// state, fetched from the registry rather than the hub so it cannot be
+// dropped.
+func writeStream(w http.ResponseWriter, req *http.Request, h *hub, ch chan []byte, final func() any) {
 	sse := strings.Contains(req.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -220,10 +230,8 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 			flusher.Flush()
 		}
 	}
-
-	ch := r.subscribe()
 	if ch != nil {
-		defer r.unsubscribe(ch)
+		defer h.unsubscribe(ch)
 	loop:
 		for {
 			select {
@@ -237,9 +245,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-	// Terminal line: the authoritative post-run state, fetched from the
-	// registry rather than the hub so it cannot be dropped.
-	blob, err := json.Marshal(r.Info())
+	blob, err := json.Marshal(final())
 	if err != nil {
 		return
 	}

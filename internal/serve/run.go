@@ -7,10 +7,66 @@ import (
 	"time"
 )
 
+// hub is the stream fan-out shared by runs and campaigns: a subscriber
+// set, a best-effort send and a close-all. Its mutex is also the owner's
+// lock (run and campaignRun embed hub and guard their state with mu), so
+// a terminal check and a subscription are one atomic step, and events
+// leave in the order their state changes were made.
+type hub struct {
+	mu   sync.Mutex
+	subs map[chan []byte]struct{}
+}
+
+// addLocked registers a new stream channel. Its buffer absorbs a burst
+// of events between a slow client's reads; past it, samples drop. mu
+// must be held.
+func (h *hub) addLocked() chan []byte {
+	if h.subs == nil {
+		h.subs = make(map[chan []byte]struct{})
+	}
+	ch := make(chan []byte, 64)
+	h.subs[ch] = struct{}{}
+	return ch
+}
+
+// unsubscribe removes a channel registered with addLocked. The caller must
+// keep draining ch until it is closed or unsubscribe returns, whichever
+// comes first (sends never block, so a buffered leftover is the worst
+// case).
+func (h *hub) unsubscribe(ch chan []byte) {
+	h.mu.Lock()
+	if _, ok := h.subs[ch]; ok {
+		delete(h.subs, ch)
+		close(ch)
+	}
+	h.mu.Unlock()
+}
+
+// sendLocked fans blob out to every subscriber, best-effort: a slow
+// subscriber drops the sample, never blocks the sender. mu must be held.
+func (h *hub) sendLocked(blob []byte) {
+	for ch := range h.subs {
+		select {
+		case ch <- blob:
+		default:
+		}
+	}
+}
+
+// closeLocked closes every subscriber channel, so stream readers move on
+// to the owner's terminal read. mu must be held.
+func (h *hub) closeLocked() {
+	for ch := range h.subs {
+		close(ch)
+	}
+	h.subs = nil
+}
+
 // run is one tracked simulation: the public RunInfo, the cancellation
-// plumbing, the on-demand checkpoint trigger, and the stream fan-out hub.
+// plumbing, the on-demand checkpoint trigger, and the stream hub (whose
+// mutex guards the rest).
 type run struct {
-	mu sync.Mutex
+	hub
 
 	info      RunInfo
 	cancel    context.CancelFunc // set while running
@@ -25,19 +81,12 @@ type run struct {
 	// trigger carries on-demand checkpoint requests into checkpoint.Run
 	// (capacity 1: requests arriving while one is pending coalesce).
 	trigger chan struct{}
-
-	// subs are the live stream subscribers. Events are sent best-effort
-	// (a slow subscriber drops samples, never blocks the run); every
-	// channel is closed exactly once when the run leaves the worker, and
-	// subscribers then read the terminal state from the registry.
-	subs map[chan []byte]struct{}
 }
 
 func newRun(id string, spec Spec) *run {
 	return &run{
 		info:    RunInfo{ID: id, Spec: spec, Status: StatusQueued},
 		trigger: make(chan struct{}, 1),
-		subs:    make(map[chan []byte]struct{}),
 	}
 }
 
@@ -92,18 +141,14 @@ func (r *run) wasCancelled() bool {
 // starts.
 func (r *run) finish(mutate func(*RunInfo)) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	mutate(&r.info)
 	r.cancel = nil
 	// Progress is a running-state artifact; terminal and re-queued states
 	// (and the persisted manifest) must not carry a stale estimate.
 	r.info.Progress = nil
 	r.started = time.Time{}
-	subs := r.subs
-	r.subs = make(map[chan []byte]struct{})
-	r.mu.Unlock()
-	for ch := range subs {
-		close(ch)
-	}
+	r.closeLocked()
 }
 
 // subscribe registers a stream channel, or returns nil when the run is
@@ -114,22 +159,7 @@ func (r *run) subscribe() chan []byte {
 	if r.info.Status.Terminal() {
 		return nil
 	}
-	ch := make(chan []byte, 64)
-	r.subs[ch] = struct{}{}
-	return ch
-}
-
-// unsubscribe removes a channel registered with subscribe. The caller must
-// keep draining ch until it is closed or unsubscribe returns, whichever
-// comes first (publish never blocks, so a buffered leftover is the worst
-// case).
-func (r *run) unsubscribe(ch chan []byte) {
-	r.mu.Lock()
-	if _, ok := r.subs[ch]; ok {
-		delete(r.subs, ch)
-		close(ch)
-	}
-	r.mu.Unlock()
+	return r.addLocked()
 }
 
 // publish marshals ev once and fans it out to every subscriber,
@@ -158,12 +188,7 @@ func (r *run) publish(ev Event) {
 		}
 		r.info.Progress = p
 	}
-	for ch := range r.subs {
-		select {
-		case ch <- blob:
-		default: // slow subscriber: drop the sample, never the run
-		}
-	}
+	r.sendLocked(blob)
 	r.mu.Unlock()
 }
 

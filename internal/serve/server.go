@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/spec"
 )
 
 // Options configures a Server.
@@ -75,8 +74,9 @@ type Server struct {
 	// with the run retention GC removes, which bounds the cache by the
 	// retained history.
 	cache map[string]cacheEntry
-	// campaigns are the in-memory campaign drivers (see campaigns.go);
-	// their points are ordinary runs and carry all the durability.
+	// campaigns are the in-memory campaigns campaign.Run drives (see
+	// campaigns.go); their points are ordinary runs and carry all the
+	// durability.
 	campaigns     map[string]*campaignRun
 	campaignOrder []string
 	nextCampaign  int
@@ -531,17 +531,7 @@ func (s *Server) execute(r *run) {
 	s.logger.Info("run started", "id", id, "process", spec.Process, "from_round", info.Round)
 	start := s.now()
 
-	var (
-		round       int64
-		interrupted bool
-		summary     *shard.Summary
-		err         error
-	)
-	if spec.Process == ProcessRBB {
-		round, interrupted, summary, err = s.runRBB(ctx, r, spec)
-	} else {
-		round, interrupted, summary, err = s.runTetris(ctx, r, spec)
-	}
+	round, interrupted, summary, err := s.runSpec(ctx, r, spec)
 
 	switch {
 	case err != nil:
@@ -613,59 +603,27 @@ func streamObserver(r *run, pipe *shard.Pipeline, spec Spec) engine.Observer {
 	})
 }
 
-// runRBB executes (or resumes) a checkpointable rbb run under
-// checkpoint.Run: periodic snapshots, on-demand trigger snapshots, and
-// snapshot-and-stop on ctx cancellation. The spec's placement decides
-// where the rounds execute — in process or over TCP workers — never what
-// they compute.
-func (s *Server) runRBB(ctx context.Context, r *run, sp Spec) (int64, bool, *shard.Summary, error) {
-	id := r.Info().ID
-	var (
-		proc spec.Process
-		pipe *shard.Pipeline
-	)
-	resume := false
-	if s.store != nil {
-		var err error
-		if resume, err = s.store.HasCheckpoint(id); err != nil {
-			return 0, false, nil, err
-		}
+// runSpec executes (or resumes) one run under checkpoint.Run. rbb runs
+// on a server with a data directory start from, and snapshot into, the
+// store's checkpoint file: periodic snapshots, on-demand trigger
+// snapshots, and snapshot-and-stop on ctx cancellation. Every other run
+// has no checkpoint path: tetris and batches have no snapshot support
+// (a shutdown re-queues them from round zero, which replays the identical
+// trajectory), and a memory-only server keeps nothing. The spec's
+// placement decides where the rounds execute — in process or over TCP
+// workers — never what they compute.
+func (s *Server) runSpec(ctx context.Context, r *run, sp Spec) (int64, bool, *shard.Summary, error) {
+	path := ""
+	if s.store != nil && sp.Process == ProcessRBB {
+		path = s.store.CheckpointPath(r.Info().ID)
 	}
-	if resume {
-		snap, err := checkpoint.ReadFile(s.store.CheckpointPath(id))
-		if err != nil {
-			return 0, false, nil, fmt.Errorf("resume: %w", err)
-		}
-		// The checkpoint file is keyed only by run id; cross-check its
-		// identity against the spec so a stale or foreign file (recycled
-		// id, operator-edited store) can never impersonate this run's
-		// result.
-		if snap.Seed != sp.Seed || snap.Engine.N != sp.N || len(snap.Engine.Shards) != sp.Shards {
-			return 0, false, nil, fmt.Errorf("resume: checkpoint is for (seed %d, n %d, shards %d), spec wants (seed %d, n %d, shards %d)",
-				snap.Seed, snap.Engine.N, len(snap.Engine.Shards), sp.Seed, sp.N, sp.Shards)
-		}
-		proc, pipe, err = sp.Open(snap, s.opts.RunWorkers)
-		if err != nil {
-			return 0, false, nil, fmt.Errorf("resume: %w", err)
-		}
-	} else {
-		var err error
-		if proc, err = sp.Build(s.opts.RunWorkers); err != nil {
-			return 0, false, nil, err
-		}
+	proc, pipe, err := sp.Start(path, s.opts.RunWorkers)
+	if err != nil {
+		return 0, false, nil, err
 	}
 	defer proc.Close()
-	p, ok := proc.(checkpoint.Process)
-	if !ok {
-		return 0, false, nil, fmt.Errorf("placement %q cannot snapshot an rbb run", sp.Placement.Transport)
-	}
-	if pipe == nil {
-		var err error
-		if pipe, err = shard.NewPipeline(sp.Quantiles); err != nil {
-			return 0, false, nil, err
-		}
-	}
 	pol := checkpoint.Policy{
+		Path:     path,
 		Every:    sp.CheckpointEvery,
 		Seed:     sp.Seed,
 		Pipeline: pipe,
@@ -675,37 +633,12 @@ func (s *Server) runRBB(ctx context.Context, r *run, sp Spec) (int64, bool, *sha
 		// need the stop snapshot).
 		InterruptSnapshot: func() bool { return !r.wasCancelled() },
 	}
-	if s.store != nil {
-		pol.Path = s.store.CheckpointPath(id)
-	}
-	round, interrupted, err := checkpoint.Run(ctx, p, sp.Rounds, pol, streamObserver(r, pipe, sp))
-	if err != nil {
+	round, interrupted, err := checkpoint.Run(ctx, proc, sp.Rounds, pol, streamObserver(r, pipe, sp))
+	if err != nil || interrupted {
 		return round, interrupted, nil, err
 	}
-	sum := pipe.SummaryFor(p)
-	return round, interrupted, &sum, nil
-}
-
-// runTetris executes a tetris or batches run on the spec's placement (the
-// serialized arrival rules carry these processes across process and
-// machine boundaries too). No snapshot support: a shutdown re-queues the
-// run from round zero, which replays the identical trajectory.
-func (s *Server) runTetris(ctx context.Context, r *run, sp Spec) (int64, bool, *shard.Summary, error) {
-	tp, err := sp.Build(s.opts.RunWorkers)
-	if err != nil {
-		return 0, false, nil, err
-	}
-	defer tp.Close()
-	pipe, err := shard.NewPipeline(sp.Quantiles)
-	if err != nil {
-		return 0, false, nil, err
-	}
-	_, stopped := engine.RunContext(ctx, tp, sp.Rounds, pipe, streamObserver(r, pipe, sp))
-	if stopped {
-		return tp.Round(), true, nil, nil
-	}
-	sum := pipe.SummaryFor(tp)
-	return tp.Round(), false, &sum, nil
+	sum := pipe.SummaryFor(proc)
+	return round, false, &sum, nil
 }
 
 // badRequestError marks a client error (HTTP 400).

@@ -6,18 +6,13 @@
 // topology or machine set, and the trajectory stays the same pure function
 // of (seed, n, S, rule), byte-pinned by the transport-invariance matrix.
 //
-// Workers come to exist three ways:
+// Workers come to exist two ways:
 //
 //   - Self-spawn (the default, and the only local multi-process path:
 //     what `rbb-sim -procs P`, tests and single-box runs use): the
-//     coordinator listens on Options.Listen (127.0.0.1:0 unless set) and
-//     re-executes the current binary P times with RBB_TCP_CONNECT set;
-//     each child calls MaybeWorker, dials back and serves the session.
-//   - External dial-in (Options.External): operators launch
-//     `rbb-sim -worker -connect host:port` on other machines against a
-//     coordinator running with -listen; the coordinator accepts the first
-//     P connections in arrival order (placement invariance makes the
-//     order immaterial).
+//     coordinator listens on a loopback port and re-executes the current
+//     binary P times with RBB_TCP_CONNECT set; each child calls
+//     MaybeWorker, dials back and serves the session.
 //   - Host daemons (Options.Hosts): operators run
 //     `rbb-sim -worker -listen addr` daemons and the coordinator dials
 //     them — the mode rbb-serve uses for placement.hosts, because dialing
@@ -70,12 +65,6 @@ type Options struct {
 	Rule shard.ArrivalRule
 	// Mesh switches the exchange to direct worker↔worker delivery.
 	Mesh bool
-	// Listen is the coordinator's listen address for self-spawned or
-	// external workers (default 127.0.0.1:0). Ignored with Hosts.
-	Listen string
-	// External accepts P operator-launched workers (rbb-sim -worker
-	// -connect) on Listen instead of self-spawning.
-	External bool
 	// Hosts dials one worker daemon (rbb-sim -worker -listen) per entry
 	// instead of listening; P becomes len(Hosts).
 	Hosts []string
@@ -89,7 +78,7 @@ type Options struct {
 
 // Telemetry of the TCP transport, recorded on the coordinator side.
 // Per-peer byte counters are labeled by worker slot ("w0", "w1", ... —
-// bounded cardinality) in spawn/accept modes and by host address in
+// bounded cardinality) for self-spawned workers and by host address in
 // Hosts mode. Observational only; see the obs package doc.
 func linkCounters(peer string) (tx, rx *obs.Counter) {
 	tx = obs.Default.Counter("rbb_tcp_tx_bytes_total",
@@ -182,7 +171,7 @@ func NewProcess(loads []int32, seed uint64, opts Options) (*Engine, error) {
 }
 
 // connectWorkers establishes the P worker sockets: dialing host daemons,
-// or listening and (unless External) self-spawning dial-back children.
+// or listening on loopback and self-spawning dial-back children.
 func (e *Engine) connectWorkers(p int, opts Options) ([]*wire.Link, error) {
 	timeout := opts.AcceptTimeout
 	if timeout <= 0 {
@@ -202,28 +191,22 @@ func (e *Engine) connectWorkers(p int, opts Options) ([]*wire.Link, error) {
 		}
 		return links, nil
 	}
-	addr := opts.Listen
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("tcp: listening on %s: %w", addr, err)
+		return nil, fmt.Errorf("tcp: listening on loopback: %w", err)
 	}
 	defer ln.Close()
-	if !opts.External {
-		argv := opts.Command
-		if len(argv) == 0 {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, fmt.Errorf("tcp: resolving worker binary: %w", err)
-			}
-			argv = []string{exe}
+	argv := opts.Command
+	if len(argv) == 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("tcp: resolving worker binary: %w", err)
 		}
-		for i := 0; i < p; i++ {
-			if err := e.spawn(argv, ln.Addr().String()); err != nil {
-				return nil, err
-			}
+		argv = []string{exe}
+	}
+	for i := 0; i < p; i++ {
+		if err := e.spawn(argv, ln.Addr().String()); err != nil {
+			return nil, err
 		}
 	}
 	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {

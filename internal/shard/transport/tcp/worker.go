@@ -11,10 +11,6 @@ import (
 	"repro/internal/shard/transport/wire"
 )
 
-// IsWorker reports whether this process was spawned as a tcp-transport
-// dial-back worker.
-func IsWorker() bool { return os.Getenv(connectEnvVar) != "" }
-
 // MaybeWorker turns the process into a transport worker when it was
 // self-spawned as one: it dials the coordinator named by RBB_TCP_CONNECT,
 // serves the session and exits. In any other process it returns
@@ -25,18 +21,16 @@ func MaybeWorker() {
 	if addr == "" {
 		return
 	}
-	if err := Connect(addr); err != nil {
+	if err := connect(addr); err != nil {
 		fmt.Fprintln(os.Stderr, "rbb tcp worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// Connect dials a coordinator and serves one worker session until the
-// coordinator quits or disconnects — the `rbb-sim -worker -connect`
-// entry point for workers launched on other hosts against a listening
-// coordinator.
-func Connect(addr string) error {
+// connect dials the coordinator that spawned this worker and serves one
+// session until the coordinator quits or disconnects.
+func connect(addr string) error {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("tcp: dialing coordinator %s: %w", addr, err)

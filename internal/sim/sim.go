@@ -39,22 +39,6 @@ type Spec struct {
 	Metrics []string
 	// Parallelism caps the worker count; 0 means GOMAXPROCS.
 	Parallelism int
-	// Progress, if non-nil, receives a liveness update after each trial
-	// finishes (huge sweeps take minutes per trial; this is how they
-	// report that they are alive). done counts completed trials — it
-	// increments by one per call, reaching total on the last — and calls
-	// are serialized, though they may originate from any worker goroutine
-	// and trials complete in no particular order. The callback must not
-	// call back into the running batch. Trials restored from a Checkpoint
-	// file are counted as already done (the first callback of a resumed
-	// batch starts above the restored count).
-	Progress func(done, total int)
-	// Checkpoint, if non-nil with a non-empty Path, makes the batch
-	// resumable at trial granularity: completed rows are persisted after
-	// every trial and a rerun of the identical spec skips them. The
-	// aggregate of a resumed batch is bit-identical to the uninterrupted
-	// one (trial i's stream depends only on (Seed, i)).
-	Checkpoint *Checkpoint
 }
 
 // Run executes the spec. All trials run even if some fail; the first error
@@ -84,35 +68,7 @@ func Run(spec Spec, fn Trial) ([]Result, error) {
 	}
 	errs := make([]error, spec.Trials)
 
-	var ckpt *ckptState
-	restored := map[int][]float64{}
-	if spec.Checkpoint != nil && spec.Checkpoint.Path != "" {
-		var err error
-		ckpt, restored, err = loadProgress(spec)
-		if err != nil {
-			return nil, err
-		}
-		for t, row := range restored {
-			for i, v := range row {
-				values[i][t] = v
-			}
-		}
-	}
-
-	var (
-		wg         sync.WaitGroup
-		progressMu sync.Mutex
-		completed  = len(restored)
-	)
-	report := func() {
-		if spec.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		completed++
-		spec.Progress(completed, spec.Trials)
-		progressMu.Unlock()
-	}
+	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -123,30 +79,19 @@ func Run(spec Spec, fn Trial) ([]Result, error) {
 				row, err := fn(t, src)
 				if err != nil {
 					errs[t] = err
-					report()
 					continue
 				}
 				if len(row) != nm {
 					errs[t] = fmt.Errorf("sim: trial %d returned %d metrics, want %d", t, len(row), nm)
-					report()
 					continue
 				}
 				for i, v := range row {
 					values[i][t] = v
 				}
-				if ckpt != nil {
-					if err := ckpt.record(t, row); err != nil {
-						errs[t] = err
-					}
-				}
-				report()
 			}
 		}()
 	}
 	for t := 0; t < spec.Trials; t++ {
-		if _, done := restored[t]; done {
-			continue
-		}
 		next <- t
 	}
 	close(next)

@@ -1,11 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -72,66 +68,6 @@ func TestRunStreamsDiffer(t *testing.T) {
 	}
 }
 
-func TestProgressReportsEveryTrial(t *testing.T) {
-	const trials = 23
-	var (
-		mu    sync.Mutex
-		dones []int
-	)
-	_, err := Run(Spec{
-		Trials:      trials,
-		Seed:        9,
-		Metrics:     []string{"x"},
-		Parallelism: 4,
-		Progress: func(done, total int) {
-			if total != trials {
-				t.Errorf("total = %d, want %d", total, trials)
-			}
-			mu.Lock()
-			dones = append(dones, done)
-			mu.Unlock()
-		},
-	}, func(trial int, src *rng.Source) ([]float64, error) {
-		return []float64{float64(trial)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dones) != trials {
-		t.Fatalf("progress called %d times, want %d", len(dones), trials)
-	}
-	// The callback is serialized around the shared counter, so the done
-	// values must be exactly 1..trials in order of invocation.
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("dones[%d] = %d, want %d (got %v)", i, d, i+1, dones)
-		}
-	}
-}
-
-func TestProgressReportsFailedTrials(t *testing.T) {
-	calls := 0
-	_, err := Run(Spec{
-		Trials:      5,
-		Seed:        1,
-		Metrics:     []string{"x"},
-		Parallelism: 1,
-		Progress:    func(done, total int) { calls++ },
-	}, func(trial int, src *rng.Source) ([]float64, error) {
-		if trial == 2 {
-			return nil, errors.New("boom")
-		}
-		return []float64{1}, nil
-	})
-	if err == nil {
-		t.Fatal("error not propagated")
-	}
-	// All trials run even when some fail; each must still report.
-	if calls != 5 {
-		t.Fatalf("progress called %d times, want 5", calls)
-	}
-}
-
 func TestRunErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := Run(Spec{Trials: 5, Seed: 1, Metrics: []string{"x"}},
@@ -181,155 +117,5 @@ func TestRunScalarError(t *testing.T) {
 		return 0, boom
 	}); !errors.Is(err, boom) {
 		t.Fatal("scalar error not propagated")
-	}
-}
-
-func TestCheckpointResume(t *testing.T) {
-	const trials = 12
-	path := filepath.Join(t.TempDir(), "progress.json")
-	spec := Spec{
-		Trials:  trials,
-		Seed:    77,
-		Metrics: []string{"a", "b"},
-	}
-	trial := func(t int, src *rng.Source) ([]float64, error) {
-		return []float64{float64(t) + src.Float64(), src.Float64()}, nil
-	}
-	// Reference: the uninterrupted batch, no checkpoint.
-	want, err := Run(spec, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First attempt dies on trial 7 after some trials persisted.
-	spec.Checkpoint = &Checkpoint{Path: path}
-	failing := func(tr int, src *rng.Source) ([]float64, error) {
-		if tr == 7 {
-			return nil, errors.New("injected crash")
-		}
-		return trial(tr, src)
-	}
-	if _, err := Run(spec, failing); err == nil {
-		t.Fatal("injected failure not reported")
-	}
-	// Resume: only the missing trials run, and the aggregate is
-	// bit-identical to the uninterrupted batch.
-	var ran []int
-	var mu sync.Mutex
-	counting := func(tr int, src *rng.Source) ([]float64, error) {
-		mu.Lock()
-		ran = append(ran, tr)
-		mu.Unlock()
-		return trial(tr, src)
-	}
-	got, err := Run(spec, counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) >= trials {
-		t.Fatalf("resume re-ran all %d trials", len(ran))
-	}
-	found := false
-	for _, tr := range ran {
-		if tr == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("resume skipped the failed trial")
-	}
-	for i := range want {
-		for tr := range want[i].Values {
-			if want[i].Values[tr] != got[i].Values[tr] {
-				t.Fatalf("metric %d trial %d: %v vs %v", i, tr, got[i].Values[tr], want[i].Values[tr])
-			}
-		}
-	}
-	// A finished batch resumes to zero work.
-	ran = nil
-	if _, err := Run(spec, counting); err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) != 0 {
-		t.Fatalf("finished batch re-ran %d trials", len(ran))
-	}
-}
-
-func TestCheckpointProgressCountsRestored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "progress.json")
-	spec := Spec{
-		Trials:     6,
-		Seed:       1,
-		Metrics:    []string{"v"},
-		Checkpoint: &Checkpoint{Path: path},
-	}
-	ok := func(tr int, src *rng.Source) ([]float64, error) { return []float64{float64(tr)}, nil }
-	if _, err := Run(spec, ok); err != nil {
-		t.Fatal(err)
-	}
-	// Wipe two trials from the file to force a partial resume.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f map[string]any
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	done := f["done"].(map[string]any)
-	delete(done, "2")
-	delete(done, "5")
-	data, err = json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var first, calls int
-	spec.Progress = func(done, total int) {
-		if calls == 0 {
-			first = done
-		}
-		calls++
-		if total != 6 {
-			t.Errorf("total %d, want 6", total)
-		}
-	}
-	if _, err := Run(spec, ok); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 || first != 5 {
-		t.Fatalf("progress calls=%d first done=%d, want 2 calls starting at 5", calls, first)
-	}
-}
-
-func TestCheckpointSpecMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "progress.json")
-	spec := Spec{
-		Trials:     3,
-		Seed:       9,
-		Metrics:    []string{"v"},
-		Checkpoint: &Checkpoint{Path: path},
-	}
-	ok := func(tr int, src *rng.Source) ([]float64, error) { return []float64{1}, nil }
-	if _, err := Run(spec, ok); err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string]Spec{
-		"seed":    {Trials: 3, Seed: 10, Metrics: []string{"v"}},
-		"trials":  {Trials: 4, Seed: 9, Metrics: []string{"v"}},
-		"metrics": {Trials: 3, Seed: 9, Metrics: []string{"w"}},
-	} {
-		bad.Checkpoint = &Checkpoint{Path: path}
-		if _, err := Run(bad, ok); err == nil {
-			t.Errorf("%s mismatch accepted", name)
-		}
-	}
-	// Corrupt JSON is rejected, not silently restarted.
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(spec, ok); err == nil {
-		t.Error("corrupt progress file accepted")
 	}
 }

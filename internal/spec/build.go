@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
@@ -14,10 +15,11 @@ import (
 	"repro/internal/tetris"
 )
 
-// Process is the run surface Build and Open return: the engine stepping
-// interface plus teardown. Every ProcessRBB backend additionally
-// implements checkpoint.Process (and the multi-process ones
-// checkpoint.StreamProcess), so checkpoint.Run drives them unchanged.
+// Process is the run surface Build, Open and Start return: the engine
+// stepping interface plus teardown, which checkpoint.Run drives. Every
+// ProcessRBB backend additionally implements checkpoint.Process (and the
+// multi-process ones checkpoint.StreamProcess), so checkpoint.Run can
+// checkpoint them unchanged.
 type Process interface {
 	engine.Stepper
 	Close() error
@@ -126,6 +128,57 @@ func (sp RunSpec) Open(snap *checkpoint.Snapshot, hostWorkers int) (Process, *sh
 	default:
 		return nil, nil, fmt.Errorf("unknown placement.transport %q", kind)
 	}
+}
+
+// Start lowers a normalized spec into a run ready for checkpoint.Run: it
+// resumes from the checkpoint at path when a file exists there, and builds
+// the run fresh otherwise (path empty, or no file yet). Any stat error
+// other than not-exist fails the start — treating an unreadable
+// checkpoint as absent would silently restart a long run from round zero.
+// The file is keyed only by its path, so its identity (seed, n, shards) is
+// cross-checked against the spec: a stale or foreign checkpoint can never
+// impersonate this run's trajectory. The returned pipeline carries the
+// snapshot's observer accumulators, or is fresh over sp.Quantiles.
+//
+// Every frontend that starts a run from a spec — rbb-serve's runs and
+// in-process campaign points — goes through Start; rbb-sim's -resume,
+// which takes its law from the file, keeps Open.
+func (sp RunSpec) Start(path string, hostWorkers int) (Process, *shard.Pipeline, error) {
+	var (
+		proc Process
+		pipe *shard.Pipeline
+	)
+	if path != "" {
+		if _, err := os.Stat(path); err == nil {
+			snap, err := checkpoint.ReadFile(path)
+			if err != nil {
+				return nil, nil, fmt.Errorf("resume: %w", err)
+			}
+			if snap.Seed != sp.Seed || snap.Engine.N != sp.N || len(snap.Engine.Shards) != sp.Shards {
+				return nil, nil, fmt.Errorf("resume: checkpoint is for (seed %d, n %d, shards %d), spec wants (seed %d, n %d, shards %d)",
+					snap.Seed, snap.Engine.N, len(snap.Engine.Shards), sp.Seed, sp.N, sp.Shards)
+			}
+			if proc, pipe, err = sp.Open(snap, hostWorkers); err != nil {
+				return nil, nil, fmt.Errorf("resume: %w", err)
+			}
+		} else if !os.IsNotExist(err) {
+			return nil, nil, fmt.Errorf("resume: %w", err)
+		}
+	}
+	if proc == nil {
+		var err error
+		if proc, err = sp.Build(hostWorkers); err != nil {
+			return nil, nil, err
+		}
+	}
+	if pipe == nil {
+		var err error
+		if pipe, err = shard.NewPipeline(sp.Quantiles); err != nil {
+			proc.Close()
+			return nil, nil, err
+		}
+	}
+	return proc, pipe, nil
 }
 
 // UnreachableHostsError reports placement hosts that failed the
