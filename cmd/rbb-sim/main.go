@@ -316,79 +316,19 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown process %q (want original|tetris|token|choices|jackson)", *process)
 	}
 
-	// The header names the shard count (part of the random law's key) but
-	// not the worker count, which varies by machine and must not break the
-	// byte-identical-stdout determinism check.
-	threshold := config.LegitimateThreshold(*n, config.Beta)
 	if !*jsonOut {
-		shardInfo := ""
-		switch p := s.(type) {
-		case *shard.Process:
-			shardInfo = fmt.Sprintf(" shards=%d", p.Engine().Shards())
-		case *shard.Tetris:
-			shardInfo = fmt.Sprintf(" shards=%d", p.Engine().Shards())
-		case *tcp.Engine:
-			shardInfo = fmt.Sprintf(" shards=%d procs=%d transport=%s", p.Shards(), p.Procs(), rs.Placement.Transport)
-		}
 		fmt.Fprintf(out, "# %s process, n=%d m=%d init=%s seed=%d%s (legitimate: max load <= %d)\n",
-			*process, *n, balls, *initName, *seed, shardInfo, threshold)
+			*process, *n, balls, *initName, *seed, placementInfo(s, rs.Placement.Transport), config.LegitimateThreshold(*n, config.Beta))
 	}
-
-	if *ckptPath != "" {
-		// Checkpointed runs always carry a pipeline (window max, empty
-		// fraction, requested quantiles) so that resumed summaries cover
-		// the whole run.
-		pipe, err := shard.NewPipeline(probs)
-		if err != nil {
-			return err
-		}
-		pol := checkpoint.Policy{Path: *ckptPath, Every: *ckptEvery, Seed: *seed, Pipeline: pipe, Compress: *ckptComp}
-		return runCheckpointed(out, s.(checkpoint.Process), pipe, pol, *rounds, *every, *timings, *jsonOut)
+	// Every run carries a pipeline (window max, empty fraction, requested
+	// quantiles): it feeds the summary, and a checkpointed run's resumed
+	// summaries cover the whole run through it.
+	pipe, err := shard.NewPipeline(probs)
+	if err != nil {
+		return err
 	}
-
-	if *jsonOut {
-		pipe, err := shard.NewPipeline(probs)
-		if err != nil {
-			return err
-		}
-		engine.Run(s, *rounds, pipe)
-		return printSummary(out, pipe.SummaryFor(s))
-	}
-	interval := reportInterval(*every, *rounds)
-	fmt.Fprintf(out, "%10s  %8s  %11s  %10s\n", "round", "max load", "empty frac", "legitimate")
-	report := reporter(out, s, threshold)
-	report()
-	var wm engine.WindowMax
-	obs := []engine.Observer{&wm, engine.ObserverFunc(func(st engine.Stepper) {
-		if st.Round()%interval == 0 {
-			report()
-		}
-	})}
-	var pipe *shard.Pipeline
-	if len(probs) > 0 {
-		pipe, err = shard.NewPipeline(probs)
-		if err != nil {
-			return err
-		}
-		obs = append(obs, pipe)
-	}
-	engine.Run(s, *rounds, obs...)
-	fmt.Fprintf(out, "\nwindow max load: %d (%.2f x ln n)\n", wm.Max(), float64(wm.Max())/math.Log(float64(*n)))
-	if pipe != nil {
-		fmt.Fprintf(out, "max-load quantiles over rounds: %s\n", pipe)
-	}
-	if tp, ok := s.(*core.TokenProcess); ok {
-		fmt.Fprintf(out, "min ball progress: %d hops; max per-visit delay: %d; mean delay: %.3f\n",
-			tp.MinHops(), tp.MaxDelay(), tp.MeanDelay())
-	}
-	if tet, ok := s.(*shard.Tetris); ok {
-		if r, done := tet.AllEmptiedRound(); done {
-			fmt.Fprintf(out, "all bins emptied at least once by round %d (5n = %d)\n", r, 5**n)
-		} else {
-			fmt.Fprintf(out, "some bins have not emptied yet\n")
-		}
-	}
-	return nil
+	pol := checkpoint.Policy{Path: *ckptPath, Every: *ckptEvery, Seed: *seed, Pipeline: pipe, Compress: *ckptComp}
+	return runLoop(out, s, pipe, pol, *rounds, *every, *timings, *jsonOut)
 }
 
 // startTelemetry wires the -trace and -metrics side channels: it installs a
@@ -511,21 +451,11 @@ func runResumed(out io.Writer, path string, target, every int64, ckptPath string
 	if err := rs.NormalizePlacement(); err != nil {
 		return err
 	}
-	sp, pipe, err := rs.Open(snap, 0)
+	p, pipe, err := rs.Open(snap, 0)
 	if err != nil {
 		return err
 	}
-	defer sp.Close()
-	p, ok := sp.(checkpoint.Process)
-	if !ok {
-		return fmt.Errorf("placement %q cannot snapshot a resumed run", rs.Placement.Transport)
-	}
-	balls := sp.(interface{ Balls() int64 }).Balls()
-	shards := len(snap.Engine.Shards)
-	var info string
-	if pe, ok := sp.(interface{ Procs() int }); ok {
-		info = fmt.Sprintf(" procs=%d transport=%s", pe.Procs(), rs.Placement.Transport)
-	}
+	defer p.Close()
 	if target < p.Round() {
 		return fmt.Errorf("checkpoint is already at round %d, past the target -rounds %d (the flag counts total rounds from the original start, not additional rounds)", p.Round(), target)
 	}
@@ -538,35 +468,52 @@ func runResumed(out io.Writer, path string, target, every int64, ckptPath string
 		}
 	}
 	if !jsonOut {
-		threshold := config.LegitimateThreshold(p.N(), config.Beta)
-		fmt.Fprintf(out, "# original process resumed at round %d, n=%d m=%d seed=%d shards=%d%s (legitimate: max load <= %d)\n",
-			p.Round(), p.N(), balls, snap.Seed, shards, info, threshold)
+		balls := p.(interface{ Balls() int64 }).Balls()
+		fmt.Fprintf(out, "# original process resumed at round %d, n=%d m=%d seed=%d%s (legitimate: max load <= %d)\n",
+			p.Round(), p.N(), balls, snap.Seed, placementInfo(p, rs.Placement.Transport), config.LegitimateThreshold(p.N(), config.Beta))
 	}
 	pol := checkpoint.Policy{Path: ckptPath, Every: ckptEvery, Seed: snap.Seed, Pipeline: pipe, Compress: compress}
-	return runCheckpointed(out, p, pipe, pol, target, every, timings, jsonOut)
+	return runLoop(out, p, pipe, pol, target, every, timings, jsonOut)
 }
 
-// runCheckpointed drives a sharded original-process run under a checkpoint
-// policy. When the policy writes anywhere, SIGTERM/SIGINT cancel the run
-// context and checkpoint.Run snapshots and stops at the next round
-// boundary — the same shared path rbb-serve uses for its shutdown.
-func runCheckpointed(out io.Writer, p checkpoint.Process, pipe *shard.Pipeline, pol checkpoint.Policy, target, every int64, timings, jsonOut bool) error {
+// placementInfo renders the header's placement fields: the shard count
+// (part of the random law's key) and, for worker processes, their count
+// and transport. It never names the phase worker count, which varies by
+// machine and must not break the byte-identical-stdout determinism check.
+func placementInfo(s engine.Stepper, transport string) string {
+	var info string
+	if sh, ok := s.(interface{ Shards() int }); ok {
+		info = fmt.Sprintf(" shards=%d", sh.Shards())
+	}
+	if pe, ok := s.(interface{ Procs() int }); ok {
+		info += fmt.Sprintf(" procs=%d transport=%s", pe.Procs(), transport)
+	}
+	return info
+}
+
+// runLoop is rbb-sim's one run loop: it drives any process kind, fresh or
+// resumed, to the target round through checkpoint.Run under pol, printing
+// the text time series or the JSON summary. When the policy writes
+// anywhere, SIGTERM/SIGINT cancel the run context and checkpoint.Run
+// snapshots and stops at the next round boundary — the same shared path
+// rbb-serve uses for its shutdown.
+func runLoop(out io.Writer, s engine.Stepper, pipe *shard.Pipeline, pol checkpoint.Policy, target, every int64, timings, jsonOut bool) error {
 	ctx := context.Background()
 	// Cumulative across every write of the run (periodic, triggered, final),
 	// matching the Summary field's contract — not just the last write.
 	var encSeconds float64
-	pol.OnWrite = func(s float64) { encSeconds += s }
+	pol.OnWrite = func(seconds float64) { encSeconds += seconds }
 	if pol.Path != "" {
 		var stop context.CancelFunc
 		ctx, stop = signal.NotifyContext(ctx, syscall.SIGTERM, os.Interrupt)
 		defer stop()
 	}
+	n := s.N()
 	var obs []engine.Observer
 	if !jsonOut {
-		threshold := config.LegitimateThreshold(p.N(), config.Beta)
 		interval := reportInterval(every, target)
 		fmt.Fprintf(out, "%10s  %8s  %11s  %10s\n", "round", "max load", "empty frac", "legitimate")
-		report := reporter(out, p, threshold)
+		report := reporter(out, s, config.LegitimateThreshold(n, config.Beta))
 		report()
 		obs = append(obs, engine.ObserverFunc(func(st engine.Stepper) {
 			if st.Round()%interval == 0 {
@@ -574,7 +521,7 @@ func runCheckpointed(out io.Writer, p checkpoint.Process, pipe *shard.Pipeline, 
 			}
 		}))
 	}
-	round, interrupted, err := checkpoint.Run(ctx, p, target, pol, obs...)
+	round, interrupted, err := checkpoint.Run(ctx, s, target, pol, obs...)
 	if err != nil {
 		return err
 	}
@@ -588,15 +535,26 @@ func runCheckpointed(out io.Writer, p checkpoint.Process, pipe *shard.Pipeline, 
 		return nil
 	}
 	if jsonOut {
-		sum := pipe.SummaryFor(p)
+		sum := pipe.SummaryFor(s)
 		if timings {
 			sum.CkptEncodeSeconds = encSeconds
 		}
 		return printSummary(out, sum)
 	}
-	fmt.Fprintf(out, "\nwindow max load: %d (%.2f x ln n)\n", pipe.WindowMax(), float64(pipe.WindowMax())/math.Log(float64(p.N())))
+	fmt.Fprintf(out, "\nwindow max load: %d (%.2f x ln n)\n", pipe.WindowMax(), float64(pipe.WindowMax())/math.Log(float64(n)))
 	if q := pipe.String(); q != "" {
 		fmt.Fprintf(out, "max-load quantiles over rounds: %s\n", q)
+	}
+	switch p := s.(type) {
+	case *core.TokenProcess:
+		fmt.Fprintf(out, "min ball progress: %d hops; max per-visit delay: %d; mean delay: %.3f\n",
+			p.MinHops(), p.MaxDelay(), p.MeanDelay())
+	case *shard.Tetris:
+		if r, done := p.AllEmptiedRound(); done {
+			fmt.Fprintf(out, "all bins emptied at least once by round %d (5n = %d)\n", r, 5*n)
+		} else {
+			fmt.Fprintf(out, "some bins have not emptied yet\n")
+		}
 	}
 	return nil
 }

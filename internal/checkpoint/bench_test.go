@@ -139,7 +139,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			return SaveOptions(w, &Snapshot{Seed: 7, Engine: eng, Observer: obs}, Options{})
 		}},
 		{"live", func(w io.Writer) error {
-			return writeEngine(w, p.Engine(), 7, obs, Options{})
+			return writeProcess(w, p, 7, obs, Options{})
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

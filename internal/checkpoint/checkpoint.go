@@ -57,11 +57,16 @@
 // when a dense round left them stale. Up to GOMAXPROCS shards encode
 // concurrently, each encoder reusing one frame buffer, so a write
 // allocates about one frame per encoder rather than the 4 bytes per bin of
-// an []int32 gather. In-process engines stream through it directly; the
-// multi-process workers answer a snapshot request with it and the
-// coordinator relays their frames (StreamProcess). Save and SaveOptions
-// remain the encoders of a gathered Snapshot — the resume, migration and
-// test paths — and write the identical bytes.
+// an []int32 gather. An in-process *shard.Process streams through it
+// directly; the multi-process workers answer a snapshot request with it
+// and the coordinator relays their frames (StreamProcess). Save and
+// SaveOptions remain the encoders of a gathered Snapshot — the resume,
+// migration and test paths — and write the identical bytes.
+//
+// The format records no arrival rule: every checkpoint resumes as a
+// relaunch (rbb) run. Run therefore checks the rule before it steps, on
+// every placement alike, and refuses to checkpoint a tetris or batches
+// run.
 //
 // # Format v1 (legacy, still loaded)
 //
@@ -80,7 +85,7 @@
 // panic and never a silently wrong resume. Decompression is bounded by the
 // exact expected payload size computed from (n, S, width), so a corrupted
 // length cannot demand absurd memory. The worklist words are redundant with
-// the loads on purpose: shard.RestoreEngine cross-checks the two, so a
+// the loads on purpose: shard.RestoreProcess cross-checks the two, so a
 // flipped bit that survives the CRC check (it cannot, but defense in depth
 // is cheap here) is still caught structurally.
 //

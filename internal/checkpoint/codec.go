@@ -379,8 +379,8 @@ func readObserverFields(r *leReader) (*shard.PipelineSnapshot, error) {
 // prefix). Corrupted or truncated input yields an error; Load never panics
 // and never allocates more than a constant factor of the bytes actually
 // read. The returned snapshot still goes through the structural
-// re-validation of shard.RestoreEngine when it is turned back into a live
-// engine.
+// re-validation of shard.RestoreProcess when it is turned back into a live
+// process.
 func Load(src io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(src, 1<<16)
 	pre, _ := br.Peek(12)

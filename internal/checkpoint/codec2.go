@@ -525,20 +525,20 @@ func SaveOptions(dst io.Writer, snap *Snapshot, opts Options) error {
 	})
 }
 
-// writeEngine streams the checkpoint of the in-process engine e to dst,
+// writeProcess streams the checkpoint of the in-process run p to dst,
 // every shard frame encoded straight from live shard memory (the encoder
-// of EncodeShards). The bytes equal SaveOptions over e.Snapshot(), without
+// of EncodeShards). The bytes equal SaveOptions over p.Snapshot(), without
 // the whole-run []int32 gather.
-func writeEngine(dst io.Writer, e *shard.Engine, seed uint64, obs *shard.PipelineSnapshot, opts Options) error {
+func writeProcess(dst io.Writer, p *shard.Process, seed uint64, obs *shard.PipelineSnapshot, opts Options) error {
 	h := Header{
 		Seed:     seed,
-		N:        e.N(),
-		Shards:   e.Shards(),
-		Round:    e.Round(),
+		N:        p.N(),
+		Shards:   p.Shards(),
+		Round:    p.Round(),
 		Observer: obs != nil,
 		Compress: opts.Compress,
 	}
-	g := e.Group()
+	g := p.Group()
 	return writeFramed(dst, h, obs, func(fe *frameEncoder, s int) ([]byte, error) {
 		return fe.liveShardFrame(g, s, opts.Compress)
 	})

@@ -50,16 +50,19 @@ type Policy struct {
 	OnWrite func(seconds float64)
 }
 
-// Process is the engine surface Run checkpoints: a round stepper whose
-// complete deterministic state can be checkpointed between rounds.
-// Snapshot gathers that state into memory (resume tooling and tests use
-// it); Run never does, it streams. *shard.Process implements Process,
-// and so does the multi-process coordinator engine of
-// internal/shard/transport/wire — which is how `rbb-sim -procs P` shares
-// this runner (periodic, triggered and snapshot-and-stop checkpoints)
-// with single-process runs.
+// Process is the stepper surface Run checkpoints: a round stepper whose
+// complete deterministic state can be checkpointed between rounds, and
+// the arrival rule it steps. Snapshot gathers that state into memory
+// (resume tooling and tests use it); Run never does, it streams. Run
+// checkpoints only the relaunch rule, because the format records no rule
+// and every checkpoint resumes as rbb. *shard.Process (and with it
+// *shard.Tetris) implements Process, and so does the multi-process
+// coordinator of internal/shard/transport/wire — which is how
+// `rbb-sim -procs P` shares this runner (periodic, triggered and
+// snapshot-and-stop checkpoints) with single-process runs.
 type Process interface {
 	engine.Stepper
+	Rule() shard.ArrivalRule
 	Snapshot() (*shard.EngineSnapshot, error)
 }
 
@@ -71,30 +74,22 @@ type StreamProcess interface {
 	StreamCheckpoint(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts Options) error
 }
 
-// engineProcess is implemented by processes over an in-process sharded
-// engine (*shard.Process): Run streams their checkpoints straight from
-// live shard memory.
-type engineProcess interface {
-	Engine() *shard.Engine
-}
-
 // streamFunc writes one whole checkpoint stream of a running engine.
 type streamFunc func(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts Options) error
 
 // streamer returns how Run writes p's checkpoint stream: through the
-// engine's own StreamCheckpoint, or by encoding an in-process engine's
+// engine's own StreamCheckpoint, or by encoding an in-process process's
 // live shards. Either way no whole-run snapshot is gathered.
 func streamer(p Process) (streamFunc, error) {
 	switch p := p.(type) {
 	case StreamProcess:
 		return p.StreamCheckpoint, nil
-	case engineProcess:
-		e := p.Engine()
+	case *shard.Process:
 		return func(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts Options) error {
-			return writeEngine(dst, e, seed, obs, opts)
+			return writeProcess(dst, p, seed, obs, opts)
 		}, nil
 	}
-	return nil, fmt.Errorf("checkpoint: %T streams no checkpoint (want a StreamProcess or an in-process shard engine)", p)
+	return nil, fmt.Errorf("checkpoint: %T streams no checkpoint (want a StreamProcess or a *shard.Process)", p)
 }
 
 // countingWriter counts the bytes written through it.
@@ -112,16 +107,17 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // Run drives p to round target under pol, notifying obs (and pol.Pipeline)
 // after every round. It is the one run loop: cmd/rbb-sim, rbb-serve and
 // in-process campaign points all step through it, checkpointed or not.
-// All checkpoint hooks are barrier-synchronized for free: Engine.Step
+// All checkpoint hooks are barrier-synchronized for free: a sharded Step
 // returns only after the release and commit barriers, so every snapshot
 // taken between Steps is a consistent whole-run cut — no extra
 // synchronization protocol exists, by construction.
 //
 // With pol.Path empty, p may be any stepper (tetris and batches included).
-// With pol.Path set, p must be a Process; anything else is refused before
-// the first step. The check is on the Process interface, not on the
-// engine: a *shard.Tetris exposes Engine() too, and streaming its shards
-// would write a file that later resumes as an rbb run.
+// With pol.Path set, p must be a Process stepping the relaunch rule;
+// anything else is refused before the first step, with an error naming
+// the rule. The guard is by rule, not by type, so it holds on every
+// placement: a tetris run in process or on tcp workers is a Process too,
+// and its checkpoint would later resume as an rbb run.
 //
 // Cancelling ctx is the snapshot-and-stop hook: Run stops at the next
 // round boundary (after at least one round), writes a snapshot when
@@ -146,6 +142,9 @@ func Run(ctx context.Context, p engine.Stepper, target int64, pol Policy, obs ..
 		cp, ok := p.(Process)
 		if !ok {
 			return p.Round(), false, fmt.Errorf("checkpoint: %T cannot be checkpointed (not a checkpoint.Process)", p)
+		}
+		if rule := cp.Rule(); !rule.Conserves() {
+			return p.Round(), false, fmt.Errorf("checkpoint: cannot checkpoint a %s run (the format resumes only relaunch)", rule)
 		}
 		var err error
 		if stream, err = streamer(cp); err != nil {

@@ -154,10 +154,12 @@ func TestLoadRejectsBinsOverLimit(t *testing.T) {
 }
 
 // TestRunRejectsUnstreamable: Run streams every checkpoint, so a Process
-// that is neither a StreamProcess nor an in-process engine is refused
-// before its first round when checkpointing is on — and so is a stepper
-// that is no Process at all, even one exposing an in-process engine: a
-// *shard.Tetris streamed as a checkpoint would later resume as rbb.
+// that is neither a StreamProcess nor a *shard.Process is refused before
+// its first round when checkpointing is on — and so is a Process stepping
+// any rule but relaunch, whatever its type: a *shard.Tetris is a Process
+// (it embeds one), but its checkpoint would later resume as rbb, so the
+// rule guard refuses it with an error naming the rule. The tcp package
+// pins the same guard on the star and the mesh.
 func TestRunRejectsUnstreamable(t *testing.T) {
 	p, _ := newStreamRun(t, config.OnePerBin(64), 2, engine.WidthAuto, 0)
 	defer p.Close()
@@ -174,8 +176,8 @@ func TestRunRejectsUnstreamable(t *testing.T) {
 
 	tp := newTetris(t)
 	defer tp.Close()
-	if _, _, err := Run(context.Background(), tp, 5, Policy{Path: path}); err == nil {
-		t.Fatal("Run checkpointed a tetris process")
+	if _, _, err := Run(context.Background(), tp, 5, Policy{Path: path}); err == nil || !strings.Contains(err.Error(), tp.Rule().String()) {
+		t.Fatalf("Run of a checkpointed tetris process: %v, want an error naming %s", err, tp.Rule())
 	}
 	if tp.Round() != 0 {
 		t.Errorf("refused tetris run stepped to round %d", tp.Round())

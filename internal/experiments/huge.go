@@ -57,7 +57,7 @@ func E20HugeN(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		engine.Run(p, c.window, pipe)
-		shards := p.Engine().Shards()
+		shards := p.Shards()
 		// Release the row's pool workers eagerly — the grid creates one
 		// engine per row and the sweep can run for minutes.
 		p.Close()

@@ -49,9 +49,9 @@ func (k ArrivalKind) String() string {
 
 // ArrivalRule is the serializable description of an arrival law: the kind
 // plus its rate parameter. It is the unit every placement consumes — the
-// in-process engines build their Arrivals closure from it, and the
-// proc/tcp transports encode it into the worker join payload so all
-// process kinds cross process and machine boundaries.
+// in-process Process builds its Arrivals closure from it, and the tcp
+// transport encodes it into the worker join payload so all process kinds
+// cross process and machine boundaries.
 //
 // The per-shard decomposition is re-derived deterministically from
 // (kind, λ, n, S) on whichever side executes it, so a rule — like a
@@ -152,7 +152,11 @@ func DecodeArrivalRule(b []byte) (ArrivalRule, error) {
 }
 
 // Arrivals builds the per-shard arrival closure for a run of n bins in
-// the given shard count: the batch decomposition described on Tetris —
+// the given shard count: the released count for ArrivalRelaunch, and the
+// exact batch decomposition for the Tetris kinds (uniform destinations
+// make any split law-neutral, and sums of independent binomials with a
+// common p, and of independent Poissons, recover Binomial(n, λ) and
+// Poisson(λn)) —
 // fixed quotas for ArrivalQuota, Binomial(n_s, λ) for ArrivalBinomial,
 // Poisson(λ·n_s) for ArrivalPoisson — indexed by global shard. The
 // decomposition is a pure function of (rule, n, shards), so every

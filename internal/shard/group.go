@@ -45,9 +45,9 @@ const MaxBins = 1 << 31
 // Group is the in-process kernel of the round protocol: it holds shards
 // [Lo, Hi) of a run partitioned into Shards contiguous shards over N bins,
 // and executes the per-shard release and commit phases on them through a
-// transport.Runner. The whole-run Engine is a Group owning every shard; a
-// proc-transport worker is a Group owning a sub-range, with the remote
-// legs of the exchange carried by Outgoing/Deliver.
+// transport.Runner. The in-process Process steps a Group owning every
+// shard; a tcp worker process steps a Group owning a sub-range, with the
+// remote legs of the exchange carried by Outgoing/Deliver.
 //
 // A Group is driven strictly phase-sequentially by one goroutine:
 // Release, then (for sub-range groups) ship Outgoing buffers and Deliver
@@ -104,6 +104,12 @@ func PartitionStart(n, s, i int) int {
 // storage-width floor, and the dense-round kernel. Width and Kernel are
 // trajectory-neutral; the zero value is the default configuration.
 type GroupOptions struct {
+	// OnEmptied, if non-nil, is invoked during the commit phase for every
+	// bin that was non-empty at the start of the round and is empty after
+	// arrivals merge. Calls for bins of one shard arrive in increasing bin
+	// order from that shard's worker; calls for bins of different shards
+	// may be concurrent, so the callback must only touch per-bin (or
+	// otherwise shard-disjoint) state.
 	OnEmptied func(u int)
 	Width     engine.Width
 	Kernel    engine.Kernel
@@ -141,7 +147,7 @@ func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Run
 // NewGroupFromSnapshot builds the kernel for shards [lo, hi) from a
 // whole-run snapshot, restoring each owned shard's loads, worklist, rng
 // stream and storage width with the same structural cross-checks as
-// RestoreEngine (gopts.Width is the restore-side floor; a shard never
+// RestoreProcess (gopts.Width is the restore-side floor; a shard never
 // restores narrower than its snapshot recorded, so resumed runs keep the
 // ratchet). The multi-process transport uses it — with the serialized checkpoint as
 // the join payload — to migrate shard ranges into worker processes. Only
@@ -243,7 +249,7 @@ func newPartState(loads []int32, base int, gopts GroupOptions) (*engine.State, e
 
 // prefault runs the worker-pinned page warm-up once: with the pooled
 // runner, each shard's state is touched by the worker that will step it
-// for the engine's lifetime, so lazily-allocated pages are first-touched
+// for the group's lifetime, so lazily-allocated pages are first-touched
 // on the right thread (see engine.State.Prefault).
 func (g *Group) prefault() {
 	g.runner.Run(func(i int) { g.parts[i].state.Prefault() })

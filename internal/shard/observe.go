@@ -170,7 +170,7 @@ func (p *Pipeline) Summary() Summary {
 
 // SummaryFor returns the current digest with memory accounting taken from
 // the stepper that produced the trajectory: when s reports LoadBytes (the
-// sharded engines and the proc coordinator do), MemBytesPerBin is filled.
+// in-process Process and the tcp coordinator do), MemBytesPerBin is filled.
 func (p *Pipeline) SummaryFor(s engine.Stepper) Summary {
 	sum := p.Summary()
 	if lb, ok := s.(interface{ LoadBytes() int64 }); ok && s.N() > 0 {

@@ -6,68 +6,123 @@ import (
 	"math"
 
 	"repro/internal/engine"
-	"repro/internal/rng"
+	"repro/internal/shard/transport/local"
 	"repro/internal/tetris"
 )
 
-// Process is the sharded repeated balls-into-bins engine: the law of
-// core.Process (every non-empty bin releases one ball to an independently
-// and uniformly chosen bin) executed by the data-parallel Engine. It
-// implements engine.Stepper. Create with NewProcess; one Step fans out to
-// the engine's workers internally, so a *Process itself must not be shared
+// Process is the in-process sharded stepper: a Group owning every shard
+// of the run, stepped on a persistent local.Pool under one ArrivalRule.
+// Each round every non-empty bin releases one ball and the rule decides
+// how many balls land uniformly at random — the released ones under
+// relaunch (the law of core.Process), a batch under the Tetris rules. It
+// implements engine.Stepper. Create with NewProcess or RestoreProcess
+// (relaunch) or NewTetris (batch rules); Close it to release the pool's
+// workers (an abandoned, unclosed process is reaped by the garbage
+// collector eventually, but long-lived callers creating many processes
+// should Close deterministically). One Step fans out to the workers and
+// joins them before returning, so a *Process itself must not be shared
 // between goroutines.
 type Process struct {
-	eng *Engine
-	m   int64
+	g       *Group
+	workers int
+	rule    ArrivalRule
+	arrive  Arrivals
+
+	round    int64
+	maxLoad  int32
+	empty    int
+	released int
+	staged   int
+	balls    int64
 }
 
-// NewProcess builds a sharded process over a copy of loads. Shard s draws
-// from rng.NewStream(seed, s); the run is a pure function of
-// (seed, len(loads), opts.Shards).
+// NewProcess builds a sharded repeated balls-into-bins process over a
+// copy of loads. Shard s draws from rng.NewStream(seed, s); the run is a
+// pure function of (seed, len(loads), opts.Shards). It returns an error if
+// loads is empty or contains a negative entry.
 func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
-	if opts.OnEmptied != nil {
-		return nil, errors.New("shard: NewProcess does not support OnEmptied")
-	}
-	eng, err := NewEngine(loads, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	m := eng.Sum()
-	if m > math.MaxInt32 {
-		return nil, fmt.Errorf("shard: %d balls exceed int32 bin capacity", m)
-	}
-	return &Process{eng: eng, m: m}, nil
+	return newProcess(loads, seed, opts, ArrivalRule{}, nil)
 }
 
-// Snapshot captures the full process state for checkpointing. A Process
-// holds no randomized state beyond its engine (the ball count is derived
-// from the loads), so the engine snapshot is the whole checkpoint.
-func (p *Process) Snapshot() (*EngineSnapshot, error) { return p.eng.Snapshot() }
+// newProcess builds a process stepping rule over a copy of loads, with
+// onEmptied (global bin indices) as the group's OnEmptied hook.
+func newProcess(loads []int32, seed uint64, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
+	n := len(loads)
+	if n < 1 {
+		return nil, errors.New("shard: NewProcess with no bins")
+	}
+	s, w := opts.resolve(n)
+	runner := local.NewPool(s, w)
+	g, err := NewGroup(n, s, 0, s, loads, seed, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel})
+	if err != nil {
+		runner.Close()
+		return nil, err
+	}
+	return bind(g, w, rule, 0)
+}
 
-// RestoreProcess rebuilds a sharded process from a snapshot taken with
-// Snapshot. The restored process continues the trajectory exactly: for any
-// round r past the snapshot, its loads are byte-identical to those of the
-// uninterrupted run.
+// RestoreProcess rebuilds a relaunch process from a snapshot taken with
+// Snapshot. The shard count comes from the snapshot (opts.Shards is
+// ignored — it is part of the saved random law); Workers, Width and Kernel
+// are taken from opts as usual. Every structural property is validated:
+// the per-shard slice sizes must match the canonical partition of N into
+// len(Shards) shards, the worklist words must agree with the loads, and
+// the rng states must be valid. The restored process continues the
+// trajectory exactly: for any round r past the snapshot, its loads are
+// byte-identical to those of the uninterrupted run. Its Released/Staged
+// read 0 until its first Step (the in-flight counters of the pre-snapshot
+// round are not part of the trajectory).
 func RestoreProcess(snap *EngineSnapshot, opts Options) (*Process, error) {
-	if opts.OnEmptied != nil {
-		return nil, errors.New("shard: RestoreProcess does not support OnEmptied")
+	if snap == nil {
+		return nil, errors.New("shard: RestoreProcess with nil snapshot")
 	}
-	eng, err := RestoreEngine(snap, opts)
+	s := len(snap.Shards)
+	if s < 1 || s > snap.N {
+		return nil, fmt.Errorf("shard: snapshot has %d shards for %d bins", s, snap.N)
+	}
+	opts.Shards = s
+	_, w := opts.resolve(snap.N)
+	runner := local.NewPool(s, w)
+	g, err := NewGroupFromSnapshot(snap, 0, s, runner, GroupOptions{Width: opts.Width, Kernel: opts.Kernel})
 	if err != nil {
+		runner.Close()
 		return nil, err
 	}
-	m := eng.Sum()
-	if m > math.MaxInt32 {
-		return nil, fmt.Errorf("shard: %d balls exceed int32 bin capacity", m)
-	}
-	return &Process{eng: eng, m: m}, nil
+	return bind(g, w, ArrivalRule{}, snap.Round)
 }
 
-// relaunch is the RBB arrival rule: every released ball is re-thrown.
-func relaunch(_, released int, _ *rng.Source) int { return released }
+// bind wraps a built group into a process stepping rule from round, and
+// folds its starting statistics and ball count. A conserving rule keeps
+// every ball in play, so all of them must fit one int32 bin. On error the
+// group is closed.
+func bind(g *Group, workers int, rule ArrivalRule, round int64) (*Process, error) {
+	balls := g.Sum()
+	arrive, err := rule.Arrivals(g.N(), g.Shards())
+	if err == nil && rule.Conserves() && balls > math.MaxInt32 {
+		err = fmt.Errorf("shard: %d balls exceed int32 bin capacity", balls)
+	}
+	if err != nil {
+		g.Close()
+		return nil, err
+	}
+	p := &Process{g: g, workers: workers, rule: rule, arrive: arrive, round: round, balls: balls}
+	p.maxLoad, p.empty = g.MaxLoad(), g.EmptyBins()
+	return p, nil
+}
 
-// Step advances one synchronous round.
-func (p *Process) Step() { p.eng.Step(relaunch) }
+// Step advances one synchronous round: release in parallel (departures,
+// the rule's arrival count, destination draws into the message buffers),
+// barrier, commit in parallel (drain buffers, merge, local stats),
+// barrier, then fold the global statistics and the ball count.
+func (p *Process) Step() {
+	p.g.Release(p.arrive)
+	p.g.Commit()
+	p.released, p.staged = p.g.Released(), p.g.Staged()
+	p.balls += int64(p.staged) - int64(p.released)
+	p.maxLoad, p.empty = p.g.MaxLoad(), p.g.EmptyBins()
+	p.round++
+	mRounds.Inc()
+}
 
 // Run advances the process by k rounds.
 func (p *Process) Run(k int64) {
@@ -76,55 +131,103 @@ func (p *Process) Run(k int64) {
 	}
 }
 
-// Engine returns the underlying sharded engine.
-func (p *Process) Engine() *Engine { return p.eng }
+// Snapshot captures the full process state for checkpointing. Step
+// returns only after both phase barriers, so a snapshot taken by the
+// driving goroutine between Steps is always a consistent whole-run cut.
+// The snapshot does not record the rule: only relaunch runs are
+// checkpointed (checkpoint.Run refuses the others), and RestoreProcess
+// resumes relaunch.
+func (p *Process) Snapshot() (*EngineSnapshot, error) {
+	snap := &EngineSnapshot{N: p.g.N(), Round: p.round, Shards: make([]ShardSnapshot, p.g.Shards())}
+	for i := range snap.Shards {
+		ss, err := p.g.SnapshotShard(i)
+		if err != nil {
+			return nil, err
+		}
+		snap.Shards[i] = ss
+	}
+	return snap, nil
+}
 
-// Close releases the engine's transport resources. Idempotent.
-func (p *Process) Close() error { return p.eng.Close() }
+// Rule returns the canonical arrival rule the process steps.
+func (p *Process) Rule() ArrivalRule { return p.rule }
+
+// Group returns the protocol kernel holding every shard of the run.
+// internal/checkpoint reads it (Group.ShardView) to stream a checkpoint
+// straight from live shard memory; callers must not step it.
+func (p *Process) Group() *Group { return p.g }
+
+// Close releases the pool's persistent workers. The process must not be
+// stepped afterwards. Idempotent.
+func (p *Process) Close() error { return p.g.Close() }
 
 // N returns the number of bins.
-func (p *Process) N() int { return p.eng.N() }
+func (p *Process) N() int { return p.g.N() }
 
-// Balls returns the number of balls m.
-func (p *Process) Balls() int64 { return p.m }
+// Shards returns the number of shards S.
+func (p *Process) Shards() int { return p.g.Shards() }
+
+// Workers returns the number of workers used per phase.
+func (p *Process) Workers() int { return p.workers }
+
+// Balls returns the current total number of balls: constant under
+// relaunch, moved by every round's batch under the Tetris rules.
+func (p *Process) Balls() int64 { return p.balls }
 
 // Round returns the number of completed rounds.
-func (p *Process) Round() int64 { return p.eng.Round() }
+func (p *Process) Round() int64 { return p.round }
 
 // MaxLoad returns the current maximum bin load.
-func (p *Process) MaxLoad() int32 { return p.eng.MaxLoad() }
+func (p *Process) MaxLoad() int32 { return p.maxLoad }
 
 // EmptyBins returns the current number of empty bins.
-func (p *Process) EmptyBins() int { return p.eng.EmptyBins() }
+func (p *Process) EmptyBins() int { return p.empty }
 
 // NonEmptyBins returns |W(t)|, the current number of non-empty bins.
-func (p *Process) NonEmptyBins() int { return p.eng.NonEmptyBins() }
+func (p *Process) NonEmptyBins() int { return p.g.N() - p.empty }
+
+// Released returns the number of balls released in the last round (0
+// before the first round).
+func (p *Process) Released() int { return p.released }
+
+// Staged returns the number of balls thrown in the last round (0 before
+// the first round).
+func (p *Process) Staged() int { return p.staged }
 
 // Load returns the load of bin u.
-func (p *Process) Load(u int) int32 { return p.eng.Load(u) }
+func (p *Process) Load(u int) int32 { return p.g.Load(u) }
 
 // LoadsCopy returns a fresh copy of the current load vector.
-func (p *Process) LoadsCopy() []int32 { return p.eng.LoadsCopy() }
+func (p *Process) LoadsCopy() []int32 { return p.g.AppendLoads(make([]int32, 0, p.g.N())) }
 
-// LoadBytes returns the resident bytes of the load vectors and staging
-// areas (see Engine.LoadBytes).
-func (p *Process) LoadBytes() int64 { return p.eng.LoadBytes() }
+// LoadBytes returns the resident bytes of the load vectors and arrival
+// staging areas at their current storage widths — the memory the compact
+// representation is accountable for (worklists, buffers and scratch are
+// excluded). Deterministic for a given trajectory, so it is safe to report
+// in byte-compared summaries.
+func (p *Process) LoadBytes() int64 { return p.g.LoadBytes() }
 
-// CheckInvariants verifies ball conservation and the engine invariants.
+// CheckInvariants verifies every shard's internal invariants, the
+// partition bookkeeping, the aggregated statistics and the ball count.
 func (p *Process) CheckInvariants() error {
-	if err := p.eng.CheckInvariants(); err != nil {
+	if err := p.g.CheckInvariants(); err != nil {
 		return err
 	}
-	if s := p.eng.Sum(); s != p.m {
-		return fmt.Errorf("shard: balls not conserved: %d != %d", s, p.m)
+	if max := p.g.MaxLoad(); max != p.maxLoad {
+		return fmt.Errorf("shard: aggregate max load %d, shards say %d", p.maxLoad, max)
+	}
+	if empty := p.g.EmptyBins(); empty != p.empty {
+		return fmt.Errorf("shard: aggregate empty count %d, shards say %d", p.empty, empty)
+	}
+	if s := p.g.Sum(); s != p.balls {
+		return fmt.Errorf("shard: ball counter %d != actual %d", p.balls, s)
 	}
 	return nil
 }
 
 // TetrisOptions configures a sharded Tetris process.
 type TetrisOptions struct {
-	// Options configures the sharding (OnEmptied must be nil; the Tetris
-	// process owns the hook for its first-emptying tracker).
+	// Options configures the sharding.
 	Options
 	// Law is the arrival law (default tetris.Deterministic).
 	Law tetris.ArrivalLaw
@@ -134,21 +237,14 @@ type TetrisOptions struct {
 
 // Tetris is the sharded Tetris / batched-arrival ("leaky bins") process:
 // every round each non-empty bin discards one ball and K fresh balls land
-// uniformly at random. It implements engine.Stepper.
-//
-// The batch is decomposed exactly across shards so the sharded law matches
-// the sequential one: under tetris.Deterministic, K = ⌈λn⌉ is split into
-// fixed per-shard quotas summing to K (uniform destinations make any split
-// law-neutral); under tetris.BinomialArrivals shard s draws
-// Binomial(n_s, λ) and under tetris.PoissonArrivals it draws
-// Poisson(λ·n_s) from its own stream — sums of independent binomials with
-// a common p, and of independent Poissons, recover Binomial(n, λ) and
-// Poisson(λn) exactly.
+// uniformly at random. It is a Process under the batch rule of its law
+// (see ArrivalRule.Arrivals for the exact per-shard decomposition: fixed
+// quotas summing to K = ⌈λn⌉ under tetris.Deterministic, Binomial(n_s, λ)
+// and Poisson(λ·n_s) per shard under tetris.BinomialArrivals and
+// tetris.PoissonArrivals), plus the Lemma 4 tracker of the first round at
+// which each bin was empty.
 type Tetris struct {
-	eng    *Engine
-	rule   ArrivalRule
-	arrive Arrivals
-	balls  int64
+	*Process
 
 	// firstEmpty[u] is the first round at which global bin u was empty (0
 	// if it started empty), or −1 if it has never been empty. Written only
@@ -156,15 +252,10 @@ type Tetris struct {
 	// perShardNever counts that shard's never-emptied bins.
 	firstEmpty    []int64
 	perShardNever []int64
-	roundNow      int64 // snapshot of the in-flight round, read by the hook
 }
 
 // NewTetris builds a sharded Tetris process over a copy of loads.
 func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	if opts.OnEmptied != nil {
-		return nil, errors.New("shard: NewTetris does not support a caller OnEmptied")
-	}
-	n := len(loads)
 	rule, err := RuleForLaw(opts.Law, opts.Lambda)
 	if err != nil {
 		return nil, err
@@ -172,96 +263,32 @@ func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) 
 	if rule, err = rule.Normalize(); err != nil {
 		return nil, err
 	}
-	t := &Tetris{
-		rule:       rule,
-		firstEmpty: make([]int64, n),
-	}
-	shOpts := opts.Options
-	shOpts.OnEmptied = t.markEmptied
-	eng, err := NewEngine(loads, seed, shOpts)
-	if err != nil {
+	t := &Tetris{firstEmpty: make([]int64, len(loads))}
+	if t.Process, err = newProcess(loads, seed, opts.Options, rule, t.markEmptied); err != nil {
 		return nil, err
 	}
-	t.eng = eng
-	t.balls = eng.Sum()
-	s := eng.Shards()
-	t.perShardNever = make([]int64, s)
+	t.perShardNever = make([]int64, t.Shards())
 	for u, l := range loads {
 		if l == 0 {
 			t.firstEmpty[u] = 0
 		} else {
 			t.firstEmpty[u] = -1
-			t.perShardNever[eng.shardOf(u)]++
+			t.perShardNever[t.g.ShardOf(u)]++
 		}
-	}
-	if t.arrive, err = rule.Arrivals(n, s); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
 
-// markEmptied is the engine's OnEmptied hook. It runs during the commit
-// phase on the owning shard's worker; different shards touch disjoint
-// firstEmpty entries and their own perShardNever slot.
+// markEmptied is the group's OnEmptied hook. It runs during the commit
+// phase on the owning shard's worker, while the embedded round still
+// counts the rounds before the one in flight; different shards touch
+// disjoint firstEmpty entries and their own perShardNever slot.
 func (t *Tetris) markEmptied(u int) {
 	if t.firstEmpty[u] < 0 {
-		t.firstEmpty[u] = t.roundNow + 1
-		t.perShardNever[t.eng.shardOf(u)]--
+		t.firstEmpty[u] = t.round + 1
+		t.perShardNever[t.g.ShardOf(u)]--
 	}
 }
-
-// Rule returns the canonical arrival rule the process executes.
-func (t *Tetris) Rule() ArrivalRule { return t.rule }
-
-// Step advances one round: departures, then the decomposed batch of
-// uniform arrivals.
-func (t *Tetris) Step() {
-	t.roundNow = t.eng.Round()
-	t.eng.Step(t.arrive)
-	t.balls += int64(t.eng.Staged()) - int64(t.eng.Released())
-}
-
-// Run advances the process by k rounds.
-func (t *Tetris) Run(k int64) {
-	for i := int64(0); i < k; i++ {
-		t.Step()
-	}
-}
-
-// Engine returns the underlying sharded engine.
-func (t *Tetris) Engine() *Engine { return t.eng }
-
-// LoadBytes returns the resident bytes of the load vectors and staging
-// areas (see Engine.LoadBytes).
-func (t *Tetris) LoadBytes() int64 { return t.eng.LoadBytes() }
-
-// Close releases the engine's transport resources. Idempotent.
-func (t *Tetris) Close() error { return t.eng.Close() }
-
-// N returns the number of bins.
-func (t *Tetris) N() int { return t.eng.N() }
-
-// Round returns the number of completed rounds.
-func (t *Tetris) Round() int64 { return t.eng.Round() }
-
-// MaxLoad returns the current maximum bin load.
-func (t *Tetris) MaxLoad() int32 { return t.eng.MaxLoad() }
-
-// EmptyBins returns the current number of empty bins.
-func (t *Tetris) EmptyBins() int { return t.eng.EmptyBins() }
-
-// NonEmptyBins returns the current number of non-empty bins.
-func (t *Tetris) NonEmptyBins() int { return t.eng.NonEmptyBins() }
-
-// Balls returns the current total number of balls (Tetris does not
-// conserve balls).
-func (t *Tetris) Balls() int64 { return t.balls }
-
-// Load returns the load of bin u.
-func (t *Tetris) Load(u int) int32 { return t.eng.Load(u) }
-
-// LoadsCopy returns a fresh copy of the load vector.
-func (t *Tetris) LoadsCopy() []int32 { return t.eng.LoadsCopy() }
 
 // FirstEmptyRound returns the first round at which bin u was empty, or −1
 // if it has not emptied yet.
@@ -283,17 +310,6 @@ func (t *Tetris) AllEmptiedRound() (int64, bool) {
 		}
 	}
 	return worst, true
-}
-
-// CheckInvariants verifies the engine invariants and the ball counter.
-func (t *Tetris) CheckInvariants() error {
-	if err := t.eng.CheckInvariants(); err != nil {
-		return err
-	}
-	if s := t.eng.Sum(); s != t.balls {
-		return fmt.Errorf("shard: tetris ball counter %d != actual %d", t.balls, s)
-	}
-	return nil
 }
 
 // Steppers (compile-time check).

@@ -40,12 +40,23 @@
 // The protocol kernel (Group) is placement-agnostic: where the per-shard
 // phase work executes is delegated to a transport. In process it is the
 // persistent worker pool with shard→worker affinity (local.Pool): each
-// shard is stepped by the same long-lived goroutine for the engine's
+// shard is stepped by the same long-lived goroutine for the process's
 // lifetime. Across processes, internal/shard/transport/tcp runs shard
 // ranges in worker processes — self-spawned on loopback or daemons on
 // other hosts — each stepping its range on its own pool. All transports
 // execute the identical protocol, so the trajectory never depends on the
 // choice — only wall-clock does.
+//
+// # Steppers
+//
+// One type steps a whole run in process: Process, a Group owning every
+// shard, driven by an ArrivalRule. The rule's Arrivals closure decides
+// each shard's arrival count, so the paper's process (relaunch), the §3.3
+// Tetris device (quota) and the leaky-bins batches (binomial, poisson) are
+// one synchronous round under different rules. Process is the in-process
+// twin of wire.Coordinator, which steps the same rules across worker
+// processes. NewProcess and RestoreProcess step the relaunch rule; Tetris
+// is a Process under a batch rule plus the Lemma 4 first-emptying tracker.
 //
 // # Determinism contract
 //
@@ -73,10 +84,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/rng"
-	"repro/internal/shard/transport/local"
 )
 
-// Options configures an Engine.
+// Options configures a Process (and, inside TetrisOptions, a Tetris).
 type Options struct {
 	// Shards is the number of contiguous bin partitions S (clamped to n).
 	// It selects the random law's decomposition: results are a pure
@@ -87,13 +97,6 @@ type Options struct {
 	// to Shards). 0 means min(GOMAXPROCS, Shards). The trajectory is
 	// independent of Workers.
 	Workers int
-	// OnEmptied, if non-nil, is invoked during the commit phase for every
-	// bin (global index) that was non-empty at the start of the round and
-	// is empty after arrivals merge. Calls for bins of one shard arrive in
-	// increasing bin order from that shard's worker; calls for bins of
-	// different shards may be concurrent, so the callback must only touch
-	// per-bin (or otherwise shard-disjoint) state.
-	OnEmptied func(u int)
 	// Width is the per-shard load-storage floor (default engine.WidthAuto:
 	// each shard stores at the narrowest width fitting its loads and widens
 	// on demand). The trajectory is independent of it; only memory and the
@@ -103,11 +106,6 @@ type Options struct {
 	// (default engine.KernelBatched). The trajectory is independent of it;
 	// only speed depends on it.
 	Kernel engine.Kernel
-}
-
-// groupOptions lowers the engine-facing options into the group layer.
-func (o Options) groupOptions() GroupOptions {
-	return GroupOptions{OnEmptied: o.OnEmptied, Width: o.Width, Kernel: o.Kernel}
 }
 
 // resolve clamps the shard and worker counts against n.
@@ -136,64 +134,6 @@ func (o Options) resolve(n int) (s, w int) {
 // shard's sequence. It must not retain src.
 type Arrivals func(s, released int, src *rng.Source) int
 
-// Engine is the sharded round executor over an in-process transport: a
-// Group owning every shard of the run. Create with NewEngine; drive it
-// with Step; Close it to release the transport's workers (an abandoned,
-// unclosed engine is reaped by the garbage collector eventually, but
-// long-lived callers creating many engines should Close deterministically).
-// Not safe for concurrent use (each Step internally fans out to the
-// transport's workers and joins them before returning).
-type Engine struct {
-	g       *Group
-	workers int
-
-	round    int64
-	maxLoad  int32
-	empty    int
-	released int
-	staged   int
-}
-
-// NewEngine partitions loads into shards and returns the engine. The
-// initial configuration is copied. It returns an error if loads is empty
-// or contains a negative entry.
-func NewEngine(loads []int32, seed uint64, opts Options) (*Engine, error) {
-	n := len(loads)
-	if n < 1 {
-		return nil, errors.New("shard: NewEngine with no bins")
-	}
-	s, w := opts.resolve(n)
-	runner := local.NewPool(s, w)
-	g, err := NewGroup(n, s, 0, s, loads, seed, runner, opts.groupOptions())
-	if err != nil {
-		runner.Close()
-		return nil, err
-	}
-	e := &Engine{g: g, workers: w}
-	e.refreshStats()
-	return e, nil
-}
-
-// refreshStats folds the per-shard statistics into the global ones.
-func (e *Engine) refreshStats() {
-	e.maxLoad = e.g.MaxLoad()
-	e.empty = e.g.EmptyBins()
-}
-
-// Step advances one synchronous round: release in parallel (departures,
-// arrival-count decision, destination draws into the message buffers),
-// barrier, commit in parallel (drain buffers, merge, local stats),
-// barrier, then fold the global statistics. arrivals must not be nil.
-func (e *Engine) Step(arrivals Arrivals) {
-	e.g.Release(arrivals)
-	e.g.Commit()
-	e.released = e.g.Released()
-	e.staged = e.g.Staged()
-	e.refreshStats()
-	e.round++
-	mRounds.Inc()
-}
-
 // ShardSnapshot is the checkpointed state of one shard: its private rng
 // stream, its local load slice, its local worklist words (the latter are
 // derivable from the loads; carrying both lets restore cross-check them)
@@ -209,10 +149,10 @@ type ShardSnapshot struct {
 	Width uint8
 }
 
-// EngineSnapshot is the complete deterministic state of an Engine between
-// rounds: everything the round protocol reads is either here or derived
-// from it, so a restored engine continues the trajectory exactly. It is
-// plain data; internal/checkpoint owns the serialized form.
+// EngineSnapshot is the complete deterministic state of a sharded run
+// between rounds: everything the round protocol reads is either here or
+// derived from it, so a restored process continues the trajectory exactly.
+// It is plain data; internal/checkpoint owns the serialized form.
 type EngineSnapshot struct {
 	N      int
 	Round  int64
@@ -220,9 +160,9 @@ type EngineSnapshot struct {
 }
 
 // InitialSnapshot builds the round-zero EngineSnapshot of a fresh run —
-// exactly the state NewEngine(loads, seed, Options{Shards: shards,
+// exactly the state NewProcess(loads, seed, Options{Shards: shards,
 // Width: width}) would snapshot before its first Step — without
-// constructing an engine. The multi-process transport uses it (serialized
+// constructing a process. The multi-process transport uses it (serialized
 // through internal/checkpoint) as the worker join payload; shards follows
 // the Options.Shards convention (0 means GOMAXPROCS, clamped to n) and
 // width the Options.Width one (the floor of each shard's auto-fitted
@@ -260,138 +200,4 @@ func InitialSnapshot(loads []int32, seed uint64, shards int, width engine.Width)
 		base += size
 	}
 	return snap, nil
-}
-
-// Snapshot captures the full engine state. Step returns only after both
-// phase barriers, so a snapshot taken by the driving goroutine between
-// Steps is always a consistent whole-run cut — no draining or quiescing
-// protocol is needed beyond "not during a Step call".
-func (e *Engine) Snapshot() (*EngineSnapshot, error) {
-	snap := &EngineSnapshot{
-		N:      e.g.N(),
-		Round:  e.round,
-		Shards: make([]ShardSnapshot, e.g.Shards()),
-	}
-	for i := range snap.Shards {
-		ss, err := e.g.SnapshotShard(i)
-		if err != nil {
-			return nil, err
-		}
-		snap.Shards[i] = ss
-	}
-	return snap, nil
-}
-
-// RestoreEngine rebuilds an engine from a snapshot. The shard count comes
-// from the snapshot (opts.Shards is ignored — it is part of the saved
-// random law); Workers and OnEmptied are taken from opts as usual. Every
-// structural property is validated: the per-shard slice sizes must match
-// the canonical partition of N into len(Shards) shards, the worklist words
-// must agree with the loads, and the rng states must be valid. The
-// restored engine's Released/Staged read 0 until its first Step (the
-// in-flight counters of the pre-snapshot round are not part of the
-// trajectory).
-func RestoreEngine(snap *EngineSnapshot, opts Options) (*Engine, error) {
-	if snap == nil {
-		return nil, errors.New("shard: RestoreEngine with nil snapshot")
-	}
-	s := len(snap.Shards)
-	if s < 1 || s > snap.N {
-		return nil, fmt.Errorf("shard: snapshot has %d shards for %d bins", s, snap.N)
-	}
-	opts.Shards = s
-	_, w := opts.resolve(snap.N)
-	runner := local.NewPool(s, w)
-	g, err := NewGroupFromSnapshot(snap, 0, s, runner, opts.groupOptions())
-	if err != nil {
-		runner.Close()
-		return nil, err
-	}
-	e := &Engine{g: g, workers: w, round: snap.Round}
-	e.refreshStats()
-	return e, nil
-}
-
-// Group returns the protocol kernel holding every shard of the engine.
-// internal/checkpoint reads it (Group.ShardView) to stream a checkpoint
-// straight from live shard memory; callers must not step it.
-func (e *Engine) Group() *Group { return e.g }
-
-// Close releases the engine's transport resources (the pool's persistent
-// workers). The engine must not be stepped afterwards. Idempotent.
-func (e *Engine) Close() error { return e.g.Close() }
-
-// N returns the number of bins.
-func (e *Engine) N() int { return e.g.N() }
-
-// Shards returns the number of shards S.
-func (e *Engine) Shards() int { return e.g.Shards() }
-
-// Workers returns the number of workers used per phase.
-func (e *Engine) Workers() int { return e.workers }
-
-// Round returns the number of completed rounds.
-func (e *Engine) Round() int64 { return e.round }
-
-// MaxLoad returns the current global maximum bin load.
-func (e *Engine) MaxLoad() int32 { return e.maxLoad }
-
-// EmptyBins returns the current global number of empty bins.
-func (e *Engine) EmptyBins() int { return e.empty }
-
-// NonEmptyBins returns |W(t)|, the current number of non-empty bins.
-func (e *Engine) NonEmptyBins() int { return e.g.N() - e.empty }
-
-// Released returns the number of balls released in the last round (0
-// before the first round).
-func (e *Engine) Released() int { return e.released }
-
-// Staged returns the number of balls thrown in the last round (0 before
-// the first round).
-func (e *Engine) Staged() int { return e.staged }
-
-// shardOf returns the shard owning global bin v.
-func (e *Engine) shardOf(v int) int { return e.g.ShardOf(v) }
-
-// shardSize returns the bin count of shard i.
-func (e *Engine) shardSize(i int) int { return PartitionSize(e.g.N(), e.g.Shards(), i) }
-
-// Load returns the load of global bin u.
-func (e *Engine) Load(u int) int32 { return e.g.Load(u) }
-
-// LoadsCopy returns a fresh copy of the full load vector.
-func (e *Engine) LoadsCopy() []int32 {
-	return e.g.AppendLoads(make([]int32, 0, e.g.N()))
-}
-
-// Sum returns the total number of balls currently in the system.
-func (e *Engine) Sum() int64 { return e.g.Sum() }
-
-// LoadBytes returns the resident bytes of the engine's load vectors and
-// arrival staging areas at their current storage widths — the memory the
-// compact representation is accountable for (worklists, buffers and
-// scratch are excluded). Deterministic for a given trajectory, so it is
-// safe to report in byte-compared summaries.
-func (e *Engine) LoadBytes() int64 { return e.g.LoadBytes() }
-
-// ScratchBytes returns the resident bytes of the shards' per-round scratch
-// buffers (destination staging, the batched kernel's partition buffer and
-// bucket cursors). Unlike LoadBytes it depends on the kernel and on how far
-// the run has progressed, so it must never enter byte-compared summaries —
-// it exists for memory accounting and the zero-alloc steady-state tests.
-func (e *Engine) ScratchBytes() int64 { return e.g.ScratchBytes() }
-
-// CheckInvariants verifies every shard's internal invariants, the
-// partition bookkeeping and the aggregated statistics.
-func (e *Engine) CheckInvariants() error {
-	if err := e.g.CheckInvariants(); err != nil {
-		return err
-	}
-	if max := e.g.MaxLoad(); max != e.maxLoad {
-		return fmt.Errorf("shard: aggregate max load %d, shards say %d", e.maxLoad, max)
-	}
-	if empty := e.g.EmptyBins(); empty != e.empty {
-		return fmt.Errorf("shard: aggregate empty count %d, shards say %d", e.empty, empty)
-	}
-	return nil
 }

@@ -14,14 +14,11 @@ import (
 )
 
 func TestEngineValidation(t *testing.T) {
-	if _, err := NewEngine(nil, 1, Options{}); err == nil {
+	if _, err := NewProcess(nil, 1, Options{}); err == nil {
 		t.Error("no bins accepted")
 	}
-	if _, err := NewEngine([]int32{-1}, 1, Options{}); err == nil {
+	if _, err := NewProcess([]int32{-1}, 1, Options{}); err == nil {
 		t.Error("negative load accepted")
-	}
-	if _, err := NewProcess([]int32{1}, 1, Options{OnEmptied: func(int) {}}); err == nil {
-		t.Error("NewProcess accepted OnEmptied")
 	}
 	if _, err := NewTetris([]int32{1}, 1, TetrisOptions{Lambda: 1.5}); err == nil {
 		t.Error("lambda > 1 accepted")
@@ -41,7 +38,7 @@ func TestPartition(t *testing.T) {
 	for _, tc := range []struct{ n, s int }{
 		{1, 1}, {7, 3}, {64, 8}, {100, 7}, {5, 8}, // s > n clamps to n
 	} {
-		e, err := NewEngine(make([]int32, tc.n), 1, Options{Shards: tc.s})
+		p, err := NewProcess(make([]int32, tc.n), 1, Options{Shards: tc.s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,13 +46,13 @@ func TestPartition(t *testing.T) {
 		if wantS > tc.n {
 			wantS = tc.n
 		}
-		if e.Shards() != wantS {
-			t.Fatalf("n=%d s=%d: got %d shards", tc.n, tc.s, e.Shards())
+		if p.Shards() != wantS {
+			t.Fatalf("n=%d s=%d: got %d shards", tc.n, tc.s, p.Shards())
 		}
 		// Every bin maps to the shard whose range contains it, and sizes
 		// differ by at most one.
 		for v := 0; v < tc.n; v++ {
-			i := e.shardOf(v)
+			i := p.Group().ShardOf(v)
 			base, size := PartitionStart(tc.n, wantS, i), PartitionSize(tc.n, wantS, i)
 			if v < base || v >= base+size {
 				t.Fatalf("n=%d s=%d: bin %d mapped to shard %d [%d,%d)",
@@ -64,7 +61,7 @@ func TestPartition(t *testing.T) {
 		}
 		min, max := tc.n, 0
 		for i := 0; i < wantS; i++ {
-			if sz := e.shardSize(i); sz < min {
+			if sz := PartitionSize(tc.n, p.Shards(), i); sz < min {
 				min = sz
 			} else if sz > max {
 				max = sz
@@ -73,6 +70,7 @@ func TestPartition(t *testing.T) {
 		if max > 0 && max-min > 1 {
 			t.Fatalf("n=%d s=%d: shard sizes range [%d,%d]", tc.n, tc.s, min, max)
 		}
+		p.Close()
 	}
 }
 
@@ -95,8 +93,8 @@ func TestWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Engine().Workers() != 1 || b.Engine().Workers() != 8 {
-		t.Fatalf("workers = %d, %d; want 1, 8", a.Engine().Workers(), b.Engine().Workers())
+	if a.Workers() != 1 || b.Workers() != 8 {
+		t.Fatalf("workers = %d, %d; want 1, 8", a.Workers(), b.Workers())
 	}
 	for r := 0; r < rounds; r++ {
 		a.Step()
@@ -174,13 +172,13 @@ func TestTransportInvariance(t *testing.T) {
 	}
 }
 
-// TestInitialSnapshot pins that the engine-free fresh-run snapshot equals
-// the snapshot of a freshly built engine — the multi-process transport's fresh-run
-// join payload depends on this identity.
+// TestInitialSnapshot pins that the process-free fresh-run snapshot equals
+// the snapshot of a freshly built process — the multi-process transport's
+// fresh-run join payload depends on this identity.
 func TestInitialSnapshot(t *testing.T) {
 	const n, s, seed = 1000, 7, 23
 	loads := config.UniformRandom(n, 1700, rng.New(4))
-	want, err := NewEngine(loads, seed, Options{Shards: s})
+	want, err := NewProcess(loads, seed, Options{Shards: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,20 +312,52 @@ func TestGroupRoundAllocs(t *testing.T) {
 		shards int
 		width  engine.Width
 	}{{1, engine.WidthAuto}, {1, engine.Width16}, {8, engine.WidthAuto}} {
-		e, err := NewEngine(config.OnePerBin(1<<14), 3, Options{Shards: tc.shards, Workers: 1, Width: tc.width})
+		p, err := NewProcess(config.OnePerBin(1<<14), 3, Options{Shards: tc.shards, Workers: 1, Width: tc.width})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Step(relaunch) // warm-up round
+		p.Step() // warm-up round
 		allocs := testing.AllocsPerRun(64, func() {
-			e.g.Release(relaunch)
-			e.g.Commit()
+			p.g.Release(p.arrive)
+			p.g.Commit()
 		})
 		if allocs != 0 {
 			t.Errorf("S=%d width %v: a round allocates %v times, want 0", tc.shards, tc.width, allocs)
 		}
-		if err := e.Close(); err != nil {
+		if err := p.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestStepAllocs: a whole warm Step allocates nothing either, under every
+// arrival rule at S = 1 and S = 8 — neither the rule's Arrivals closure,
+// the statistics fold and ball counter of Process.Step, nor the Tetris
+// first-emptying hook.
+func TestStepAllocs(t *testing.T) {
+	const n = 1 << 14
+	for _, shards := range []int{1, 8} {
+		opts := Options{Shards: shards, Workers: 1}
+		p, err := NewProcess(config.OnePerBin(n), 3, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steppers := []*Process{p}
+		for _, law := range []tetris.ArrivalLaw{tetris.Deterministic, tetris.BinomialArrivals, tetris.PoissonArrivals} {
+			tp, err := NewTetris(config.OnePerBin(n), 3, TetrisOptions{Options: opts, Law: law})
+			if err != nil {
+				t.Fatal(err)
+			}
+			steppers = append(steppers, tp.Process)
+		}
+		for _, sp := range steppers {
+			sp.Run(8) // warm-up rounds
+			if allocs := testing.AllocsPerRun(64, sp.Step); allocs != 0 {
+				t.Errorf("S=%d rule %v: a Step allocates %v times, want 0", shards, sp.Rule(), allocs)
+			}
+			if err := sp.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

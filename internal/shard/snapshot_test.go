@@ -142,9 +142,9 @@ func TestSnapshotWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRestoreEngineRejectsCorruptSnapshots: every structural violation a
+// TestRestoreProcessRejectsCorruptSnapshots: every structural violation a
 // decoder could let through is still caught at restore.
-func TestRestoreEngineRejectsCorruptSnapshots(t *testing.T) {
+func TestRestoreProcessRejectsCorruptSnapshots(t *testing.T) {
 	p, err := NewProcess(config.OnePerBin(64), 1, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -157,36 +157,36 @@ func TestRestoreEngineRejectsCorruptSnapshots(t *testing.T) {
 		}
 		return snap
 	}
-	if _, err := RestoreEngine(nil, Options{}); err == nil {
+	if _, err := RestoreProcess(nil, Options{}); err == nil {
 		t.Error("nil snapshot accepted")
 	}
 	snap := fresh()
 	snap.Round = -1
-	if _, err := RestoreEngine(snap, Options{}); err == nil {
+	if _, err := RestoreProcess(snap, Options{}); err == nil {
 		t.Error("negative round accepted")
 	}
 	snap = fresh()
 	snap.Shards[1].RNG = [4]uint64{}
-	if _, err := RestoreEngine(snap, Options{}); err == nil {
+	if _, err := RestoreProcess(snap, Options{}); err == nil {
 		t.Error("all-zero rng state accepted")
 	}
 	snap = fresh()
 	snap.Shards[2].Work[0] ^= 1 // flip a worklist bit out from under the loads
-	if _, err := RestoreEngine(snap, Options{}); err == nil {
+	if _, err := RestoreProcess(snap, Options{}); err == nil {
 		t.Error("inconsistent worklist accepted")
 	}
 	snap = fresh()
 	snap.Shards[0].Loads = snap.Shards[0].Loads[:len(snap.Shards[0].Loads)-1]
-	if _, err := RestoreEngine(snap, Options{}); err == nil {
+	if _, err := RestoreProcess(snap, Options{}); err == nil {
 		t.Error("short shard accepted")
 	}
 	snap = fresh()
 	snap.Shards[3].Loads[0] = -2
-	if _, err := RestoreEngine(snap, Options{}); err == nil {
+	if _, err := RestoreProcess(snap, Options{}); err == nil {
 		t.Error("negative load accepted")
 	}
 	// And an untouched snapshot still restores.
-	if _, err := RestoreEngine(fresh(), Options{}); err != nil {
+	if _, err := RestoreProcess(fresh(), Options{}); err != nil {
 		t.Errorf("clean snapshot rejected: %v", err)
 	}
 }

@@ -91,8 +91,8 @@ func linkCounters(peer string) (tx, rx *obs.Counter) {
 }
 
 // Engine is the coordinator side of the TCP transport. It implements the
-// same stepping surface as shard.Process (engine.Stepper plus Snapshot,
-// so checkpoint.Run drives it unchanged); see wire.Coordinator for the
+// same stepping surface as shard.Process (engine.Stepper plus Rule and
+// Snapshot, so checkpoint.Run drives it unchanged); see wire.Coordinator for the
 // failure semantics — a mid-round transport failure panics from Step with
 // the failing worker's peer address (and exit status, when self-spawned)
 // after cancelling the surviving workers.

@@ -201,9 +201,9 @@ func TestMeshStats(t *testing.T) {
 			t.Fatalf("round %d: stats diverge: max %d vs %d, empty %d vs %d",
 				r, e.MaxLoad(), ref.MaxLoad(), e.EmptyBins(), ref.EmptyBins())
 		}
-		if e.Released() != ref.Engine().Released() || e.Staged() != ref.Engine().Staged() {
+		if e.Released() != ref.Released() || e.Staged() != ref.Staged() {
 			t.Fatalf("round %d: flow diverges: released %d vs %d, staged %d vs %d",
-				r, e.Released(), ref.Engine().Released(), e.Staged(), ref.Engine().Staged())
+				r, e.Released(), ref.Released(), e.Staged(), ref.Staged())
 		}
 	}
 	got, want := e.LoadsCopy(), ref.LoadsCopy()
@@ -396,6 +396,49 @@ func TestArrivalRulesOverTCP(t *testing.T) {
 				t.Fatalf("%s rule: loads diverged between tcp mesh and in-process tetris", l.name)
 			}
 		})
+	}
+}
+
+// TestRunRefusesBatchRuleCheckpoints pins checkpoint.Run's rule guard on
+// the multi-process placements. The checkpoint format records no arrival
+// rule, so a tetris or batches run checkpointed on the star or the mesh
+// would later resume as an rbb run. Run must refuse it before the first
+// round, with an error naming the rule, and leave no file behind.
+func TestRunRefusesBatchRuleCheckpoints(t *testing.T) {
+	const (
+		n    = 4096
+		s    = 4
+		seed = 5
+	)
+	loads := config.OnePerBin(n)
+	for _, topo := range []struct {
+		name string
+		mesh bool
+	}{{"star", false}, {"mesh", true}} {
+		for _, law := range []tetris.ArrivalLaw{tetris.Deterministic, tetris.BinomialArrivals} {
+			rule, err := shard.RuleForLaw(law, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(topo.name+"/"+rule.Kind.String(), func(t *testing.T) {
+				e, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Rule: rule, Mesh: topo.mesh})
+				if err != nil {
+					t.Fatalf("tcp.NewProcess: %v", err)
+				}
+				defer e.Close()
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				_, _, err = checkpoint.Run(context.Background(), e, 20, checkpoint.Policy{Path: path, Seed: seed})
+				if err == nil || !strings.Contains(err.Error(), e.Rule().String()) {
+					t.Fatalf("checkpoint.Run: %v, want an error naming %s", err, e.Rule())
+				}
+				if e.Round() != 0 {
+					t.Errorf("refused run stepped to round %d", e.Round())
+				}
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("refused run left a checkpoint behind (stat: %v)", err)
+				}
+			})
+		}
 	}
 }
 

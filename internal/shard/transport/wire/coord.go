@@ -78,7 +78,7 @@ type Config struct {
 
 // Coordinator drives the round protocol over a set of worker links. It
 // implements the same stepping surface as shard.Process (engine.Stepper
-// plus Snapshot, so checkpoint.Run drives it unchanged). Transports embed
+// plus Rule and Snapshot, so checkpoint.Run drives it unchanged). Transports embed
 // it in their Engine types; create with NewCoordinator. Not safe for
 // concurrent use.
 //
@@ -517,7 +517,7 @@ func (co *Coordinator) streamCheckpoint(dst io.Writer, seed uint64, obs *shard.P
 }
 
 // Snapshot gathers the full deterministic engine state from the workers —
-// the same whole-run cut shard.Engine.Snapshot produces, so checkpoints
+// the same whole-run cut shard.Process.Snapshot produces, so checkpoints
 // written under this transport are byte-identical to in-process ones. It
 // runs the streamed frame protocol into a buffer and decodes it; callers
 // that only want the serialized form should use StreamCheckpoint and skip

@@ -2,7 +2,7 @@
 // transport: a Coordinator in the submitting process drives P workers,
 // each holding a contiguous range of the run's shards in a shard.Group,
 // over one byte stream per worker. Package transport/tcp makes the streams
-// — sockets to self-spawned, dial-in or daemon workers — and hands them to
+// — sockets to self-spawned or daemon workers — and hands them to
 // this package as Links; nothing here depends on how they came to exist.
 //
 // # Worker join payload

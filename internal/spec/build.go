@@ -17,9 +17,10 @@ import (
 
 // Process is the run surface Build, Open and Start return: the engine
 // stepping interface plus teardown, which checkpoint.Run drives. Every
-// ProcessRBB backend additionally implements checkpoint.Process (and the
-// multi-process ones checkpoint.StreamProcess), so checkpoint.Run can
-// checkpoint them unchanged.
+// backend additionally implements checkpoint.Process (and the
+// multi-process ones checkpoint.StreamProcess); checkpoint.Run
+// checkpoints the ProcessRBB ones unchanged and refuses the others by
+// their arrival rule.
 type Process interface {
 	engine.Stepper
 	Close() error

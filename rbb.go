@@ -8,9 +8,10 @@
 //     FIFO/LIFO/Random queueing strategies;
 //   - the Tetris analysis process of §3.3 (Tetris), including the
 //     batched-arrival "leaky bins" variant of Berenbrink et al. [18];
-//   - a sharded multi-core engine (ShardedProcess, ShardedTetris) that
-//     executes one run data-parallel across CPU cores, scaling a single
-//     run to n = 10⁷–10⁸ bins;
+//   - a sharded multi-core engine (ShardedProcess; ShardedTetris is a
+//     ShardedProcess under a batch arrival rule) that executes one run
+//     data-parallel across CPU cores, scaling a single run to
+//     n = 10⁷–10⁸ bins;
 //   - the Lemma 3 coupling (Coupled) establishing pathwise domination;
 //   - the Lemma 5 one-dimensional drift chain (DriftChain) with exact tail
 //     computation;
@@ -151,9 +152,11 @@ func NewShardedProcess(loads []int32, seed uint64, opts ShardOptions) (*ShardedP
 	return shard.NewProcess(loads, seed, opts)
 }
 
-// ShardedTetris is the data-parallel Tetris / leaky-bins engine: the batch
-// of arrivals is decomposed exactly across shards (fixed quotas, or
-// per-shard Binomial/Poisson draws whose sums recover the sequential law).
+// ShardedTetris is the data-parallel Tetris / leaky-bins engine: a
+// ShardedProcess (which it embeds) stepping a batch arrival rule instead of
+// relaunch, plus the Lemma 4 first-emptying tracker. The batch is
+// decomposed exactly across shards (fixed quotas, or per-shard
+// Binomial/Poisson draws whose sums recover the sequential law).
 type ShardedTetris = shard.Tetris
 
 // ShardedTetrisOptions configures a ShardedTetris.
