@@ -109,14 +109,11 @@ type jacksonStepper struct {
 	rounds int64
 }
 
-func (j *jacksonStepper) Step()              { j.net.Round(); j.rounds++ }
-func (j *jacksonStepper) Round() int64       { return j.rounds }
-func (j *jacksonStepper) N() int             { return j.net.N() }
-func (j *jacksonStepper) MaxLoad() int32     { return j.net.MaxLoad() }
-func (j *jacksonStepper) EmptyBins() int     { return j.net.N() - j.net.NonEmpty() }
-func (j *jacksonStepper) NonEmptyBins() int  { return j.net.NonEmpty() }
-func (j *jacksonStepper) Load(u int) int32   { return j.net.Load(u) }
-func (j *jacksonStepper) LoadsCopy() []int32 { return j.net.LoadsCopy() }
+func (j *jacksonStepper) Step()          { j.net.Round(); j.rounds++ }
+func (j *jacksonStepper) Round() int64   { return j.rounds }
+func (j *jacksonStepper) N() int         { return j.net.N() }
+func (j *jacksonStepper) MaxLoad() int32 { return j.net.MaxLoad() }
+func (j *jacksonStepper) EmptyBins() int { return j.net.N() - j.net.NonEmpty() }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rbb-sim", flag.ContinueOnError)

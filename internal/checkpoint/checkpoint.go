@@ -44,7 +44,7 @@
 // Frames carry their own CRC so a multi-process run serializes them
 // concurrently — each worker encodes its own shards and streams the frames
 // over its socket; the coordinator relays bytes and never materializes the
-// whole blob (see internal/shard/transport/wire). The per-frame width is
+// whole blob (see internal/shard/transport/tcp). The per-frame width is
 // the engine's storage width (Θ(log n) max loads w.h.p. make uint8 the
 // common case), which is what shrinks a checkpoint ~4× before compression.
 //

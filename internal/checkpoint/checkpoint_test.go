@@ -223,7 +223,11 @@ func TestRunResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, rpipe, err := Resume(snap, shard.Options{})
+		rp, err := shard.RestoreProcess(snap.Engine, shard.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rpipe, err := shard.RestorePipeline(snap.Observer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +293,7 @@ func TestRunPeriodicAndInterrupt(t *testing.T) {
 		t.Fatalf("interrupt snapshot at round %d, want 11", snap.Engine.Round)
 	}
 	// Resuming the interrupt snapshot continues to the uninterrupted state.
-	rp, _, err := Resume(snap, shard.Options{})
+	rp, err := shard.RestoreProcess(snap.Engine, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,11 +110,15 @@ func TestGoldenV1Resume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, pipe, err := Resume(snap, shard.Options{})
+	p, err := shard.RestoreProcess(snap.Engine, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	pipe, err := shard.RestorePipeline(snap.Observer)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for p.Round() < 40 {
 		p.Step()
 		pipe.Observe(p)

@@ -57,7 +57,7 @@ type Policy struct {
 // checkpoints only the relaunch rule, because the format records no rule
 // and every checkpoint resumes as rbb. *shard.Process (and with it
 // *shard.Tetris) implements Process, and so does the multi-process
-// coordinator of internal/shard/transport/wire — which is how
+// coordinator of internal/shard/transport/tcp — which is how
 // `rbb-sim -procs P` shares this runner (periodic, triggered and
 // snapshot-and-stop checkpoints) with single-process runs.
 type Process interface {
@@ -221,25 +221,4 @@ func Run(ctx context.Context, p engine.Stepper, target int64, pol Policy, obs ..
 		}
 	}
 	return p.Round(), false, nil
-}
-
-// Resume rebuilds a live process and (optionally) its observer pipeline
-// from a snapshot, applying opts for Workers. The snapshot's shard count is
-// authoritative (it is part of the saved random law).
-func Resume(snap *Snapshot, opts shard.Options) (*shard.Process, *shard.Pipeline, error) {
-	if err := snap.validate(); err != nil {
-		return nil, nil, err
-	}
-	p, err := shard.RestoreProcess(snap.Engine, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var pipe *shard.Pipeline
-	if snap.Observer != nil {
-		pipe, err = shard.RestorePipeline(snap.Observer)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return p, pipe, nil
 }

@@ -2,10 +2,13 @@ package engine
 
 // Stepper is the uniform round-advancing surface of every synchronous
 // engine in this repository (core.Process, core.TokenProcess,
-// core.ChoicesProcess, tetris.Process, walks.Traversal, and the Jackson
-// round adapter in cmd/rbb-sim). The simulation harness, the experiment
-// suite and the CLIs drive processes through this interface so that every
-// workload picks up engine-level improvements for free.
+// core.ChoicesProcess, tetris.Process, walks.Traversal, shard.Process,
+// shard.Tetris, the multi-process tcp.Engine, and the Jackson round
+// adapter in cmd/rbb-sim). The simulation harness, the experiment suite,
+// the run loop and the CLIs drive processes through this interface so that
+// every workload picks up engine-level improvements for free. It carries
+// only what those drivers read: a load vector is not part of it, so the
+// multi-process coordinator, which holds no loads, never gathers one.
 type Stepper interface {
 	// Step advances one synchronous round.
 	Step()
@@ -17,12 +20,6 @@ type Stepper interface {
 	MaxLoad() int32
 	// EmptyBins returns the current number of empty bins.
 	EmptyBins() int
-	// NonEmptyBins returns |W(t)|, the current number of non-empty bins.
-	NonEmptyBins() int
-	// Load returns the load of bin u.
-	Load(u int) int32
-	// LoadsCopy returns a fresh copy of the current load vector.
-	LoadsCopy() []int32
 }
 
 // Observer receives the process after each completed round. Observers see

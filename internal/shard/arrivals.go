@@ -13,7 +13,7 @@ import (
 // ArrivalKind names a per-round arrival law that the sharded engine can
 // execute and the multi-process transports can carry across process and
 // machine boundaries. The kind values are part of the wire protocol
-// (internal/shard/transport/wire) — append only, never renumber.
+// (internal/shard/transport/tcp) — append only, never renumber.
 type ArrivalKind uint8
 
 const (
@@ -76,21 +76,6 @@ func RuleForLaw(law tetris.ArrivalLaw, lambda float64) (ArrivalRule, error) {
 		return ArrivalRule{Kind: ArrivalPoisson, Lambda: lambda}, nil
 	default:
 		return ArrivalRule{}, fmt.Errorf("shard: unknown arrival law %v", law)
-	}
-}
-
-// Law maps the rule back to its tetris arrival law; ok is false for
-// ArrivalRelaunch, which has no tetris counterpart.
-func (r ArrivalRule) Law() (tetris.ArrivalLaw, bool) {
-	switch r.Kind {
-	case ArrivalQuota:
-		return tetris.Deterministic, true
-	case ArrivalBinomial:
-		return tetris.BinomialArrivals, true
-	case ArrivalPoisson:
-		return tetris.PoissonArrivals, true
-	default:
-		return 0, false
 	}
 }
 

@@ -54,7 +54,7 @@
 // each shard's arrival count, so the paper's process (relaunch), the §3.3
 // Tetris device (quota) and the leaky-bins batches (binomial, poisson) are
 // one synchronous round under different rules. Process is the in-process
-// twin of wire.Coordinator, which steps the same rules across worker
+// twin of tcp.Engine, which steps the same rules across worker
 // processes. NewProcess and RestoreProcess step the relaunch rule; Tetris
 // is a Process under a batch rule plus the Lemma 4 first-emptying tracker.
 //

@@ -1,60 +1,4 @@
-// Package wire is the framing and round protocol of the multi-process
-// transport: a Coordinator in the submitting process drives P workers,
-// each holding a contiguous range of the run's shards in a shard.Group,
-// over one byte stream per worker. Package transport/tcp makes the streams
-// — sockets to self-spawned or daemon workers — and hands them to
-// this package as Links; nothing here depends on how they came to exist.
-//
-// # Worker join payload
-//
-// A worker joins by receiving the protocol version, its shard range, the
-// serialized arrival rule (shard.ArrivalRule — so every process kind
-// crosses process and machine boundaries), and the checkpoint-format-v2
-// header of the run plus one self-checksummed frame per shard it owns —
-// only its own state, not the whole run. State migration between process
-// topologies and machines is therefore free: any checkpoint can be
-// reopened under any worker count or transport (the shard count, not the
-// placement, is the random law's key), and the coordinator never buffers a
-// serialized copy of the whole run.
-//
-// # Round protocol (star)
-//
-//	coordinator → workers     step
-//	workers     → coordinator exchange: every (src, dst) buffer with a
-//	                          remote destination
-//	coordinator → workers     commit: the inbound buffers of each worker's
-//	                          shards, relayed from their source workers
-//	workers     → coordinator stats: released/staged counts + per-range
-//	                          max load, empty bins, resident load bytes
-//
-// The round-trips are the collective barriers: the coordinator sends no
-// commit before reading every exchange, and completes no Step before
-// reading every stats fold, so the two-phase structure of the in-process
-// engine is preserved exactly.
-//
-// # Round protocol (mesh)
-//
-// In mesh mode the coordinator leaves the data path. At join each worker
-// opens a peer listener and reports its address in the init ack; the
-// coordinator distributes the roster, worker i dials every peer j < i
-// (identified by a hello preamble) and accepts every j > i, and acks with
-// a ready frame. A round is then
-//
-//	coordinator → workers     step
-//	worker i    → worker j    peer frame: round id + the (src, dst)
-//	                          buffers from i's shards to j's, directly
-//	workers     → coordinator stats (as above — the round's only barrier)
-//
-// Each ball crosses the network once instead of twice and the coordinator
-// relays nothing; it keeps only the barrier, the stats fold, and the
-// checkpoint frame relay. Writes to peers run on one goroutine per peer
-// while reads drain sequentially — every stream has a single reader and a
-// single writer, so the mesh cannot deadlock — and the per-(src, dst)
-// buffers carry explicit indices that are validated against the sender's
-// range on receipt. The trajectory is the same pure function of
-// (seed, n, S, rule) as in-process execution — pinned byte-for-byte by the
-// transport-invariance matrix test and the CI procs-/tcp-equivalence gates.
-package wire
+package tcp
 
 import (
 	"bufio"

@@ -1,10 +1,10 @@
 // Package tcp is the multi-process transport of the sharded round
-// protocol: a coordinator Engine drives the wire protocol (package
-// internal/shard/transport/wire) over TCP sockets, so a run can span
-// worker processes on this host or on others. The join payload is the
-// checkpoint format — any checkpoint reopens under any worker count,
-// topology or machine set, and the trajectory stays the same pure function
-// of (seed, n, S, rule), byte-pinned by the transport-invariance matrix.
+// protocol: a coordinator Engine in the submitting process drives P worker
+// processes over TCP sockets, each worker holding a contiguous range of
+// the run's shards in a shard.Group, so a run can span worker processes on
+// this host or on others. The package holds both ends: the coordinator
+// (Engine), the worker session (MaybeWorker, Serve) and the frame protocol
+// between them.
 //
 // Workers come to exist two ways:
 //
@@ -18,11 +18,55 @@
 //     them — the mode rbb-serve uses for placement.hosts, because dialing
 //     lets the service verify reachability before accepting a run.
 //
-// In mesh mode (Options.Mesh) the coordinator distributes a roster at
-// join and workers exchange their cross-range buffers directly over
-// worker↔worker sockets, halving relay traffic; the coordinator keeps
-// only barriers, stats folds and checkpoint frame relay (see the wire
-// package doc for the protocol).
+// # Worker join payload
+//
+// A worker joins by receiving the protocol version, its shard range, the
+// serialized arrival rule (shard.ArrivalRule — so every process kind
+// crosses process and machine boundaries), and the checkpoint-format-v2
+// header of the run plus one self-checksummed frame per shard it owns —
+// only its own state, not the whole run. State migration between process
+// topologies and machines is therefore free: any checkpoint can be
+// reopened under any worker count, topology or machine set (the shard
+// count, not the placement, is the random law's key), and the coordinator
+// never buffers a serialized copy of the whole run.
+//
+// # Round protocol (star)
+//
+//	coordinator → workers     step
+//	workers     → coordinator exchange: every (src, dst) buffer with a
+//	                          remote destination
+//	coordinator → workers     commit: the inbound buffers of each worker's
+//	                          shards, relayed from their source workers
+//	workers     → coordinator stats: released/staged counts + per-range
+//	                          max load, empty bins, resident load bytes
+//
+// The round-trips are the collective barriers: the coordinator sends no
+// commit before reading every exchange, and completes no Step before
+// reading every stats fold, so the two-phase structure of the in-process
+// engine is preserved exactly.
+//
+// # Round protocol (mesh)
+//
+// In mesh mode (Options.Mesh) the coordinator leaves the data path. At
+// join each worker opens a peer listener and reports its address in the
+// init ack; the coordinator distributes the roster, worker i dials every
+// peer j < i (identified by a hello preamble) and accepts every j > i, and
+// acks with a ready frame. A round is then
+//
+//	coordinator → workers     step
+//	worker i    → worker j    peer frame: round id + the (src, dst)
+//	                          buffers from i's shards to j's, directly
+//	workers     → coordinator stats (as above — the round's only barrier)
+//
+// Each ball crosses the network once instead of twice and the coordinator
+// relays nothing; it keeps only the barrier, the stats fold, and the
+// checkpoint frame relay. Writes to peers run on one goroutine per peer
+// while reads drain sequentially — every stream has a single reader and a
+// single writer, so the mesh cannot deadlock — and the per-(src, dst)
+// buffers carry explicit indices that are validated against the sender's
+// range on receipt. The trajectory is the same pure function of
+// (seed, n, S, rule) as in-process execution — pinned byte-for-byte by the
+// transport-invariance matrix test and the CI procs-/tcp-equivalence gates.
 package tcp
 
 import (
@@ -37,11 +81,21 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/shard/transport/wire"
 )
 
 // connectEnvVar carries the coordinator address to a self-spawned worker.
 const connectEnvVar = "RBB_TCP_CONNECT"
+
+// joinWait bounds the coordinator's connect phase: each host dial, or all
+// P self-spawned accepts together (the listener deadline is set once). A
+// worker waits twice as long for a session's init frame, so an idle
+// connection cannot wedge a daemon. workerArgv launches one self-spawned
+// worker (nil: this executable, which must call MaybeWorker). Tests
+// override both (export_test.go).
+var (
+	joinWait   = 60 * time.Second
+	workerArgv []string
+)
 
 // Options configures a coordinator Engine.
 type Options struct {
@@ -68,12 +122,6 @@ type Options struct {
 	// Hosts dials one worker daemon (rbb-sim -worker -listen) per entry
 	// instead of listening; P becomes len(Hosts).
 	Hosts []string
-	// Command is the argv launching one self-spawned worker (default:
-	// {os.Executable()}). The launched process must call MaybeWorker.
-	Command []string
-	// AcceptTimeout bounds the wait for each worker connection or host
-	// dial (default 60s).
-	AcceptTimeout time.Duration
 }
 
 // Telemetry of the TCP transport, recorded on the coordinator side.
@@ -90,15 +138,48 @@ func linkCounters(peer string) (tx, rx *obs.Counter) {
 	return tx, rx
 }
 
-// Engine is the coordinator side of the TCP transport. It implements the
-// same stepping surface as shard.Process (engine.Stepper plus Rule and
-// Snapshot, so checkpoint.Run drives it unchanged); see wire.Coordinator for the
-// failure semantics — a mid-round transport failure panics from Step with
-// the failing worker's peer address (and exit status, when self-spawned)
-// after cancelling the surviving workers.
+// Engine is the coordinator of the TCP transport: it drives the round
+// protocol over one socket per worker. It implements the same stepping
+// surface as shard.Process (engine.Stepper plus Rule and Snapshot, so
+// checkpoint.Run drives it unchanged), and streams its own checkpoints
+// (checkpoint.StreamProcess). Not safe for concurrent use.
+//
+// A transport failure mid-run — a worker crash, a broken socket — is
+// unrecoverable and surfaces as a panic from Step, because
+// engine.Stepper leaves no error channel; the coordinator's state is
+// authoritative only at round boundaries and a half-exchanged round cannot
+// be rolled back. On any failure the coordinator closes every link first
+// (a clean cancellation: workers blocked at a frame boundary observe EOF
+// and exit) and decorates the error with the failing worker's peer
+// address and, when self-spawned, its exit status.
 type Engine struct {
-	*wire.Coordinator
-	children []*child
+	opts      Options
+	rule      shard.ArrivalRule
+	n, s      int
+	links     []*link
+	children  []*child
+	balls     int64
+	round     int64
+	maxLoad   int32
+	empty     int
+	released  int
+	staged    int
+	loadBytes int64
+	barrier   *obs.Histogram
+
+	// rbuf[src][dst] are the retained decode buffers of the star relay;
+	// rows allocate lazily, so memory follows the (src, dst) pairs that
+	// actually cross processes. Unused in mesh mode.
+	rbuf   [][][]int32
+	closed bool
+}
+
+// link is one worker socket, framed, and the shard range its worker owns.
+type link struct {
+	nc     net.Conn
+	name   string // the worker's peer address, for errors
+	c      *conn
+	lo, hi int
 }
 
 // child is one self-spawned worker process. The watcher goroutine owns
@@ -110,8 +191,8 @@ type child struct {
 }
 
 // New connects opts-many workers and migrates the snapshot's state into
-// them (see the wire package doc for the join payload). The snapshot's
-// shard count is authoritative; opts.Procs is clamped to it.
+// them (see the package doc for the join payload). The snapshot's shard
+// count is authoritative; opts.Procs is clamped to it.
 func New(snap *checkpoint.Snapshot, opts Options) (*Engine, error) {
 	if snap == nil || snap.Engine == nil {
 		return nil, errors.New("tcp: New with nil snapshot")
@@ -133,29 +214,15 @@ func New(snap *checkpoint.Snapshot, opts Options) (*Engine, error) {
 	if p > s {
 		p = s
 	}
-	e := &Engine{}
-	links, err := e.connectWorkers(p, opts)
-	if err != nil {
+	e := &Engine{opts: opts}
+	if err := e.connectWorkers(p); err != nil {
 		e.reap()
 		return nil, err
 	}
-	transport := "tcp"
-	if opts.Mesh {
-		transport = "tcp-mesh"
-	}
-	co, err := wire.NewCoordinator(snap, links, wire.Config{
-		Workers:   opts.Workers,
-		Width:     opts.Width,
-		Kernel:    opts.Kernel,
-		Rule:      opts.Rule,
-		Mesh:      opts.Mesh,
-		Transport: transport,
-	})
-	if err != nil {
-		e.reap()
+	if err := e.join(snap); err != nil {
+		e.Close()
 		return nil, fmt.Errorf("tcp: %w", err)
 	}
-	e.Coordinator = co
 	return e, nil
 }
 
@@ -170,65 +237,75 @@ func NewProcess(loads []int32, seed uint64, opts Options) (*Engine, error) {
 	return New(&checkpoint.Snapshot{Seed: seed, Engine: es}, opts)
 }
 
-// connectWorkers establishes the P worker sockets: dialing host daemons,
-// or listening on loopback and self-spawning dial-back children.
-func (e *Engine) connectWorkers(p int, opts Options) ([]*wire.Link, error) {
-	timeout := opts.AcceptTimeout
-	if timeout <= 0 {
-		timeout = 60 * time.Second
+// transport labels errors and barrier metrics.
+func (e *Engine) transport() string {
+	if e.opts.Mesh {
+		return "tcp-mesh"
 	}
-	if len(opts.Hosts) > 0 {
-		links := make([]*wire.Link, 0, p)
-		for _, h := range opts.Hosts {
-			nc, err := dialWorker(h, timeout)
-			if err != nil {
-				for _, l := range links {
-					l.CloseIO()
-				}
-				return nil, err
-			}
-			links = append(links, e.link(nc, h, h))
+	return "tcp"
+}
+
+// connectWorkers establishes the P worker sockets: dialing host daemons,
+// or listening on loopback and self-spawning dial-back children. On error
+// the sockets made so far are closed.
+func (e *Engine) connectWorkers(p int) error {
+	links := make([]*link, 0, p)
+	add := func(nc net.Conn, name, peerLabel string) {
+		tx, rx := linkCounters(peerLabel)
+		links = append(links, &link{nc: nc, name: name, c: newConn(nc, nc, tx, rx)})
+	}
+	fail := func(err error) error {
+		for _, l := range links {
+			l.nc.Close()
 		}
-		return links, nil
+		return err
+	}
+	if len(e.opts.Hosts) > 0 {
+		for _, h := range e.opts.Hosts {
+			nc, err := dialWorker(h, joinWait)
+			if err != nil {
+				return fail(err)
+			}
+			add(nc, h, h)
+		}
+		e.links = links
+		return nil
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("tcp: listening on loopback: %w", err)
+		return fmt.Errorf("tcp: listening on loopback: %w", err)
 	}
 	defer ln.Close()
-	argv := opts.Command
+	argv := workerArgv
 	if len(argv) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			return nil, fmt.Errorf("tcp: resolving worker binary: %w", err)
+			return fmt.Errorf("tcp: resolving worker binary: %w", err)
 		}
 		argv = []string{exe}
 	}
 	for i := 0; i < p; i++ {
 		if err := e.spawn(argv, ln.Addr().String()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		d.SetDeadline(time.Now().Add(timeout))
+		d.SetDeadline(time.Now().Add(joinWait))
 	}
-	links := make([]*wire.Link, 0, p)
 	for i := 0; i < p; i++ {
 		nc, err := ln.Accept()
 		if err != nil {
-			for _, l := range links {
-				l.CloseIO()
-			}
 			// A self-spawned child that died before dialing back explains
 			// the missed accept far better than the bare timeout does.
 			if dead := e.anyExited(); dead != nil {
-				return nil, fmt.Errorf("tcp: accepting worker %d of %d: %w", i+1, p, dead)
+				err = dead
 			}
-			return nil, fmt.Errorf("tcp: accepting worker %d of %d: %w", i+1, p, err)
+			return fail(fmt.Errorf("tcp: accepting worker %d of %d: %w", i+1, p, err))
 		}
-		links = append(links, e.link(nc, nc.RemoteAddr().String(), fmt.Sprintf("w%d", i)))
+		add(nc, nc.RemoteAddr().String(), fmt.Sprintf("w%d", i))
 	}
-	return links, nil
+	e.links = links
+	return nil
 }
 
 // dialWorker dials one worker daemon under a trace span.
@@ -240,23 +317,6 @@ func dialWorker(addr string, timeout time.Duration) (net.Conn, error) {
 		return nil, fmt.Errorf("tcp: dialing worker %s: %w", addr, err)
 	}
 	return nc, nil
-}
-
-// link wraps one worker socket. Exited reports a freshly-dead self-spawned
-// worker (arrival order does not identify which child owns which socket,
-// so any child's exit status decorates the failure — with one dead worker,
-// the usual case, it is the right one).
-func (e *Engine) link(nc net.Conn, name, peerLabel string) *wire.Link {
-	tx, rx := linkCounters(peerLabel)
-	return &wire.Link{
-		R:       nc,
-		W:       nc,
-		Name:    name,
-		Tx:      tx,
-		Rx:      rx,
-		Exited:  e.anyExited,
-		CloseIO: func() { nc.Close() },
-	}
 }
 
 // spawn launches one dial-back worker child and its exit watcher.
@@ -278,6 +338,9 @@ func (e *Engine) spawn(argv []string, addr string) error {
 
 // anyExited reports the first self-spawned worker found dead, giving a
 // dying child a moment to be reaped so its exit status makes the error.
+// Arrival order does not identify which child owns which socket, so any
+// child's exit status decorates a link failure — with one dead worker,
+// the usual case, it is the right one.
 func (e *Engine) anyExited() error {
 	if len(e.children) == 0 {
 		return nil
@@ -315,15 +378,12 @@ func (e *Engine) reap() {
 	e.children = nil
 }
 
-// Close shuts the workers down (quit frames, socket close) and reaps any
-// self-spawned children with a bounded wait. Idempotent.
+// Close shuts the workers down (quit frames, socket close; see abort) and
+// reaps any self-spawned children with a bounded wait. Idempotent.
 func (e *Engine) Close() error {
-	var err error
-	if e.Coordinator != nil {
-		err = e.Coordinator.Close()
-	}
+	e.abort()
 	e.reap()
-	return err
+	return nil
 }
 
 // Probe checks that a worker daemon at addr is reachable: it dials and

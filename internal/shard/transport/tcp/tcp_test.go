@@ -169,7 +169,8 @@ func TestStreamedCheckpointMatchesInProcess(t *testing.T) {
 
 // TestMeshStats pins the folded per-round statistics of a mesh run against
 // an in-process run of the same law: MaxLoad, EmptyBins, Released and
-// Staged must match round for round, and ball conservation must hold.
+// Staged must match round for round, ball conservation must hold, and the
+// final states must checkpoint byte-identically.
 func TestMeshStats(t *testing.T) {
 	const (
 		n      = 4096
@@ -206,11 +207,8 @@ func TestMeshStats(t *testing.T) {
 				r, e.Released(), ref.Released(), e.Staged(), ref.Staged())
 		}
 	}
-	got, want := e.LoadsCopy(), ref.LoadsCopy()
-	for u := range got {
-		if got[u] != want[u] {
-			t.Fatalf("bin %d: load %d vs %d", u, got[u], want[u])
-		}
+	if got, want := ckptBytes(t, seed, e), ckptBytes(t, seed, ref); !bytes.Equal(got, want) {
+		t.Fatalf("mesh checkpoint differs from in-process after %d rounds", rounds)
 	}
 	if e.Balls() != int64(n) {
 		t.Fatalf("balls %d after %d rounds, want %d", e.Balls(), rounds, n)
@@ -342,8 +340,8 @@ func TestTCPHostsAndProbe(t *testing.T) {
 
 // TestArrivalRulesOverTCP pins the serialized arrival rules: each rule
 // kind crosses the wire and produces the same trajectory on TCP mesh
-// workers as on the TCP star (byte-identical checkpoints) and as the
-// in-process Tetris engine (identical loads and ball counts).
+// workers as on the TCP star and as the in-process Tetris engine
+// (byte-identical checkpoints and identical ball counts).
 func TestArrivalRulesOverTCP(t *testing.T) {
 	const (
 		n      = 1 << 13
@@ -391,9 +389,8 @@ func TestArrivalRulesOverTCP(t *testing.T) {
 			if got, want := mesh.Balls(), ref.Balls(); got != want {
 				t.Fatalf("%s rule: Balls() = %d over tcp, %d in process", l.name, got, want)
 			}
-			got, want := mesh.LoadsCopy(), ref.LoadsCopy()
-			if !bytes.Equal(int32Bytes(got), int32Bytes(want)) {
-				t.Fatalf("%s rule: loads diverged between tcp mesh and in-process tetris", l.name)
+			if got, want := ckptBytes(t, seed, mesh), ckptBytes(t, seed, ref); !bytes.Equal(got, want) {
+				t.Fatalf("%s rule: tcp-mesh checkpoint differs from in-process tetris", l.name)
 			}
 		})
 	}
@@ -440,14 +437,6 @@ func TestRunRefusesBatchRuleCheckpoints(t *testing.T) {
 			})
 		}
 	}
-}
-
-func int32Bytes(v []int32) []byte {
-	b := make([]byte, 0, 4*len(v))
-	for _, x := range v {
-		b = append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-	}
-	return b
 }
 
 // TestTCPWorkerDeathFailFast kills one worker mid-run and requires the
@@ -534,11 +523,8 @@ func TestTCPValidation(t *testing.T) {
 // fails construction with its exit status in the error, not a bare accept
 // timeout.
 func TestTCPSpawnExitStatus(t *testing.T) {
-	_, err := tcp.NewProcess(make([]int32, 8), 1, tcp.Options{
-		Shards: 2, Procs: 2,
-		Command:       []string{"/bin/false"},
-		AcceptTimeout: 2 * time.Second,
-	})
+	tcp.SetJoin(t, []string{"/bin/false"}, 2*time.Second)
+	_, err := tcp.NewProcess(make([]int32, 8), 1, tcp.Options{Shards: 2, Procs: 2})
 	if err == nil {
 		t.Fatal("dead-on-arrival worker command succeeded")
 	}

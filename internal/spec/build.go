@@ -107,28 +107,32 @@ func (sp RunSpec) Open(snap *checkpoint.Snapshot, hostWorkers int) (Process, *sh
 	}
 	w := sp.workers(hostWorkers)
 	kernel := sp.Kernel()
+	var (
+		p   Process
+		err error
+	)
 	switch kind := sp.transport(); kind {
 	case TransportPool:
-		return checkpoint.Resume(snap, shard.Options{Workers: w, Kernel: kernel})
+		p, err = shard.RestoreProcess(snap.Engine, shard.Options{Workers: w, Kernel: kernel})
 	case TransportTCP, TransportTCPMesh:
-		p, err := tcp.New(snap, tcp.Options{
+		p, err = tcp.New(snap, tcp.Options{
 			Procs: sp.Placement.Procs, Workers: w, Kernel: kernel,
 			Mesh: kind == TransportTCPMesh, Hosts: sp.Placement.Hosts,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		var pipe *shard.Pipeline
-		if snap.Observer != nil {
-			if pipe, err = shard.RestorePipeline(snap.Observer); err != nil {
-				p.Close()
-				return nil, nil, err
-			}
-		}
-		return p, pipe, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown placement.transport %q", kind)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var pipe *shard.Pipeline
+	if snap.Observer != nil {
+		if pipe, err = shard.RestorePipeline(snap.Observer); err != nil {
+			p.Close()
+			return nil, nil, err
+		}
+	}
+	return p, pipe, nil
 }
 
 // Start lowers a normalized spec into a run ready for checkpoint.Run: it
