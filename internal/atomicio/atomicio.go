@@ -1,7 +1,8 @@
 // Package atomicio provides crash-safe file replacement, the single
-// durability policy shared by every checkpoint writer in the repository
-// (the binary run snapshots of internal/checkpoint and the JSON trial
-// progress of internal/sim).
+// durability policy shared by every file the repository rewrites in
+// place: checkpoint files (internal/checkpoint), rbb-serve's run manifest
+// (internal/serve) and campaign manifests and aggregates
+// (internal/campaign).
 package atomicio
 
 import (

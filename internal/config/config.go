@@ -6,6 +6,17 @@
 // experiments (E13). A configuration is legitimate when its maximum load is
 // at most Beta·ln(n) (Theorem 1's O(log n) with an explicit constant; Beta
 // is exported so experiments can report sensitivity to it).
+//
+// # Range form
+//
+// A Start serves a configuration a bin range at a time (Start.Fill), so a
+// sharded run builds each shard from its own range and never holds the
+// whole start as an []int32. one-per-bin and all-in-one compute any range
+// in closed form. uniform and zipf draw their one global sequence from the
+// caller's source — the whole run's draws, in the order Make has always
+// made them — into one whole-run vector when the Start is made, and serve
+// ranges from it: that draw order is the seed contract, so a range never
+// depends on how the run is partitioned.
 package config
 
 import (
@@ -54,42 +65,6 @@ func MaxLoad(loads []int32) int32 {
 	return max
 }
 
-// Sum returns the total number of balls in loads.
-func Sum(loads []int32) int64 {
-	var s int64
-	for _, l := range loads {
-		s += int64(l)
-	}
-	return s
-}
-
-// CountEmpty returns the number of zero-load bins.
-func CountEmpty(loads []int32) int {
-	c := 0
-	for _, l := range loads {
-		if l == 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// Validate checks that loads is a well-formed configuration of m balls:
-// non-negative entries summing to m.
-func Validate(loads []int32, m int) error {
-	var s int64
-	for i, l := range loads {
-		if l < 0 {
-			return fmt.Errorf("config: bin %d has negative load %d", i, l)
-		}
-		s += int64(l)
-	}
-	if s != int64(m) {
-		return fmt.Errorf("config: loads sum to %d, want %d", s, m)
-	}
-	return nil
-}
-
 // OnePerBin returns the perfectly balanced configuration of n balls in n
 // bins — the canonical legitimate start for the stability experiments.
 func OnePerBin(n int) []int32 {
@@ -109,22 +84,6 @@ func AllInOne(n, m int) []int32 {
 		loads[0] = int32(m)
 	}
 	return loads
-}
-
-// KHeavy splits m balls evenly over the first k bins (remainder on bin 0):
-// an interpolation between AllInOne (k=1) and balanced (k=n).
-func KHeavy(n, m, k int) ([]int32, error) {
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("config: KHeavy k = %d outside [1, %d]", k, n)
-	}
-	loads := make([]int32, n)
-	per := m / k
-	rem := m % k
-	for i := 0; i < k; i++ {
-		loads[i] = int32(per)
-	}
-	loads[0] += int32(rem)
-	return loads, nil
 }
 
 // UniformRandom throws m balls independently and uniformly at random into n
@@ -171,34 +130,81 @@ func Generators() []Generator {
 	return []Generator{GenOnePerBin, GenAllInOne, GenUniform, GenZipf}
 }
 
-// Make builds a configuration of m balls in n bins from a named generator.
-// r may be nil for the deterministic generators.
-func Make(g Generator, n, m int, r *rng.Source) ([]int32, error) {
+// Start is a named generator's configuration of m balls in n bins, served
+// a bin range at a time by Fill. Make one with NewStart.
+type Start struct {
+	gen   Generator
+	m     int
+	loads []int32 // the drawn vector of uniform and zipf; nil for the closed forms
+}
+
+// NewStart validates a generator's parameters and, for uniform and zipf,
+// draws the whole configuration from r (see the package doc). r may be nil
+// for the deterministic generators.
+func NewStart(g Generator, n, m int, r *rng.Source) (*Start, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("config: n = %d < 1", n)
 	}
 	if m < 0 {
 		return nil, fmt.Errorf("config: m = %d < 0", m)
 	}
+	st := &Start{gen: g, m: m}
 	switch g {
 	case GenOnePerBin:
 		if m != n {
 			return nil, fmt.Errorf("config: %s requires m == n (got m=%d n=%d)", g, m, n)
 		}
-		return OnePerBin(n), nil
 	case GenAllInOne:
-		return AllInOne(n, m), nil
 	case GenUniform:
 		if r == nil {
 			return nil, fmt.Errorf("config: %s requires a random source", g)
 		}
-		return UniformRandom(n, m, r), nil
+		st.loads = UniformRandom(n, m, r)
 	case GenZipf:
 		if r == nil {
 			return nil, fmt.Errorf("config: %s requires a random source", g)
 		}
-		return Zipf(n, m, 1.2, r)
+		loads, err := Zipf(n, m, 1.2, r)
+		if err != nil {
+			return nil, err
+		}
+		st.loads = loads
 	default:
 		return nil, fmt.Errorf("config: unknown generator %q", g)
 	}
+	return st, nil
+}
+
+// Fill writes the loads of bins [lo, lo+len(dst)) into dst; the range
+// must lie inside the start's n bins.
+func (st *Start) Fill(lo int, dst []int32) {
+	switch {
+	case st.loads != nil:
+		copy(dst, st.loads[lo:lo+len(dst)])
+	case st.gen == GenOnePerBin:
+		for i := range dst {
+			dst[i] = 1
+		}
+	default: // all-in-one
+		clear(dst)
+		if lo == 0 && len(dst) > 0 {
+			dst[0] = int32(st.m)
+		}
+	}
+}
+
+// Make builds a configuration of m balls in n bins from a named generator:
+// the whole range of NewStart(g, n, m, r). r may be nil for the
+// deterministic generators.
+func Make(g Generator, n, m int, r *rng.Source) ([]int32, error) {
+	st, err := NewStart(g, n, m, r)
+	if err != nil {
+		return nil, err
+	}
+	if st.loads != nil {
+		return st.loads, nil
+	}
+	loads := make([]int32, n)
+	st.Fill(0, loads)
+	return loads, nil
 }

@@ -1,12 +1,49 @@
 package config
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
+
+// Sum returns the total number of balls in loads.
+func Sum(loads []int32) int64 {
+	var s int64
+	for _, l := range loads {
+		s += int64(l)
+	}
+	return s
+}
+
+// CountEmpty returns the number of zero-load bins.
+func CountEmpty(loads []int32) int {
+	c := 0
+	for _, l := range loads {
+		if l == 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// Validate checks that loads is a well-formed configuration of m balls:
+// non-negative entries summing to m.
+func Validate(loads []int32, m int) error {
+	var s int64
+	for i, l := range loads {
+		if l < 0 {
+			return fmt.Errorf("config: bin %d has negative load %d", i, l)
+		}
+		s += int64(l)
+	}
+	if s != int64(m) {
+		return fmt.Errorf("config: loads sum to %d, want %d", s, m)
+	}
+	return nil
+}
 
 func TestLegitimateThreshold(t *testing.T) {
 	if LegitimateThreshold(1, 4) != 1 {
@@ -77,41 +114,6 @@ func TestAllInOne(t *testing.T) {
 	}
 }
 
-func TestKHeavy(t *testing.T) {
-	loads, err := KHeavy(10, 25, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(loads, 25); err != nil {
-		t.Fatal(err)
-	}
-	// 25/4 = 6 each, remainder 1 on bin 0.
-	if loads[0] != 7 || loads[1] != 6 || loads[3] != 6 || loads[4] != 0 {
-		t.Errorf("KHeavy layout wrong: %v", loads[:5])
-	}
-	if _, err := KHeavy(10, 25, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := KHeavy(10, 25, 11); err == nil {
-		t.Error("k>n accepted")
-	}
-}
-
-func TestKHeavyProperty(t *testing.T) {
-	if err := quick.Check(func(nRaw, mRaw, kRaw uint8) bool {
-		n := int(nRaw)%100 + 1
-		m := int(mRaw)
-		k := int(kRaw)%n + 1
-		loads, err := KHeavy(n, m, k)
-		if err != nil {
-			return false
-		}
-		return Validate(loads, m) == nil
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUniformRandom(t *testing.T) {
 	r := rng.New(1)
 	loads := UniformRandom(1000, 1000, r)
@@ -169,5 +171,84 @@ func TestMakeErrors(t *testing.T) {
 	}
 	if _, err := Make(GenAllInOne, 4, -1, nil); err == nil {
 		t.Error("m<0 accepted")
+	}
+}
+
+// TestStartFillMatchesMake: every range of every generator's Start holds
+// the same loads as that slice of Make at the same seed — ranges that
+// start at bin 0, ranges that end at the last bin, single bins, empty
+// ranges and the whole run — so a run built range by range starts from
+// Make's configuration however it is partitioned.
+func TestStartFillMatchesMake(t *testing.T) {
+	const seed = 17
+	for _, g := range Generators() {
+		for _, nm := range [][2]int{{1, 1}, {7, 7}, {64, 64}, {1000, 1000}, {20011, 20011}, {300, 900}, {50, 0}} {
+			n, m := nm[0], nm[1]
+			if g == GenOnePerBin && m != n {
+				continue
+			}
+			want, err := Make(g, n, m, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(want, m); err != nil {
+				t.Fatalf("%s n=%d m=%d: %v", g, n, m, err)
+			}
+			st, err := NewStart(g, n, m, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranges := [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {n - 1, n}, {0, n / 2}, {n / 2, n}, {n / 3, 2 * n / 3}}
+			for s := 1; s <= 8 && s <= n; s++ { // every shard of the partitions into 1..8 shards
+				q, r := n/s, n%s
+				for i := 0; i < s; i++ {
+					lo := i*q + min(i, r)
+					hi := lo + q
+					if i < r {
+						hi++
+					}
+					ranges = append(ranges, [2]int{lo, hi})
+				}
+			}
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				got := make([]int32, hi-lo)
+				for i := range got {
+					got[i] = -7 // Fill must overwrite every cell
+				}
+				st.Fill(lo, got)
+				if !slices.Equal(got, want[lo:hi]) {
+					t.Fatalf("%s n=%d m=%d: Fill(%d, [%d bins]) differs from Make's slice", g, n, m, lo, hi-lo)
+				}
+			}
+			whole := make([]int32, n)
+			st.Fill(0, whole)
+			if Sum(whole) != int64(m) || CountEmpty(whole) != CountEmpty(want) {
+				t.Fatalf("%s n=%d m=%d: whole-range Fill holds %d balls in %d empty bins", g, n, m, Sum(whole), CountEmpty(whole))
+			}
+		}
+	}
+}
+
+// TestNewStartErrors: NewStart refuses what Make refuses, with Make's
+// errors.
+func TestNewStartErrors(t *testing.T) {
+	for _, tc := range []struct {
+		g    Generator
+		n, m int
+		r    *rng.Source
+	}{
+		{"bogus", 8, 8, rng.New(1)},
+		{GenOnePerBin, 8, 9, nil},
+		{GenUniform, 8, 8, nil},
+		{GenZipf, 8, 8, nil},
+		{GenAllInOne, 0, 0, nil},
+		{GenAllInOne, 4, -1, nil},
+	} {
+		_, serr := NewStart(tc.g, tc.n, tc.m, tc.r)
+		_, merr := Make(tc.g, tc.n, tc.m, tc.r)
+		if serr == nil || merr == nil || serr.Error() != merr.Error() {
+			t.Errorf("%s n=%d m=%d: NewStart error %v, Make error %v", tc.g, tc.n, tc.m, serr, merr)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/engine"
@@ -70,9 +71,8 @@ type Group struct {
 	// the phases, drained and reset by Commit.
 	inbox [][][]int32
 
-	// The per-shard phase bodies, bound on first use (so a round hands the
-	// runner no fresh closure, and building a group allocates none), and
-	// the release phase's arrival rule.
+	// The per-shard phase bodies, bound once at build (so a round hands
+	// the runner no fresh closure), and the release phase's arrival rule.
 	releaseFn, commitFn func(i int)
 	arrivals            Arrivals
 }
@@ -115,6 +115,12 @@ type GroupOptions struct {
 	Kernel    engine.Kernel
 }
 
+// Fill writes the round-zero loads of bins [lo, lo+len(dst)) of a fresh
+// run into dst; config.Start.Fill is the one the frontends pass. A builder
+// that takes a Fill fills one shard at a time into one reused scratch, so
+// it never holds the whole start as an []int32.
+type Fill func(lo int, dst []int32)
+
 // NewGroup builds fresh shard states for shards [lo, hi) of a run over n
 // bins split into s shards, copying the owned bins from loads (which must
 // hold exactly the bins of those shards, i.e. the global range
@@ -122,26 +128,46 @@ type GroupOptions struct {
 // rng.NewStream(seed, i). The group takes ownership of runner and closes it
 // with Close.
 func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Runner, gopts GroupOptions) (*Group, error) {
-	g, err := newGroupFrame(n, s, lo, hi, runner)
-	if err != nil {
+	if err := checkGroupRange(n, s, lo, hi); err != nil {
 		return nil, err
 	}
-	if want := PartitionStart(n, s, hi) - PartitionStart(n, s, lo); len(loads) != want {
+	off := PartitionStart(n, s, lo)
+	if want := PartitionStart(n, s, hi) - off; len(loads) != want {
 		return nil, fmt.Errorf("shard: group loads hold %d bins, shards [%d,%d) own %d", len(loads), lo, hi, want)
 	}
-	off := 0
-	for i := range g.parts {
-		sh := &g.parts[i]
-		st, err := newPartState(loads[off:off+sh.size], sh.base, gopts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
-		}
-		sh.state = st
-		sh.src = rng.NewStream(seed, uint64(lo+i))
-		off += sh.size
+	return buildGroup(n, s, lo, hi, runner, gopts, false, loadsSource(loads, off, seed))
+}
+
+// shardSource serves global shard i's starting state to buildGroup; base
+// and size are the shard's first bin and bin count.
+type shardSource func(i, base, size int) (ShardSnapshot, error)
+
+// loadsSource serves each shard of a fresh run as a slice of loads, which
+// holds the bins from off on.
+func loadsSource(loads []int32, off int, seed uint64) shardSource {
+	return func(i, base, size int) (ShardSnapshot, error) {
+		return freshShard(seed, i, loads[base-off:base-off+size]), nil
 	}
-	g.prefault()
-	return g, nil
+}
+
+// fillSource serves each shard of a fresh run from fill, through one
+// scratch sized for the first (largest) shard asked for and reused.
+func fillSource(fill Fill, seed uint64) shardSource {
+	var scratch []int32
+	return func(i, base, size int) (ShardSnapshot, error) {
+		if cap(scratch) < size {
+			scratch = make([]int32, size)
+		}
+		part := scratch[:size]
+		fill(base, part)
+		return freshShard(seed, i, part), nil
+	}
+}
+
+// freshShard is shard i's round-zero state over loads, minus the worklist
+// words a fresh build derives instead of checking.
+func freshShard(seed uint64, i int, loads []int32) ShardSnapshot {
+	return ShardSnapshot{RNG: rng.NewStream(seed, uint64(i)).State(), Loads: loads}
 }
 
 // NewGroupFromSnapshot builds the kernel for shards [lo, hi) from a
@@ -149,10 +175,8 @@ func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Run
 // stream and storage width with the same structural cross-checks as
 // RestoreProcess (gopts.Width is the restore-side floor; a shard never
 // restores narrower than its snapshot recorded, so resumed runs keep the
-// ratchet). The multi-process transport uses it — with the serialized checkpoint as
-// the join payload — to migrate shard ranges into worker processes. Only
-// the snapshot entries of shards [lo, hi) are read, so a sub-range caller
-// may hand in a sparsely populated Shards slice.
+// ratchet). Only the snapshot entries of shards [lo, hi) are read, so a
+// sub-range caller may hand in a sparsely populated Shards slice.
 func NewGroupFromSnapshot(snap *EngineSnapshot, lo, hi int, runner transport.Runner, gopts GroupOptions) (*Group, error) {
 	if snap == nil {
 		return nil, errors.New("shard: NewGroupFromSnapshot with nil snapshot")
@@ -164,29 +188,37 @@ func NewGroupFromSnapshot(snap *EngineSnapshot, lo, hi int, runner transport.Run
 	if s < 1 || s > snap.N {
 		return nil, fmt.Errorf("shard: snapshot has %d shards for %d bins", s, snap.N)
 	}
-	g, err := newGroupFrame(snap.N, s, lo, hi, runner)
+	return NewGroupFromShards(snap.N, s, lo, hi, func(i int) (ShardSnapshot, error) { return snap.Shards[i], nil }, runner, gopts)
+}
+
+// NewGroupFromShards is NewGroupFromSnapshot over entries served one at a
+// time: it calls next(i) once per owned shard i, in increasing order, and
+// builds shard i from the entry before asking for the next one, keeping
+// none of its slices. A multi-process worker builds its range this way as
+// each shard's join frame arrives, so it never decodes the whole range
+// first. An error from next is returned, decorated with the shard.
+func NewGroupFromShards(n, s, lo, hi int, next func(i int) (ShardSnapshot, error), runner transport.Runner, gopts GroupOptions) (*Group, error) {
+	return buildGroup(n, s, lo, hi, runner, gopts, true, func(i, _, _ int) (ShardSnapshot, error) { return next(i) })
+}
+
+// buildGroup is the one builder behind every group constructor. For each
+// owned shard, in increasing order, at returns its starting state: a
+// shard-sized load slice (read, never kept) and the rng state. With
+// restore set the entry is a checkpointed one: its worklist words must
+// match the loads and its recorded storage width is reapplied. On error
+// the runner is left to the caller.
+func buildGroup(n, s, lo, hi int, runner transport.Runner, gopts GroupOptions, restore bool, at shardSource) (*Group, error) {
+	g, err := newGroupFrame(n, s, lo, hi, runner)
 	if err != nil {
 		return nil, err
 	}
 	for i := range g.parts {
 		sh := &g.parts[i]
-		ss := &snap.Shards[lo+i]
-		if sh.size != len(ss.Loads) {
-			return nil, fmt.Errorf("shard: snapshot shard %d holds %d bins, partition wants %d", lo+i, len(ss.Loads), sh.size)
+		ss, err := at(lo+i, sh.base, sh.size)
+		if err == nil {
+			err = sh.build(ss, restore, gopts)
 		}
-		st, err := newPartState(ss.Loads, sh.base, gopts)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
-		}
-		if err := st.Restore(ss.Loads, ss.Work); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
-		}
-		if err := st.WidenTo(engine.Width(ss.Width)); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
-		}
-		sh.state = st
-		sh.src = rng.New(0)
-		if err := sh.src.SetState(ss.RNG); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
 		}
 	}
@@ -194,17 +226,41 @@ func NewGroupFromSnapshot(snap *EngineSnapshot, lo, hi int, runner transport.Run
 	return g, nil
 }
 
+// build makes the part's engine state and rng stream from its starting
+// state (see buildGroup).
+func (sh *shardPart) build(ss ShardSnapshot, restore bool, gopts GroupOptions) error {
+	if len(ss.Loads) != sh.size {
+		return fmt.Errorf("holds %d bins, partition wants %d", len(ss.Loads), sh.size)
+	}
+	eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
+	if onEmptied, base := gopts.OnEmptied, sh.base; onEmptied != nil {
+		eopts.OnEmptied = func(u int) { onEmptied(base + u) }
+	}
+	st, err := engine.New(ss.Loads, eopts)
+	if err != nil {
+		return err
+	}
+	if restore {
+		if err := st.Restore(ss.Loads, ss.Work); err != nil {
+			return err
+		}
+		if err := st.WidenTo(engine.Width(ss.Width)); err != nil {
+			return err
+		}
+	}
+	src := rng.New(0)
+	if err := src.SetState(ss.RNG); err != nil {
+		return err
+	}
+	sh.state, sh.src = st, src
+	return nil
+}
+
 // newGroupFrame allocates the group skeleton (partition bookkeeping,
 // buffers) without shard states.
 func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
-	if n < 1 || n > MaxBins {
-		return nil, fmt.Errorf("shard: %d bins outside [1, %d]", n, MaxBins)
-	}
-	if s < 1 || s > n {
-		return nil, fmt.Errorf("shard: %d shards for %d bins", s, n)
-	}
-	if lo < 0 || hi > s || lo >= hi {
-		return nil, fmt.Errorf("shard: group range [%d,%d) outside %d shards", lo, hi, s)
+	if err := checkGroupRange(n, s, lo, hi); err != nil {
+		return nil, err
 	}
 	if runner == nil {
 		return nil, errors.New("shard: group with nil runner")
@@ -218,6 +274,7 @@ func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
 		parts:  make([]shardPart, hi-lo),
 		runner: runner,
 	}
+	g.releaseFn, g.commitFn = g.releaseShard, g.commitShard
 	if q, r := n/s, n%s; r == 0 && q&(q-1) == 0 {
 		g.shift = bits.TrailingZeros(uint(q))
 	}
@@ -237,14 +294,19 @@ func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
 	return g, nil
 }
 
-// newPartState builds one shard's engine.State, rebasing the OnEmptied
-// callback to global bin indices.
-func newPartState(loads []int32, base int, gopts GroupOptions) (*engine.State, error) {
-	eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
-	if onEmptied := gopts.OnEmptied; onEmptied != nil {
-		eopts.OnEmptied = func(u int) { onEmptied(base + u) }
+// checkGroupRange validates a group's partition: n bins in [1, MaxBins],
+// s shards in [1, n], and a non-empty owned range [lo, hi) inside them.
+func checkGroupRange(n, s, lo, hi int) error {
+	if n < 1 || n > MaxBins {
+		return fmt.Errorf("shard: %d bins outside [1, %d]", n, MaxBins)
 	}
-	return engine.New(loads, eopts)
+	if s < 1 || s > n {
+		return fmt.Errorf("shard: %d shards for %d bins", s, n)
+	}
+	if lo < 0 || hi > s || lo >= hi {
+		return fmt.Errorf("shard: group range [%d,%d) outside %d shards", lo, hi, s)
+	}
+	return nil
 }
 
 // prefault runs the worker-pinned page warm-up once: with the pooled
@@ -281,9 +343,6 @@ func (g *Group) owns(s int) bool { return s >= g.lo && s < g.hi }
 func (g *Group) Release(arrivals Arrivals) {
 	sp := obs.StartSpan("release", obs.LanePhases)
 	tm := obs.StartTimer()
-	if g.releaseFn == nil {
-		g.releaseFn = g.releaseShard
-	}
 	g.arrivals = arrivals
 	g.runner.Run(g.releaseFn)
 	g.arrivals = nil
@@ -294,8 +353,9 @@ func (g *Group) Release(arrivals Arrivals) {
 // releaseShard is owned shard i's release. The destinations are drawn in
 // drawBlock blocks — the identical Uint64n sequence, one bulk Fill32n per
 // block — and each block is appended to the out rows of its destination
-// shards. With a single shard, routing is the identity: each block is
-// staged straight into the state, exactly as Commit would stage the row
+// shards, reserved for the round's k balls before the first draw (see
+// reserveRows). With a single shard, routing is the identity: each block
+// is staged straight into the state, exactly as Commit would stage the row
 // (staged arrivals are counts, so staging them a phase early changes
 // nothing), and no row is written or read back.
 func (g *Group) releaseShard(i int) {
@@ -310,6 +370,9 @@ func (g *Group) releaseShard(i int) {
 		sh.blk = new([drawBlock]int32)
 	}
 	bound, out := uint64(g.n), sh.out
+	if g.s > 1 {
+		g.reserveRows(out, k)
+	}
 	for k > 0 {
 		blk := sh.blk[:min(k, drawBlock)]
 		k -= len(blk)
@@ -328,6 +391,34 @@ func (g *Group) releaseShard(i int) {
 				d := g.ShardOf(int(v))
 				out[d] = append(out[d], v)
 			}
+		}
+	}
+}
+
+// Row reservation: a row is reserved for its expected arrivals plus
+// rowSlack standard deviations plus rowPad.
+const (
+	rowSlack = 6
+	rowPad   = 16
+)
+
+// reserveRows readies a shard's out rows for a round that throws k balls.
+// Row d receives Binomial(k, size_d/n) of them, so every row is reserved
+// once, before the draws, for the largest shard's mean plus rowSlack
+// standard deviations, and routing never grows a row ball by ball; append
+// stays as the overflow path of a row that draws past its reservation,
+// which the slack makes vanishingly rare. Rows are empty between rounds,
+// so a short row is replaced rather than copied, by one at least 3/2 its
+// capacity: a run whose arrivals grow over many rounds (a sparse start
+// densifying) regrows each row O(log n) times, its rows ending below 3/2
+// of its largest round, and a warm round, whose rows already fit,
+// allocates nothing.
+func (g *Group) reserveRows(out [][]int32, k int) {
+	mean := float64(k) * float64(PartitionSize(g.n, g.s, 0)) / float64(g.n)
+	want := int(mean+rowSlack*math.Sqrt(mean)) + rowPad
+	for d, row := range out {
+		if cap(row) < want {
+			out[d] = make([]int32, 0, max(want, cap(row)+cap(row)/2))
 		}
 	}
 }
@@ -357,9 +448,6 @@ func (g *Group) Deliver(src, dst int, buf []int32) {
 func (g *Group) Commit() {
 	sp := obs.StartSpan("commit", obs.LanePhases)
 	tm := obs.StartTimer()
-	if g.commitFn == nil {
-		g.commitFn = g.commitShard
-	}
 	g.runner.Run(g.commitFn)
 	if g.lo > 0 || g.hi < g.s {
 		for i := range g.parts {

@@ -41,19 +41,26 @@ type Process struct {
 // pure function of (seed, len(loads), opts.Shards). It returns an error if
 // loads is empty or contains a negative entry.
 func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
-	return newProcess(loads, seed, opts, ArrivalRule{}, nil)
+	return newProcess(len(loads), loadsSource(loads, 0, seed), opts, ArrivalRule{}, nil)
 }
 
-// newProcess builds a process stepping rule over a copy of loads, with
-// onEmptied (global bin indices) as the group's OnEmptied hook.
-func newProcess(loads []int32, seed uint64, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
-	n := len(loads)
+// NewProcessFill is NewProcess over the n-bin start that fill serves,
+// built shard by shard (see Fill): the same process NewProcess builds
+// over the whole vector.
+func NewProcessFill(n int, fill Fill, seed uint64, opts Options) (*Process, error) {
+	return newProcess(n, fillSource(fill, seed), opts, ArrivalRule{}, nil)
+}
+
+// newProcess builds a process over n bins stepping rule, with shard i's
+// starting state served by src and onEmptied (global bin indices) as the
+// group's OnEmptied hook.
+func newProcess(n int, src shardSource, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
 	if n < 1 {
 		return nil, errors.New("shard: NewProcess with no bins")
 	}
 	s, w := opts.resolve(n)
 	runner := local.NewPool(s, w)
-	g, err := NewGroup(n, s, 0, s, loads, seed, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel})
+	g, err := buildGroup(n, s, 0, s, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel}, false, src)
 	if err != nil {
 		runner.Close()
 		return nil, err
@@ -256,6 +263,18 @@ type Tetris struct {
 
 // NewTetris builds a sharded Tetris process over a copy of loads.
 func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) {
+	return newTetris(len(loads), loadsSource(loads, 0, seed), opts)
+}
+
+// NewTetrisFill is NewTetris over the n-bin start that fill serves, built
+// shard by shard (see Fill).
+func NewTetrisFill(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, error) {
+	return newTetris(n, fillSource(fill, seed), opts)
+}
+
+// newTetris builds a Tetris process over n bins, initialising the Lemma 4
+// tracker shard by shard from the starting loads src serves.
+func newTetris(n int, src shardSource, opts TetrisOptions) (*Tetris, error) {
 	rule, err := RuleForLaw(opts.Law, opts.Lambda)
 	if err != nil {
 		return nil, err
@@ -263,18 +282,24 @@ func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) 
 	if rule, err = rule.Normalize(); err != nil {
 		return nil, err
 	}
-	t := &Tetris{firstEmpty: make([]int64, len(loads))}
-	if t.Process, err = newProcess(loads, seed, opts.Options, rule, t.markEmptied); err != nil {
+	t := &Tetris{firstEmpty: make([]int64, max(n, 0))}
+	track := func(i, base, size int) (ShardSnapshot, error) {
+		ss, err := src(i, base, size)
+		for u, l := range ss.Loads {
+			t.firstEmpty[base+u] = -1
+			if l == 0 {
+				t.firstEmpty[base+u] = 0
+			}
+		}
+		return ss, err
+	}
+	if t.Process, err = newProcess(n, track, opts.Options, rule, t.markEmptied); err != nil {
 		return nil, err
 	}
 	t.perShardNever = make([]int64, t.Shards())
-	for u, l := range loads {
-		if l == 0 {
-			t.firstEmpty[u] = 0
-		} else {
-			t.firstEmpty[u] = -1
-			t.perShardNever[t.g.ShardOf(u)]++
-		}
+	for i := range t.perShardNever {
+		sh := &t.g.parts[i]
+		t.perShardNever[i] = int64(sh.size - sh.state.EmptyBins())
 	}
 	return t, nil
 }

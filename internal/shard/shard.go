@@ -20,7 +20,8 @@
 //	release  — every shard removes one ball from each of its non-empty
 //	           bins, decides its arrival count, draws that many uniform
 //	           destinations in [0, n) from its own stream, and stages them
-//	           in per-(src,dst) message buffers.
+//	           in per-(src,dst) message buffers, each reserved once per
+//	           round for its expected share of the draws.
 //	exchange — every buffer reaches its destination shard: in-process
 //	           destinations read their source buffers in place, remote
 //	           destinations (multi-process transport) receive serialized
@@ -34,6 +35,17 @@
 // shard's state; the buffers are written only by their source shard during
 // release and drained only by their destination shard during commit, with
 // the phase barrier ordering the two.
+//
+// # Building
+//
+// Every group is built by one loop, shard by shard, from a shard-sized
+// load slice: a subslice of the caller's loads (NewGroup, NewProcess,
+// NewTetris), a snapshot entry (NewGroupFromSnapshot, NewGroupFromShards)
+// or one scratch reused across shards and filled from the shard's range
+// of the start (NewProcessFill, NewTetrisFill, InitialShards). A fresh
+// run built from a Fill therefore never holds its whole start as an
+// []int32; its resident memory is the compact shard state plus one round
+// of in-flight destinations.
 //
 // # Transports
 //
@@ -81,6 +93,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/rng"
@@ -162,27 +175,48 @@ type EngineSnapshot struct {
 // InitialSnapshot builds the round-zero EngineSnapshot of a fresh run —
 // exactly the state NewProcess(loads, seed, Options{Shards: shards,
 // Width: width}) would snapshot before its first Step — without
-// constructing a process. The multi-process transport uses it (serialized
-// through internal/checkpoint) as the worker join payload; shards follows
-// the Options.Shards convention (0 means GOMAXPROCS, clamped to n) and
-// width the Options.Width one (the floor of each shard's auto-fitted
-// storage width).
+// constructing a process. shards follows the Options.Shards convention (0
+// means GOMAXPROCS, clamped to n) and width the Options.Width one (the
+// floor of each shard's auto-fitted storage width).
 func InitialSnapshot(loads []int32, seed uint64, shards int, width engine.Width) (*EngineSnapshot, error) {
 	n := len(loads)
 	if n < 1 {
 		return nil, errors.New("shard: InitialSnapshot with no bins")
 	}
-	s, _ := Options{Shards: shards}.resolve(n)
+	s, at := InitialShards(n, func(lo int, dst []int32) { copy(dst, loads[lo:]) }, seed, shards, width)
 	snap := &EngineSnapshot{N: n, Shards: make([]ShardSnapshot, s)}
-	base := 0
 	for i := range snap.Shards {
-		size := PartitionSize(n, s, i)
-		part := loads[base : base+size]
-		work := make([]uint64, (size+63)/64)
+		ss, err := at(i)
+		if err != nil {
+			return nil, err
+		}
+		ss.Loads = slices.Clone(ss.Loads)
+		snap.Shards[i] = ss
+	}
+	return snap, nil
+}
+
+// InitialShards serves the round-zero snapshot of a fresh run over the
+// n ≥ 1 bins fill serves, one shard at a time: it resolves the shard count
+// S as InitialSnapshot does and returns it with a function yielding entry
+// i — the entry InitialSnapshot would hold, except that its Loads live in
+// a scratch the next call reuses. The multi-process coordinator encodes
+// each worker's join frames from it, so a fresh multi-process run never
+// holds its whole start.
+func InitialShards(n int, fill Fill, seed uint64, shards int, width engine.Width) (int, func(i int) (ShardSnapshot, error)) {
+	s, _ := Options{Shards: shards}.resolve(n)
+	src := fillSource(fill, seed)
+	return s, func(i int) (ShardSnapshot, error) {
+		base := PartitionStart(n, s, i)
+		ss, err := src(i, base, PartitionSize(n, s, i))
+		if err != nil {
+			return ss, err
+		}
+		work := make([]uint64, (len(ss.Loads)+63)/64)
 		var max int32
-		for u, l := range part {
+		for u, l := range ss.Loads {
 			if l < 0 {
-				return nil, fmt.Errorf("shard: bin %d has negative load %d", base+u, l)
+				return ShardSnapshot{}, fmt.Errorf("shard: bin %d has negative load %d", base+u, l)
 			}
 			if l > 0 {
 				work[u>>6] |= 1 << uint(u&63)
@@ -191,13 +225,8 @@ func InitialSnapshot(loads []int32, seed uint64, shards int, width engine.Width)
 				}
 			}
 		}
-		snap.Shards[i] = ShardSnapshot{
-			RNG:   rng.NewStream(seed, uint64(i)).State(),
-			Loads: append([]int32(nil), part...),
-			Work:  work,
-			Width: uint8(engine.WidthFor(max, width)),
-		}
-		base += size
+		ss.Work = work
+		ss.Width = uint8(engine.WidthFor(max, width))
+		return ss, nil
 	}
-	return snap, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
@@ -30,16 +32,20 @@ var (
 		"Non-empty shard-to-shard exchange buffers drained at commit.")
 )
 
-// join migrates the snapshot's state into the connected workers: link i
-// owns shard range [PartitionStart(s, p, i), PartitionStart(s, p, i+1))
-// and receives the checkpoint v2 header plus one frame per owned shard —
-// only its own slice of the run. The coordinator never serializes the
-// whole run into one buffer; per-worker join payloads are encoded and sent
-// worker by worker. In mesh mode the join additionally distributes the
-// peer roster and waits for every worker's ready ack.
-func (e *Engine) join(snap *checkpoint.Snapshot) error {
-	es := snap.Engine
-	s := len(es.Shards)
+// join migrates the run's state into the connected workers: link i owns
+// shard range [PartitionStart(s, p, i), PartitionStart(s, p, i+1)) and
+// receives the checkpoint v2 header h plus one frame per owned shard —
+// only its own slice of the run. at serves shard i's state: a snapshot
+// entry on a resume, a range of the start on a fresh run. Each frame is
+// encoded as it is sent, and the coordinator's starting statistics are
+// folded in the same pass, so the coordinator never holds the whole run.
+// In mesh mode the join additionally distributes the peer roster and
+// waits for every worker's ready ack. Every write and read is bounded by
+// joinWait, refreshed per frame. A successful join clears the deadlines;
+// a failed one leaves them, so the quit frames of the abort that follows
+// cannot block on a worker that is not reading.
+func (e *Engine) join(h checkpoint.Header, at func(i int) (shard.ShardSnapshot, error)) (err error) {
+	s := h.Shards
 	p := len(e.links)
 	switch e.opts.Width {
 	case engine.WidthAuto, engine.Width8, engine.Width16, engine.Width32:
@@ -56,36 +62,23 @@ func (e *Engine) join(snap *checkpoint.Snapshot) error {
 		return err
 	}
 	e.rule = rule
-	e.n, e.s = es.N, s
-	e.round = es.Round
+	e.n, e.s = h.N, s
+	e.round = h.Round
 	e.rbuf = make([][][]int32, s)
 	e.barrier = obs.Default.Histogram("rbb_coord_barrier_seconds",
 		"Coordinator wall-clock wait for the round-closing stats barrier.",
 		nil, obs.Label{Key: "transport", Value: e.transport()})
-	// The pre-join fold of the snapshot's statistics: the coordinator
-	// never holds live shard state, so the global stats start from the
-	// snapshot and are re-folded from worker messages every round.
-	for i := range es.Shards {
-		for _, l := range es.Shards[i].Loads {
-			if l > e.maxLoad {
-				e.maxLoad = l
-			}
-			if l == 0 {
-				e.empty++
-			}
-			e.balls += int64(l)
-		}
-	}
 	var header bytes.Buffer
-	err = checkpoint.WriteHeader(&header, checkpoint.Header{
-		Seed:   snap.Seed,
-		N:      es.N,
-		Shards: s,
-		Round:  es.Round,
-	})
-	if err != nil {
+	if err := checkpoint.WriteHeader(&header, h); err != nil {
 		return err
 	}
+	defer func() {
+		if err == nil {
+			for _, l := range e.links {
+				l.nc.SetDeadline(time.Time{})
+			}
+		}
+	}()
 	mesh := byte(0)
 	if e.opts.Mesh {
 		mesh = 1
@@ -98,6 +91,7 @@ func (e *Engine) join(snap *checkpoint.Snapshot) error {
 		l.lo = shard.PartitionStart(s, p, i)
 		l.hi = shard.PartitionStart(s, p, i+1)
 		c := l.c
+		l.wait()
 		c.wByte(mInit)
 		c.wU32(ProtoVersion)
 		c.wU32(uint32(l.lo))
@@ -110,35 +104,52 @@ func (e *Engine) join(snap *checkpoint.Snapshot) error {
 		c.wBytes(header.Bytes())
 		c.flush()
 		if c.werr != nil {
-			return e.linkErr(l, "joining", c.werr)
+			return e.joinErr(l, "joining", c.werr)
 		}
 	}
+	// The shard frames, each encoded from its source as it is sent; the
+	// coordinator's global statistics start from the same pass and are
+	// re-folded from worker messages every round.
 	var frame []byte
 	for _, l := range e.links {
 		c := l.c
 		for i := l.lo; i < l.hi && c.werr == nil; i++ {
-			// Join frames are never compressed: they cross the link once.
-			frame, err = checkpoint.AppendShardFrame(frame[:0], &es.Shards[i], i, es.N, s, false)
+			sh, err := at(i)
 			if err != nil {
 				return err
 			}
+			for _, v := range sh.Loads {
+				e.maxLoad = max(e.maxLoad, v)
+				if v == 0 {
+					e.empty++
+				}
+				e.balls += int64(v)
+			}
+			// Join frames are never compressed: they cross the link once.
+			frame, err = checkpoint.AppendShardFrame(frame[:0], &sh, i, h.N, s, false)
+			if err != nil {
+				return err
+			}
+			l.wait()
 			c.wBlob(frame)
 		}
+		l.wait()
 		c.flush()
 		if c.werr != nil {
-			return e.linkErr(l, "joining", c.werr)
+			return e.joinErr(l, "joining", c.werr)
 		}
 	}
 	addrs := make([][]byte, p)
 	for i, l := range e.links {
 		c := l.c
+		l.wait()
 		if err := c.expect(mInitOK); err != nil {
-			return e.linkErr(l, "joining", err)
+			return e.joinErr(l, "joining", err)
 		}
 		e.loadBytes += int64(c.rU64())
 		addrs[i] = c.rBlob(maxAddrLen)
 		if err := c.err(); err != nil {
-			return e.linkErr(l, "joining", err)
+			return e.joinErr(l, "joining", err)
 		}
 		if e.opts.Mesh && len(addrs[i]) == 0 {
 			return e.linkErr(l, "joining", errors.New("wire: mesh worker reported no peer address"))
@@ -150,6 +161,7 @@ func (e *Engine) join(snap *checkpoint.Snapshot) error {
 	// Distribute the roster and wait for every worker's peer links.
 	for i, l := range e.links {
 		c := l.c
+		l.wait()
 		c.wByte(mRoster)
 		c.wU32(uint32(i))
 		c.wU32(uint32(p))
@@ -158,15 +170,29 @@ func (e *Engine) join(snap *checkpoint.Snapshot) error {
 		}
 		c.flush()
 		if c.werr != nil {
-			return e.linkErr(l, "distributing roster", c.werr)
+			return e.joinErr(l, "distributing roster", c.werr)
 		}
 	}
 	for _, l := range e.links {
+		l.wait()
 		if err := l.c.expect(mReady); err != nil {
-			return e.linkErr(l, "establishing mesh", err)
+			return e.joinErr(l, "establishing mesh", err)
 		}
 	}
 	return nil
+}
+
+// wait bounds the link's next join step by joinWait from now.
+func (l *link) wait() { l.nc.SetDeadline(time.Now().Add(joinWait)) }
+
+// joinErr is linkErr for a join step, naming an expired join wait as the
+// cause: the worker did not answer — most often a daemon busy with
+// another session.
+func (e *Engine) joinErr(l *link, doing string, err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = fmt.Errorf("worker did not answer within the join wait (%v; a daemon serves one session at a time): %w", joinWait, err)
+	}
+	return e.linkErr(l, doing, err)
 }
 
 // linkErr decorates a stream failure with the worker's identity, range and

@@ -136,6 +136,60 @@ func TestDaemonDropsIdleClient(t *testing.T) {
 	}
 }
 
+// TestJoinBusyDaemonFails: a daemon serves one session at a time, so a
+// run naming a daemon busy with another live session is accepted by the
+// listen backlog and then never answered. Its join must fail within the
+// join wait, with an error naming the host, instead of waiting out the
+// other run; once that session ends, the daemon serves a normal run.
+func TestJoinBusyDaemonFails(t *testing.T) {
+	const (
+		n      = 4096
+		s      = 2
+		seed   = 11
+		rounds = 20
+	)
+	SetJoin(t, nil, 250*time.Millisecond)
+	addr, _ := startDaemon(t)
+	loads := config.OnePerBin(n)
+	busy, err := NewProcess(loads, seed, Options{Shards: s, Hosts: []string{addr}})
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	defer busy.Close() // a failing test must still free the daemon
+	busy.Step()
+
+	failed := make(chan error, 1)
+	go func() {
+		e, err := NewProcess(loads, seed, Options{Shards: s, Hosts: []string{addr}})
+		if err == nil {
+			e.Close()
+		}
+		failed <- err
+	}()
+	select {
+	case err := <-failed:
+		if err == nil {
+			t.Fatal("a run joined a daemon busy with another session")
+		}
+		for _, want := range []string{addr, "did not answer within the join wait"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("busy-daemon join error %q lacks %q", err, want)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a run naming a busy daemon still waiting after 10s")
+	}
+	busy.Close()
+
+	got, err := hostRun(loads, seed, s, rounds, addr)
+	if err != nil {
+		t.Fatalf("run after the busy session: %v", err)
+	}
+	if !bytes.Equal(got, inProcess(t, loads, seed, s, rounds)) {
+		t.Fatalf("run after the busy session differs from the in-process run")
+	}
+}
+
 // TestDaemonSurvivesBadSessions writes bad sessions to one daemon — a
 // probe, garbage, an init frame of another protocol version, a join the
 // worker refuses — and requires each to end without taking the daemon

@@ -27,8 +27,13 @@
 // only its own state, not the whole run. State migration between process
 // topologies and machines is therefore free: any checkpoint can be
 // reopened under any worker count, topology or machine set (the shard
-// count, not the placement, is the random law's key), and the coordinator
-// never buffers a serialized copy of the whole run.
+// count, not the placement, is the random law's key). The coordinator
+// encodes each frame as it sends it — from the snapshot entry on a
+// resume, from the shard's range of the start on a fresh run
+// (NewProcessFill) — and a worker builds each shard as its frame
+// arrives, so neither side ever holds the whole run, serialized or
+// decoded. Every step of the join is bounded by the join wait (see
+// joinWait), so a run naming a busy daemon fails instead of waiting.
 //
 // # Round protocol (star)
 //
@@ -86,12 +91,16 @@ import (
 // connectEnvVar carries the coordinator address to a self-spawned worker.
 const connectEnvVar = "RBB_TCP_CONNECT"
 
-// joinWait bounds the coordinator's connect phase: each host dial, or all
-// P self-spawned accepts together (the listener deadline is set once). A
-// worker waits twice as long for a session's init frame, so an idle
-// connection cannot wedge a daemon. workerArgv launches one self-spawned
-// worker (nil: this executable, which must call MaybeWorker). Tests
-// override both (export_test.go).
+// joinWait bounds every wait of the coordinator's join: each host dial,
+// all P self-spawned accepts together (the listener deadline is set
+// once), and then, refreshed for each, every join frame written and every
+// ack read — a daemon serves one session at a time, so a busy one accepts
+// the dial and then does not answer. A daemon drops a connection that
+// sends no init frame within half the join wait, so a run queued behind
+// an idle client is served before it gives up; a self-spawned worker
+// waits twice as long, covering its coordinator's accepts of the others.
+// workerArgv launches one self-spawned worker (nil: this executable,
+// which must call MaybeWorker). Tests override both (export_test.go).
 var (
 	joinWait   = 60 * time.Second
 	workerArgv []string
@@ -197,7 +206,33 @@ func New(snap *checkpoint.Snapshot, opts Options) (*Engine, error) {
 	if snap == nil || snap.Engine == nil {
 		return nil, errors.New("tcp: New with nil snapshot")
 	}
-	s := len(snap.Engine.Shards)
+	es := snap.Engine
+	h := checkpoint.Header{Seed: snap.Seed, N: es.N, Shards: len(es.Shards), Round: es.Round}
+	return start(h, func(i int) (shard.ShardSnapshot, error) { return es.Shards[i], nil }, opts)
+}
+
+// NewProcess builds a fresh multi-process run over a copy of loads — the
+// same pure function of (seed, len(loads), shards, rule) as the
+// in-process engines, executed across TCP workers.
+func NewProcess(loads []int32, seed uint64, opts Options) (*Engine, error) {
+	return NewProcessFill(len(loads), func(lo int, dst []int32) { copy(dst, loads[lo:]) }, seed, opts)
+}
+
+// NewProcessFill is NewProcess over the n-bin start fill serves. Each
+// shard's join frame is encoded from its own range as it is sent
+// (shard.InitialShards), so the coordinator never holds the whole start.
+func NewProcessFill(n int, fill shard.Fill, seed uint64, opts Options) (*Engine, error) {
+	if n < 1 || n > shard.MaxBins {
+		return nil, fmt.Errorf("tcp: %d bins outside [1, %d]", n, shard.MaxBins)
+	}
+	s, at := shard.InitialShards(n, fill, seed, opts.Shards, opts.Width)
+	return start(checkpoint.Header{Seed: seed, N: n, Shards: s}, at, opts)
+}
+
+// start connects the workers and joins them to the run h describes, shard
+// i's state served by at (see join).
+func start(h checkpoint.Header, at func(i int) (shard.ShardSnapshot, error), opts Options) (*Engine, error) {
+	s := h.Shards
 	p := opts.Procs
 	if len(opts.Hosts) > 0 {
 		if p != 0 && p != len(opts.Hosts) {
@@ -219,22 +254,11 @@ func New(snap *checkpoint.Snapshot, opts Options) (*Engine, error) {
 		e.reap()
 		return nil, err
 	}
-	if err := e.join(snap); err != nil {
+	if err := e.join(h, at); err != nil {
 		e.Close()
 		return nil, fmt.Errorf("tcp: %w", err)
 	}
 	return e, nil
-}
-
-// NewProcess builds a fresh multi-process run over a copy of loads — the
-// same pure function of (seed, len(loads), shards, rule) as the
-// in-process engines, executed across TCP workers.
-func NewProcess(loads []int32, seed uint64, opts Options) (*Engine, error) {
-	es, err := shard.InitialSnapshot(loads, seed, opts.Shards, opts.Width)
-	if err != nil {
-		return nil, err
-	}
-	return New(&checkpoint.Snapshot{Seed: seed, Engine: es}, opts)
 }
 
 // transport labels errors and barrier metrics.

@@ -42,7 +42,7 @@ func connect(addr string) error {
 		return fmt.Errorf("tcp: dialing coordinator %s: %w", addr, err)
 	}
 	defer nc.Close()
-	if err := serveSession(nc); err != nil && !errors.Is(err, io.EOF) {
+	if err := serveSession(nc, 2*joinWait); err != nil && !errors.Is(err, io.EOF) {
 		return err
 	}
 	return nil
@@ -52,9 +52,10 @@ func connect(addr string) error {
 // coordinator session at a time, forever — the `rbb-sim -worker -listen`
 // entry point for the host-daemon mode rbb-serve's placement.hosts dials.
 // Connections that close before sending a frame (reachability probes) are
-// ignored, and one that sends no init frame in time is dropped (see
-// workerJoin); session errors are logged to logw (default stderr) and the
-// daemon keeps serving. It returns only on a listener failure.
+// ignored, and one that sends no init frame within half the join wait is
+// dropped (see joinWait); session errors are logged to logw (default
+// stderr) and the daemon keeps serving. It returns only on a listener
+// failure.
 func ListenAndServe(addr string, logw io.Writer) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -78,7 +79,7 @@ func Serve(ln net.Listener, logw io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("tcp: accepting coordinator: %w", err)
 		}
-		if err := serveSession(nc); err != nil && !errors.Is(err, io.EOF) {
+		if err := serveSession(nc, joinWait/2); err != nil && !errors.Is(err, io.EOF) {
 			fmt.Fprintf(logw, "rbb tcp worker: session from %s: %v\n", nc.RemoteAddr(), err)
 		}
 		nc.Close()
@@ -120,12 +121,13 @@ func (st *workerState) close() {
 
 // serveSession runs the worker side of the protocol over one coordinator
 // socket until a quit frame or EOF (the coordinator exiting) and returns
-// the first protocol or engine error. An EOF before any frame arrives is
+// the first protocol or engine error. initWait bounds the wait for the
+// init frame (see workerJoin). An EOF before any frame arrives is
 // returned as io.EOF so daemons can treat reachability probes (dial, then
 // close) as non-events.
-func serveSession(nc net.Conn) error {
+func serveSession(nc net.Conn, initWait time.Duration) error {
 	c := newConn(nc, nc, nil, nil)
-	st, err := workerJoin(nc, c)
+	st, err := workerJoin(nc, c, initWait)
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
 			c.wErrFrame(err)
@@ -141,18 +143,17 @@ func serveSession(nc net.Conn) error {
 }
 
 // workerJoin handles the init frame: read the arrival rule, the checkpoint
-// v2 header and the owned shard frames, and restore the owned shard range
-// from them. The worker builds a sparsely populated engine snapshot — only
-// its own shards are filled — which is all shard.NewGroupFromSnapshot
-// reads for a sub-range restore. The wait for the init frame, up to and
-// including the header, is bounded (twice joinWait), so an idle client
-// cannot hold a daemon; the shard frames are not, because a large join
-// can take minutes. In mesh mode the worker then opens the peer listener
-// on the interface the coordinator reached it on (its address is what
-// peers on other machines can route to), reports its address, and
-// establishes every peer stream from the roster.
-func workerJoin(nc net.Conn, c *conn) (*workerState, error) {
-	nc.SetReadDeadline(time.Now().Add(2 * joinWait))
+// v2 header and the owned shard frames, building each owned shard as its
+// frame arrives (shard.NewGroupFromShards), so the worker never holds its
+// range decoded. The wait for the init frame, up to and including the
+// header, is bounded by initWait, so an idle client cannot hold a daemon;
+// the shard frames are not, because a large join can take minutes. In
+// mesh mode the worker then opens the peer listener on the interface the
+// coordinator reached it on (its address is what peers on other machines
+// can route to), reports its address, and establishes every peer stream
+// from the roster.
+func workerJoin(nc net.Conn, c *conn, initWait time.Duration) (*workerState, error) {
+	nc.SetReadDeadline(time.Now().Add(initWait))
 	if err := c.expect(mInit); err != nil {
 		return nil, err
 	}
@@ -203,28 +204,24 @@ func workerJoin(nc net.Conn, c *conn) (*workerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	es := &shard.EngineSnapshot{
-		N:      h.N,
-		Round:  h.Round,
-		Shards: make([]shard.ShardSnapshot, h.Shards),
-	}
-	for i := lo; i < hi; i++ {
-		frame := c.rBlob(frameBound(h.N, h.Shards, i))
+	frame := func(i int) (shard.ShardSnapshot, error) {
+		blob := c.rBlob(frameBound(h.N, h.Shards, i))
 		if c.rerr != nil {
-			return nil, c.rerr
+			return shard.ShardSnapshot{}, c.rerr
 		}
-		idx, sh, err := checkpoint.DecodeShardFrame(frame, h.N, h.Shards)
+		idx, sh, err := checkpoint.DecodeShardFrame(blob, h.N, h.Shards)
 		if err != nil {
-			return nil, fmt.Errorf("join payload: %w", err)
+			return sh, fmt.Errorf("join payload: %w", err)
 		}
 		if idx != i {
-			return nil, fmt.Errorf("join frame for shard %d, want %d", idx, i)
+			return sh, fmt.Errorf("join frame for shard %d, want %d", idx, i)
 		}
-		es.Shards[i] = sh
+		return sh, nil
 	}
-	g, err := shard.NewGroupFromSnapshot(es, lo, hi, local.NewPool(hi-lo, workers),
-		shard.GroupOptions{Width: width, Kernel: kernel})
+	runner := local.NewPool(hi-lo, workers)
+	g, err := shard.NewGroupFromShards(h.N, h.Shards, lo, hi, frame, runner, shard.GroupOptions{Width: width, Kernel: kernel})
 	if err != nil {
+		runner.Close()
 		return nil, err
 	}
 	st := &workerState{c: c, g: g, arrive: arrive, round: h.Round, mesh: mesh == 1}

@@ -28,13 +28,25 @@ type Process interface {
 
 // MakeLoads builds the spec's initial configuration exactly as every
 // frontend always has: config.Make seeded with rng.New(Seed) — the first
-// half of the (seed, n, shards) purity contract.
+// half of the (seed, n, shards) purity contract. Build serves the same
+// configuration a shard at a time (see initial).
 func (sp RunSpec) MakeLoads() ([]int32, error) {
-	balls := sp.M
+	return config.Make(config.Generator(sp.Init), sp.N, sp.balls(), rng.New(sp.Seed))
+}
+
+// initial is MakeLoads in range form: the configuration every shard of a
+// fresh run is built from, one shard's range at a time.
+func (sp RunSpec) initial() (*config.Start, error) {
+	return config.NewStart(config.Generator(sp.Init), sp.N, sp.balls(), rng.New(sp.Seed))
+}
+
+// balls is the start's ball count: M under relaunch, one ball per bin
+// under the batch rules.
+func (sp RunSpec) balls() int {
 	if sp.Process != ProcessRBB {
-		balls = sp.N
+		return sp.N
 	}
-	return config.Make(config.Generator(sp.Init), sp.N, balls, rng.New(sp.Seed))
+	return sp.M
 }
 
 // Rule maps the spec's process kind and λ onto the wire-encodable arrival
@@ -62,9 +74,12 @@ func (sp RunSpec) workers(hostDefault int) int {
 
 // Build lowers a normalized spec into a fresh run on its placement.
 // hostWorkers is the host's default phase worker count (rbb-serve's
-// -run-workers; 0 = GOMAXPROCS), overridden by Placement.Workers.
+// -run-workers; 0 = GOMAXPROCS), overridden by Placement.Workers. Every
+// placement builds the run shard by shard from the spec's start, so a
+// one-per-bin or all-in-one run never holds its whole start as an
+// []int32; the run is the one MakeLoads' vector would give.
 func (sp RunSpec) Build(hostWorkers int) (Process, error) {
-	loads, err := sp.MakeLoads()
+	st, err := sp.initial()
 	if err != nil {
 		return nil, err
 	}
@@ -75,19 +90,19 @@ func (sp RunSpec) Build(hostWorkers int) (Process, error) {
 	case TransportPool:
 		shOpts := shard.Options{Shards: sp.Shards, Workers: w, Width: width, Kernel: kernel}
 		if sp.Process == ProcessRBB {
-			return shard.NewProcess(loads, sp.Seed, shOpts)
+			return shard.NewProcessFill(sp.N, st.Fill, sp.Seed, shOpts)
 		}
 		law := tetris.Deterministic
 		if sp.Process == ProcessBatches {
 			law = tetris.BinomialArrivals
 		}
-		return shard.NewTetris(loads, sp.Seed, shard.TetrisOptions{Options: shOpts, Law: law, Lambda: sp.Lambda})
+		return shard.NewTetrisFill(sp.N, st.Fill, sp.Seed, shard.TetrisOptions{Options: shOpts, Law: law, Lambda: sp.Lambda})
 	case TransportTCP, TransportTCPMesh:
 		rule, err := sp.Rule()
 		if err != nil {
 			return nil, err
 		}
-		return tcp.NewProcess(loads, sp.Seed, tcp.Options{
+		return tcp.NewProcessFill(sp.N, st.Fill, sp.Seed, tcp.Options{
 			Shards: sp.Shards, Procs: sp.Placement.Procs, Workers: w, Rule: rule, Width: width,
 			Kernel: kernel, Mesh: kind == TransportTCPMesh, Hosts: sp.Placement.Hosts,
 		})

@@ -1,14 +1,30 @@
 package spec
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/config"
+	"repro/internal/shard"
+	"repro/internal/shard/transport/tcp"
+	"repro/internal/tetris"
 )
+
+// TestMain doubles as the transport worker entry point: runs placed on a
+// multi-process transport re-execute the test binary as their workers, and
+// MaybeWorker diverts those children into the worker protocol.
+func TestMain(m *testing.M) {
+	tcp.MaybeWorker()
+	os.Exit(m.Run())
+}
 
 // TestStart pins the one run start: an absent checkpoint builds the run
 // fresh, a present one resumes it (pipeline accumulators included), a
@@ -78,5 +94,176 @@ func TestStart(t *testing.T) {
 				t.Errorf("pipeline has observed %d rounds, want %d", got, tc.wantRound)
 			}
 		})
+	}
+}
+
+// stepped runs p to round rounds through checkpoint.Run — with a final
+// checkpoint at path when path is set — and returns the pipeline summary
+// as JSON and the checkpoint bytes.
+func stepped(t *testing.T, p checkpoint.Process, rounds int64, seed uint64, path string) (summary, ckpt []byte) {
+	t.Helper()
+	pipe, err := shard.NewPipeline([]float64{0.5, 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := checkpoint.Run(context.Background(), p, rounds, checkpoint.Policy{Path: path, Seed: seed, Pipeline: pipe}); err != nil {
+		t.Fatal(err)
+	}
+	if summary, err = json.Marshal(pipe.SummaryFor(p)); err != nil {
+		t.Fatal(err)
+	}
+	if path != "" {
+		if ckpt, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return summary, ckpt
+}
+
+// runStart is a built run's round-zero statistics: on a tcp placement the
+// coordinator folds them from the join frames it encodes.
+type runStart struct {
+	MaxLoad int32
+	Empty   int
+	Balls   int64
+}
+
+func startOf(p checkpoint.Process) runStart {
+	return runStart{p.MaxLoad(), p.EmptyBins(), p.(interface{ Balls() int64 }).Balls()}
+}
+
+// TestBuildMatchesLoads: Build fills every shard from its own range of the
+// start, on every placement, and the run is the one the whole-run vector
+// of MakeLoads gives — same starting statistics, and the same summary and
+// final checkpoint bytes after 40 rounds, for every generator, at S = 1, 7
+// and 8 (a ragged partition and a power-of-two one) — and so is a Tetris
+// or batches run's snapshot, summary and Lemma 4 tracker on the pool.
+func TestBuildMatchesLoads(t *testing.T) {
+	const (
+		n      = 20011
+		rounds = 40
+		seed   = 29
+	)
+	dir := t.TempDir()
+	for _, gen := range config.Generators() {
+		for _, shards := range []int{1, 7, 8} {
+			sp := RunSpec{Seed: seed, N: n, Rounds: rounds, Shards: shards, Init: string(gen)}
+			if err := sp.Normalize(0); err != nil {
+				t.Fatal(err)
+			}
+			loads, err := sp.MakeLoads()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := shard.NewProcess(loads, seed, shard.Options{Shards: shards, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStart := startOf(ref)
+			wantSum, wantCkpt := stepped(t, ref, rounds, seed, filepath.Join(dir, "ref.ckpt"))
+			ref.Close()
+			for _, tr := range []string{TransportPool, TransportTCP, TransportTCPMesh} {
+				sp := sp
+				sp.Placement = Placement{Transport: tr, Workers: 1}
+				if tr != TransportPool {
+					sp.Placement.Procs = min(2, shards)
+				}
+				if err := sp.Normalize(0); err != nil {
+					t.Fatal(err)
+				}
+				p, err := sp.Build(1)
+				if err != nil {
+					t.Fatalf("%s S=%d %s: %v", gen, shards, tr, err)
+				}
+				if got := startOf(p.(checkpoint.Process)); got != wantStart {
+					t.Errorf("%s S=%d %s: starts at %+v, want %+v", gen, shards, tr, got, wantStart)
+				}
+				gotSum, gotCkpt := stepped(t, p.(checkpoint.Process), rounds, seed, filepath.Join(dir, tr+".ckpt"))
+				p.Close()
+				if !bytes.Equal(gotSum, wantSum) {
+					t.Errorf("%s S=%d %s: summary %s, want %s", gen, shards, tr, gotSum, wantSum)
+				}
+				if !bytes.Equal(gotCkpt, wantCkpt) {
+					t.Errorf("%s S=%d %s: final checkpoint differs from the MakeLoads run's", gen, shards, tr)
+				}
+			}
+			for _, proc := range []string{ProcessTetris, ProcessBatches} {
+				sp := RunSpec{Process: proc, Seed: seed, N: n, Rounds: rounds, Shards: shards, Init: string(gen)}
+				if err := sp.Normalize(0); err != nil {
+					t.Fatal(err)
+				}
+				loads, err := sp.MakeLoads()
+				if err != nil {
+					t.Fatal(err)
+				}
+				law := tetris.Deterministic
+				if proc == ProcessBatches {
+					law = tetris.BinomialArrivals
+				}
+				ref, err := shard.NewTetris(loads, seed, shard.TetrisOptions{Options: shard.Options{Shards: shards, Workers: 1}, Law: law, Lambda: sp.Lambda})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := sp.Build(1)
+				if err != nil {
+					t.Fatalf("%s %s S=%d: %v", proc, gen, shards, err)
+				}
+				got := p.(*shard.Tetris)
+				wantSum, _ := stepped(t, ref, rounds, seed, "")
+				gotSum, _ := stepped(t, got, rounds, seed, "")
+				if !bytes.Equal(gotSum, wantSum) {
+					t.Errorf("%s %s S=%d: summary %s, want %s", proc, gen, shards, gotSum, wantSum)
+				}
+				wantSnap, err := ref.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotSnap, err := got.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotSnap, wantSnap) {
+					t.Errorf("%s %s S=%d: snapshot differs from the MakeLoads run's", proc, gen, shards)
+				}
+				wr, wok := ref.AllEmptiedRound()
+				gr, gok := got.AllEmptiedRound()
+				if gr != wr || gok != wok {
+					t.Errorf("%s %s S=%d: AllEmptiedRound %d %v, want %d %v", proc, gen, shards, gr, gok, wr, wok)
+				}
+				for u := 0; u < n; u++ {
+					if got.FirstEmptyRound(u) != ref.FirstEmptyRound(u) {
+						t.Fatalf("%s %s S=%d: bin %d first emptied at %d, want %d", proc, gen, shards, u, got.FirstEmptyRound(u), ref.FirstEmptyRound(u))
+					}
+				}
+				ref.Close()
+				got.Close()
+			}
+		}
+	}
+}
+
+// TestBuildAllocs pins a fresh build's memory to its compact state: at
+// n = 2²⁰, S = 8, one-per-bin, Build allocates the shards' load and
+// staging cells (2 bytes a bin at width 8), their worklists and one
+// shard of scratch — under 3 bytes a bin, where materialising the start
+// as a whole-run []int32 first cost over 6.
+func TestBuildAllocs(t *testing.T) {
+	const n = 1 << 20
+	sp := RunSpec{Seed: 3, N: n, Rounds: 1, Shards: 8, Placement: Placement{Workers: 1}}
+	if err := sp.Normalize(0); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := sp.Build(1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Build allocated %d bytes (%.2f B/bin)", got, float64(got)/n)
+	if got >= 3*n {
+		t.Errorf("Build allocated %.2f bytes a bin, want < 3", float64(got)/n)
 	}
 }
