@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -409,76 +410,101 @@ func TestRunCheckpointFlagErrors(t *testing.T) {
 
 // TestObservabilityNeutral is the telemetry determinism pin: a run with
 // -trace and -metrics enabled produces the byte-identical -json summary and
-// final checkpoint of a run without them, the trace file parses as Chrome
-// trace JSON with the expected phase spans, and the metrics dump carries
-// the phase families.
+// final checkpoint of the in-process run without them — in process, on a
+// self-spawned tcp-mesh (-procs 2) and on the tcp star — the trace file
+// parses as Chrome trace JSON with the expected spans, and the metrics dump
+// carries the expected families. A multi-process trace holds the
+// coordinator's spans only (release and commit run in the workers): one
+// barrier per round.
 func TestObservabilityNeutral(t *testing.T) {
+	const rounds = 120
 	dir := t.TempDir()
-	ckPlain := filepath.Join(dir, "plain.ckpt")
-	ckObs := filepath.Join(dir, "obs.ckpt")
-	tracePath := filepath.Join(dir, "trace.json")
-	metricsPath := filepath.Join(dir, "metrics.prom")
-	base := []string{"-n", "512", "-rounds", "120", "-shards", "4", "-seed", "11",
+	base := []string{"-n", "512", "-rounds", fmt.Sprint(rounds), "-shards", "4", "-seed", "11",
 		"-quantiles", "0.5,0.99", "-json", "-checkpoint-every", "40"}
-
-	var plain, instrumented strings.Builder
+	ckPlain := filepath.Join(dir, "plain.ckpt")
+	var plain strings.Builder
 	if err := run(append(append([]string(nil), base...), "-checkpoint", ckPlain), &plain); err != nil {
 		t.Fatal(err)
 	}
-	err := run(append(append([]string(nil), base...),
-		"-checkpoint", ckObs, "-trace", tracePath, "-metrics", metricsPath), &instrumented)
+	wantCkpt, err := os.ReadFile(ckPlain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.String() != instrumented.String() {
-		t.Errorf("-trace/-metrics changed the summary:\n%s\n%s", plain.String(), instrumented.String())
-	}
-	a, err := os.ReadFile(ckPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(ckObs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("-trace/-metrics changed the final checkpoint bytes")
-	}
+	for _, leg := range []struct {
+		name     string
+		args     []string
+		spans    []string // each at least once per round
+		families []string
+	}{
+		{"in-process", nil, []string{"release", "commit"},
+			[]string{"rbb_phase_seconds", "rbb_rounds_total", "rbb_ckpt_writes_total", "rbb_ckpt_bytes_total"}},
+		{"tcp-mesh", []string{"-procs", "2"}, []string{"barrier"},
+			[]string{"rbb_coord_barrier_seconds", "rbb_rounds_total", "rbb_ckpt_writes_total", "rbb_ckpt_bytes_total"}},
+		{"tcp", []string{"-transport", "tcp", "-procs", "2"}, []string{"barrier"},
+			[]string{"rbb_coord_barrier_seconds", "rbb_rounds_total", "rbb_ckpt_writes_total", "rbb_ckpt_bytes_total"}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			ckObs := filepath.Join(dir, leg.name+".ckpt")
+			tracePath := filepath.Join(dir, leg.name+".trace.json")
+			metricsPath := filepath.Join(dir, leg.name+".prom")
+			args := append(append(append([]string(nil), base...), leg.args...),
+				"-checkpoint", ckObs, "-trace", tracePath, "-metrics", metricsPath)
+			var instrumented strings.Builder
+			if err := run(args, &instrumented); err != nil {
+				t.Fatal(err)
+			}
+			if plain.String() != instrumented.String() {
+				t.Errorf("-trace/-metrics changed the summary:\n%s\n%s", plain.String(), instrumented.String())
+			}
+			got, err := os.ReadFile(ckObs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantCkpt) {
+				t.Error("-trace/-metrics changed the final checkpoint bytes")
+			}
 
-	blob, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents     []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatalf("trace file is not valid Chrome trace JSON: %v", err)
-	}
-	names := map[string]int{}
-	for _, ev := range doc.TraceEvents {
-		names[ev.Name]++
-	}
-	if names["release"] < 120 || names["commit"] < 120 {
-		t.Errorf("trace spans: release=%d commit=%d, want >= 120 each", names["release"], names["commit"])
-	}
-	if names["ckpt"] < 1 {
-		t.Errorf("trace has no checkpoint spans: %v", names)
-	}
+			blob, err := os.ReadFile(tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				DisplayTimeUnit string `json:"displayTimeUnit"`
+				TraceEvents     []struct {
+					Name string  `json:"name"`
+					Ph   string  `json:"ph"`
+					Ts   float64 `json:"ts"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(blob, &doc); err != nil {
+				t.Fatalf("trace file is not valid Chrome trace JSON: %v", err)
+			}
+			names := map[string]int{}
+			for _, ev := range doc.TraceEvents {
+				names[ev.Name]++
+			}
+			for _, span := range leg.spans {
+				if names[span] < rounds {
+					t.Errorf("trace has %d %s spans, want >= %d", names[span], span, rounds)
+				}
+			}
+			if leg.args != nil && names["barrier"] != rounds {
+				t.Errorf("trace has %d coordinator barrier spans, want one per round (%d)", names["barrier"], rounds)
+			}
+			if names["ckpt"] < 1 {
+				t.Errorf("trace has no checkpoint spans: %v", names)
+			}
 
-	prom, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, family := range []string{"rbb_phase_seconds", "rbb_rounds_total", "rbb_ckpt_writes_total", "rbb_ckpt_bytes_total"} {
-		if !strings.Contains(string(prom), family) {
-			t.Errorf("metrics dump missing family %s", family)
-		}
+			prom, err := os.ReadFile(metricsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, family := range leg.families {
+				if !strings.Contains(string(prom), family) {
+					t.Errorf("metrics dump missing family %s", family)
+				}
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 // the following ≤ 5n rounds.
 //
 // A fault is a Schedule (when) paired with a Placement (where the adversary
-// puts everything). Helpers run the core process and the traversal engine
+// puts everything). RunTraversalUntilCovered runs the traversal engine
 // under a fault stream.
 package adversary
 
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/walks"
 )
@@ -57,30 +56,6 @@ func (p Periodic) Faulty(round int64) bool {
 
 // Name returns "every-K".
 func (p Periodic) Name() string { return fmt.Sprintf("every-%d", p.Every) }
-
-// Bernoulli fires each round independently with probability P — a
-// randomized adversary with expected inter-fault gap 1/P.
-type Bernoulli struct {
-	P   float64
-	Src *rng.Source
-}
-
-// NewBernoulli validates and builds a Bernoulli schedule.
-func NewBernoulli(p float64, src *rng.Source) (*Bernoulli, error) {
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("adversary: NewBernoulli p = %v outside [0,1]", p)
-	}
-	if src == nil {
-		return nil, errors.New("adversary: NewBernoulli nil source")
-	}
-	return &Bernoulli{P: p, Src: src}, nil
-}
-
-// Faulty flips the schedule's coin.
-func (b *Bernoulli) Faulty(int64) bool { return b.Src.Bernoulli(b.P) }
-
-// Name returns "bernoulli-p".
-func (b *Bernoulli) Name() string { return fmt.Sprintf("bernoulli-%g", b.P) }
 
 // Placement produces the adversarial positions for m tokens over n nodes.
 type Placement interface {
@@ -157,43 +132,6 @@ func (UniformScatter) Positions(n, m int, r *rng.Source) []int32 {
 
 // Name returns "uniform-scatter".
 func (UniformScatter) Name() string { return "uniform-scatter" }
-
-// positionsToLoads converts a token→node assignment to a load vector.
-func positionsToLoads(positions []int32, n int) []int32 {
-	loads := make([]int32, n)
-	for _, p := range positions {
-		loads[p]++
-	}
-	return loads
-}
-
-// RunProcess advances a core.Process for rounds steps, applying the fault
-// (sched, place) whenever the schedule fires, and returns the maximum load
-// observed over the window. The placement draws its randomness from r
-// (which may be the process's own source).
-func RunProcess(p *core.Process, sched Schedule, place Placement, rounds int64, r *rng.Source) (windowMax int32, faults int64, err error) {
-	if p == nil || sched == nil || place == nil {
-		return 0, 0, errors.New("adversary: RunProcess with nil argument")
-	}
-	windowMax = p.MaxLoad()
-	for i := int64(0); i < rounds; i++ {
-		if sched.Faulty(p.Round()) {
-			positions := place.Positions(p.N(), int(p.Balls()), r)
-			if err := p.SetLoads(positionsToLoads(positions, p.N())); err != nil {
-				return windowMax, faults, err
-			}
-			faults++
-			if p.MaxLoad() > windowMax {
-				windowMax = p.MaxLoad()
-			}
-		}
-		p.Step()
-		if p.MaxLoad() > windowMax {
-			windowMax = p.MaxLoad()
-		}
-	}
-	return windowMax, faults, nil
-}
 
 // RunTraversalUntilCovered advances a traversal until parallel cover or
 // maxRounds, injecting faults per the schedule. It returns the cover round,

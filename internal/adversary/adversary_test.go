@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -37,32 +38,6 @@ func TestSchedules(t *testing.T) {
 	}
 }
 
-func TestBernoulliSchedule(t *testing.T) {
-	src := rng.New(1)
-	b, err := NewBernoulli(0.25, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fires := 0
-	for i := int64(0); i < 10000; i++ {
-		if b.Faulty(i) {
-			fires++
-		}
-	}
-	if fires < 2200 || fires > 2800 {
-		t.Fatalf("bernoulli fired %d/10000, want ~2500", fires)
-	}
-	if _, err := NewBernoulli(1.5, src); err == nil {
-		t.Error("p>1 accepted")
-	}
-	if _, err := NewBernoulli(0.5, nil); err == nil {
-		t.Error("nil source accepted")
-	}
-	if b.Name() == "" {
-		t.Error("name empty")
-	}
-}
-
 func TestPlacements(t *testing.T) {
 	r := rng.New(2)
 	for _, pl := range []Placement{AllToOne{Node: 3}, HalfAndHalf{A: 1, B: 5}, UniformScatter{}} {
@@ -95,6 +70,43 @@ func TestPlacements(t *testing.T) {
 	if pos[0] != 1 || pos[5] != 5 {
 		t.Fatal("HalfAndHalf layout wrong")
 	}
+}
+
+// positionsToLoads converts a token→node assignment to a load vector.
+func positionsToLoads(positions []int32, n int) []int32 {
+	loads := make([]int32, n)
+	for _, p := range positions {
+		loads[p]++
+	}
+	return loads
+}
+
+// RunProcess advances a core.Process for rounds steps, applying the fault
+// (sched, place) whenever the schedule fires, and returns the maximum load
+// observed over the window. The placement draws its randomness from r
+// (which may be the process's own source).
+func RunProcess(p *core.Process, sched Schedule, place Placement, rounds int64, r *rng.Source) (windowMax int32, faults int64, err error) {
+	if p == nil || sched == nil || place == nil {
+		return 0, 0, errors.New("adversary: RunProcess with nil argument")
+	}
+	windowMax = p.MaxLoad()
+	for i := int64(0); i < rounds; i++ {
+		if sched.Faulty(p.Round()) {
+			positions := place.Positions(p.N(), int(p.Balls()), r)
+			if err := p.SetLoads(positionsToLoads(positions, p.N())); err != nil {
+				return windowMax, faults, err
+			}
+			faults++
+			if p.MaxLoad() > windowMax {
+				windowMax = p.MaxLoad()
+			}
+		}
+		p.Step()
+		if p.MaxLoad() > windowMax {
+			windowMax = p.MaxLoad()
+		}
+	}
+	return windowMax, faults, nil
 }
 
 func TestRunProcessWithPeriodicFaults(t *testing.T) {

@@ -3,12 +3,9 @@
 // is n² bits total, so compactness matters (n = 8192 ⇒ 8 MiB).
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// Set is a fixed-size bitset of Len() bits. The zero value is an empty set
+// Set is a fixed-size bitset of n bits. The zero value is an empty set
 // of zero bits; use New for a sized set.
 type Set struct {
 	words []uint64
@@ -22,9 +19,6 @@ func New(n int) *Set {
 	}
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
-
-// Len returns the number of bits in the set.
-func (s *Set) Len() int { return s.n }
 
 // Test reports whether bit i is set.
 func (s *Set) Test(i int) bool {
@@ -52,43 +46,6 @@ func (s *Set) TestAndSet(i int) bool {
 	return old
 }
 
-// NextSet returns the index of the first set bit at or after i, or −1 if
-// there is none. (The engine's hot worklist loops iterate raw words via
-// Word/NumWords instead; NextSet is the general-purpose form.)
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	w := i >> 6
-	word := s.words[w] >> uint(i&63)
-	if word != 0 {
-		return i + bits.TrailingZeros64(word)
-	}
-	for w++; w < len(s.words); w++ {
-		if s.words[w] != 0 {
-			return w<<6 + bits.TrailingZeros64(s.words[w])
-		}
-	}
-	return -1
-}
-
-// ForEachSet calls f(i) for every set bit in increasing order. The callback
-// may clear bits at or before its argument (the iteration works on a copy
-// of the current word); setting new bits or clearing later bits during the
-// iteration yields unspecified visits for those bits.
-func (s *Set) ForEachSet(f func(i int)) {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			f(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
 // Word returns the i-th 64-bit word of the set (bits 64i .. 64i+63). It
 // exists for high-performance scans that want to branch on whole words.
 func (s *Set) Word(i int) uint64 { return s.words[i] }
@@ -96,50 +53,15 @@ func (s *Set) Word(i int) uint64 { return s.words[i] }
 // NumWords returns the number of 64-bit words backing the set.
 func (s *Set) NumWords() int { return len(s.words) }
 
-// SetWord replaces the i-th 64-bit word wholesale. Bits beyond Len() in the
+// SetWord replaces the i-th 64-bit word wholesale. Bits beyond n in the
 // final word must be zero; callers that rebuild the set from scratch (e.g.
 // a dense engine pass) use this to write 64 membership bits at once.
 func (s *Set) SetWord(i int, w uint64) { s.words[i] = w }
 
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Reset clears all bits.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Full reports whether every bit in [0, Len()) is set.
-func (s *Set) Full() bool {
-	if s.n == 0 {
-		return true
-	}
-	whole := s.n >> 6
-	for i := 0; i < whole; i++ {
-		if s.words[i] != ^uint64(0) {
-			return false
-		}
-	}
-	if rem := s.n & 63; rem != 0 {
-		mask := (uint64(1) << uint(rem)) - 1
-		return s.words[whole]&mask == mask
-	}
-	return true
-}
-
-// Matrix is an n×m bit matrix stored in one allocation: Row(i) views row i
-// as a Set. It is used as tokens × nodes visited matrix.
+// Matrix is a rows×cols bit matrix stored in one allocation. It is used
+// as the tokens × nodes visited matrix.
 type Matrix struct {
 	words       []uint64
-	rows, cols  int
 	wordsPerRow int
 }
 
@@ -151,17 +73,9 @@ func NewMatrix(rows, cols int) *Matrix {
 	wpr := (cols + 63) / 64
 	return &Matrix{
 		words:       make([]uint64, rows*wpr),
-		rows:        rows,
-		cols:        cols,
 		wordsPerRow: wpr,
 	}
 }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // TestAndSet sets bit (r, c) and reports whether it was already set.
 func (m *Matrix) TestAndSet(r, c int) bool {
@@ -170,25 +84,4 @@ func (m *Matrix) TestAndSet(r, c int) bool {
 	old := m.words[idx]&mask != 0
 	m.words[idx] |= mask
 	return old
-}
-
-// Test reports whether bit (r, c) is set.
-func (m *Matrix) Test(r, c int) bool {
-	return m.words[r*m.wordsPerRow+c>>6]&(1<<uint(c&63)) != 0
-}
-
-// RowCount returns the number of set bits in row r.
-func (m *Matrix) RowCount(r int) int {
-	c := 0
-	for _, w := range m.words[r*m.wordsPerRow : (r+1)*m.wordsPerRow] {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Reset clears the whole matrix.
-func (m *Matrix) Reset() {
-	for i := range m.words {
-		m.words[i] = 0
-	}
 }

@@ -1,6 +1,46 @@
 package bitset
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
+
+// NextSet returns the index of the first set bit at or after i, or −1 if
+// there is none. (The engine's hot worklist loops iterate raw words via
+// Word/NumWords instead; NextSet is the general-purpose form.)
+func (s *Set) NextSet(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return -1
+	}
+	w := i >> 6
+	word := s.words[w] >> uint(i&63)
+	if word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(s.words); w++ {
+		if s.words[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(s.words[w])
+		}
+	}
+	return -1
+}
+
+// ForEachSet calls f(i) for every set bit in increasing order. The callback
+// may clear bits at or before its argument (the iteration works on a copy
+// of the current word); setting new bits or clearing later bits during the
+// iteration yields unspecified visits for those bits.
+func (s *Set) ForEachSet(f func(i int)) {
+	for wi, w := range s.words {
+		base := wi << 6
+		for w != 0 {
+			f(base + bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+}
 
 // TestNextSet covers word boundaries, gaps and the not-found case.
 func TestNextSet(t *testing.T) {

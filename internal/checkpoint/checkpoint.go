@@ -112,12 +112,10 @@ import (
 	"repro/internal/shard"
 )
 
-// Format versions. Save writes Version; Load accepts both.
+// Format versions. Save writes Version2; Load accepts both.
 const (
 	Version1 = 1
 	Version2 = 2
-	// Version is the current format version written by Save.
-	Version = Version2
 )
 
 // magic identifies a checkpoint file.

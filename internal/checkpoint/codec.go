@@ -140,49 +140,6 @@ func writeObserverFields(w *leWriter, obs *shard.PipelineSnapshot) {
 	}
 }
 
-// saveV1 writes the legacy monolithic v1 format: header, inline int32
-// shard sections, observer section, one whole-stream CRC trailer. It is
-// kept verbatim as the reference encoder behind the v1 golden blob, the
-// compatibility tests and the format benchmarks; Save writes v2.
-func saveV1(dst io.Writer, snap *Snapshot) error {
-	if err := snap.validate(); err != nil {
-		return err
-	}
-	crc := crc32.New(castagnoli)
-	w := &leWriter{w: bufio.NewWriterSize(io.MultiWriter(dst, crc), 1<<16)}
-
-	w.bytes(magic[:])
-	w.u32(Version1)
-	w.u64(snap.Seed)
-	eng := snap.Engine
-	w.u64(uint64(eng.N))
-	w.u32(uint32(len(eng.Shards)))
-	var flags uint32
-	if snap.Observer != nil {
-		flags |= flagObserver
-	}
-	w.u32(flags)
-	w.u64(uint64(eng.Round))
-	for i := range eng.Shards {
-		writeShardPayload(w, &eng.Shards[i], 32)
-	}
-	if snap.Observer != nil {
-		writeObserverFields(w, snap.Observer)
-	}
-	if w.err != nil {
-		return fmt.Errorf("checkpoint: save: %w", w.err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := dst.Write(trailer[:]); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
-	}
-	return nil
-}
-
 // leReader deserializes little-endian values from a CRC-teed reader,
 // latching the first error. Truncation surfaces as a wrapped
 // io.ErrUnexpectedEOF.

@@ -50,20 +50,17 @@ type Policy struct {
 	OnWrite func(seconds float64)
 }
 
-// Process is the stepper surface Run checkpoints: a round stepper whose
-// complete deterministic state can be checkpointed between rounds, and
-// the arrival rule it steps. Snapshot gathers that state into memory
-// (resume tooling and tests use it); Run never does, it streams. Run
-// checkpoints only the relaunch rule, because the format records no rule
-// and every checkpoint resumes as rbb. *shard.Process (and with it
-// *shard.Tetris) implements Process, and so does the multi-process
-// coordinator of internal/shard/transport/tcp — which is how
-// `rbb-sim -procs P` shares this runner (periodic, triggered and
-// snapshot-and-stop checkpoints) with single-process runs.
+// Process is the stepper surface Run checkpoints: a round stepper and the
+// arrival rule it steps. Run checkpoints only the relaunch rule, because
+// the format records no rule and every checkpoint resumes as rbb; it
+// streams the state (see streamer) and never gathers it into memory.
+// *shard.Process (and with it *shard.Tetris) implements Process, and so
+// does the multi-process coordinator of internal/shard/transport/tcp —
+// which is how `rbb-sim -procs P` shares this runner (periodic, triggered
+// and snapshot-and-stop checkpoints) with single-process runs.
 type Process interface {
 	engine.Stepper
 	Rule() shard.ArrivalRule
-	Snapshot() (*shard.EngineSnapshot, error)
 }
 
 // StreamProcess is implemented by engines that serialize their own

@@ -186,17 +186,8 @@ func supportWeights(max int, pmf func(int) float64, mode float64) []float64 {
 	return weights
 }
 
-// Trials returns the number of trials n.
-func (b *Binomial) Trials() int { return b.trials }
-
-// P returns the success probability.
-func (b *Binomial) P() float64 { return b.p }
-
 // Mean returns n·p.
 func (b *Binomial) Mean() float64 { return float64(b.trials) * b.p }
-
-// Variance returns n·p·(1−p).
-func (b *Binomial) Variance() float64 { return float64(b.trials) * b.p * (1 - b.p) }
 
 // PMF returns the exact P(X = k) (not the trimmed table weight).
 func (b *Binomial) PMF(k int) float64 { return BinomialPMF(b.trials, b.p, k) }
@@ -208,7 +199,6 @@ func (b *Binomial) Sample(r *rng.Source) int { return b.table.sample(r) }
 // alias table over the effective support [0, mean + O(√mean)]. Create with
 // NewPoisson.
 type Poisson struct {
-	mean  float64
 	table *alias
 }
 
@@ -226,14 +216,8 @@ func NewPoisson(mean float64) (*Poisson, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Poisson{mean: mean, table: table}, nil
+	return &Poisson{table: table}, nil
 }
-
-// Mean returns the Poisson mean (also its variance).
-func (p *Poisson) Mean() float64 { return p.mean }
-
-// PMF returns the exact P(X = k).
-func (p *Poisson) PMF(k int) float64 { return PoissonPMF(p.mean, k) }
 
 // Sample draws one value, consuming exactly two draws from r.
 func (p *Poisson) Sample(r *rng.Source) int { return p.table.sample(r) }
@@ -241,8 +225,6 @@ func (p *Poisson) Sample(r *rng.Source) int { return p.table.sample(r) }
 // Zipf samples ranks 0..n−1 with P(k) ∝ (k+1)^−s — the skewed popularity
 // law used by the Zipf initial-configuration generator. Create with NewZipf.
 type Zipf struct {
-	n     int
-	s     float64
 	table *alias
 }
 
@@ -263,14 +245,8 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Zipf{n: n, s: s, table: table}, nil
+	return &Zipf{table: table}, nil
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // Sample draws one rank in [0, n), consuming exactly two draws from r.
 func (z *Zipf) Sample(r *rng.Source) int { return z.table.sample(r) }

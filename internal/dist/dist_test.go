@@ -81,12 +81,13 @@ func TestBinomialSampleMoments(t *testing.T) {
 		}
 		mean := sum / samples
 		variance := sumSq/samples - mean*mean
-		se := math.Sqrt(b.Variance() / samples)
+		wantVar := float64(tc.n) * tc.p * (1 - tc.p)
+		se := math.Sqrt(wantVar / samples)
 		if math.Abs(mean-b.Mean()) > 6*se+1e-9 {
 			t.Errorf("Binomial(%d, %v): mean %v, want %v", tc.n, tc.p, mean, b.Mean())
 		}
-		if relErr := math.Abs(variance-b.Variance()) / b.Variance(); relErr > 0.05 {
-			t.Errorf("Binomial(%d, %v): variance %v, want %v", tc.n, tc.p, variance, b.Variance())
+		if relErr := math.Abs(variance-wantVar) / wantVar; relErr > 0.05 {
+			t.Errorf("Binomial(%d, %v): variance %v, want %v", tc.n, tc.p, variance, wantVar)
 		}
 	}
 }
@@ -127,9 +128,6 @@ func TestZipfFrequencies(t *testing.T) {
 	z, err := NewZipf(n, s)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if z.N() != n || z.S() != s {
-		t.Fatal("accessors wrong")
 	}
 	var norm float64
 	for k := 1; k <= n; k++ {

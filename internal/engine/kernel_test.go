@@ -403,9 +403,17 @@ func TestSparseRoundAllocs(t *testing.T) {
 	}
 }
 
+// ScratchBytes returns the resident bytes of the per-round scratch buffers
+// (released bins, drawn destinations, the batched kernel's partition buffer
+// and bucket cursors). Zero until the first round that needs them; bounded
+// by ~12·n bytes for the batched dense kernel.
+func (s *State) ScratchBytes() int64 {
+	return int64(cap(s.bins)+cap(s.dests)+cap(s.dests2)+cap(s.bucketOff)) * 4
+}
+
 // TestScratchBytes: LoadBytes stays a pure function of (n, width) — it
-// feeds byte-compared summaries — while the kernel scratch is reported
-// separately and only by ScratchBytes.
+// feeds byte-compared summaries — so the batched kernel's larger scratch
+// never enters it.
 func TestScratchBytes(t *testing.T) {
 	loads := onePerBin(1 << 12)
 	mk := func(k Kernel) *State {

@@ -164,7 +164,7 @@ type fakeStepper struct {
 
 func (f *fakeStepper) Step()              {}
 func (f *fakeStepper) Round() int64       { return f.rounds }
-func (f *fakeStepper) N() int             { return f.s.N() }
+func (f *fakeStepper) N() int             { return f.s.n }
 func (f *fakeStepper) MaxLoad() int32     { return f.s.MaxLoad() }
 func (f *fakeStepper) EmptyBins() int     { return f.s.EmptyBins() }
 func (f *fakeStepper) NonEmptyBins() int  { return f.s.NonEmptyBins() }

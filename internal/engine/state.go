@@ -367,28 +367,13 @@ func (s *State) WidenTo(w Width) error {
 // Width returns the current storage width (Width8, Width16 or Width32).
 func (s *State) Width() Width { return s.width }
 
-// Kernel returns the dense-round kernel this State runs.
-func (s *State) Kernel() Kernel { return s.kernel }
-
 // LoadBytes returns the resident bytes of the load vector and the arrival
 // staging area at the current width. It is deliberately a pure function of
 // (n, width) — it feeds byte-compared run summaries, and the kernel choice
-// is placement-plane — so kernel scratch is reported by ScratchBytes
-// instead.
+// is placement-plane — so kernel scratch never enters it.
 func (s *State) LoadBytes() int64 {
 	return int64(s.n) * 2 * int64(uint8(s.width)/8)
 }
-
-// ScratchBytes returns the resident bytes of the per-round scratch buffers
-// (released bins, drawn destinations, the batched kernel's partition buffer
-// and bucket cursors). Zero until the first round that needs them; bounded
-// by ~12·n bytes for the batched dense kernel.
-func (s *State) ScratchBytes() int64 {
-	return int64(cap(s.bins)+cap(s.dests)+cap(s.dests2)+cap(s.bucketOff)) * 4
-}
-
-// N returns the number of bins.
-func (s *State) N() int { return s.n }
 
 // MaxLoad returns the current maximum bin load.
 func (s *State) MaxLoad() int32 { return s.maxLoad }

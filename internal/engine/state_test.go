@@ -402,7 +402,7 @@ func newMiniProcess(loads []int32, seed uint64) *miniProcess {
 
 func (p *miniProcess) Step()              { p.eng.ReleaseUniform(p.draw, nil); p.eng.Commit(); p.round++ }
 func (p *miniProcess) Round() int64       { return p.round }
-func (p *miniProcess) N() int             { return p.eng.N() }
+func (p *miniProcess) N() int             { return p.eng.n }
 func (p *miniProcess) MaxLoad() int32     { return p.eng.MaxLoad() }
 func (p *miniProcess) EmptyBins() int     { return p.eng.EmptyBins() }
 func (p *miniProcess) NonEmptyBins() int  { return p.eng.NonEmptyBins() }

@@ -51,23 +51,6 @@ func Run(s Stepper, rounds int64, obs ...Observer) {
 	}
 }
 
-// RunUntil steps s until pred returns true or maxRounds rounds have
-// elapsed, whichever comes first, and reports whether pred was satisfied.
-// pred is evaluated once before the first step (a process already
-// satisfying it takes zero steps) and after each step.
-func RunUntil(s Stepper, pred func(Stepper) bool, maxRounds int64) bool {
-	if pred(s) {
-		return true
-	}
-	for i := int64(0); i < maxRounds; i++ {
-		s.Step()
-		if pred(s) {
-			return true
-		}
-	}
-	return false
-}
-
 // WindowMax is an Observer tracking the running maximum load over the
 // observed rounds — the M_T statistic of Theorem 1(a).
 type WindowMax struct {

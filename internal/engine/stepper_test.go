@@ -39,6 +39,23 @@ func TestRunNegativeRoundsIsNoop(t *testing.T) {
 	}
 }
 
+// RunUntil steps s until pred returns true or maxRounds rounds have
+// elapsed, whichever comes first, and reports whether pred was satisfied.
+// pred is evaluated once before the first step (a process already
+// satisfying it takes zero steps) and after each step.
+func RunUntil(s Stepper, pred func(Stepper) bool, maxRounds int64) bool {
+	if pred(s) {
+		return true
+	}
+	for i := int64(0); i < maxRounds; i++ {
+		s.Step()
+		if pred(s) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestRunUntilPredTrueAtRoundZero(t *testing.T) {
 	p := newMiniProcess(allInOne(64, 64), 2)
 	// Satisfied before the first step: zero steps taken even with a zero

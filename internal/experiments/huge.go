@@ -46,7 +46,11 @@ func E20HugeN(cfg Config) (*Result, error) {
 	for i, c := range grid {
 		// A private master seed per row so rows never share shard streams.
 		seed := rng.NewStream(cfg.Seed, uint64(2000+i)).Uint64()
-		p, err := shard.NewProcess(config.OnePerBin(c.n), seed,
+		st, err := config.NewStart(config.GenOnePerBin, c.n, c.n, nil)
+		if err != nil {
+			return nil, err
+		}
+		p, err := shard.NewProcessFill(c.n, st.Fill, seed,
 			shard.Options{Shards: e20Shards, Workers: cfg.Parallelism})
 		if err != nil {
 			return nil, err

@@ -2,8 +2,7 @@
 // traversal application (§4) and the general-graph open questions (§5):
 // the complete graph with self-loops (on which parallel walks are exactly
 // the repeated balls-into-bins process), rings, 2-D tori, hypercubes and
-// random d-regular graphs, plus a lazy-walk wrapper and BFS utilities used
-// by the tests.
+// random d-regular graphs.
 package graph
 
 import (
@@ -273,78 +272,6 @@ func NewRandomRegular(n, d int, r *rng.Source, maxAttempts int) (*Adjacency, err
 	return nil, fmt.Errorf("graph: NewRandomRegular(n=%d, d=%d) failed after %d attempts", n, d, maxAttempts)
 }
 
-// Lazy wraps a graph so that walks stay in place with probability p; it
-// removes periodicity issues on bipartite graphs (rings with even n,
-// hypercubes) without changing the stationary distribution on regular
-// graphs.
-type Lazy struct {
-	G Graph
-	P float64
-}
-
-// NewLazy wraps g with staying probability p in [0, 1).
-func NewLazy(g Graph, p float64) (*Lazy, error) {
-	if g == nil {
-		return nil, errors.New("graph: NewLazy with nil graph")
-	}
-	if p < 0 || p >= 1 {
-		return nil, fmt.Errorf("graph: NewLazy p = %v outside [0, 1)", p)
-	}
-	return &Lazy{G: g, P: p}, nil
-}
-
-// N returns the underlying vertex count.
-func (g *Lazy) N() int { return g.G.N() }
-
-// Degree returns the underlying degree plus the implicit self-loop.
-func (g *Lazy) Degree(v int) int { return g.G.Degree(v) + 1 }
-
-// Neighbor returns v itself for i = 0 and the underlying neighbors shifted
-// by one.
-func (g *Lazy) Neighbor(v, i int) int {
-	if i == 0 {
-		return v
-	}
-	return g.G.Neighbor(v, i-1)
-}
-
-// Sample stays with probability P, otherwise moves like the base graph.
-func (g *Lazy) Sample(v int, r *rng.Source) int {
-	if r.Bernoulli(g.P) {
-		return v
-	}
-	return g.G.Sample(v, r)
-}
-
-// Name returns "lazy(base)".
-func (g *Lazy) Name() string { return fmt.Sprintf("lazy(%s)", g.G.Name()) }
-
-// Connected reports whether g is connected, by BFS from vertex 0.
-func Connected(g Graph) bool {
-	n := g.N()
-	if n == 0 {
-		return true
-	}
-	seen := make([]bool, n)
-	queue := make([]int, 0, n)
-	queue = append(queue, 0)
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for i := 0; i < g.Degree(v); i++ {
-			u := g.Neighbor(v, i)
-			if !seen[u] {
-				seen[u] = true
-				count++
-				queue = append(queue, u)
-			}
-		}
-	}
-	return count == n
-}
-
 // IsRegular reports whether every vertex has the same degree, returning
 // that degree.
 func IsRegular(g Graph) (int, bool) {
@@ -359,41 +286,4 @@ func IsRegular(g Graph) (int, bool) {
 		}
 	}
 	return d, true
-}
-
-// Diameter returns the exact diameter by BFS from every vertex — O(n·m),
-// intended for tests on small graphs. It returns −1 for a disconnected
-// graph.
-func Diameter(g Graph) int {
-	n := g.N()
-	diam := 0
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue = queue[:0]
-		queue = append(queue, s)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for i := 0; i < g.Degree(v); i++ {
-				u := g.Neighbor(v, i)
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d < 0 {
-				return -1
-			}
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
 }

@@ -7,6 +7,69 @@ import (
 	"repro/internal/rng"
 )
 
+// Connected reports whether g is connected, by BFS from vertex 0.
+func Connected(g Graph) bool {
+	n := g.N()
+	if n == 0 {
+		return true
+	}
+	seen := make([]bool, n)
+	queue := make([]int, 0, n)
+	queue = append(queue, 0)
+	seen[0] = true
+	count := 1
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for i := 0; i < g.Degree(v); i++ {
+			u := g.Neighbor(v, i)
+			if !seen[u] {
+				seen[u] = true
+				count++
+				queue = append(queue, u)
+			}
+		}
+	}
+	return count == n
+}
+
+// Diameter returns the exact diameter by BFS from every vertex — O(n·m),
+// intended for tests on small graphs. It returns −1 for a disconnected
+// graph.
+func Diameter(g Graph) int {
+	n := g.N()
+	diam := 0
+	dist := make([]int, n)
+	queue := make([]int, 0, n)
+	for s := 0; s < n; s++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue = queue[:0]
+		queue = append(queue, s)
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for i := 0; i < g.Degree(v); i++ {
+				u := g.Neighbor(v, i)
+				if dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		for _, d := range dist {
+			if d < 0 {
+				return -1
+			}
+			if d > diam {
+				diam = d
+			}
+		}
+	}
+	return diam
+}
+
 func TestCompleteBasics(t *testing.T) {
 	g, err := NewComplete(5)
 	if err != nil {
@@ -214,43 +277,6 @@ func TestRandomRegularValidation(t *testing.T) {
 	}
 }
 
-func TestLazy(t *testing.T) {
-	base, err := NewRing(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewLazy(base, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Degree(0) != 3 {
-		t.Fatal("lazy degree should include self")
-	}
-	if g.Neighbor(4, 0) != 4 {
-		t.Fatal("lazy neighbor 0 should be self")
-	}
-	if g.Neighbor(4, 1) != base.Neighbor(4, 0) {
-		t.Fatal("lazy neighbor shift wrong")
-	}
-	r := rng.New(3)
-	stays := 0
-	const draws = 50000
-	for i := 0; i < draws; i++ {
-		if g.Sample(4, r) == 4 {
-			stays++
-		}
-	}
-	if stays < 23500 || stays > 26500 {
-		t.Fatalf("lazy stay rate %d/%d, want ~50%%", stays, draws)
-	}
-	if _, err := NewLazy(nil, 0.5); err == nil {
-		t.Error("nil base accepted")
-	}
-	if _, err := NewLazy(base, 1.0); err == nil {
-		t.Error("p=1 accepted")
-	}
-}
-
 func TestDiameterDisconnected(t *testing.T) {
 	adj := [][]int32{{1}, {0}, {3}, {2}} // two disjoint edges
 	g, err := NewAdjacency(adj, "disc")
@@ -290,8 +316,7 @@ func TestNames(t *testing.T) {
 	ring, _ := NewRing(4)
 	torus, _ := NewTorus(2, 2)
 	cube, _ := NewHypercube(2)
-	lazy, _ := NewLazy(ring, 0.5)
-	for _, g := range []Graph{comp, ring, torus, cube, lazy} {
+	for _, g := range []Graph{comp, ring, torus, cube} {
 		if g.Name() == "" {
 			t.Errorf("%T has empty name", g)
 		}

@@ -187,12 +187,6 @@ func PaperBound(t int64) float64 {
 	return math.Exp(-float64(t) / 144)
 }
 
-// BoundApplies reports whether the Lemma 5 bound is claimed at (k, t),
-// i.e. t ≥ 8k.
-func BoundApplies(k int, t int64) bool {
-	return t >= int64(8*k)
-}
-
 // HittingTimeMean estimates E_k[τ] by Monte Carlo. With drift −1/4 the
 // walk's mean absorption time from k is ≈ 4k; the E6 table reports this
 // next to the tail bounds.

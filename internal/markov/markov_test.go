@@ -146,6 +146,12 @@ func TestLemma5BoundHolds(t *testing.T) {
 	}
 }
 
+// BoundApplies reports whether the Lemma 5 bound is claimed at (k, t),
+// i.e. t ≥ 8k.
+func BoundApplies(k int, t int64) bool {
+	return t >= int64(8*k)
+}
+
 func TestBoundApplies(t *testing.T) {
 	if BoundApplies(10, 79) {
 		t.Error("t=79 < 8k=80 should not apply")

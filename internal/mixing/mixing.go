@@ -147,14 +147,6 @@ func normalize(v []float64) {
 	}
 }
 
-// RelaxationTime returns 1/gap, the relaxation time of the walk.
-func RelaxationTime(gap float64) float64 {
-	if gap <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / gap
-}
-
 // TVFromUniform returns the total-variation distance between the
 // distribution vector p and the uniform distribution on n points.
 func TVFromUniform(p []float64) float64 {

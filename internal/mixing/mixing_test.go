@@ -209,6 +209,14 @@ func TestTVFromUniform(t *testing.T) {
 	}
 }
 
+// RelaxationTime returns 1/gap, the relaxation time of the walk.
+func RelaxationTime(gap float64) float64 {
+	if gap <= 0 {
+		return math.Inf(1)
+	}
+	return 1 / gap
+}
+
 func TestRelaxationTime(t *testing.T) {
 	if RelaxationTime(0.5) != 2 {
 		t.Error("relaxation wrong")

@@ -29,9 +29,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores n.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -156,9 +156,6 @@ var tracer atomic.Pointer[Tracer]
 // instrumented layers emit into.
 func SetTracer(t *Tracer) { tracer.Store(t) }
 
-// CurrentTracer returns the installed tracer (nil when tracing is off).
-func CurrentTracer() *Tracer { return tracer.Load() }
-
 // StartSpan opens a span on the installed tracer; with none installed the
 // returned span is inert. One atomic load when tracing is off.
 func StartSpan(name string, tid int) Span {

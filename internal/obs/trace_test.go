@@ -73,8 +73,8 @@ func TestNilTracerInert(t *testing.T) {
 	nilT.StartSpan("z", 0).End()
 	nilT.Instant("z", 0, nil)
 	nilT.Meta(0, "z")
-	if CurrentTracer() != nil {
-		t.Error("CurrentTracer not nil")
+	if tracer.Load() != nil {
+		t.Error("tracer still installed")
 	}
 }
 

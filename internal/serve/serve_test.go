@@ -17,6 +17,15 @@ import (
 	"repro/internal/tetris"
 )
 
+// Info returns the public state of the run with the given id.
+func (s *Server) Info(id string) (RunInfo, bool) {
+	r, ok := s.lookup(id)
+	if !ok {
+		return RunInfo{}, false
+	}
+	return r.Info(), true
+}
+
 // newTestServer builds a Server (+ its HTTP front) and tears both down
 // with the test.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {

@@ -365,15 +365,6 @@ func (s *Server) lookup(id string) (*run, bool) {
 	return r, ok
 }
 
-// Info returns the public state of the run with the given id.
-func (s *Server) Info(id string) (RunInfo, bool) {
-	r, ok := s.lookup(id)
-	if !ok {
-		return RunInfo{}, false
-	}
-	return r.Info(), true
-}
-
 // Runs lists every run in submission order.
 func (s *Server) Runs() []RunInfo {
 	s.mu.Lock()

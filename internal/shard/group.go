@@ -582,18 +582,6 @@ func (g *Group) LoadBytes() int64 {
 	return t
 }
 
-// ScratchBytes returns the resident bytes of the owned shards' per-round
-// scratch buffers (see engine.State.ScratchBytes). Kernel- and
-// history-dependent, so it is reported alongside — never folded into —
-// LoadBytes.
-func (g *Group) ScratchBytes() int64 {
-	var t int64
-	for i := range g.parts {
-		t += g.parts[i].state.ScratchBytes()
-	}
-	return t
-}
-
 // SnapshotShard captures the checkpoint state of owned shard s (global
 // id). Valid between rounds.
 func (g *Group) SnapshotShard(s int) (ShardSnapshot, error) {

@@ -109,14 +109,8 @@ func (p *Pipeline) Observe(s engine.Stepper) {
 	p.rounds++
 }
 
-// Rounds returns the number of observed rounds.
-func (p *Pipeline) Rounds() int64 { return p.rounds }
-
 // WindowMax returns the maximum observed load (0 before any observation).
 func (p *Pipeline) WindowMax() int32 { return p.window.Max() }
-
-// EmptyMin returns the minimum observed empty-bin fraction.
-func (p *Pipeline) EmptyMin() float64 { return p.empty.Min() }
 
 // EmptyMean returns the mean observed empty-bin fraction.
 func (p *Pipeline) EmptyMean() float64 { return p.empty.Mean() }

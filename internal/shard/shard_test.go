@@ -476,8 +476,8 @@ func TestPipeline(t *testing.T) {
 		pl.Observe(p)
 		exact = append(exact, p.MaxLoad())
 	}
-	if pl.Rounds() != rounds {
-		t.Fatalf("rounds %d, want %d", pl.Rounds(), rounds)
+	if pl.rounds != rounds {
+		t.Fatalf("rounds %d, want %d", pl.rounds, rounds)
 	}
 	var wm int32
 	for _, m := range exact {
@@ -488,7 +488,7 @@ func TestPipeline(t *testing.T) {
 	if pl.WindowMax() != wm {
 		t.Fatalf("window max %d, want %d", pl.WindowMax(), wm)
 	}
-	if min, mean := pl.EmptyMin(), pl.EmptyMean(); min <= 0 || min > mean || mean >= 1 {
+	if min, mean := pl.empty.Min(), pl.EmptyMean(); min <= 0 || min > mean || mean >= 1 {
 		t.Fatalf("empty fraction summary implausible: min %v mean %v", min, mean)
 	}
 	probs, est := pl.Quantiles()

@@ -216,9 +216,9 @@ func TestPipelineSnapshotRoundTrip(t *testing.T) {
 		resumed.Observe(p)
 	}
 	if full.WindowMax() != resumed.WindowMax() ||
-		full.EmptyMin() != resumed.EmptyMin() ||
+		full.empty.Min() != resumed.empty.Min() ||
 		full.EmptyMean() != resumed.EmptyMean() ||
-		full.Rounds() != resumed.Rounds() ||
+		full.rounds != resumed.rounds ||
 		full.String() != resumed.String() {
 		t.Fatalf("pipelines diverge: %q vs %q", full, resumed)
 	}

@@ -1,6 +1,7 @@
 package tcp_test
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -78,12 +79,17 @@ func BenchmarkMeshGatherEncode(b *testing.B) {
 	e := benchEngine(b, engine.Width32)
 	b.SetBytes(int64(benchN))
 	b.ResetTimer()
+	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
-		snap, err := e.Snapshot()
+		buf.Reset()
+		if err := e.StreamCheckpoint(&buf, 7, nil, checkpoint.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		snap, err := checkpoint.Load(&buf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := checkpoint.Save(io.Discard, &checkpoint.Snapshot{Seed: 7, Engine: snap}); err != nil {
+		if err := checkpoint.Save(io.Discard, snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,12 +50,12 @@ func (e *Engine) join(h checkpoint.Header, at func(i int) (shard.ShardSnapshot, 
 	switch e.opts.Width {
 	case engine.WidthAuto, engine.Width8, engine.Width16, engine.Width32:
 	default:
-		return fmt.Errorf("wire: invalid load width %d", e.opts.Width)
+		return fmt.Errorf("invalid load width %d", e.opts.Width)
 	}
 	switch e.opts.Kernel {
 	case engine.KernelBatched, engine.KernelScalar:
 	default:
-		return fmt.Errorf("wire: invalid kernel %d", e.opts.Kernel)
+		return fmt.Errorf("invalid kernel %d", e.opts.Kernel)
 	}
 	rule, err := e.opts.Rule.Normalize()
 	if err != nil {
@@ -152,7 +152,7 @@ func (e *Engine) join(h checkpoint.Header, at func(i int) (shard.ShardSnapshot, 
 			return e.joinErr(l, "joining", err)
 		}
 		if e.opts.Mesh && len(addrs[i]) == 0 {
-			return e.linkErr(l, "joining", errors.New("wire: mesh worker reported no peer address"))
+			return e.linkErr(l, "joining", errors.New("mesh worker reported no peer address"))
 		}
 	}
 	if !e.opts.Mesh {
@@ -305,7 +305,7 @@ func (e *Engine) relay() error {
 		nbuf := int(c.rU32())
 		want := (l.hi - l.lo) * (e.s - (l.hi - l.lo))
 		if c.rerr == nil && nbuf != want {
-			return e.linkErr(l, "collecting exchange", fmt.Errorf("wire: %d buffers, want %d", nbuf, want))
+			return e.linkErr(l, "collecting exchange", fmt.Errorf("%d buffers, want %d", nbuf, want))
 		}
 		for i := 0; i < nbuf; i++ {
 			src, dst := int(c.rU32()), int(c.rU32())
@@ -313,7 +313,7 @@ func (e *Engine) relay() error {
 				return e.linkErr(l, "collecting exchange", c.rerr)
 			}
 			if src < l.lo || src >= l.hi || dst < 0 || dst >= e.s || (dst >= l.lo && dst < l.hi) {
-				return e.linkErr(l, "collecting exchange", fmt.Errorf("wire: buffer %d→%d outside range", src, dst))
+				return e.linkErr(l, "collecting exchange", fmt.Errorf("buffer %d→%d outside range", src, dst))
 			}
 			if e.rbuf[src] == nil {
 				e.rbuf[src] = make([][]int32, e.s)
@@ -365,20 +365,21 @@ func (e *Engine) relay() error {
 // concurrently (checkpoint.EncodeShards, the encoder in-process engines
 // stream through too), and the coordinator relays the frame bytes in shard
 // order without decoding — or ever materializing — them. The result is
-// what checkpoint.SaveOptions would produce from Snapshot, minus the
-// coordinator-side gather and whole-blob buffer. checkpoint.Run writes
-// this engine's checkpoints through it (see checkpoint.StreamProcess). A
-// failure mid-stream is unrecoverable (the control stream is
-// desynchronized) and shuts the links down like a Step failure.
+// what checkpoint.SaveOptions would produce from the same state gathered
+// in process, without a coordinator-side gather or whole-blob buffer.
+// checkpoint.Run writes this engine's checkpoints through it (see
+// checkpoint.StreamProcess). A failure mid-stream is unrecoverable (the
+// control stream is desynchronized) and shuts the links down like a Step
+// failure.
 func (e *Engine) StreamCheckpoint(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts checkpoint.Options) error {
 	if e.closed {
-		return errors.New("wire: StreamCheckpoint on closed coordinator")
+		return errors.New("tcp: StreamCheckpoint on closed coordinator")
 	}
-	err := e.streamCheckpoint(dst, seed, obs, opts)
-	if err != nil {
+	if err := e.streamCheckpoint(dst, seed, obs, opts); err != nil {
 		e.abort()
+		return fmt.Errorf("tcp: %w", err)
 	}
-	return err
+	return nil
 }
 
 func (e *Engine) streamCheckpoint(dst io.Writer, seed uint64, obs *shard.PipelineSnapshot, opts checkpoint.Options) error {
@@ -418,10 +419,10 @@ func (e *Engine) streamCheckpoint(dst io.Writer, seed uint64, obs *shard.Pipelin
 				return e.linkErr(l, "gathering snapshot", c.rerr)
 			}
 			if flen > frameBound(e.n, e.s, i) {
-				return fmt.Errorf("wire: shard %d frame of %d bytes exceeds bound %d", i, flen, frameBound(e.n, e.s, i))
+				return fmt.Errorf("shard %d frame of %d bytes exceeds bound %d", i, flen, frameBound(e.n, e.s, i))
 			}
 			if _, err := io.CopyN(dst, c.br, int64(flen)); err != nil {
-				return fmt.Errorf("wire: relaying shard %d frame: %w", i, err)
+				return fmt.Errorf("relaying shard %d frame: %w", i, err)
 			}
 		}
 	}
@@ -435,26 +436,6 @@ func (e *Engine) streamCheckpoint(dst io.Writer, seed uint64, obs *shard.Pipelin
 		}
 	}
 	return nil
-}
-
-// Snapshot gathers the full deterministic engine state from the workers —
-// the same whole-run cut shard.Process.Snapshot produces, so checkpoints
-// written under this transport are byte-identical to in-process ones. It
-// runs the streamed frame protocol into a buffer and decodes it; callers
-// that only want the serialized form should use StreamCheckpoint and skip
-// the decode (checkpoint.Run does).
-func (e *Engine) Snapshot() (*shard.EngineSnapshot, error) {
-	var buf bytes.Buffer
-	// The header seed is provenance only and not part of the engine state;
-	// zero is fine for a decode-and-discard pass.
-	if err := e.StreamCheckpoint(&buf, 0, nil, checkpoint.Options{}); err != nil {
-		return nil, err
-	}
-	snap, err := checkpoint.Load(&buf)
-	if err != nil {
-		return nil, err
-	}
-	return snap.Engine, nil
 }
 
 // N returns the number of bins.
@@ -477,12 +458,6 @@ func (e *Engine) MaxLoad() int32 { return e.maxLoad }
 
 // EmptyBins returns the current global number of empty bins.
 func (e *Engine) EmptyBins() int { return e.empty }
-
-// Released returns the number of balls released in the last round.
-func (e *Engine) Released() int { return e.released }
-
-// Staged returns the number of balls thrown in the last round.
-func (e *Engine) Staged() int { return e.staged }
 
 // Balls returns the current total number of balls, folded from the
 // workers' released/staged counts (constant under conserving rules).

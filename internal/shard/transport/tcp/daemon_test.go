@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/shard"
 )
@@ -52,17 +51,6 @@ func startDaemon(t *testing.T) (string, *syncBuffer) {
 	return ln.Addr().String(), log
 }
 
-// ckpt serializes p's current state in the checkpoint format.
-func ckpt(p checkpoint.Process, seed uint64) ([]byte, error) {
-	snap, err := p.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	var b bytes.Buffer
-	err = checkpoint.Save(&b, &checkpoint.Snapshot{Seed: seed, Engine: snap})
-	return b.Bytes(), err
-}
-
 // hostRun runs a fresh rbb run for rounds rounds on the daemon at addr and
 // returns its final checkpoint bytes.
 func hostRun(loads []int32, seed uint64, shards, rounds int, addr string) ([]byte, error) {
@@ -74,7 +62,7 @@ func hostRun(loads []int32, seed uint64, shards, rounds int, addr string) ([]byt
 	for r := 0; r < rounds; r++ {
 		e.Step()
 	}
-	return ckpt(e, seed)
+	return CheckpointBytes(e, seed)
 }
 
 // inProcess is hostRun's in-process reference.
@@ -86,7 +74,7 @@ func inProcess(t *testing.T, loads []int32, seed uint64, shards, rounds int) []b
 	}
 	defer p.Close()
 	p.Run(int64(rounds))
-	b, err := ckpt(p, seed)
+	b, err := CheckpointBytes(p, seed)
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}

@@ -152,12 +152,12 @@ func (c *conn) rBlob(maxLen uint64) []byte {
 		return nil
 	}
 	if n > maxLen {
-		c.failR(fmt.Errorf("wire: %d-byte blob exceeds bound %d", n, maxLen))
+		c.failR(fmt.Errorf("%d-byte blob exceeds bound %d", n, maxLen))
 		return nil
 	}
 	buf := make([]byte, int(n))
 	if _, err := io.ReadFull(c.br, buf); err != nil {
-		c.failR(fmt.Errorf("wire: truncated blob: %w", err))
+		c.failR(fmt.Errorf("truncated blob: %w", err))
 		return nil
 	}
 	return buf
@@ -173,7 +173,7 @@ func (c *conn) read(n int) []byte {
 	if c.rerr == nil {
 		if _, err := io.ReadFull(c.br, c.rb[:n]); err != nil {
 			if err == io.ErrUnexpectedEOF {
-				err = fmt.Errorf("wire: truncated frame: %w", err)
+				err = fmt.Errorf("truncated frame: %w", err)
 			}
 			c.failR(err)
 			for i := range c.rb {
@@ -197,7 +197,7 @@ func (c *conn) rI32Buf(dst []int32) []int32 {
 		return dst[:0]
 	}
 	if cnt < 0 || cnt > maxBufLen {
-		c.failR(fmt.Errorf("wire: exchange buffer of %d balls", cnt))
+		c.failR(fmt.Errorf("exchange buffer of %d balls", cnt))
 		return dst[:0]
 	}
 	dst = dst[:0]
@@ -208,7 +208,7 @@ func (c *conn) rI32Buf(dst []int32) []int32 {
 			k = len(chunk) / 4
 		}
 		if _, err := io.ReadFull(c.br, chunk[:4*k]); err != nil {
-			c.failR(fmt.Errorf("wire: truncated exchange buffer: %w", err))
+			c.failR(fmt.Errorf("truncated exchange buffer: %w", err))
 			return dst
 		}
 		for i := 0; i < k; i++ {
@@ -239,16 +239,16 @@ func (c *conn) expect(want byte) error {
 	if t == mErr {
 		n := int(c.rU32())
 		if c.rerr != nil || n < 0 || n > 1<<16 {
-			return errors.New("wire: worker failed (unreadable error frame)")
+			return errors.New("worker failed (unreadable error frame)")
 		}
 		msg := make([]byte, n)
 		if _, err := io.ReadFull(c.br, msg); err != nil {
-			return fmt.Errorf("wire: worker failed (truncated error frame): %w", err)
+			return fmt.Errorf("worker failed (truncated error frame): %w", err)
 		}
-		return fmt.Errorf("wire: worker: %s", msg)
+		return fmt.Errorf("worker: %s", msg)
 	}
 	if t != want {
-		return fmt.Errorf("wire: unexpected frame type %d (want %d)", t, want)
+		return fmt.Errorf("unexpected frame type %d (want %d)", t, want)
 	}
 	return nil
 }

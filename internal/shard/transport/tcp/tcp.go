@@ -149,9 +149,10 @@ func linkCounters(peer string) (tx, rx *obs.Counter) {
 
 // Engine is the coordinator of the TCP transport: it drives the round
 // protocol over one socket per worker. It implements the same stepping
-// surface as shard.Process (engine.Stepper plus Rule and Snapshot, so
-// checkpoint.Run drives it unchanged), and streams its own checkpoints
-// (checkpoint.StreamProcess). Not safe for concurrent use.
+// surface as shard.Process (engine.Stepper plus Rule, the
+// checkpoint.Process that checkpoint.Run drives unchanged), and streams
+// its own checkpoints (checkpoint.StreamProcess). Not safe for concurrent
+// use.
 //
 // A transport failure mid-run — a worker crash, a broken socket — is
 // unrecoverable and surfaces as a panic from Step, because
@@ -211,16 +212,11 @@ func New(snap *checkpoint.Snapshot, opts Options) (*Engine, error) {
 	return start(h, func(i int) (shard.ShardSnapshot, error) { return es.Shards[i], nil }, opts)
 }
 
-// NewProcess builds a fresh multi-process run over a copy of loads — the
-// same pure function of (seed, len(loads), shards, rule) as the
-// in-process engines, executed across TCP workers.
-func NewProcess(loads []int32, seed uint64, opts Options) (*Engine, error) {
-	return NewProcessFill(len(loads), func(lo int, dst []int32) { copy(dst, loads[lo:]) }, seed, opts)
-}
-
-// NewProcessFill is NewProcess over the n-bin start fill serves. Each
-// shard's join frame is encoded from its own range as it is sent
-// (shard.InitialShards), so the coordinator never holds the whole start.
+// NewProcessFill builds a fresh multi-process run over the n-bin start
+// fill serves — the same pure function of (seed, n, shards, rule) as the
+// in-process engines, executed across TCP workers. Each shard's join frame
+// is encoded from its own range as it is sent (shard.InitialShards), so
+// the coordinator never holds the whole start.
 func NewProcessFill(n int, fill shard.Fill, seed uint64, opts Options) (*Engine, error) {
 	if n < 1 || n > shard.MaxBins {
 		return nil, fmt.Errorf("tcp: %d bins outside [1, %d]", n, shard.MaxBins)

@@ -30,15 +30,11 @@ func TestMain(m *testing.M) {
 // format, the strongest equality we can assert across transports.
 func ckptBytes(t *testing.T, seed uint64, p checkpoint.Process) []byte {
 	t.Helper()
-	snap, err := p.Snapshot()
+	b, err := tcp.CheckpointBytes(p, seed)
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
-	var b bytes.Buffer
-	if err := checkpoint.Save(&b, &checkpoint.Snapshot{Seed: seed, Engine: snap}); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	return b.Bytes()
+	return b
 }
 
 // TestTransportInvarianceMatrixTCP is the transport-invariance matrix: the

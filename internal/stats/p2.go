@@ -39,12 +39,6 @@ func NewP2Quantile(p float64) (*P2Quantile, error) {
 	}, nil
 }
 
-// P returns the target probability.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// N returns the number of observations.
-func (e *P2Quantile) N() int64 { return e.count }
-
 // Add accumulates one observation.
 func (e *P2Quantile) Add(x float64) {
 	if e.count < 5 {
@@ -191,38 +185,4 @@ func RestoreP2Quantile(st P2State) (*P2Quantile, error) {
 		e.np = st.Want
 	}
 	return e, nil
-}
-
-// Min returns the smallest observation seen (0 before any observation).
-func (e *P2Quantile) Min() float64 {
-	if e.count == 0 {
-		return 0
-	}
-	if e.count < 5 {
-		m := e.q[0]
-		for _, v := range e.q[1:e.count] {
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	}
-	return e.q[0]
-}
-
-// Max returns the largest observation seen (0 before any observation).
-func (e *P2Quantile) Max() float64 {
-	if e.count == 0 {
-		return 0
-	}
-	if e.count < 5 {
-		m := e.q[0]
-		for _, v := range e.q[1:e.count] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	return e.q[4]
 }

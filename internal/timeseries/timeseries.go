@@ -1,39 +1,12 @@
-// Package timeseries provides bounded-memory recorders for per-round
-// simulation observables over long windows: running maxima, geometric
-// checkpoints (the x-axes of the paper-shape tables E11/E14), and a
-// resolution-halving decimator for full trajectories.
+// Package timeseries provides a bounded-memory recorder for per-round
+// simulation observables over long windows: geometric checkpoints (the
+// x-axis of the paper-shape table E11).
 package timeseries
 
 import (
 	"fmt"
 	"math"
 )
-
-// MaxTracker keeps the running maximum of a series and the first time the
-// maximum was attained.
-type MaxTracker struct {
-	max     float64
-	atRound int64
-	n       int64
-}
-
-// Observe records value at round.
-func (m *MaxTracker) Observe(round int64, value float64) {
-	if m.n == 0 || value > m.max {
-		m.max = value
-		m.atRound = round
-	}
-	m.n++
-}
-
-// Max returns the running maximum (0 if nothing observed).
-func (m *MaxTracker) Max() float64 { return m.max }
-
-// ArgMax returns the first round at which the maximum was attained.
-func (m *MaxTracker) ArgMax() int64 { return m.atRound }
-
-// N returns the number of observations.
-func (m *MaxTracker) N() int64 { return m.n }
 
 // Checkpoints captures a value at geometrically spaced rounds
 // t = start, start*factor, start*factor², ... It answers "what is M(t) at
@@ -87,88 +60,3 @@ func (c *Checkpoints) Times() []int64 { return c.times }
 
 // Values returns the recorded values, aligned with Times.
 func (c *Checkpoints) Values() []float64 { return c.values }
-
-// Len returns the number of recorded checkpoints.
-func (c *Checkpoints) Len() int { return len(c.times) }
-
-// Reducer combines two adjacent samples during decimation.
-type Reducer func(a, b float64) float64
-
-// MaxReduce keeps the larger sample (right for load maxima).
-func MaxReduce(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MeanReduce averages the two samples (right for fractions/rates).
-func MeanReduce(a, b float64) float64 { return (a + b) / 2 }
-
-// Decimator records a series of unknown length into a fixed budget of
-// samples. When the buffer fills, resolution halves: adjacent pairs are
-// combined with the Reducer and the stride doubles. The result is a uniform
-// subsampling at stride 2^k with at most capacity points.
-type Decimator struct {
-	samples []float64
-	cap     int
-	stride  int64
-	// pending accumulates the current stride window.
-	pending      float64
-	pendingCount int64
-	reduce       Reducer
-	total        int64
-}
-
-// NewDecimator creates a Decimator holding at most capacity samples
-// (capacity must be an even number >= 2).
-func NewDecimator(capacity int, reduce Reducer) (*Decimator, error) {
-	if capacity < 2 || capacity%2 != 0 {
-		return nil, fmt.Errorf("timeseries: NewDecimator capacity %d must be even and >= 2", capacity)
-	}
-	if reduce == nil {
-		return nil, fmt.Errorf("timeseries: NewDecimator nil reducer")
-	}
-	return &Decimator{
-		samples: make([]float64, 0, capacity),
-		cap:     capacity,
-		stride:  1,
-		reduce:  reduce,
-	}, nil
-}
-
-// Observe appends one sample.
-func (d *Decimator) Observe(value float64) {
-	d.total++
-	if d.pendingCount == 0 {
-		d.pending = value
-	} else {
-		d.pending = d.reduce(d.pending, value)
-	}
-	d.pendingCount++
-	if d.pendingCount < d.stride {
-		return
-	}
-	d.samples = append(d.samples, d.pending)
-	d.pendingCount = 0
-	if len(d.samples) == d.cap {
-		// Halve resolution.
-		half := d.samples[:0]
-		for i := 0; i+1 < d.cap; i += 2 {
-			half = append(half, d.reduce(d.samples[i], d.samples[i+1]))
-		}
-		d.samples = half
-		d.stride *= 2
-	}
-}
-
-// Samples returns the decimated series (window aggregates at stride
-// Stride(), plus any complete windows since the last halving). The partial
-// trailing window, if any, is not included.
-func (d *Decimator) Samples() []float64 { return d.samples }
-
-// Stride returns the number of raw observations represented by each sample.
-func (d *Decimator) Stride() int64 { return d.stride }
-
-// Total returns the number of raw observations seen.
-func (d *Decimator) Total() int64 { return d.total }

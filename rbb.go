@@ -18,7 +18,7 @@
 //   - the §4 multi-token traversal protocol on arbitrary graphs
 //     (Traversal), with cover-time tracking and a single-token baseline;
 //   - the §4.1 adversarial fault model (schedules × placements with
-//     fault-injecting run helpers, in internal/adversary);
+//     a fault-injecting traversal runner, in internal/adversary);
 //   - deterministic, splittable PRNG streams (Source) so every result in
 //     this repository is reproducible from a seed.
 //
