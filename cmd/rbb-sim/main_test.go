@@ -289,6 +289,10 @@ func TestRunErrors(t *testing.T) {
 		{"-process", "token", "-strategy", "bogus"},
 		{"-process", "choices", "-d", "0"},
 		{"-init", "one-per-bin", "-m", "5", "-n", "8"},
+		// Past 2^31 - 1 balls the all-in-one bin's load no longer fits an
+		// int32: 2^32 + 5 used to run with 5 balls, 3e9 with a negative load.
+		{"-n", "1024", "-m", "4294967301", "-init", "all-in-one", "-rounds", "3", "-shards", "1"},
+		{"-n", "1024", "-m", "3000000000", "-init", "all-in-one", "-rounds", "3", "-shards", "1"},
 		{"-shards", "-2"},
 		{"-quantiles", "1.5"},
 		{"-quantiles", "abc"},

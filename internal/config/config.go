@@ -148,6 +148,11 @@ func NewStart(g Generator, n, m int, r *rng.Source) (*Start, error) {
 	if m < 0 {
 		return nil, fmt.Errorf("config: m = %d < 0", m)
 	}
+	// A bin's load is an int32, and every generator but one-per-bin (one
+	// ball a bin, m = n) can put all m balls in one bin.
+	if m > math.MaxInt32 && g != GenOnePerBin {
+		return nil, fmt.Errorf("config: m = %d > %d, the most balls one bin can hold", m, math.MaxInt32)
+	}
 	st := &Start{gen: g, m: m}
 	switch g {
 	case GenOnePerBin:

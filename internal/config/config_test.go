@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -250,5 +251,39 @@ func TestNewStartErrors(t *testing.T) {
 		if serr == nil || merr == nil || serr.Error() != merr.Error() {
 			t.Errorf("%s n=%d m=%d: NewStart error %v, Make error %v", tc.g, tc.n, tc.m, serr, merr)
 		}
+	}
+}
+
+// TestNewStartBallLimit: a bin's load is an int32, so a start that can
+// put every ball in one bin refuses more than 2^31 - 1 of them, naming the
+// limit, before it draws or fills anything; at the limit all-in-one fills
+// bin 0 exactly. One-per-bin holds one ball a bin, so its m = n may reach
+// 2^31.
+func TestNewStartBallLimit(t *testing.T) {
+	for _, tc := range []struct {
+		g Generator
+		m int
+	}{
+		{GenAllInOne, math.MaxInt32 + 1},
+		{GenAllInOne, 3000000000},
+		{GenAllInOne, 4294967301}, // 2^32 + 5: int32(m) wraps to 5
+		{GenUniform, math.MaxInt32 + 1},
+		{GenZipf, math.MaxInt32 + 1},
+	} {
+		if _, err := NewStart(tc.g, 1024, tc.m, rng.New(1)); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("%s m=%d: %v, want an error naming the 2147483647-ball limit", tc.g, tc.m, err)
+		}
+	}
+	st, err := NewStart(GenAllInOne, 4, math.MaxInt32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]int32, 4)
+	st.Fill(0, dst)
+	if dst[0] != math.MaxInt32 {
+		t.Errorf("all-in-one at the limit: bin 0 holds %d, want %d", dst[0], math.MaxInt32)
+	}
+	if _, err := NewStart(GenOnePerBin, 1<<31, 1<<31, nil); err != nil {
+		t.Errorf("one-per-bin at n = m = 2^31: %v", err)
 	}
 }

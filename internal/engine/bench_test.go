@@ -80,7 +80,6 @@ func benchDenseKernel(b *testing.B, n int, w Width, k Kernel) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st.Prefault()
 	d := NewDrawer(rng.New(1))
 	// One warmup round sizes the kernel scratch so the measured rounds
 	// allocate nothing (TestDenseRoundAllocs pins this).

@@ -29,12 +29,12 @@ func TestStateSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := New(make([]int32, n), Options{})
+	restored, balls, err := Restore(snapLoads, snapWork, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(snapLoads, snapWork); err != nil {
-		t.Fatal(err)
+	if balls != s.Sum() {
+		t.Fatalf("restored %d balls, want %d", balls, s.Sum())
 	}
 	if restored.MaxLoad() != s.MaxLoad() || restored.EmptyBins() != s.EmptyBins() {
 		t.Fatalf("restored stats: max=%d empty=%d, want max=%d empty=%d",
@@ -87,26 +87,30 @@ func TestStateRestoreRejectsInconsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(loads, work[:0]); err == nil {
+	if _, _, err := Restore(loads, work[:0], Options{}); err == nil {
 		t.Error("short worklist accepted")
 	}
 	badWork := append([]uint64(nil), work...)
 	badWork[0] ^= 1 << 1 // claim bin 1 is non-empty
-	if err := s.Restore(loads, badWork); err == nil {
+	if _, _, err := Restore(loads, badWork, Options{}); err == nil {
 		t.Error("inconsistent worklist accepted")
 	}
 	badLoads := append([]int32(nil), loads...)
 	badLoads[0] = -1
-	if err := s.Restore(badLoads, work); err == nil {
+	if _, _, err := Restore(badLoads, work, Options{}); err == nil {
 		t.Error("negative load accepted")
 	}
-	if err := s.Restore(loads[:3], work); err == nil {
+	if _, _, err := Restore(loads[:3], work, Options{}); err == nil {
 		t.Error("wrong length accepted")
 	}
-	if err := s.Restore(loads, work); err != nil {
-		t.Errorf("clean snapshot rejected: %v", err)
+	r, balls, err := Restore(loads, work, Options{})
+	if err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if balls != 6 {
+		t.Errorf("restored %d balls, want 6", balls)
+	}
+	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

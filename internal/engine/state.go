@@ -61,7 +61,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 )
@@ -175,8 +174,8 @@ type Options struct {
 }
 
 // State is a load vector with an incrementally maintained non-empty-bin
-// worklist and O(touched) per-round statistics. Create with New; not safe
-// for concurrent use.
+// worklist and O(touched) per-round statistics. Create with New, NewFill
+// or Restore; not safe for concurrent use.
 //
 // Exactly one of the (load8, arr8)/(load16, arr16)/(load32, arr32) pairs is
 // live, selected by width; every public accessor dispatches on it. The
@@ -212,18 +211,48 @@ type State struct {
 	onEmptied func(u int)
 }
 
-// New builds a State over a copy of loads. It returns an error if loads is
-// empty, contains a negative entry, or opts.Width is not a defined Width.
+// Fill writes the loads of bins [lo, lo+len(dst)) into dst: the source a
+// State is built from (see NewFill).
+type Fill func(lo int, dst []int32)
+
+// fillBins is the length of NewFill's chunk: 8 KiB of int32, so a chunk
+// is still in L1 when it is stored, and a multiple of 64, so every chunk
+// but the last fills whole worklist words.
+const fillBins = 2048
+
+// New builds a State over a copy of loads: NewFill over the vector. It
+// returns an error if loads is empty, contains a negative entry, or
+// opts.Width is not a defined Width.
 func New(loads []int32, opts Options) (*State, error) {
-	n := len(loads)
+	s, _, err := NewFill(len(loads), copyFill(loads), opts)
+	return s, err
+}
+
+// copyFill serves loads as a Fill.
+func copyFill(loads []int32) Fill {
+	return func(lo int, dst []int32) { copy(dst, loads[lo:]) }
+}
+
+// NewFill builds a State over the n bins fill serves, in one pass a chunk
+// at a time, and returns it with its ball count. fill is asked for bins
+// [0, n) in increasing order through one fixed chunk, and each chunk is
+// validated and stored as it arrives: the cells are allocated at the
+// width the first chunk needs and widen on demand, and the same pass sets
+// the worklist words and counts the non-empty bins, the maximum load and
+// the balls. The whole configuration is therefore never held as an
+// []int32, and the cells are allocated, and the loads written, by the
+// goroutine that calls NewFill. It returns an error if n < 1, a load is
+// negative (naming the lowest such bin), or opts.Width is not a defined
+// Width.
+func NewFill(n int, fill Fill, opts Options) (*State, int64, error) {
 	if n < 1 {
-		return nil, errors.New("engine: New with no bins")
+		return nil, 0, errors.New("engine: New with no bins")
 	}
 	if !opts.Width.valid() {
-		return nil, fmt.Errorf("engine: invalid load width %d", uint8(opts.Width))
+		return nil, 0, fmt.Errorf("engine: invalid load width %d", uint8(opts.Width))
 	}
 	if !opts.Kernel.valid() {
-		return nil, fmt.Errorf("engine: invalid kernel %d", uint8(opts.Kernel))
+		return nil, 0, fmt.Errorf("engine: invalid kernel %d", uint8(opts.Kernel))
 	}
 	s := &State{
 		n:         n,
@@ -233,18 +262,58 @@ func New(loads []int32, opts Options) (*State, error) {
 		onEmptied: opts.OnEmptied,
 	}
 	noteKernel(opts.Kernel)
-	if err := s.Reload(loads); err != nil {
-		return nil, err
+	var balls int64
+	buf := make([]int32, min(n, fillBins))
+	for lo := 0; lo < n; lo += fillBins {
+		chunk := buf[:min(fillBins, n-lo)]
+		fill(lo, chunk)
+		top, sum, err := checkLoads(chunk, lo)
+		if err != nil {
+			return nil, 0, err
+		}
+		balls += sum
+		s.maxLoad = max(s.maxLoad, top)
+		want := WidthFor(s.maxLoad, s.minWidth)
+		if s.width == WidthAuto {
+			s.width = want
+			switch want {
+			case Width8:
+				s.load8, s.arr8 = make([]uint8, n), make([]uint8, n)
+			case Width16:
+				s.load16, s.arr16 = make([]uint16, n), make([]uint16, n)
+			default:
+				s.load32, s.arr32 = make([]int32, n), make([]int32, n)
+			}
+		}
+		for s.width < want {
+			s.widenCells()
+		}
+		s.nonEmpty += s.store(lo, chunk)
 	}
-	return s, nil
+	return s, balls, nil
+}
+
+// checkLoads returns the maximum and the sum of loads, the bins
+// [lo, lo+len(loads)), or an error naming the lowest bin with a negative
+// load. Summing here, not in store, keeps each loop's state in registers.
+func checkLoads(loads []int32, lo int) (int32, int64, error) {
+	var top int32
+	var sum int64
+	for v, l := range loads {
+		if l < 0 {
+			return 0, 0, fmt.Errorf("engine: bin %d has negative load %d", lo+v, l)
+		}
+		top = max(top, l)
+		sum += int64(l)
+	}
+	return top, sum, nil
 }
 
 // Reload replaces the configuration wholesale and refreshes all statistics
-// — the one full-vector scan in the layer (construction and the §4.1
-// adversarial reassignment both funnel through it). It must not be called
-// mid-round. The storage width ratchets: Reload widens if the new loads
-// need it but never narrows (so snapshot widths stay monotone over a
-// State's lifetime).
+// — the §4.1 adversarial reassignment. It must not be called mid-round,
+// and it leaves the State unchanged when it fails. The storage width
+// ratchets: Reload widens if the new loads need it but never narrows (so
+// snapshot widths stay monotone over a State's lifetime).
 func (s *State) Reload(loads []int32) error {
 	if len(loads) != s.n {
 		return fmt.Errorf("engine: Reload with %d bins, want %d", len(loads), s.n)
@@ -252,79 +321,70 @@ func (s *State) Reload(loads []int32) error {
 	if s.inRound {
 		return errors.New("engine: Reload mid-round")
 	}
-	var max int32
-	for v, l := range loads {
-		if l < 0 {
-			return fmt.Errorf("engine: bin %d has negative load %d", v, l)
-		}
-		if l > max {
-			max = l
-		}
+	top, _, err := checkLoads(loads, 0)
+	if err != nil {
+		return err
 	}
-	desired := WidthFor(max, maxWidth(s.width, s.minWidth))
-	if s.width == WidthAuto {
-		// Fresh state: allocate the backing pair directly at the target
-		// width (arr starts all-zero).
-		s.width = desired
-		switch desired {
-		case Width8:
-			s.load8, s.arr8 = make([]uint8, s.n), make([]uint8, s.n)
-		case Width16:
-			s.load16, s.arr16 = make([]uint16, s.n), make([]uint16, s.n)
-		default:
-			s.load32, s.arr32 = make([]int32, s.n), make([]int32, s.n)
-		}
-	} else {
-		// Live state: widen in place (preserving any staged arrivals, which
-		// Reload has never touched).
-		for s.width < desired {
-			s.widen()
-		}
+	// Widening preserves any staged arrivals, which Reload never touches.
+	for s.width < WidthFor(top, s.minWidth) {
+		s.widen()
 	}
-	switch s.width {
-	case Width8:
-		fillLoadsW(s, s.load8, loads)
-	case Width16:
-		fillLoadsW(s, s.load16, loads)
-	default:
-		fillLoadsW(s, s.load32, loads)
-	}
-	s.maxLoad = max
+	s.nonEmpty = s.store(0, loads)
+	s.maxLoad = top
 	s.workStale = false
 	return nil
 }
 
-// fillLoadsW copies loads into the live backing array, rebuilding the
-// worklist words and the non-empty count. Negative entries were rejected
-// and max computed by the caller's validation pass.
-func fillLoadsW[L loadElem](s *State, load []L, loads []int32) {
-	nonEmpty := 0
-	for base := 0; base < s.n; base += 64 {
-		lim := base + 64
-		if lim > s.n {
-			lim = s.n
-		}
-		var w uint64
-		for v := base; v < lim; v++ {
-			l := loads[v]
-			load[v] = L(l)
-			if l > 0 {
-				w |= 1 << uint(v-base)
-				nonEmpty++
-			}
-		}
-		s.work.SetWord(base>>6, w)
+// store writes loads, already validated and fitting the current width, as
+// bins [lo, lo+len(loads)) — lo a multiple of 64 — sets their worklist
+// words, and returns how many of them are non-empty.
+func (s *State) store(lo int, loads []int32) int {
+	switch s.width {
+	case Width8:
+		return storeW(s, s.load8[lo:lo+len(loads)], lo, loads)
+	case Width16:
+		return storeW(s, s.load16[lo:lo+len(loads)], lo, loads)
+	default:
+		return storeW(s, s.load32[lo:lo+len(loads)], lo, loads)
 	}
-	s.nonEmpty = nonEmpty
 }
 
-// widen moves the backing arrays one step up the 8→16→32 ladder, preserving
-// every load and staged arrival exactly. Safe mid-round: the worklist,
-// touched/zeroed lists and statistics all refer to bin indices and values,
-// none of which change. Widening past int32 is impossible by construction
-// (the total ball count of every supported configuration fits int32), so
-// requesting it panics rather than silently wrapping.
+func storeW[L loadElem](s *State, load []L, lo int, loads []int32) int {
+	nonEmpty := 0
+	for base := 0; base < len(loads); base += 64 {
+		src := loads[base:min(base+64, len(loads))]
+		dst := load[base : base+len(src)]
+		var w uint64
+		for v, l := range src {
+			dst[v] = L(l)
+			var bit uint64
+			if l != 0 {
+				bit = 1
+			}
+			w |= bit << (uint(v) & 63) // the mask spares the shift its range check
+		}
+		s.work.SetWord((lo+base)>>6, w)
+		nonEmpty += bits.OnesCount64(w)
+	}
+	return nonEmpty
+}
+
+// widen moves the backing arrays one step up the 8→16→32 ladder (see
+// widenCells) and records the ratchet.
 func (s *State) widen() {
+	s.widenCells()
+	noteWiden(s.width)
+}
+
+// widenCells moves the backing arrays one step up the 8→16→32 ladder,
+// preserving every load and staged arrival exactly. Safe mid-round: the
+// worklist, touched/zeroed lists and statistics all refer to bin indices
+// and values, none of which change. Widening past int32 is impossible by
+// construction (the total ball count of every supported configuration
+// fits int32), so requesting it panics rather than silently wrapping.
+// NewFill widens through it directly: a build that outgrows its first
+// chunk's width is no ratchet of the run.
+func (s *State) widenCells() {
 	switch s.width {
 	case Width8:
 		s.load16, s.arr16 = widenSlice[uint8, uint16](s.load8), widenSlice[uint8, uint16](s.arr8)
@@ -337,7 +397,6 @@ func (s *State) widen() {
 	default:
 		panic("engine: widen past int32 (ball count exceeds int32 range)")
 	}
-	noteWiden(s.width)
 }
 
 // widenSlice converts src into a freshly allocated wider representation.
@@ -465,48 +524,6 @@ func sumW[L loadElem](load []L) int64 {
 		t += int64(l)
 	}
 	return t
-}
-
-// prefaultSink keeps the Prefault read loop observable so the compiler
-// cannot elide it; atomic because pool workers prefault shards
-// concurrently.
-var prefaultSink atomic.Int64
-
-// pageBytes is the prefault stride unit: one touch per 4 KiB page.
-const pageBytes = 4096
-
-// Prefault is the worker-pinned warm-up hook of the pooled transport: it
-// touches one element per page of the load vector and *writes* one zero per
-// page of the arrival staging area. The staging area is allocated zeroed
-// and not written until balls actually land, so on a first-touch NUMA
-// policy its pages are not placed until the first round; calling Prefault
-// from the pool worker that owns this shard faults them on that worker's
-// node (and pulls the load vector through its cache hierarchy) before the
-// run starts. Writing zero to arr is a semantic no-op — arr is all-zero
-// between rounds. Must not be called mid-round.
-func (s *State) Prefault() {
-	if s.inRound {
-		panic("engine: Prefault mid-round")
-	}
-	var sink int64
-	switch s.width {
-	case Width8:
-		sink = prefaultW(s.load8, s.arr8, pageBytes/1)
-	case Width16:
-		sink = prefaultW(s.load16, s.arr16, pageBytes/2)
-	default:
-		sink = prefaultW(s.load32, s.arr32, pageBytes/4)
-	}
-	prefaultSink.Add(sink)
-}
-
-func prefaultW[L loadElem](load, arr []L, stride int) int64 {
-	var sink int64
-	for i := 0; i < len(load); i += stride {
-		sink += int64(load[i])
-		arr[i] = 0
-	}
-	return sink
 }
 
 // Deposit stages one arriving ball at bin v. Staged balls become visible at
@@ -1139,25 +1156,26 @@ func (s *State) syncWork(op string) error {
 	return nil
 }
 
-// Restore replaces the configuration from a snapshot taken with Snapshot.
-// It rebuilds the statistics from loads (as Reload does) and then verifies
-// that work matches the rebuilt worklist bit for bit, returning an error —
-// and leaving the State in the reloaded, self-consistent form — on any
-// mismatch. The storage width follows the Reload ratchet; callers restoring
-// a snapshot that recorded a wider width apply it with WidenTo afterwards.
-func (s *State) Restore(loads []int32, work []uint64) error {
-	if err := s.Reload(loads); err != nil {
-		return err
+// Restore builds a State from a snapshot taken with Snapshot: NewFill over
+// loads, then a check that work matches the worklist that pass derived,
+// bit for bit, so a corrupted snapshot is rejected instead of resumed. It
+// returns the State with its ball count. The storage width is the one a
+// fresh State over loads picks; callers restoring a snapshot that
+// recorded a wider width apply it with WidenTo afterwards.
+func Restore(loads []int32, work []uint64, opts Options) (*State, int64, error) {
+	s, balls, err := NewFill(len(loads), copyFill(loads), opts)
+	if err != nil {
+		return nil, 0, err
 	}
 	if len(work) != s.work.NumWords() {
-		return fmt.Errorf("engine: Restore with %d worklist words, want %d", len(work), s.work.NumWords())
+		return nil, 0, fmt.Errorf("engine: Restore with %d worklist words, want %d", len(work), s.work.NumWords())
 	}
 	for i := range work {
 		if work[i] != s.work.Word(i) {
-			return fmt.Errorf("engine: worklist word %d inconsistent with loads", i)
+			return nil, 0, fmt.Errorf("engine: worklist word %d inconsistent with loads", i)
 		}
 	}
-	return nil
+	return s, balls, nil
 }
 
 // CheckInvariants verifies that the worklist, counters and cached maximum

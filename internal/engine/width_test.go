@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -130,6 +131,81 @@ func TestWidthInitialFit(t *testing.T) {
 	}
 }
 
+// TestNewFillChunks builds States over several fill chunks, with the load
+// that sets the width in the first chunk, a later one or the last bin:
+// NewFill asks for every bin once, in increasing order, and stores what
+// the whole vector says — loads, worklist words, width, statistics and
+// ball count — however the widening falls across the chunks. Of two
+// negative loads in different chunks, the error names the lower bin.
+func TestNewFillChunks(t *testing.T) {
+	const n = 3*fillBins + 70 // the last chunk and its last word are partial
+	for _, tc := range []struct {
+		name  string
+		at    int
+		top   int32
+		floor Width
+	}{
+		{"flat", 0, 2, WidthAuto},
+		{"first chunk", 5, 300, WidthAuto},
+		{"later chunk", fillBins + 7, 300, WidthAuto},
+		{"two steps late", 2*fillBins + 1, 70000, WidthAuto},
+		{"last bin", n - 1, 70000, WidthAuto},
+		{"floor", 2 * fillBins, 300, Width16},
+	} {
+		loads := make([]int32, n)
+		for i := range loads {
+			loads[i] = int32(i % 3)
+		}
+		loads[tc.at] = tc.top
+		next := 0
+		s, balls, err := NewFill(n, func(lo int, dst []int32) {
+			if lo != next || len(dst) > fillBins {
+				t.Fatalf("%s: fill asked for [%d,%d), want it from %d in chunks of at most %d", tc.name, lo, lo+len(dst), next, fillBins)
+			}
+			next = lo + len(dst)
+			copy(dst, loads[lo:])
+		}, Options{Width: tc.floor})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if next != n {
+			t.Fatalf("%s: fill stopped at bin %d of %d", tc.name, next, n)
+		}
+		var want int64
+		empty := 0
+		work := make([]uint64, (n+63)/64)
+		for u, l := range loads {
+			want += int64(l)
+			if l == 0 {
+				empty++
+			} else {
+				work[u/64] |= 1 << (u % 64)
+			}
+		}
+		if w := WidthFor(tc.top, tc.floor); s.Width() != w {
+			t.Errorf("%s: width %v, want %v", tc.name, s.Width(), w)
+		}
+		if balls != want || s.MaxLoad() != tc.top || s.EmptyBins() != empty {
+			t.Errorf("%s: balls %d max %d empty %d, want %d %d %d", tc.name, balls, s.MaxLoad(), s.EmptyBins(), want, tc.top, empty)
+		}
+		gotLoads, gotWork, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotLoads, loads) || !slices.Equal(gotWork, work) {
+			t.Errorf("%s: stored loads or worklist words differ from the vector's", tc.name)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+	loads := onePerBin(n)
+	loads[fillBins+3], loads[2*fillBins] = -2, -1
+	if _, _, err := NewFill(n, copyFill(loads), Options{}); err == nil || err.Error() != "engine: bin 2051 has negative load -2" {
+		t.Errorf("two negative loads: %v, want the error naming bin 2051", err)
+	}
+}
+
 // TestWidenOnDeposit escalates through the staging path: depositing past
 // the uint8 range widens mid-staging without losing a ball.
 func TestWidenOnDeposit(t *testing.T) {
@@ -234,11 +310,8 @@ func TestWidenToRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(make([]int32, 3), Options{})
+	r, _, err := Restore(loads, work, Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(loads, work); err != nil {
 		t.Fatal(err)
 	}
 	if r.Width() != Width8 {

@@ -74,14 +74,6 @@ import (
 // it.
 type Spec = spec.RunSpec
 
-// Process kinds accepted by Spec.Process, re-exported for callers of the
-// Go API.
-const (
-	ProcessRBB     = spec.ProcessRBB
-	ProcessTetris  = spec.ProcessTetris
-	ProcessBatches = spec.ProcessBatches
-)
-
 // Status is a run's scheduler state.
 type Status string
 

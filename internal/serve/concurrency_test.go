@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 // TestConcurrentRuns races six runs — four rbb with distinct laws plus a
@@ -17,8 +19,8 @@ func TestConcurrentRuns(t *testing.T) {
 		{Seed: 102, N: 2048, Rounds: 1500, Shards: 4, Quantiles: []float64{0.9, 0.99}},
 		{Seed: 103, N: 1024, Rounds: 2000, Shards: 8, Init: "all-in-one"},
 		{Seed: 104, N: 4096, Rounds: 1000, Shards: 2},
-		{Process: ProcessTetris, Seed: 105, N: 1024, Rounds: 1500, Shards: 4},
-		{Process: ProcessBatches, Seed: 106, N: 1024, Rounds: 1500, Shards: 2, Lambda: 0.6},
+		{Process: spec.ProcessTetris, Seed: 105, N: 1024, Rounds: 1500, Shards: 4},
+		{Process: spec.ProcessBatches, Seed: 106, N: 1024, Rounds: 1500, Shards: 2, Lambda: 0.6},
 	}
 	// Submit from concurrent goroutines too: the registry, queue and
 	// manifest writer all see simultaneous traffic. (Submit directly — the
@@ -26,13 +28,13 @@ func TestConcurrentRuns(t *testing.T) {
 	ids := make([]string, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
-	for i, spec := range specs {
+	for i, sp := range specs {
 		wg.Add(1)
-		go func(i int, spec Spec) {
+		go func(i int, sp Spec) {
 			defer wg.Done()
-			info, err := s.Submit(spec)
+			info, err := s.Submit(sp)
 			ids[i], errs[i] = info.ID, err
-		}(i, spec)
+		}(i, sp)
 	}
 	wg.Wait()
 	for i, err := range errs {

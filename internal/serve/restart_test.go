@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/shard"
+	"repro/internal/spec"
 )
 
 // TestRestartResume is the acceptance gate for the service's crash story:
@@ -23,8 +24,8 @@ import (
 // behind it survives the restart too and replays from scratch.
 func TestRestartResume(t *testing.T) {
 	dir := t.TempDir()
+	tetrisSpec := Spec{Process: spec.ProcessTetris, Seed: 43, N: 512, Rounds: 400, Shards: 2}
 	spec := Spec{Seed: 42, N: 1024, Rounds: 60_000, Shards: 4, Quantiles: []float64{0.5, 0.99}, StreamEvery: 25}
-	tetrisSpec := Spec{Process: ProcessTetris, Seed: 43, N: 512, Rounds: 400, Shards: 2}
 	opts := Options{Workers: 1, RunWorkers: 1, Dir: dir, CheckpointEvery: 5_000}
 
 	s1, err := New(opts)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync"
 	"time"
+
+	"repro/internal/spec"
 )
 
 // hub is the stream fan-out shared by runs and campaigns: a subscriber
@@ -198,7 +200,7 @@ func (r *run) publish(ev Event) {
 func (r *run) requestCheckpoint() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.info.Status != StatusRunning || r.info.Spec.Process != ProcessRBB {
+	if r.info.Status != StatusRunning || r.info.Spec.Process != spec.ProcessRBB {
 		return false
 	}
 	select {

@@ -44,43 +44,43 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 
 // refSummary recomputes a spec's result in-process, the way cmd/rbb-sim
 // does — the oracle every service-path result must match exactly.
-func refSummary(t *testing.T, spec Spec) shard.Summary {
+func refSummary(t *testing.T, sp Spec) shard.Summary {
 	t.Helper()
-	if err := spec.Normalize(0); err != nil {
+	if err := sp.Normalize(0); err != nil {
 		t.Fatal(err)
 	}
-	loads, err := spec.MakeLoads()
+	loads, err := sp.MakeLoads()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := shard.NewPipeline(spec.Quantiles)
+	pipe, err := shard.NewPipeline(sp.Quantiles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st engine.Stepper
-	switch spec.Process {
-	case ProcessRBB:
-		p, err := shard.NewProcess(loads, spec.Seed, shard.Options{Shards: spec.Shards})
+	switch sp.Process {
+	case spec.ProcessRBB:
+		p, err := shard.NewProcess(loads, sp.Seed, shard.Options{Shards: sp.Shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st = p
 	default:
 		law := tetris.Deterministic
-		if spec.Process == ProcessBatches {
+		if sp.Process == spec.ProcessBatches {
 			law = tetris.BinomialArrivals
 		}
-		tp, err := shard.NewTetris(loads, spec.Seed, shard.TetrisOptions{
-			Options: shard.Options{Shards: spec.Shards},
+		tp, err := shard.NewTetris(loads, sp.Seed, shard.TetrisOptions{
+			Options: shard.Options{Shards: sp.Shards},
 			Law:     law,
-			Lambda:  spec.Lambda,
+			Lambda:  sp.Lambda,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st = tp
 	}
-	engine.Run(st, spec.Rounds, pipe)
+	engine.Run(st, sp.Rounds, pipe)
 	return pipe.SummaryFor(st)
 }
 
@@ -129,12 +129,12 @@ func waitStatus(t *testing.T, s *Server, id string, want Status) RunInfo {
 // the result checked against the in-process oracle.
 func TestSubmitStreamResult(t *testing.T) {
 	s, hs := newTestServer(t, Options{Workers: 2, Dir: t.TempDir()})
-	spec := Spec{Seed: 7, N: 2048, Rounds: 400, Shards: 4, Quantiles: []float64{0.5, 0.99}}
-	info := submit(t, hs, spec)
+	sp := Spec{Seed: 7, N: 2048, Rounds: 400, Shards: 4, Quantiles: []float64{0.5, 0.99}}
+	info := submit(t, hs, sp)
 	if info.Status != StatusQueued && info.Status != StatusRunning {
 		t.Fatalf("fresh run status %s", info.Status)
 	}
-	if info.Spec.M != 2048 || info.Spec.Process != ProcessRBB || info.Spec.Shards != 4 {
+	if info.Spec.M != 2048 || info.Spec.Process != spec.ProcessRBB || info.Spec.Shards != 4 {
 		t.Fatalf("normalization lost: %+v", info.Spec)
 	}
 
@@ -175,7 +175,7 @@ func TestSubmitStreamResult(t *testing.T) {
 		t.Fatalf("terminal line: %+v", final)
 	}
 
-	want := refSummary(t, spec)
+	want := refSummary(t, sp)
 	if !reflect.DeepEqual(*final.Summary, want) {
 		t.Fatalf("summary diverged from rbb-sim oracle:\n got %+v\nwant %+v", *final.Summary, want)
 	}
@@ -233,15 +233,15 @@ func TestStreamSSE(t *testing.T) {
 // service and match their oracles.
 func TestTetrisAndBatches(t *testing.T) {
 	s, hs := newTestServer(t, Options{Workers: 2})
-	for _, spec := range []Spec{
-		{Process: ProcessTetris, Seed: 11, N: 1024, Rounds: 300, Shards: 2},
-		{Process: ProcessBatches, Seed: 12, N: 1024, Rounds: 300, Shards: 4, Lambda: 0.5, Quantiles: []float64{0.9}},
+	for _, sp := range []Spec{
+		{Process: spec.ProcessTetris, Seed: 11, N: 1024, Rounds: 300, Shards: 2},
+		{Process: spec.ProcessBatches, Seed: 12, N: 1024, Rounds: 300, Shards: 4, Lambda: 0.5, Quantiles: []float64{0.9}},
 	} {
-		info := submit(t, hs, spec)
+		info := submit(t, hs, sp)
 		final := waitStatus(t, s, info.ID, StatusDone)
-		want := refSummary(t, spec)
+		want := refSummary(t, sp)
 		if !reflect.DeepEqual(*final.Summary, want) {
-			t.Fatalf("%s summary diverged:\n got %+v\nwant %+v", spec.Process, *final.Summary, want)
+			t.Fatalf("%s summary diverged:\n got %+v\nwant %+v", sp.Process, *final.Summary, want)
 		}
 	}
 }
@@ -426,14 +426,14 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Spec{
-		Version: 1, Process: ProcessRBB, Seed: 1, N: 100, M: 100, Rounds: 1000,
+		Version: 1, Process: spec.ProcessRBB, Seed: 1, N: 100, M: 100, Rounds: 1000,
 		Shards: 1, Init: "one-per-bin", CheckpointEvery: 250, StreamEvery: 3,
 		Placement: spec.Placement{Transport: spec.TransportPool, Kernel: "batched"},
 	}
 	if !reflect.DeepEqual(sp, want) {
 		t.Fatalf("normalized:\n got %+v\nwant %+v", sp, want)
 	}
-	tp := Spec{Process: ProcessTetris, Seed: 1, N: 100, Rounds: 10}
+	tp := Spec{Process: spec.ProcessTetris, Seed: 1, N: 100, Rounds: 10}
 	if err := tp.Normalize(0); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/spec"
 )
 
 // Options configures a Server.
@@ -197,7 +198,7 @@ func (s *Server) restore() error {
 		if !info.Status.Terminal() {
 			r.info.Status = StatusQueued
 			resumable := false
-			if info.Spec.Process == ProcessRBB {
+			if info.Spec.Process == spec.ProcessRBB {
 				if resumable, err = s.store.HasCheckpoint(info.ID); err != nil {
 					return err
 				}
@@ -518,11 +519,11 @@ func (s *Server) execute(r *run) {
 	}
 	s.persist()
 	info := r.Info()
-	spec, id := info.Spec, info.ID
-	s.logger.Info("run started", "id", id, "process", spec.Process, "from_round", info.Round)
+	sp, id := info.Spec, info.ID
+	s.logger.Info("run started", "id", id, "process", sp.Process, "from_round", info.Round)
 	start := s.now()
 
-	round, interrupted, summary, err := s.runSpec(ctx, r, spec)
+	round, interrupted, summary, err := s.runSpec(ctx, r, sp)
 
 	switch {
 	case err != nil:
@@ -546,7 +547,7 @@ func (s *Server) execute(r *run) {
 		s.finishRun(r, func(info *RunInfo) {
 			info.Status = StatusQueued
 			info.Round = round
-			if spec.Process != ProcessRBB {
+			if sp.Process != spec.ProcessRBB {
 				info.Round = 0
 			}
 		})
@@ -560,7 +561,7 @@ func (s *Server) execute(r *run) {
 		// their producing run's id).
 		s.mu.Lock()
 		if _, live := s.runs[id]; live {
-			if key := specKey(spec); s.cache[key].summary == nil {
+			if key := specKey(sp); s.cache[key].summary == nil {
 				s.cache[key] = cacheEntry{runID: id, round: round, summary: summary}
 			}
 		}
@@ -579,10 +580,10 @@ func (s *Server) execute(r *run) {
 
 // streamObserver emits an Event every spec.StreamEvery rounds and at the
 // target round.
-func streamObserver(r *run, pipe *shard.Pipeline, spec Spec) engine.Observer {
+func streamObserver(r *run, pipe *shard.Pipeline, sp Spec) engine.Observer {
 	return engine.ObserverFunc(func(st engine.Stepper) {
 		round := st.Round()
-		if round%spec.StreamEvery != 0 && round != spec.Rounds {
+		if round%sp.StreamEvery != 0 && round != sp.Rounds {
 			return
 		}
 		r.publish(Event{
@@ -605,7 +606,7 @@ func streamObserver(r *run, pipe *shard.Pipeline, spec Spec) engine.Observer {
 // workers — never what they compute.
 func (s *Server) runSpec(ctx context.Context, r *run, sp Spec) (int64, bool, *shard.Summary, error) {
 	path := ""
-	if s.store != nil && sp.Process == ProcessRBB {
+	if s.store != nil && sp.Process == spec.ProcessRBB {
 		path = s.store.CheckpointPath(r.Info().ID)
 	}
 	proc, pipe, err := sp.Start(path, s.opts.RunWorkers)

@@ -116,9 +116,10 @@ type GroupOptions struct {
 }
 
 // Fill writes the round-zero loads of bins [lo, lo+len(dst)) of a fresh
-// run into dst; config.Start.Fill is the one the frontends pass. A builder
-// that takes a Fill fills one shard at a time into one reused scratch, so
-// it never holds the whole start as an []int32.
+// run into dst; config.Start.Fill is the one the frontends pass. A group
+// built from a Fill asks it for each shard's bins a chunk at a time (see
+// engine.NewFill), so it holds neither the whole start nor a whole shard
+// of it as an []int32.
 type Fill func(lo int, dst []int32)
 
 // NewGroup builds fresh shard states for shards [lo, hi) of a run over n
@@ -135,125 +136,117 @@ func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Run
 	if want := PartitionStart(n, s, hi) - off; len(loads) != want {
 		return nil, fmt.Errorf("shard: group loads hold %d bins, shards [%d,%d) own %d", len(loads), lo, hi, want)
 	}
-	return buildGroup(n, s, lo, hi, runner, gopts, false, loadsSource(loads, off, seed))
+	g, _, err := buildGroup(n, s, lo, hi, runner, gopts, false, freshShards(loadsFill(loads, off), seed))
+	return g, err
 }
 
-// shardSource serves global shard i's starting state to buildGroup; base
-// and size are the shard's first bin and bin count.
-type shardSource func(i, base, size int) (ShardSnapshot, error)
-
-// loadsSource serves each shard of a fresh run as a slice of loads, which
-// holds the bins from off on.
-func loadsSource(loads []int32, off int, seed uint64) shardSource {
-	return func(i, base, size int) (ShardSnapshot, error) {
-		return freshShard(seed, i, loads[base-off:base-off+size]), nil
-	}
+// loadsFill serves loads, which hold the bins from off on, as a Fill.
+func loadsFill(loads []int32, off int) Fill {
+	return func(lo int, dst []int32) { copy(dst, loads[lo-off:]) }
 }
 
-// fillSource serves each shard of a fresh run from fill, through one
-// scratch sized for the first (largest) shard asked for and reused.
-func fillSource(fill Fill, seed uint64) shardSource {
-	var scratch []int32
-	return func(i, base, size int) (ShardSnapshot, error) {
-		if cap(scratch) < size {
-			scratch = make([]int32, size)
-		}
-		part := scratch[:size]
-		fill(base, part)
-		return freshShard(seed, i, part), nil
-	}
-}
-
-// freshShard is shard i's round-zero state over loads, minus the worklist
-// words a fresh build derives instead of checking.
-func freshShard(seed uint64, i int, loads []int32) ShardSnapshot {
-	return ShardSnapshot{RNG: rng.NewStream(seed, uint64(i)).State(), Loads: loads}
-}
-
-// NewGroupFromSnapshot builds the kernel for shards [lo, hi) from a
-// whole-run snapshot, restoring each owned shard's loads, worklist, rng
-// stream and storage width with the same structural cross-checks as
-// RestoreProcess (gopts.Width is the restore-side floor; a shard never
-// restores narrower than its snapshot recorded, so resumed runs keep the
-// ratchet). Only the snapshot entries of shards [lo, hi) are read, so a
-// sub-range caller may hand in a sparsely populated Shards slice.
-func NewGroupFromSnapshot(snap *EngineSnapshot, lo, hi int, runner transport.Runner, gopts GroupOptions) (*Group, error) {
-	if snap == nil {
-		return nil, errors.New("shard: NewGroupFromSnapshot with nil snapshot")
-	}
-	if snap.Round < 0 {
-		return nil, fmt.Errorf("shard: snapshot round %d < 0", snap.Round)
-	}
-	s := len(snap.Shards)
-	if s < 1 || s > snap.N {
-		return nil, fmt.Errorf("shard: snapshot has %d shards for %d bins", s, snap.N)
-	}
-	return NewGroupFromShards(snap.N, s, lo, hi, func(i int) (ShardSnapshot, error) { return snap.Shards[i], nil }, runner, gopts)
-}
-
-// NewGroupFromShards is NewGroupFromSnapshot over entries served one at a
+// NewGroupFromShards builds the kernel for shards [lo, hi) of a run over n
+// bins split into s shards from checkpointed entries served one at a
 // time: it calls next(i) once per owned shard i, in increasing order, and
 // builds shard i from the entry before asking for the next one, keeping
-// none of its slices. A multi-process worker builds its range this way as
-// each shard's join frame arrives, so it never decodes the whole range
-// first. An error from next is returned, decorated with the shard.
+// none of its slices. Each shard's loads, worklist, rng stream and storage
+// width are restored with the same structural cross-checks as
+// RestoreProcess (gopts.Width is the restore-side floor; a shard never
+// restores narrower than its entry recorded, so resumed runs keep the
+// ratchet). A multi-process worker builds its range this way as each
+// shard's join frame arrives, so it never decodes the whole range first.
+// An error from next is returned, decorated with the shard.
 func NewGroupFromShards(n, s, lo, hi int, next func(i int) (ShardSnapshot, error), runner transport.Runner, gopts GroupOptions) (*Group, error) {
-	return buildGroup(n, s, lo, hi, runner, gopts, true, func(i, _, _ int) (ShardSnapshot, error) { return next(i) })
+	g, _, err := buildGroup(n, s, lo, hi, runner, gopts, true, restoredShards(next))
+	return g, err
 }
 
-// buildGroup is the one builder behind every group constructor. For each
-// owned shard, in increasing order, at returns its starting state: a
-// shard-sized load slice (read, never kept) and the rng state. With
-// restore set the entry is a checkpointed one: its worklist words must
-// match the loads and its recorded storage width is reapplied. On error
-// the runner is left to the caller.
-func buildGroup(n, s, lo, hi int, runner transport.Runner, gopts GroupOptions, restore bool, at shardSource) (*Group, error) {
-	g, err := newGroupFrame(n, s, lo, hi, runner)
-	if err != nil {
-		return nil, err
-	}
-	for i := range g.parts {
-		sh := &g.parts[i]
-		ss, err := at(lo+i, sh.base, sh.size)
-		if err == nil {
-			err = sh.build(ss, restore, gopts)
-		}
+// shardBuild makes global shard i's engine state (with eopts) and rng
+// stream in its part, and returns the shard's ball count.
+type shardBuild func(sh *shardPart, i int, eopts engine.Options) (int64, error)
+
+// freshShards builds the shards of a fresh run over the start fill
+// serves; shard i draws from rng.NewStream(seed, i).
+func freshShards(fill Fill, seed uint64) shardBuild {
+	return func(sh *shardPart, i int, eopts engine.Options) (int64, error) {
+		base := sh.base
+		st, balls, err := engine.NewFill(sh.size, func(lo int, dst []int32) { fill(base+lo, dst) }, eopts)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
+			return 0, err
 		}
+		sh.state, sh.src = st, rng.NewStream(seed, uint64(i))
+		return balls, nil
 	}
-	g.prefault()
-	return g, nil
 }
 
-// build makes the part's engine state and rng stream from its starting
-// state (see buildGroup).
-func (sh *shardPart) build(ss ShardSnapshot, restore bool, gopts GroupOptions) error {
-	if len(ss.Loads) != sh.size {
-		return fmt.Errorf("holds %d bins, partition wants %d", len(ss.Loads), sh.size)
-	}
-	eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
-	if onEmptied, base := gopts.OnEmptied, sh.base; onEmptied != nil {
-		eopts.OnEmptied = func(u int) { onEmptied(base + u) }
-	}
-	st, err := engine.New(ss.Loads, eopts)
-	if err != nil {
-		return err
-	}
-	if restore {
-		if err := st.Restore(ss.Loads, ss.Work); err != nil {
-			return err
+// restoredShards builds each shard from its checkpointed entry, which at
+// serves: the worklist words must match the loads, and the recorded
+// storage width is reapplied.
+func restoredShards(at func(i int) (ShardSnapshot, error)) shardBuild {
+	return func(sh *shardPart, i int, eopts engine.Options) (int64, error) {
+		ss, err := at(i)
+		if err != nil {
+			return 0, err
+		}
+		if len(ss.Loads) != sh.size {
+			return 0, fmt.Errorf("holds %d bins, partition wants %d", len(ss.Loads), sh.size)
+		}
+		st, balls, err := engine.Restore(ss.Loads, ss.Work, eopts)
+		if err != nil {
+			return 0, err
 		}
 		if err := st.WidenTo(engine.Width(ss.Width)); err != nil {
-			return err
+			return 0, err
 		}
+		src := rng.New(0)
+		if err := src.SetState(ss.RNG); err != nil {
+			return 0, err
+		}
+		sh.state, sh.src = st, src
+		return balls, nil
 	}
-	src := rng.New(0)
-	if err := src.SetState(ss.RNG); err != nil {
-		return err
+}
+
+// buildGroup is behind every group constructor: it makes every owned
+// shard with build and returns the group with its ball count.
+// The shards are built through the runner, so each one is built — its
+// cells first touched — by the worker that will step it; with streamed
+// set they are built instead in increasing order on the calling
+// goroutine, stopping at the first failure, because build reads a stream.
+// A failure reports the lowest failing shard either way. On error the
+// runner is left to the caller.
+func buildGroup(n, s, lo, hi int, runner transport.Runner, gopts GroupOptions, streamed bool, build shardBuild) (*Group, int64, error) {
+	g, err := newGroupFrame(n, s, lo, hi, runner)
+	if err != nil {
+		return nil, 0, err
 	}
-	sh.state, sh.src = st, src
-	return nil
+	balls := make([]int64, len(g.parts))
+	errs := make([]error, len(g.parts))
+	one := func(i int) {
+		sh := &g.parts[i]
+		eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
+		if onEmptied, base := gopts.OnEmptied, sh.base; onEmptied != nil {
+			eopts.OnEmptied = func(u int) { onEmptied(base + u) }
+		}
+		balls[i], errs[i] = build(sh, lo+i, eopts)
+	}
+	if streamed {
+		for i := range g.parts {
+			if one(i); errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		runner.Run(one)
+	}
+	var total int64
+	for i, err := range errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("shard %d: %w", lo+i, err)
+		}
+		total += balls[i]
+	}
+	return g, total, nil
 }
 
 // newGroupFrame allocates the group skeleton (partition bookkeeping,
@@ -307,14 +300,6 @@ func checkGroupRange(n, s, lo, hi int) error {
 		return fmt.Errorf("shard: group range [%d,%d) outside %d shards", lo, hi, s)
 	}
 	return nil
-}
-
-// prefault runs the worker-pinned page warm-up once: with the pooled
-// runner, each shard's state is touched by the worker that will step it
-// for the group's lifetime, so lazily-allocated pages are first-touched
-// on the right thread (see engine.State.Prefault).
-func (g *Group) prefault() {
-	g.runner.Run(func(i int) { g.parts[i].state.Prefault() })
 }
 
 // ShardOf returns the global shard owning global bin v. The first n mod S

@@ -41,44 +41,46 @@ type Process struct {
 // pure function of (seed, len(loads), opts.Shards). It returns an error if
 // loads is empty or contains a negative entry.
 func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
-	return newProcess(len(loads), loadsSource(loads, 0, seed), opts, ArrivalRule{}, nil)
+	return newProcess(len(loads), loadsFill(loads, 0), seed, opts, ArrivalRule{}, nil)
 }
 
 // NewProcessFill is NewProcess over the n-bin start that fill serves,
 // built shard by shard (see Fill): the same process NewProcess builds
 // over the whole vector.
 func NewProcessFill(n int, fill Fill, seed uint64, opts Options) (*Process, error) {
-	return newProcess(n, fillSource(fill, seed), opts, ArrivalRule{}, nil)
+	return newProcess(n, fill, seed, opts, ArrivalRule{}, nil)
 }
 
-// newProcess builds a process over n bins stepping rule, with shard i's
-// starting state served by src and onEmptied (global bin indices) as the
-// group's OnEmptied hook.
-func newProcess(n int, src shardSource, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
+// newProcess builds a process over the n-bin start fill serves, stepping
+// rule, with onEmptied (global bin indices) as the group's OnEmptied hook.
+func newProcess(n int, fill Fill, seed uint64, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
 	if n < 1 {
 		return nil, errors.New("shard: NewProcess with no bins")
 	}
 	s, w := opts.resolve(n)
 	runner := local.NewPool(s, w)
-	g, err := buildGroup(n, s, 0, s, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel}, false, src)
+	g, balls, err := buildGroup(n, s, 0, s, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel}, false, freshShards(fill, seed))
 	if err != nil {
 		runner.Close()
 		return nil, err
 	}
-	return bind(g, w, rule, 0)
+	return bind(g, w, rule, 0, balls)
 }
 
 // RestoreProcess rebuilds a relaunch process from a snapshot taken with
 // Snapshot. The shard count comes from the snapshot (opts.Shards is
 // ignored — it is part of the saved random law); Workers, Width and Kernel
-// are taken from opts as usual. Every structural property is validated:
-// the per-shard slice sizes must match the canonical partition of N into
+// are taken from opts as usual (Width is the restore-side floor; a shard
+// never restores narrower than its snapshot recorded, so resumed runs
+// keep the ratchet). Every structural property is validated: the
+// per-shard slice sizes must match the canonical partition of N into
 // len(Shards) shards, the worklist words must agree with the loads, and
-// the rng states must be valid. The restored process continues the
-// trajectory exactly: for any round r past the snapshot, its loads are
-// byte-identical to those of the uninterrupted run. Its Released/Staged
-// read 0 until its first Step (the in-flight counters of the pre-snapshot
-// round are not part of the trajectory).
+// the rng states must be valid. Each shard is restored on the pool worker
+// that steps it. The restored process continues the trajectory exactly:
+// for any round r past the snapshot, its loads are byte-identical to
+// those of the uninterrupted run. Its Released/Staged read 0 until its
+// first Step (the in-flight counters of the pre-snapshot round are not
+// part of the trajectory).
 func RestoreProcess(snap *EngineSnapshot, opts Options) (*Process, error) {
 	if snap == nil {
 		return nil, errors.New("shard: RestoreProcess with nil snapshot")
@@ -87,23 +89,26 @@ func RestoreProcess(snap *EngineSnapshot, opts Options) (*Process, error) {
 	if s < 1 || s > snap.N {
 		return nil, fmt.Errorf("shard: snapshot has %d shards for %d bins", s, snap.N)
 	}
+	if snap.Round < 0 {
+		return nil, fmt.Errorf("shard: snapshot round %d < 0", snap.Round)
+	}
 	opts.Shards = s
 	_, w := opts.resolve(snap.N)
 	runner := local.NewPool(s, w)
-	g, err := NewGroupFromSnapshot(snap, 0, s, runner, GroupOptions{Width: opts.Width, Kernel: opts.Kernel})
+	at := func(i int) (ShardSnapshot, error) { return snap.Shards[i], nil }
+	g, balls, err := buildGroup(snap.N, s, 0, s, runner, GroupOptions{Width: opts.Width, Kernel: opts.Kernel}, false, restoredShards(at))
 	if err != nil {
 		runner.Close()
 		return nil, err
 	}
-	return bind(g, w, ArrivalRule{}, snap.Round)
+	return bind(g, w, ArrivalRule{}, snap.Round, balls)
 }
 
-// bind wraps a built group into a process stepping rule from round, and
-// folds its starting statistics and ball count. A conserving rule keeps
-// every ball in play, so all of them must fit one int32 bin. On error the
-// group is closed.
-func bind(g *Group, workers int, rule ArrivalRule, round int64) (*Process, error) {
-	balls := g.Sum()
+// bind wraps a built group holding balls balls into a process stepping
+// rule from round, and folds its starting statistics. A conserving rule
+// keeps every ball in play, so all of them must fit one int32 bin. On
+// error the group is closed.
+func bind(g *Group, workers int, rule ArrivalRule, round, balls int64) (*Process, error) {
 	arrive, err := rule.Arrivals(g.N(), g.Shards())
 	if err == nil && rule.Conserves() && balls > math.MaxInt32 {
 		err = fmt.Errorf("shard: %d balls exceed int32 bin capacity", balls)
@@ -263,18 +268,19 @@ type Tetris struct {
 
 // NewTetris builds a sharded Tetris process over a copy of loads.
 func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	return newTetris(len(loads), loadsSource(loads, 0, seed), opts)
+	return newTetris(len(loads), loadsFill(loads, 0), seed, opts)
 }
 
 // NewTetrisFill is NewTetris over the n-bin start that fill serves, built
 // shard by shard (see Fill).
 func NewTetrisFill(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	return newTetris(n, fillSource(fill, seed), opts)
+	return newTetris(n, fill, seed, opts)
 }
 
-// newTetris builds a Tetris process over n bins, initialising the Lemma 4
-// tracker shard by shard from the starting loads src serves.
-func newTetris(n int, src shardSource, opts TetrisOptions) (*Tetris, error) {
+// newTetris builds a Tetris process over the n-bin start fill serves,
+// initialising the Lemma 4 tracker from each chunk of the start as the
+// chunk's shard is built.
+func newTetris(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, error) {
 	rule, err := RuleForLaw(opts.Law, opts.Lambda)
 	if err != nil {
 		return nil, err
@@ -283,17 +289,16 @@ func newTetris(n int, src shardSource, opts TetrisOptions) (*Tetris, error) {
 		return nil, err
 	}
 	t := &Tetris{firstEmpty: make([]int64, max(n, 0))}
-	track := func(i, base, size int) (ShardSnapshot, error) {
-		ss, err := src(i, base, size)
-		for u, l := range ss.Loads {
-			t.firstEmpty[base+u] = -1
+	track := func(lo int, dst []int32) {
+		fill(lo, dst)
+		for u, l := range dst {
+			t.firstEmpty[lo+u] = -1
 			if l == 0 {
-				t.firstEmpty[base+u] = 0
+				t.firstEmpty[lo+u] = 0
 			}
 		}
-		return ss, err
 	}
-	if t.Process, err = newProcess(n, track, opts.Options, rule, t.markEmptied); err != nil {
+	if t.Process, err = newProcess(n, track, seed, opts.Options, rule, t.markEmptied); err != nil {
 		return nil, err
 	}
 	t.perShardNever = make([]int64, t.Shards())

@@ -38,14 +38,24 @@
 //
 // # Building
 //
-// Every group is built by one loop, shard by shard, from a shard-sized
-// load slice: a subslice of the caller's loads (NewGroup, NewProcess,
-// NewTetris), a snapshot entry (NewGroupFromSnapshot, NewGroupFromShards)
-// or one scratch reused across shards and filled from the shard's range
-// of the start (NewProcessFill, NewTetrisFill, InitialShards). A fresh
-// run built from a Fill therefore never holds its whole start as an
-// []int32; its resident memory is the compact shard state plus one round
-// of in-flight destinations.
+// Every group is built by one function, and every shard state by one
+// engine constructor (engine.NewFill) that reads the shard's bins a fixed
+// chunk at a time and, in the same pass, validates and stores them,
+// sets the worklist words and counts the non-empty bins, maximum load and
+// balls. A fresh shard reads its chunks from a Fill — the caller's loads
+// (NewGroup, NewProcess, NewTetris) or the start's range form
+// (NewProcessFill, NewTetrisFill) — and a restored one from its snapshot
+// entry (RestoreProcess, NewGroupFromShards). Where the source is random
+// access, the shards are built through the runner: each pool worker
+// builds, and so first touches, exactly the shards it will step, all
+// workers at once. The streamed source of a multi-process worker
+// (NewGroupFromShards) is read in shard order, one join frame at a time,
+// so its shards are built in that order on the calling goroutine. A
+// fresh run therefore never holds its start, nor a whole shard of it, as
+// an []int32; its resident memory is the compact shard state plus one
+// round of in-flight destinations. The multi-process coordinator's join
+// frames are the exception: InitialShards serves each shard's entry from
+// one shard-sized scratch, because a frame carries the shard's loads.
 //
 // # Transports
 //
@@ -200,21 +210,22 @@ func InitialSnapshot(loads []int32, seed uint64, shards int, width engine.Width)
 // n ≥ 1 bins fill serves, one shard at a time: it resolves the shard count
 // S as InitialSnapshot does and returns it with a function yielding entry
 // i — the entry InitialSnapshot would hold, except that its Loads live in
-// a scratch the next call reuses. The multi-process coordinator encodes
-// each worker's join frames from it, so a fresh multi-process run never
-// holds its whole start.
+// a scratch, sized for the first (largest) shard, that the next call
+// reuses. The multi-process coordinator encodes each worker's join frames
+// from it, so a fresh multi-process run never holds its whole start.
 func InitialShards(n int, fill Fill, seed uint64, shards int, width engine.Width) (int, func(i int) (ShardSnapshot, error)) {
 	s, _ := Options{Shards: shards}.resolve(n)
-	src := fillSource(fill, seed)
+	var scratch []int32
 	return s, func(i int) (ShardSnapshot, error) {
-		base := PartitionStart(n, s, i)
-		ss, err := src(i, base, PartitionSize(n, s, i))
-		if err != nil {
-			return ss, err
+		base, size := PartitionStart(n, s, i), PartitionSize(n, s, i)
+		if cap(scratch) < size {
+			scratch = make([]int32, size)
 		}
-		work := make([]uint64, (len(ss.Loads)+63)/64)
+		loads := scratch[:size]
+		fill(base, loads)
+		work := make([]uint64, (size+63)/64)
 		var max int32
-		for u, l := range ss.Loads {
+		for u, l := range loads {
 			if l < 0 {
 				return ShardSnapshot{}, fmt.Errorf("shard: bin %d has negative load %d", base+u, l)
 			}
@@ -225,8 +236,11 @@ func InitialShards(n int, fill Fill, seed uint64, shards int, width engine.Width
 				}
 			}
 		}
-		ss.Work = work
-		ss.Width = uint8(engine.WidthFor(max, width))
-		return ss, nil
+		return ShardSnapshot{
+			RNG:   rng.NewStream(seed, uint64(i)).State(),
+			Loads: loads,
+			Work:  work,
+			Width: uint8(engine.WidthFor(max, width)),
+		}, nil
 	}
 }

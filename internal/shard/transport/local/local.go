@@ -2,12 +2,13 @@
 // protocol: Pool, a persistent worker pool with shard→worker affinity.
 //
 // Pool keeps W long-lived workers, each owning a fixed contiguous block of
-// shards; a shard is stepped by the same worker for the lifetime of the
-// engine, so its working set stays in one core's cache hierarchy (and,
-// with a first-touch NUMA policy, its lazily-faulted pages stay on the node
-// that steps it — see engine.State.Prefault). Spawning fresh goroutines
-// for every phase instead never beat it (BENCH_pool.json), so the pool is
-// the only in-process runner.
+// shards; a shard is built and stepped by the same worker for the
+// lifetime of the engine, so its working set stays in one core's cache
+// hierarchy (and, with a first-touch NUMA policy, its pages stay on the
+// node that steps it: the shard builds run through Run too, so each
+// worker is the first to touch its shards' cells). Spawning fresh
+// goroutines for every phase instead never beat it (BENCH_pool.json), so
+// the pool is the only in-process runner.
 package local
 
 import (

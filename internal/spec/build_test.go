@@ -244,26 +244,30 @@ func TestBuildMatchesLoads(t *testing.T) {
 
 // TestBuildAllocs pins a fresh build's memory to its compact state: at
 // n = 2²⁰, S = 8, one-per-bin, Build allocates the shards' load and
-// staging cells (2 bytes a bin at width 8), their worklists and one
-// shard of scratch — under 3 bytes a bin, where materialising the start
-// as a whole-run []int32 first cost over 6.
+// staging cells (2 bytes a bin at width 8), their worklists (1/8 byte a
+// bin) and one fixed fill chunk per shard — under 2.25 bytes a bin, on one
+// worker and on eight building their shards at once. A whole-shard
+// scratch cost about 0.4 more (2.63), and materialising the start as a
+// whole-run []int32 first over 6.
 func TestBuildAllocs(t *testing.T) {
 	const n = 1 << 20
-	sp := RunSpec{Seed: 3, N: n, Rounds: 1, Shards: 8, Placement: Placement{Workers: 1}}
-	if err := sp.Normalize(0); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p, err := sp.Build(1)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("Build allocated %d bytes (%.2f B/bin)", got, float64(got)/n)
-	if got >= 3*n {
-		t.Errorf("Build allocated %.2f bytes a bin, want < 3", float64(got)/n)
+	for _, workers := range []int{1, 8} {
+		sp := RunSpec{Seed: 3, N: n, Rounds: 1, Shards: 8, Placement: Placement{Workers: workers}}
+		if err := sp.Normalize(0); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := sp.Build(1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("workers %d: Build allocated %d bytes (%.3f B/bin)", workers, got, float64(got)/n)
+		if got >= 2.25*n {
+			t.Errorf("workers %d: Build allocated %.3f bytes a bin, want < 2.25", workers, float64(got)/n)
+		}
 	}
 }

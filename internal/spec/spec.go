@@ -114,8 +114,8 @@ type RunSpec struct {
 	Seed uint64 `json:"seed"`
 	// N is the number of bins (required, ≥ 1).
 	N int `json:"n"`
-	// M is the number of balls for rbb (default N; ignored by tetris and
-	// batches, whose ball count is dynamic).
+	// M is the number of balls for rbb (default N, at most 2³¹−1; ignored
+	// by tetris and batches, whose ball count is dynamic).
 	M int `json:"m,omitempty"`
 	// Rounds is the target round count (required, ≥ 1).
 	Rounds int64 `json:"rounds"`
@@ -170,11 +170,15 @@ func (sp *RunSpec) Normalize(defaultCheckpointEvery int64) error {
 		return fmt.Errorf("need rounds >= 1, got %d", sp.Rounds)
 	}
 	if sp.Process == ProcessRBB {
-		if sp.M == 0 {
+		switch {
+		case sp.M == 0:
 			sp.M = sp.N
-		}
-		if sp.M < 0 {
+		case sp.M < 0:
 			return fmt.Errorf("need m >= 0, got %d", sp.M)
+		case sp.M > math.MaxInt32:
+			// Relaunch conserves the balls, and all of them may gather in
+			// one bin, whose load is an int32.
+			return fmt.Errorf("need m <= %d, got %d", math.MaxInt32, sp.M)
 		}
 		if sp.Lambda != 0 {
 			return fmt.Errorf("lambda applies only to the tetris and batches processes")

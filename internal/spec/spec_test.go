@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -197,6 +198,22 @@ func TestNormalizeBinLimit(t *testing.T) {
 	over := RunSpec{N: 1<<31 + 1, Rounds: 1}
 	if err := over.Normalize(0); err == nil || !strings.Contains(err.Error(), "2147483648") {
 		t.Errorf("n = 2^31+1: %v, want an error naming the 2147483648-bin limit", err)
+	}
+}
+
+// TestNormalizeBallLimit: relaunch conserves its balls and all of them may
+// gather in one int32 bin, so a given m above 2^31 - 1 is refused at
+// submit, naming the limit; m at the limit is accepted.
+func TestNormalizeBallLimit(t *testing.T) {
+	at := RunSpec{N: 8, M: math.MaxInt32, Rounds: 1}
+	if err := at.Normalize(0); err != nil {
+		t.Errorf("m = 2^31-1 rejected: %v", err)
+	}
+	for _, m := range []int{math.MaxInt32 + 1, 3000000000, 4294967301} {
+		over := RunSpec{N: 1024, M: m, Rounds: 1, Init: "all-in-one"}
+		if err := over.Normalize(0); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("m = %d: %v, want an error naming the 2147483647-ball limit", m, err)
+		}
 	}
 }
 
