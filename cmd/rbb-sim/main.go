@@ -40,12 +40,14 @@
 // state). -load-width pins a wider floor; -checkpoint-compress flate-
 // compresses the per-shard checkpoint sections. Neither affects results.
 //
-// The dense-round inner loop is selectable the same way: -kernel batched
-// (the default) runs the cache-blocked batched kernel, -kernel scalar the
-// historical one-pass loop kept as its equivalence oracle; trajectories
-// are byte-identical under both. -cpuprofile and -memprofile write pprof
-// profiles of the run for kernel tuning — like -trace and -metrics they
-// are side channels that never touch stdout or the results.
+// The dense round's two scans are selectable the same way: -kernel
+// batched (the default) decrements without branching and commits 8
+// width-8 cells per word, -kernel scalar runs the per-bin loops kept as
+// its equivalence oracle. Both throw the released balls through the same
+// block draw, and trajectories are byte-identical under both.
+// -cpuprofile and -memprofile write pprof profiles of the run for kernel
+// tuning — like -trace and -metrics they are side channels that never
+// touch stdout or the results.
 //
 // Examples:
 //
@@ -140,7 +142,7 @@ func run(args []string, out io.Writer) error {
 		ckptEvery = fs.Int64("checkpoint-every", 0, "rounds between periodic checkpoints (0 = only on signal and at completion; requires -checkpoint)")
 		ckptComp  = fs.Bool("checkpoint-compress", false, "flate-compress the per-shard checkpoint sections (format v2; smaller files, identical state; requires -checkpoint)")
 		loadWidth = fs.String("load-width", "auto", "load storage width floor in bits: auto | 8 | 16 | 32 (auto stores each shard at the narrowest width that fits, widening on demand; original|tetris only; never affects results)")
-		kernelF   = fs.String("kernel", "", "dense-round kernel: batched (cache-blocked bulk draw + radix-partitioned staging + SWAR commit, default) | scalar (the historical one-pass loop); original|tetris only; never affects results")
+		kernelF   = fs.String("kernel", "", "dense-round kernel, which sets only the dense decrement and the width-8 commit: batched (branch-free decrement + SWAR commit, default) | scalar (the per-bin loops); original|tetris only; never affects results")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the run to this file (telemetry side channel, never affects results)")
 		memProf   = fs.String("memprofile", "", "write a heap pprof profile (after a final GC) to this file on exit (telemetry side channel, never affects results)")
 		resume    = fs.String("resume", "", "resume from a checkpoint file; n, m, seed, shards, quantiles and load widths come from the file")
@@ -245,6 +247,11 @@ func run(args []string, out io.Writer) error {
 	balls := *m
 	if balls == 0 {
 		balls = *n
+	}
+	// Every process but tetris conserves its balls, and all of them may
+	// gather in one int32 bin; refused here, before Build allocates the run.
+	if *process != "tetris" && balls > math.MaxInt32 {
+		return fmt.Errorf("need m <= %d, got %d", math.MaxInt32, balls)
 	}
 	// The sharded process kinds lower into the canonical spec.RunSpec — the
 	// same run description rbb-serve accepts over HTTP — and let it pick the

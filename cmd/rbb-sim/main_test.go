@@ -283,6 +283,8 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-n", "0"},
 		{"-n", "2147483649"}, // 2^31 + 1: past the int32 bin-index limit
+		// 2^31 bins start with 2^31 balls, one more than an int32 bin holds.
+		{"-n", "2147483648", "-rounds", "1", "-shards", "1"},
 		{"-rounds", "-1"},
 		{"-process", "bogus"},
 		{"-init", "bogus"},

@@ -45,14 +45,14 @@ func NewChoicesProcess(loads []int32, d int, src *rng.Source) (*ChoicesProcess, 
 	if src == nil {
 		return nil, errors.New("core: NewChoicesProcess with nil rng source")
 	}
-	eng, err := engine.New(loads, engine.Options{})
+	eng, m, err := engine.NewFill(n, engine.CopyFill(loads), engine.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &ChoicesProcess{
 		n:   n,
 		d:   d,
-		m:   eng.Sum(),
+		m:   m,
 		eng: eng,
 		src: src,
 	}, nil

@@ -53,11 +53,10 @@ func NewProcess(loads []int32, src *rng.Source) (*Process, error) {
 	if src == nil {
 		return nil, errors.New("core: NewProcess with nil rng source")
 	}
-	eng, err := engine.New(loads, engine.Options{})
+	eng, m, err := engine.NewFill(len(loads), engine.CopyFill(loads), engine.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	m := eng.Sum()
 	if m > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d balls exceed int32 bin capacity", m)
 	}

@@ -181,11 +181,15 @@ func TestRunUntilAlreadySatisfied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.RunUntil(func(*Process) bool { return true }, 10) {
-		t.Fatal("pred true at start should return immediately")
-	}
-	if p.Round() != 0 {
-		t.Fatal("steps taken despite satisfied predicate")
+	// Satisfied before the first step: zero steps taken even with a zero
+	// (or negative) round budget.
+	for _, budget := range []int64{0, -1, 10} {
+		if !p.RunUntil(func(*Process) bool { return true }, budget) {
+			t.Fatalf("budget %d: pred true at start should return immediately", budget)
+		}
+		if p.Round() != 0 {
+			t.Fatalf("budget %d: steps taken despite satisfied predicate", budget)
+		}
 	}
 }
 

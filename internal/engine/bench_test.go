@@ -70,19 +70,18 @@ func BenchmarkStepDenseRefOnePerBin(b *testing.B) {
 // stays dense for its whole life (occupancy decays from 1 to the ≈0.63
 // stationary point, always above the 1/3 dense threshold), so every
 // measured round takes the kernel under test. Width8 is the steady state
-// the paper guarantees (max load Θ(log n) w.h.p.); Width32 isolates the
-// radix partition + segmented staging from the SWAR passes, which only
-// exist at Width8. The batched kernel's win grows with n as the scalar
-// loop's random stores fall out of cache — the acceptance bar is ≥1.3× at
-// Width8, n ≥ 2²².
+// the paper guarantees (max load Θ(log n) w.h.p.) and the only width with
+// the SWAR commit; at Width32 the kernels differ in the decrement alone.
+// Both kernels throw through ThrowUniform, so the pair differs only in the
+// two scans.
 func benchDenseKernel(b *testing.B, n int, w Width, k Kernel) {
 	st, err := New(onePerBin(n), Options{Width: w, Kernel: k})
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := NewDrawer(rng.New(1))
-	// One warmup round sizes the kernel scratch so the measured rounds
-	// allocate nothing (TestDenseRoundAllocs pins this).
+	// The first round from onePerBin releases every bin; time from the
+	// second.
 	st.ReleaseUniform(d, nil)
 	st.Commit()
 	b.ResetTimer()

@@ -1,32 +1,22 @@
 // Dense-round kernels.
 //
-// The stationary regime of the paper's process (λ near 1, m = n) spends
-// almost every cycle in the dense release/commit scan, and the scalar loop's
-// cost there is dominated by one random write per ball into an arrival
-// staging area of up to n cells — a latency-bound pointer chase once the
-// state outgrows the last-level cache (1 GiB at the n = 2³⁰ scale of
-// E23/E24). The batched kernel restructures the round so every pass streams
-// memory sequentially:
+// A dense round is a release scan over every cell, a throw (ThrowUniform:
+// the released balls' destinations drawn in 512-entry blocks and staged by
+// DepositBatch, the same under every kernel) and a commit scan that merges
+// the staged arrivals. The kernels differ only in the two scans:
 //
-//  1. a tight decrement pass over the load vector that counts releasing bins
-//     (SWAR, 8 cells per word, at Width8; branch-free at Width16/32);
-//  2. one Drawer.Fill bulk draw for all destinations — exactly the released
-//     count of bounded draws, in bin order, so the consumed RNG sequence is
-//     identical to the scalar loop's (the sparse path has always used Fill
-//     under the same contract);
-//  3. when the staging area is large enough to thrash the dTLB (more than
-//     directSegMax segments), a radix partition of the destinations by high
-//     bits into ~4 MiB segments, then per-segment staging into arr — every
-//     segment's stores land in a ~1024-page window, so the scatter becomes
-//     TLB- and cache-resident (staged arrivals are commutative counts; see
-//     DESIGN.md §2.13 for why the reordering is trajectory-neutral); below
-//     the threshold the batch is staged directly in draw order;
-//  4. a SWAR commit at Width8 that merges load+arr, zero-detects and
-//     max-reduces 8 cells per uint64 word.
+//   - the release decrement: the batched kernel decrements every non-empty
+//     cell without a data-dependent branch (SWAR, 8 cells per word, at
+//     Width8; decDenseNZ at Width16/32), the scalar kernel with the
+//     per-bin loop;
+//   - the Width8 commit: the batched kernel merges load+arr, zero-detects
+//     and max-reduces 8 cells per uint64 word (commitDense8SWAR), the
+//     scalar kernel one cell at a time.
 //
-// The historical one-pass loop is kept as KernelScalar — the equivalence
-// oracle (FuzzKernelEquivalence diffs final checkpoints) and the fallback
-// for callers that observe mid-round order (a non-nil visit callback).
+// A round with a mid-round observer (a visit callback, or an OnEmptied
+// tracker for the decrement) takes the per-bin loop under either kernel.
+// The scalar kernel is the equivalence oracle: TestKernelEquivalence and
+// FuzzKernelEquivalence hold both kernels to it, and to the per-bin law.
 package engine
 
 import (
@@ -36,18 +26,19 @@ import (
 	"math/bits"
 )
 
-// Kernel selects the dense-round implementation. The trajectory is
-// independent of it — both kernels consume the identical draw sequence and
-// produce byte-identical states and widening decisions — so it lives on the
-// placement plane of spec.RunSpec (excluded from ResultKey), with the same
-// contract as transport and width.
+// Kernel selects the dense release decrement and the Width8 dense commit.
+// The trajectory is independent of it — both kernels draw nothing
+// themselves and produce byte-identical states and widening decisions — so
+// it lives on the placement plane of spec.RunSpec (excluded from
+// ResultKey), with the same contract as transport and width.
 type Kernel uint8
 
 const (
-	// KernelBatched is the default: the cache-blocked batched round above.
+	// KernelBatched is the default: the branch-free decrement and the SWAR
+	// commit above.
 	KernelBatched Kernel = iota
-	// KernelScalar is the historical one-pass dense loop, kept as the
-	// equivalence oracle and as the path for mid-round observers.
+	// KernelScalar is the per-bin dense loop, kept as the equivalence
+	// oracle.
 	KernelScalar
 )
 
@@ -78,83 +69,8 @@ func (k Kernel) valid() bool {
 	return k == KernelBatched || k == KernelScalar
 }
 
-// segmentShift returns the radix-partition shift for the width: destinations
-// sharing their high bits above the shift land in one segment of arr
-// spanning ≈4 MiB (2^22 uint8 cells, 2^21 uint16, 2^20 int32) — ~1024
-// base pages, so a segment's staging stores stay dTLB- and cache-resident
-// even when arr itself is orders of magnitude larger.
-func segmentShift(w Width) uint {
-	switch w {
-	case Width8:
-		return 22
-	case Width16:
-		return 21
-	default:
-		return 20
-	}
-}
-
-// directSegMax is the partition threshold. The partition costs one extra
-// read+write of the whole destination batch (the counting-sort scatter,
-// whose bucket-cursor updates serialize through store-to-load forwarding);
-// with nb ≤ directSegMax segments the staging area is close enough to the
-// segment budget that direct draw-order staging is already TLB-resident
-// and the scatter cannot pay for itself. Measured on the recording box
-// (BENCH_kernel.json): direct wins up to 4 segments, partitioned wins from
-// 8 segments up.
-const directSegMax = 4
-
-// kernelSegShift and kernelDirectSegMax are the live partition policy —
-// variables only so kernel tests can shrink the segments and drive the
-// partitioned path at unit-test sizes. The trajectory is policy-independent
-// (DESIGN.md §2.13); only speed depends on these.
-var (
-	kernelSegShift     = segmentShift
-	kernelDirectSegMax = directSegMax
-)
-
-// releaseUniformDenseBatched is the batched dense ReleaseUniform (nil-visit
-// callers only; a visit callback observes the scalar loop's interleaved
-// order, so those rounds take the scalar path regardless of kernel).
-func (s *State) releaseUniformDenseBatched(d *Drawer) int {
-	// Pass 1: decrement every non-empty bin, counting releases.
-	released := s.decDense()
-	if released == 0 {
-		return 0
-	}
-	// Pass 2: one bulk draw — released bounded draws in bin order, the
-	// identical RNG consumption of the scalar loop. When the state spans
-	// more than one segment the draw is fused with the partition histogram
-	// (pass 3) so the batch is read once, not twice.
-	if cap(s.dests) < released {
-		s.dests = make([]int32, s.n)
-	}
-	dests := s.dests[:released]
-	// Pass 3: partition by destination segment, then stage segment by
-	// segment so the stores stay cache-resident.
-	seq := s.drawPartitioned(d, dests)
-	start := 0
-	for {
-		var ov int
-		switch s.width {
-		case Width8:
-			ov = stageDenseW(s.arr8, math.MaxUint8, seq, start)
-		case Width16:
-			ov = stageDenseW(s.arr16, math.MaxUint16, seq, start)
-		default:
-			ov = stageDenseW(s.arr32, math.MaxInt32, seq, start)
-		}
-		if ov < 0 {
-			break
-		}
-		s.widen()
-		start = ov
-	}
-	return released
-}
-
-// decDense is pass 1 of the batched round and the whole dense ReleaseEach
-// when nothing observes per-bin order: decrement every non-empty bin and
+// decDense is the batched kernel's dense ReleaseEach when nothing observes
+// per-bin order: decrement every non-empty bin and
 // return the number of releases. Without an OnEmptied callback the pass has
 // no data-dependent branch — SWAR at Width8, decDenseNZ at Width16/32 — so
 // the ~50/50 empty/non-empty pattern of a dense round costs no
@@ -193,62 +109,6 @@ func decDenseNZ[L loadElem](load []L) int {
 		released += nz
 	}
 	return released
-}
-
-// drawPartitioned draws len(dests) destinations (the exact Fill sequence)
-// and returns them reordered so destinations sharing a segment (high bits
-// ≥ segmentShift) are contiguous, preserving the relative order within
-// each segment (a stable counting sort, histogram fused into the draw
-// loop). Returns dests itself — unpartitioned, in draw order — when the
-// state spans at most directSegMax segments. The reordering only changes
-// the order arrivals are staged in; staged arrivals are commutative
-// counts, so the post-round state and the widening decision are unchanged
-// (DESIGN.md §2.13).
-func (s *State) drawPartitioned(d *Drawer, dests []int32) []int32 {
-	shift := kernelSegShift(s.width)
-	nb := ((s.n - 1) >> shift) + 1
-	if nb <= kernelDirectSegMax {
-		d.Fill(dests, s.n)
-		return dests
-	}
-	if cap(s.bucketOff) < nb+1 {
-		s.bucketOff = make([]int32, nb+1)
-	}
-	off := s.bucketOff[:nb+1]
-	clear(off)
-	// Histogram into off[b+1] while drawing, prefix-sum so off[b] becomes
-	// bucket b's write cursor, then scatter.
-	d.FillHist(dests, s.n, off, shift)
-	for i := 1; i <= nb; i++ {
-		off[i] += off[i-1]
-	}
-	if cap(s.dests2) < len(dests) {
-		s.dests2 = make([]int32, s.n)
-	}
-	out := s.dests2[:len(dests)]
-	for _, v := range dests {
-		b := v >> shift
-		out[off[b]] = v
-		off[b]++
-	}
-	return out
-}
-
-// stageDenseW stages the partitioned destinations from index start,
-// returning the index whose staged count would overflow the current width
-// (the caller widens and resumes there; nothing is staged for that index),
-// or −1 when done. Dense rounds skip the touched list — commitDense drains
-// arr wholesale and never reads it.
-func stageDenseW[L loadElem](arr []L, lim L, seq []int32, start int) int {
-	for i := start; i < len(seq); i++ {
-		v := seq[i]
-		a := arr[v]
-		if a == lim {
-			return i
-		}
-		arr[v] = a + 1
-	}
-	return -1
 }
 
 // SWAR constants: the per-byte high-bit mask and its complement.

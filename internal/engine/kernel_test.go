@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -50,9 +51,9 @@ type trajectory struct {
 }
 
 // runTraj steps a fresh State rounds times under kernel k and records its
-// trajectory. withVisit exercises the documented fallback: a visit callback
-// observes mid-round order, so those rounds take the scalar loop under
-// either kernel.
+// trajectory. withVisit steps the per-bin law (ReleaseUniform with a visit
+// callback: one draw and one Deposit per released bin, the dense release
+// taking the per-bin loop under either kernel) instead of the throw.
 func runTraj(t *testing.T, loads []int32, w Width, k Kernel, rounds int, seed uint64, withOnEmptied, withVisit bool) trajectory {
 	t.Helper()
 	var tr trajectory
@@ -91,19 +92,19 @@ func constLoads(n int, v int32) []int32 {
 	return loads
 }
 
-// TestKernelEquivalence pins the tentpole contract: the batched kernel and
-// the historical scalar loop produce byte-identical trajectories — same
-// per-round statistics, same observer callbacks in the same order, same
-// final loads and same widening decisions — across widths, occupancy
-// regimes (including the sparse↔dense crossings) and observer variants.
+// TestKernelEquivalence pins the kernel contract: the batched kernel and
+// the scalar loop produce byte-identical trajectories — same per-round
+// statistics, same observer callbacks in the same order, same final loads
+// and same widening decisions — across widths, occupancy regimes
+// (including the sparse↔dense crossings) and observer variants. The
+// perBin variant holds both kernels' throws to the per-bin law.
 func TestKernelEquivalence(t *testing.T) {
 	configs := []struct {
 		name   string
 		loads  []int32
 		rounds int
 	}{
-		// Dense from round 0; n spans several Width8 radix segments is not
-		// feasible in a unit test, but n > 8 words exercises the SWAR body.
+		// Dense from round 0; n > 8 words exercises the SWAR body.
 		{"onePerBin_n4096", onePerBin(4096), 300},
 		// Sparse start, crosses into the dense regime as the balls spread.
 		{"allInOne_n1024", allInOne(1024, 1024), 3000},
@@ -118,10 +119,14 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		for _, w := range []Width{WidthAuto, Width8, Width16, Width32} {
-			for _, variant := range []string{"plain", "onEmptied", "visit"} {
+			for _, variant := range []string{"plain", "onEmptied", "visit", "perBin"} {
 				name := fmt.Sprintf("%s/w%d/%s", cfg.name, w, variant)
 				t.Run(name, func(t *testing.T) {
 					const seed = 42
+					if variant == "perBin" {
+						checkPerBinLaw(t, cfg.loads, w, cfg.rounds, seed, true)
+						return
+					}
 					oe, vis := variant == "onEmptied", variant == "visit"
 					a := runTraj(t, cfg.loads, w, KernelBatched, cfg.rounds, seed, oe, vis)
 					b := runTraj(t, cfg.loads, w, KernelScalar, cfg.rounds, seed, oe, vis)
@@ -138,9 +143,27 @@ func TestKernelEquivalence(t *testing.T) {
 
 func head(s []int32) []int32 { return s[:min(4, len(s))] }
 
+// checkPerBinLaw holds each kernel's nil-visit trajectory — the round's
+// released balls thrown in blocks by ThrowUniform — to the per-bin law:
+// KernelScalar with a visit callback, which draws and stages one ball per
+// released bin in bin order. The visit log is the one field a nil-visit
+// round cannot record, so it is excluded.
+func checkPerBinLaw(t *testing.T, loads []int32, w Width, rounds int, seed uint64, withOnEmptied bool) {
+	t.Helper()
+	want := runTraj(t, loads, w, KernelScalar, rounds, seed, withOnEmptied, true)
+	want.visited = nil
+	for _, k := range []Kernel{KernelBatched, KernelScalar} {
+		if got := runTraj(t, loads, w, k, rounds, seed, withOnEmptied, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("kernel %v: the throw diverged from the per-bin law: max=%v.. width=%v, want max=%v.. width=%v",
+				k, head(got.maxLoad), got.width, head(want.maxLoad), want.width)
+		}
+	}
+}
+
 // FuzzKernelEquivalence drives randomized (config, width, observer, rounds)
-// tuples through both kernels and requires identical trajectories. The
-// scalar loop is the oracle; any divergence is a kernel bug by definition.
+// tuples through both kernels and requires identical trajectories, and
+// both kernels' throws to match the per-bin law. The scalar loop is the
+// oracle; any divergence is a kernel bug by definition.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(128), uint8(50), uint8(0))
 	f.Add(uint64(2), uint16(500), uint16(500), uint8(80), uint8(1))
@@ -165,98 +188,47 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("kernels diverged: n=%d m=%d rounds=%d w=%d flags=%#x", n, m, rounds, w, flags)
 		}
+		checkPerBinLaw(t, loads, w, rounds, seed, withOnEmptied)
 	})
 }
 
-// narrowSegments shrinks the partition policy so the radix-partitioned
-// staging path (production: states above 4·4 MiB of staging area) runs at
-// unit-test sizes, restoring the real policy when the test ends.
-func narrowSegments(t *testing.T) {
-	t.Helper()
-	shift, dm := kernelSegShift, kernelDirectSegMax
-	t.Cleanup(func() { kernelSegShift, kernelDirectSegMax = shift, dm })
-	kernelSegShift = func(Width) uint { return 7 }
-	kernelDirectSegMax = 1
-}
-
-// TestKernelEquivalencePartitioned reruns the equivalence pin with the
-// partition policy shrunk so every dense round takes the radix-partitioned
-// staging path — the production path for states above 16 MiB of staging
-// area, unreachable at unit-test sizes under the real policy.
-func TestKernelEquivalencePartitioned(t *testing.T) {
-	narrowSegments(t)
-	const seed = 23
-	for _, cfg := range []struct {
-		name   string
-		loads  []int32
-		rounds int
-	}{
-		{"onePerBin_n4096", onePerBin(4096), 300},
-		{"tail_n1013", onePerBin(1013), 300},
-		{"widen_n512", constLoads(512, 250), 200},
-	} {
-		for _, variant := range []string{"plain", "onEmptied"} {
-			t.Run(cfg.name+"/"+variant, func(t *testing.T) {
-				oe := variant == "onEmptied"
-				a := runTraj(t, cfg.loads, Width8, KernelBatched, cfg.rounds, seed, oe, false)
-				b := runTraj(t, cfg.loads, Width8, KernelScalar, cfg.rounds, seed, oe, false)
-				if !reflect.DeepEqual(a, b) {
-					t.Fatal("kernels diverged on the partitioned staging path")
-				}
-			})
+// TestDepositBatchOverflow pins the staging widen-resume contract of
+// depositBatchW, in a dense round (no touched list) and a sparse one: the
+// index whose staged count would overflow is returned mid-batch with
+// nothing staged for it, and the replay from that index on the widened
+// array stages the rest of the batch exactly, each bin touched once.
+func TestDepositBatchOverflow(t *testing.T) {
+	const offset = 10
+	vs := []int32{offset + 2}
+	for range 300 {
+		vs = append(vs, offset+5)
+	}
+	vs = append(vs, offset+7)
+	for _, dense := range []bool{true, false} {
+		s := &State{}
+		arr := make([]uint8, 8)
+		ov := depositBatchW(s, arr, math.MaxUint8, vs, offset, dense, 0)
+		if ov != 256 {
+			t.Fatalf("dense=%v: overflow index %d, want 256", dense, ov)
 		}
-	}
-
-	// The partitioned path is allocation-free once warm too (dests2 and
-	// bucketOff live on the State).
-	st, err := New(onePerBin(1<<12), Options{Kernel: KernelBatched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDrawer(rng.New(5))
-	for i := 0; i < 16; i++ {
-		st.ReleaseUniform(d, nil)
-		st.Commit()
-	}
-	if st.ScratchBytes() == 0 {
-		t.Fatal("partitioned rounds left no scratch on the State")
-	}
-	allocs := testing.AllocsPerRun(64, func() {
-		st.ReleaseUniform(d, nil)
-		st.Commit()
-	})
-	if allocs != 0 {
-		t.Errorf("partitioned dense round allocates %v times per round, want 0", allocs)
-	}
-}
-
-// TestStageDenseOverflow pins the staging widen-resume contract directly:
-// the index whose staged count would overflow is returned with nothing
-// staged for it, and the replay from that index on the widened array
-// completes with the exact total.
-func TestStageDenseOverflow(t *testing.T) {
-	arr := make([]uint8, 8)
-	seq := make([]int32, 300)
-	for i := range seq {
-		seq[i] = 5
-	}
-	ov := stageDenseW(arr, math.MaxUint8, seq, 0)
-	if ov != 255 {
-		t.Fatalf("overflow index %d, want 255", ov)
-	}
-	if arr[5] != 255 {
-		t.Fatalf("arr[5] = %d at overflow, want 255", arr[5])
-	}
-	// The caller widens (arr values carry over) and resumes at ov.
-	arr16 := make([]uint16, 8)
-	for i, v := range arr {
-		arr16[i] = uint16(v)
-	}
-	if ov2 := stageDenseW(arr16, math.MaxUint16, seq, ov); ov2 != -1 {
-		t.Fatalf("resumed staging overflowed again at %d", ov2)
-	}
-	if arr16[5] != 300 {
-		t.Fatalf("arr16[5] = %d after resume, want 300", arr16[5])
+		if arr[2] != 1 || arr[5] != 255 || arr[7] != 0 {
+			t.Fatalf("dense=%v: staged %v at overflow, want bin 2 = 1, bin 5 = 255, bin 7 = 0", dense, arr)
+		}
+		// The caller widens (arr values carry over) and resumes at ov.
+		arr16 := widenSlice[uint8, uint16](arr)
+		if ov2 := depositBatchW(s, arr16, math.MaxUint16, vs, offset, dense, ov); ov2 != -1 {
+			t.Fatalf("dense=%v: resumed staging overflowed again at %d", dense, ov2)
+		}
+		if want := []uint16{0, 0, 1, 0, 0, 300, 0, 1}; !reflect.DeepEqual(arr16, want) {
+			t.Fatalf("dense=%v: staged %v after resume, want %v", dense, arr16, want)
+		}
+		var want []int32
+		if !dense {
+			want = []int32{2, 5, 7}
+		}
+		if !reflect.DeepEqual(s.touched, want) {
+			t.Fatalf("dense=%v: touched %v, want %v", dense, s.touched, want)
+		}
 	}
 }
 
@@ -350,9 +322,8 @@ func TestSWARPrimitives(t *testing.T) {
 	}
 }
 
-// TestDenseRoundAllocs: once the scratch is warm, dense rounds allocate
-// nothing under either kernel — the batched kernel's destination, partition
-// and segment buffers all live on the State.
+// TestDenseRoundAllocs: once warm, dense rounds allocate nothing under
+// either kernel.
 func TestDenseRoundAllocs(t *testing.T) {
 	for _, k := range []Kernel{KernelBatched, KernelScalar} {
 		t.Run(k.String(), func(t *testing.T) {
@@ -403,17 +374,10 @@ func TestSparseRoundAllocs(t *testing.T) {
 	}
 }
 
-// ScratchBytes returns the resident bytes of the per-round scratch buffers
-// (released bins, drawn destinations, the batched kernel's partition buffer
-// and bucket cursors). Zero until the first round that needs them; bounded
-// by ~12·n bytes for the batched dense kernel.
-func (s *State) ScratchBytes() int64 {
-	return int64(cap(s.bins)+cap(s.dests)+cap(s.dests2)+cap(s.bucketOff)) * 4
-}
-
-// TestScratchBytes: LoadBytes stays a pure function of (n, width) — it
-// feeds byte-compared summaries — so the batched kernel's larger scratch
-// never enters it.
+// TestScratchBytes: LoadBytes stays a pure function of (n, width) under
+// both kernels — it feeds byte-compared summaries — and a round keeps no
+// per-bin scratch beside the cells: a fresh State's first dense round at
+// n = 2^20 allocates under 4 KiB.
 func TestScratchBytes(t *testing.T) {
 	loads := onePerBin(1 << 12)
 	mk := func(k Kernel) *State {
@@ -432,8 +396,18 @@ func TestScratchBytes(t *testing.T) {
 	if batched.LoadBytes() != scalar.LoadBytes() {
 		t.Errorf("LoadBytes depends on the kernel: %d vs %d", batched.LoadBytes(), scalar.LoadBytes())
 	}
-	if batched.ScratchBytes() <= scalar.ScratchBytes() {
-		t.Errorf("batched scratch %d not above scalar scratch %d after dense rounds",
-			batched.ScratchBytes(), scalar.ScratchBytes())
+
+	st, err := New(onePerBin(1<<20), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDrawer(rng.New(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st.ReleaseUniform(d, nil)
+	st.Commit()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4096 {
+		t.Errorf("first dense round at n = 2^20 allocates %d bytes, want < 4096", got)
 	}
 }

@@ -33,6 +33,7 @@
 //
 //	state.ReleaseEach(visit)        // or ReleaseUniform(drawer, visit)
 //	state.Deposit(v)                // zero or more, any time before Commit
+//	state.ThrowUniform(src, k)      // or k uniform arrivals at once
 //	state.Commit()
 //
 // Release* removes exactly one ball from every non-empty bin, visiting bins
@@ -47,11 +48,14 @@
 // Sparse and dense rounds consume randomness identically: whatever draws
 // the caller performs happen once per released bin, in increasing bin
 // order, because that is the order both release paths visit bins in.
-// ReleaseUniform itself draws exactly one bounded value per non-empty bin,
-// in bin order, from the supplied Drawer. A State therefore produces
-// byte-identical trajectories to the historical dense engines for any seed
-// — the golden tests pin this. Widening never consumes a draw and never
-// changes a value, so the trajectory is also independent of the width.
+// ReleaseUniform itself draws exactly one bounded value per released ball
+// from the supplied Drawer, after the release scan (ThrowUniform). That
+// stages the same arrivals as one draw per non-empty bin in bin order —
+// the destinations are i.i.d. and staged arrivals are counts — so a State
+// produces byte-identical trajectories to the historical dense engines
+// for any seed; the golden tests pin this. Widening never consumes a draw
+// and never changes a value, so the trajectory is also independent of
+// the width.
 package engine
 
 import (
@@ -63,6 +67,7 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
+	"repro/internal/rng"
 )
 
 // trailingZeros is a local alias keeping the worklist drain loops compact.
@@ -168,8 +173,9 @@ type Options struct {
 	// fits). The trajectory is independent of it; only memory and the
 	// recorded snapshot width depend on it.
 	Width Width
-	// Kernel selects the dense-round implementation (default KernelBatched).
-	// The trajectory is independent of it; only speed depends on it.
+	// Kernel selects the dense release decrement and the Width8 dense
+	// commit (default KernelBatched). The trajectory is independent of it;
+	// only speed depends on it.
 	Kernel Kernel
 }
 
@@ -196,12 +202,8 @@ type State struct {
 	minWidth  Width   // Options.Width floor (never narrower than this)
 	loadsView []int32 // lazily allocated Loads() view for narrow widths
 
-	touched   []int32 // bins with staged arrivals (host deposits and sparse rounds)
-	zeroed    []int32 // bins released to zero this round (only if onEmptied != nil)
-	bins      []int32 // scratch: released bins of a sparse ReleaseUniform
-	dests     []int32 // scratch: batched destinations of a ReleaseUniform
-	dests2    []int32 // scratch: segment-partitioned destinations (batched dense kernel)
-	bucketOff []int32 // scratch: radix bucket cursors (batched dense kernel)
+	touched []int32 // bins with staged arrivals (host deposits and sparse rounds)
+	zeroed  []int32 // bins released to zero this round (only if onEmptied != nil)
 
 	stepMax   int32 // max post-release load seen this round (sparse rounds)
 	sparse    bool  // mode of the in-flight round
@@ -224,12 +226,12 @@ const fillBins = 2048
 // returns an error if loads is empty, contains a negative entry, or
 // opts.Width is not a defined Width.
 func New(loads []int32, opts Options) (*State, error) {
-	s, _, err := NewFill(len(loads), copyFill(loads), opts)
+	s, _, err := NewFill(len(loads), CopyFill(loads), opts)
 	return s, err
 }
 
-// copyFill serves loads as a Fill.
-func copyFill(loads []int32) Fill {
+// CopyFill serves loads as a Fill.
+func CopyFill(loads []int32) Fill {
 	return func(lo int, dst []int32) { copy(dst, loads[lo:]) }
 }
 
@@ -427,9 +429,8 @@ func (s *State) WidenTo(w Width) error {
 func (s *State) Width() Width { return s.width }
 
 // LoadBytes returns the resident bytes of the load vector and the arrival
-// staging area at the current width. It is deliberately a pure function of
-// (n, width) — it feeds byte-compared run summaries, and the kernel choice
-// is placement-plane — so kernel scratch never enters it.
+// staging area at the current width: a pure function of (n, width), since
+// it feeds byte-compared run summaries.
 func (s *State) LoadBytes() int64 {
 	return int64(s.n) * 2 * int64(uint8(s.width)/8)
 }
@@ -559,13 +560,13 @@ func (s *State) Deposit(v int) {
 }
 
 // DepositBatch stages one arriving ball at bin v−offset for every v in vs
-// — the bulk form of Deposit used by the sharded engine's commit phase,
-// where arrivals come pre-collected in per-shard message buffers. During a
-// dense round the touched list is skipped entirely (the dense Commit
-// drains arr wholesale and never reads it), which makes the batch path
-// cheaper than repeated Deposit calls; because of that skip, arrivals
-// staged through DepositBatch mid-round cannot be rolled back with
-// ResetDeposits.
+// — the bulk form of Deposit used by ThrowUniform and by the sharded
+// engine's commit phase, where arrivals come pre-collected in per-shard
+// message buffers. During a dense round the touched list is skipped
+// entirely (the dense Commit drains arr wholesale and never reads it),
+// which makes the batch path cheaper than repeated Deposit calls; because
+// of that skip, arrivals staged through DepositBatch mid-round cannot be
+// rolled back with ResetDeposits.
 func (s *State) DepositBatch(vs []int32, offset int32) {
 	dense := s.inRound && !s.sparse
 	start := 0
@@ -772,189 +773,51 @@ func releaseEachDenseW[L loadElem](s *State, load []L, visit func(u int)) int {
 
 // ReleaseUniform removes one ball from every non-empty bin and stages each
 // released ball at a destination drawn uniformly from [0, n) — the repeated
-// balls-into-bins law. Exactly one bounded draw is consumed per non-empty
-// bin, in increasing bin order (the repository-wide draw-order contract).
-// If visit is non-nil it is invoked as visit(u, dest) per released bin, in
-// the same order. Returns the number of released balls.
+// balls-into-bins law — drawing exactly one bounded value per released
+// ball, and returns the number of released balls. With a nil visit it is
+// ReleaseEach followed by ThrowUniform of the released count. With a
+// non-nil visit it is the per-bin law itself: visit(u, dest) is invoked
+// per released bin u in increasing bin order, dest drawn by d.Intn and
+// staged by Deposit, one ball at a time — the reference the throw is
+// tested against. It stages after the release scan, not inside it: a
+// Deposit that widened the cells mid-scan would leave the scan
+// decrementing the old ones. The two paths stage the same arrivals
+// from the same draws: the destinations are independent of the bins that
+// released them, and staged arrivals are counts.
 func (s *State) ReleaseUniform(d *Drawer, visit func(u, dest int)) int {
-	s.beginRound()
-	if !s.sparse {
-		if s.kernel == KernelBatched && visit == nil {
-			// A visit callback observes the scalar loop's decrement/draw/
-			// stage interleaving, so only nil-visit rounds may batch.
-			return s.releaseUniformDenseBatched(d)
-		}
-		return s.releaseUniformDense(d, visit)
+	if visit == nil {
+		released := s.ReleaseEach(nil)
+		s.ThrowUniform(d.src, released)
+		return released
 	}
-	// Pass 1: drain the worklist, collecting released bins.
-	switch s.width {
-	case Width8:
-		releaseUniformSparse1W(s, s.load8)
-	case Width16:
-		releaseUniformSparse1W(s, s.load16)
-	default:
-		releaseUniformSparse1W(s, s.load32)
+	var bins []int
+	released := s.ReleaseEach(func(u int) { bins = append(bins, u) })
+	for _, u := range bins {
+		dest := d.Intn(s.n)
+		s.Deposit(dest)
+		visit(u, dest)
 	}
-	bins := s.bins
-	// Pass 2: batched destination draws, one per released bin in bin order.
-	if cap(s.dests) < len(bins) {
-		s.dests = make([]int32, len(bins))
-	}
-	dests := s.dests[:len(bins)]
-	d.Fill(dests, s.n)
-	// Pass 3: stage arrivals (and report moves), widening on demand.
-	start := 0
-	for {
-		var ov int
-		switch s.width {
-		case Width8:
-			ov = stageArrW(s, s.arr8, math.MaxUint8, visit, start)
-		case Width16:
-			ov = stageArrW(s, s.arr16, math.MaxUint16, visit, start)
-		default:
-			ov = stageArrW(s, s.arr32, math.MaxInt32, visit, start)
-		}
-		if ov < 0 {
-			break
-		}
-		s.widen()
-		start = ov
-	}
-	return len(bins)
+	return released
 }
 
-// releaseUniformSparse1W drains the worklist into s.bins, decrementing each
-// released bin and maintaining stepMax/nonEmpty/zeroed.
-func releaseUniformSparse1W[L loadElem](s *State, load []L) {
-	bins := s.bins[:0]
-	track := s.onEmptied != nil
-	for wi, nw := 0, s.work.NumWords(); wi < nw; wi++ {
-		w := s.work.Word(wi)
-		base := wi << 6
-		for w != 0 {
-			u := base + trailingZeros(w)
-			w &= w - 1
-			l := load[u] - 1
-			load[u] = l
-			if l == 0 {
-				s.work.Clear(u)
-				s.nonEmpty--
-				if track {
-					s.zeroed = append(s.zeroed, int32(u))
-				}
-			} else if int32(l) > s.stepMax {
-				s.stepMax = int32(l)
-			}
-			bins = append(bins, int32(u))
-		}
-	}
-	s.bins = bins
-}
+// throwBlock is the length of ThrowUniform's draw block: 2 KiB of
+// destinations, staged while they are still in L1.
+const throwBlock = 512
 
-// stageArrW stages the drawn arrivals (s.bins → s.dests) from index start,
-// returning the index whose staged count would overflow (the caller widens
-// and resumes there), or −1 when done.
-func stageArrW[L loadElem](s *State, arr []L, lim L, visit func(u, dest int), start int) int {
-	bins := s.bins
-	dests := s.dests[:len(bins)]
-	for i := start; i < len(bins); i++ {
-		v := dests[i]
-		a := arr[v]
-		if a == lim {
-			return i
-		}
-		if a == 0 {
-			s.touched = append(s.touched, v)
-		}
-		arr[v] = a + 1
-		if visit != nil {
-			visit(int(bins[i]), int(v))
-		}
+// ThrowUniform stages k balls at destinations drawn uniformly from [0, n)
+// by src: the values of k successive src.Uint64n(n) calls, drawn
+// throwBlock at a time by one Fill32n each and staged by DepositBatch. It
+// is the one throw of every uniform round — ReleaseUniform's, a
+// single-shard sharded round's and the Tetris process's — and it needs
+// n ≤ 2³¹ (Fill32n's bound).
+func (s *State) ThrowUniform(src *rng.Source, k int) {
+	var blk [throwBlock]int32
+	for k > 0 {
+		b := blk[:min(k, throwBlock)]
+		k -= len(b)
+		src.Fill32n(b, uint64(s.n))
+		s.DepositBatch(b, 0)
 	}
-	return -1
-}
-
-// releaseUniformDense is the dense-mode ReleaseUniform: scan, draw and
-// stage in one pass; arr is drained wholesale by the dense Commit. On an
-// arrival-staging overflow the in-flight ball (released, destination drawn,
-// not yet staged) is applied here after widening, and the scan resumes.
-func (s *State) releaseUniformDense(d *Drawer, visit func(u, dest int)) int {
-	released := 0
-	start := 0
-	for {
-		var u, dest int
-		switch s.width {
-		case Width8:
-			released, u, dest = releaseUniformDenseW(s, s.load8, s.arr8, math.MaxUint8, d, visit, start, released)
-		case Width16:
-			released, u, dest = releaseUniformDenseW(s, s.load16, s.arr16, math.MaxUint16, d, visit, start, released)
-		default:
-			released, u, dest = releaseUniformDenseW(s, s.load32, s.arr32, math.MaxInt32, d, visit, start, released)
-		}
-		if u < 0 {
-			return released
-		}
-		s.widen()
-		switch s.width {
-		case Width16:
-			s.arr16[dest]++
-		default:
-			s.arr32[dest]++
-		}
-		if visit != nil {
-			visit(u, dest)
-		}
-		released++
-		start = u + 1
-	}
-}
-
-// releaseUniformDenseW scans bins from start. On an arrival-count overflow
-// it returns (released so far, releasing bin, drawn destination) with the
-// arrival not yet staged (and visit not yet called) for that ball;
-// (released, −1, 0) when the scan completes. The common nil-visit,
-// no-tracking case gets a dedicated loop so the compiler can keep it tight
-// (this is the per-round hot path of core.Process in the stationary
-// regime).
-func releaseUniformDenseW[L loadElem](s *State, load, arr []L, lim L, d *Drawer, visit func(u, dest int), start, released int) (int, int, int) {
-	n := len(load)
-	if visit == nil && s.onEmptied == nil {
-		src := d.src
-		for u := start; u < n; u++ {
-			if l := load[u]; l > 0 {
-				load[u] = l - 1
-				dest := src.Intn(n)
-				a := arr[dest]
-				if a == lim {
-					return released, u, dest
-				}
-				arr[dest] = a + 1
-				released++
-			}
-		}
-		return released, -1, 0
-	}
-	track := s.onEmptied != nil
-	for u := start; u < n; u++ {
-		if load[u] > 0 {
-			l := load[u] - 1
-			load[u] = l
-			if track && l == 0 {
-				s.zeroed = append(s.zeroed, int32(u))
-			}
-			dest := d.Intn(n)
-			a := arr[dest]
-			if a == lim {
-				return released, u, dest
-			}
-			arr[dest] = a + 1
-			if visit != nil {
-				visit(u, dest)
-			}
-			released++
-		}
-	}
-	return released, -1, 0
 }
 
 // Commit merges the staged arrivals, refreshes MaxLoad and EmptyBins, and
@@ -1163,7 +1026,7 @@ func (s *State) syncWork(op string) error {
 // fresh State over loads picks; callers restoring a snapshot that
 // recorded a wider width apply it with WidenTo afterwards.
 func Restore(loads []int32, work []uint64, opts Options) (*State, int64, error) {
-	s, balls, err := NewFill(len(loads), copyFill(loads), opts)
+	s, balls, err := NewFill(len(loads), CopyFill(loads), opts)
 	if err != nil {
 		return nil, 0, err
 	}

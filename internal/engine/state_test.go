@@ -306,24 +306,6 @@ func TestReload(t *testing.T) {
 	}
 }
 
-// TestDrawerFillMatchesSequential pins the batching contract: Fill consumes
-// the same draw sequence as one-at-a-time Intn calls.
-func TestDrawerFillMatchesSequential(t *testing.T) {
-	const bound = 1000
-	a := NewDrawer(rng.New(42))
-	b := rng.New(42)
-	buf := make([]int32, 257)
-	a.Fill(buf, bound)
-	for i, v := range buf {
-		if want := b.Intn(bound); int(v) != want {
-			t.Fatalf("draw %d: %d, want %d", i, v, want)
-		}
-	}
-	if a.Intn(bound) != b.Intn(bound) {
-		t.Fatal("sources diverged after Fill")
-	}
-}
-
 // TestInvariantsUnderRandomRounds drives a State with irregular host
 // behaviour (extra deposits, occasional reloads) and checks the
 // incremental statistics never drift.
@@ -359,7 +341,8 @@ func TestInvariantsUnderRandomRounds(t *testing.T) {
 }
 
 // TestRunAndRunUntil exercises the Stepper-level helpers through a real
-// engine host (a minimal process built directly on State).
+// engine host (a minimal process built directly on State): Run with
+// observers, then Run round by round until the host self-stabilizes.
 func TestRunAndRunUntil(t *testing.T) {
 	p := newMiniProcess(allInOne(64, 64), 99)
 	var wm WindowMax
@@ -374,12 +357,11 @@ func TestRunAndRunUntil(t *testing.T) {
 	if ef.Min() > ef.Mean() {
 		t.Fatalf("min fraction %v above mean %v", ef.Min(), ef.Mean())
 	}
-	ok := RunUntil(p, func(s Stepper) bool { return s.MaxLoad() <= 8 }, 100_000)
-	if !ok {
-		t.Fatal("never converged to max load 8")
-	}
-	if !RunUntil(p, func(s Stepper) bool { return true }, 0) {
-		t.Fatal("pre-satisfied predicate not detected")
+	for p.MaxLoad() > 8 {
+		if p.Round() == 100_200 {
+			t.Fatal("never converged to max load 8")
+		}
+		Run(p, 1)
 	}
 }
 

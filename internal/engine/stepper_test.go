@@ -6,8 +6,8 @@ import (
 	"repro/internal/rng"
 )
 
-// Edge cases of the Stepper-level helpers: zero-round runs, predicates
-// already true at round 0, and windows larger than the run.
+// Edge cases of the Stepper-level helpers: zero-round runs and windows
+// larger than the run.
 
 func TestRunZeroRounds(t *testing.T) {
 	p := newMiniProcess(allInOne(32, 32), 1)
@@ -36,49 +36,6 @@ func TestRunNegativeRoundsIsNoop(t *testing.T) {
 	Run(p, -5)
 	if p.Round() != 0 {
 		t.Fatalf("Round = %d after negative-round run", p.Round())
-	}
-}
-
-// RunUntil steps s until pred returns true or maxRounds rounds have
-// elapsed, whichever comes first, and reports whether pred was satisfied.
-// pred is evaluated once before the first step (a process already
-// satisfying it takes zero steps) and after each step.
-func RunUntil(s Stepper, pred func(Stepper) bool, maxRounds int64) bool {
-	if pred(s) {
-		return true
-	}
-	for i := int64(0); i < maxRounds; i++ {
-		s.Step()
-		if pred(s) {
-			return true
-		}
-	}
-	return false
-}
-
-func TestRunUntilPredTrueAtRoundZero(t *testing.T) {
-	p := newMiniProcess(allInOne(64, 64), 2)
-	// Satisfied before the first step: zero steps taken even with a zero
-	// (or negative) round budget.
-	for _, budget := range []int64{0, -1, 100} {
-		if !RunUntil(p, func(s Stepper) bool { return s.MaxLoad() == 64 }, budget) {
-			t.Fatalf("budget %d: pre-satisfied predicate not detected", budget)
-		}
-		if p.Round() != 0 {
-			t.Fatalf("budget %d: %d steps taken for a pre-satisfied predicate", budget, p.Round())
-		}
-	}
-}
-
-func TestRunUntilExhaustsBudget(t *testing.T) {
-	p := newMiniProcess(allInOne(64, 64), 3)
-	// A predicate that can never hold: the budget must bound the steps
-	// exactly and the helper must report failure.
-	if RunUntil(p, func(s Stepper) bool { return false }, 37) {
-		t.Fatal("unsatisfiable predicate reported satisfied")
-	}
-	if p.Round() != 37 {
-		t.Fatalf("Round = %d, want the full 37-round budget", p.Round())
 	}
 }
 

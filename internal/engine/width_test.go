@@ -201,7 +201,7 @@ func TestNewFillChunks(t *testing.T) {
 	}
 	loads := onePerBin(n)
 	loads[fillBins+3], loads[2*fillBins] = -2, -1
-	if _, _, err := NewFill(n, copyFill(loads), Options{}); err == nil || err.Error() != "engine: bin 2051 has negative load -2" {
+	if _, _, err := NewFill(n, CopyFill(loads), Options{}); err == nil || err.Error() != "engine: bin 2051 has negative load -2" {
 		t.Errorf("two negative loads: %v, want the error naming bin 2051", err)
 	}
 }
@@ -260,9 +260,9 @@ func TestWidenOnCommit(t *testing.T) {
 	}
 }
 
-// TestWidenOnDenseRelease escalates through the dense release hot loop:
-// with n = 1 every thrown ball lands on the saturated staging slot, so the
-// mid-loop widen (pending destination applied after the switch) triggers.
+// TestWidenOnDenseRelease escalates through the dense round's throw: with
+// n = 1 the thrown ball lands on the saturated staging slot, so
+// DepositBatch widens and stages it on the wider cells.
 func TestWidenOnDenseRelease(t *testing.T) {
 	s, err := New([]int32{10}, Options{})
 	if err != nil {

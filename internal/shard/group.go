@@ -26,9 +26,9 @@ type shardPart struct {
 	// between the phases and reset after commit. The phase barrier orders
 	// writers and readers.
 	out [][]int32
-	// blk is the release phase's draw block: destinations are drawn
-	// drawBlock at a time and routed while the block is in L1. Allocated on
-	// the shard's first release.
+	// blk is the release phase's draw block when there are several
+	// shards: destinations are drawn drawBlock at a time and routed while
+	// the block is in L1. Allocated on the shard's first release.
 	blk *[drawBlock]int32
 
 	released int // release count of the in-flight round
@@ -335,19 +335,24 @@ func (g *Group) Release(arrivals Arrivals) {
 	sp.End()
 }
 
-// releaseShard is owned shard i's release. The destinations are drawn in
-// drawBlock blocks — the identical Uint64n sequence, one bulk Fill32n per
-// block — and each block is appended to the out rows of its destination
-// shards, reserved for the round's k balls before the first draw (see
-// reserveRows). With a single shard, routing is the identity: each block
-// is staged straight into the state, exactly as Commit would stage the row
-// (staged arrivals are counts, so staging them a phase early changes
-// nothing), and no row is written or read back.
+// releaseShard is owned shard i's release. With a single shard, routing
+// is the identity: the state throws the round's k balls itself
+// (engine.State.ThrowUniform), staging them exactly as Commit would stage
+// the row (staged arrivals are counts, so staging them a phase early
+// changes nothing), and no row is written or read back. With more, the
+// destinations are drawn in drawBlock blocks — the identical Uint64n
+// sequence, one bulk Fill32n per block — and each block is appended to the
+// out rows of its destination shards, reserved for the round's k balls
+// before the first draw (see reserveRows).
 func (g *Group) releaseShard(i int) {
 	sh := &g.parts[i]
 	released := sh.state.ReleaseEach(nil)
 	k := g.arrivals(g.lo+i, released, sh.src)
 	sh.released, sh.staged = released, k
+	if g.s == 1 {
+		sh.state.ThrowUniform(sh.src, k)
+		return
+	}
 	if k == 0 {
 		return
 	}
@@ -355,16 +360,12 @@ func (g *Group) releaseShard(i int) {
 		sh.blk = new([drawBlock]int32)
 	}
 	bound, out := uint64(g.n), sh.out
-	if g.s > 1 {
-		g.reserveRows(out, k)
-	}
+	g.reserveRows(out, k)
 	for k > 0 {
 		blk := sh.blk[:min(k, drawBlock)]
 		k -= len(blk)
 		sh.src.Fill32n(blk, bound)
 		switch {
-		case g.s == 1:
-			sh.state.DepositBatch(blk, 0)
 		case g.shift >= 0:
 			shift := uint(g.shift)
 			for _, v := range blk {

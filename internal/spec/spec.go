@@ -170,14 +170,17 @@ func (sp *RunSpec) Normalize(defaultCheckpointEvery int64) error {
 		return fmt.Errorf("need rounds >= 1, got %d", sp.Rounds)
 	}
 	if sp.Process == ProcessRBB {
-		switch {
-		case sp.M == 0:
+		if sp.M == 0 {
 			sp.M = sp.N
+		}
+		switch {
 		case sp.M < 0:
 			return fmt.Errorf("need m >= 0, got %d", sp.M)
 		case sp.M > math.MaxInt32:
 			// Relaunch conserves the balls, and all of them may gather in
-			// one bin, whose load is an int32.
+			// one bin, whose load is an int32. Checked after the default,
+			// so n = 2^31 with m unset is refused here, before Build
+			// allocates the run.
 			return fmt.Errorf("need m <= %d, got %d", math.MaxInt32, sp.M)
 		}
 		if sp.Lambda != 0 {

@@ -189,11 +189,17 @@ func TestNormalizePlacement(t *testing.T) {
 
 // TestNormalizeBinLimit: n is capped at 2^31 — bins are int32 indices
 // drawn by rng.Source.Fill32n — with an error naming the limit, and the
-// cap itself is a valid spec. Validation allocates nothing per bin.
+// cap itself is a valid tetris spec; an rbb spec at the cap is refused by
+// its defaulted ball count. Validation allocates nothing per bin.
 func TestNormalizeBinLimit(t *testing.T) {
-	at := RunSpec{N: 1 << 31, Rounds: 1}
+	at := RunSpec{Process: ProcessTetris, N: 1 << 31, Rounds: 1}
 	if err := at.Normalize(0); err != nil {
-		t.Errorf("n = 2^31 rejected: %v", err)
+		t.Errorf("tetris n = 2^31 rejected: %v", err)
+	}
+	// An rbb spec's m defaults to n, and 2^31 balls overflow an int32 bin.
+	rbb := RunSpec{N: 1 << 31, Rounds: 1}
+	if err := rbb.Normalize(0); err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Errorf("rbb n = 2^31: %v, want an error naming the 2147483647-ball limit", err)
 	}
 	over := RunSpec{N: 1<<31 + 1, Rounds: 1}
 	if err := over.Normalize(0); err == nil || !strings.Contains(err.Error(), "2147483648") {

@@ -115,12 +115,11 @@ func New(loads []int32, src *rng.Source, opts Options) (*Process, error) {
 		lambda:     lambda,
 		firstEmpty: make([]int64, n),
 	}
-	eng, err := engine.New(loads, engine.Options{OnEmptied: p.markEmptied})
+	eng, balls, err := engine.NewFill(n, engine.CopyFill(loads), engine.Options{OnEmptied: p.markEmptied})
 	if err != nil {
 		return nil, fmt.Errorf("tetris: %w", err)
 	}
-	p.eng = eng
-	p.balls = eng.Sum()
+	p.eng, p.balls = eng, balls
 	for i, l := range loads {
 		if l == 0 {
 			p.firstEmpty[i] = 0
@@ -178,9 +177,7 @@ func (p *Process) arrivalsCount() int {
 func (p *Process) Step() {
 	removed := int64(p.eng.ReleaseEach(nil))
 	k := p.arrivalsCount()
-	for i := 0; i < k; i++ {
-		p.eng.Deposit(p.src.Intn(p.n))
-	}
+	p.eng.ThrowUniform(p.src, k)
 	p.eng.Commit()
 	p.balls += int64(k) - removed
 	p.round++
