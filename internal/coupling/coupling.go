@@ -39,6 +39,9 @@ type Coupled struct {
 	tet  *engine.State
 
 	src *rng.Source
+	// dests holds the original's destinations of the round in flight: drawn
+	// in the release scan, staged after it (see Step).
+	dests []int32
 
 	round          int64
 	caseII         int64
@@ -85,16 +88,21 @@ func (c *Coupled) Step() {
 	// Original extraction: one destination per non-empty bin, in bin order.
 	// Matched Tetris balls replicate these destinations (case i); the
 	// Tetris deposits are staged before the Tetris release, which the
-	// stepping layer permits (staging and departures commute).
+	// stepping layer permits (staging and departures commute). The
+	// original's own arrivals are staged after its scan, which the engine
+	// requires (a widen inside the scan would strand the rest of it).
 	w := 0
+	dests := c.dests[:0]
 	c.orig.ReleaseEach(func(u int) {
 		w++
 		dest := c.src.Intn(n)
-		c.orig.Deposit(dest)
+		dests = append(dests, int32(dest))
 		if w <= c.k {
 			c.tet.Deposit(dest)
 		}
 	})
+	c.orig.DepositBatch(dests, 0)
+	c.dests = dests
 	caseII := w > c.k
 	if caseII {
 		// Case (ii): discard the matched arrivals and redraw all K Tetris

@@ -41,7 +41,11 @@
 // not visible through Load until Commit merges them. Commit completes the
 // round and refreshes MaxLoad/EmptyBins. Deposits may also be staged before
 // the round's Release* call (the coupling construction needs this); the
-// effect is identical.
+// effect is identical. They may not be staged from inside the State's own
+// ReleaseEach visit callback: a deposit that widened the cells would leave
+// the rest of the scan on the old ones, so Deposit, DepositBatch and
+// ThrowUniform panic there. A caller whose visit draws destinations
+// records them and stages them after the scan.
 //
 // # RNG draw-order contract
 //
@@ -208,6 +212,7 @@ type State struct {
 	stepMax   int32 // max post-release load seen this round (sparse rounds)
 	sparse    bool  // mode of the in-flight round
 	inRound   bool
+	scanning  bool // inside a ReleaseEach visit callback: staging panics
 	workStale bool // worklist bits out of date (rebuilt lazily after dense rounds)
 	kernel    Kernel
 	onEmptied func(u int)
@@ -530,6 +535,7 @@ func sumW[L loadElem](load []L) int64 {
 // Deposit stages one arriving ball at bin v. Staged balls become visible at
 // Commit.
 func (s *State) Deposit(v int) {
+	s.checkStage("Deposit")
 	for {
 		switch s.width {
 		case Width8:
@@ -568,6 +574,7 @@ func (s *State) Deposit(v int) {
 // of that skip, arrivals staged through DepositBatch mid-round cannot be
 // rolled back with ResetDeposits.
 func (s *State) DepositBatch(vs []int32, offset int32) {
+	s.checkStage("DepositBatch")
 	dense := s.inRound && !s.sparse
 	start := 0
 	for {
@@ -615,6 +622,15 @@ func depositBatchW[L loadElem](s *State, arr []L, lim L, vs []int32, offset int3
 		arr[u] = a + 1
 	}
 	return -1
+}
+
+// checkStage panics when op stages arrivals from inside the State's own
+// ReleaseEach visit callback, like the other misuse guards: a widen there
+// would leave the rest of the scan decrementing the old cells.
+func (s *State) checkStage(op string) {
+	if s.scanning {
+		panic("engine: " + op + " inside the State's own ReleaseEach scan")
+	}
 }
 
 // ResetDeposits discards every staged arrival (the coupling's case (ii)
@@ -691,10 +707,16 @@ func rebuildWorkW[L loadElem](s *State, load []L) {
 // ReleaseEach removes one ball from every non-empty bin, calling visit(u)
 // (if non-nil) per bin in increasing bin order, and returns the number of
 // released balls. Loads observed through Load during the callbacks are
-// post-departure for bins at or before u and pre-departure after it;
-// arrival staging via Deposit never shows through Load until Commit.
+// post-departure for bins at or before u and pre-departure after it.
+// visit must not stage arrivals on s (Deposit, DepositBatch and
+// ThrowUniform panic inside the scan); it may record destinations for the
+// caller to stage after ReleaseEach returns.
 func (s *State) ReleaseEach(visit func(u int)) int {
 	s.beginRound()
+	if visit != nil {
+		s.scanning = true
+		defer func() { s.scanning = false }()
+	}
 	if !s.sparse {
 		if s.kernel == KernelBatched && visit == nil {
 			// Nothing observes per-bin order: the batched kernel's
@@ -811,6 +833,7 @@ const throwBlock = 512
 // single-shard sharded round's and the Tetris process's — and it needs
 // n ≤ 2³¹ (Fill32n's bound).
 func (s *State) ThrowUniform(src *rng.Source, k int) {
+	s.checkStage("ThrowUniform")
 	var blk [throwBlock]int32
 	for k > 0 {
 		b := blk[:min(k, throwBlock)]

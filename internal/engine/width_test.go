@@ -260,6 +260,44 @@ func TestWidenOnCommit(t *testing.T) {
 	}
 }
 
+// TestStageInsideReleaseEachPanics pins the guard on staging from inside a
+// State's own release scan. From loads {1, 1, 1, 1} with 255 arrivals
+// staged at bin 3, a Deposit(3) from bin 0's callback is the 256th and
+// widens the cells; the scan would then decrement bins 1–3 of the orphaned
+// narrow slice, and Commit would leave [0 1 1 257] — three balls too many
+// — with CheckInvariants content. Every staging call panics there instead.
+func TestStageInsideReleaseEachPanics(t *testing.T) {
+	for _, tc := range []struct {
+		op    string
+		stage func(s *State)
+	}{
+		{"Deposit", func(s *State) { s.Deposit(3) }},
+		{"DepositBatch", func(s *State) { s.DepositBatch([]int32{3}, 0) }},
+		{"ThrowUniform", func(s *State) { s.ThrowUniform(rng.New(1), 1) }},
+	} {
+		s, err := New([]int32{1, 1, 1, 1}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 255; i++ {
+			s.Deposit(3)
+		}
+		func() {
+			defer func() {
+				want := "engine: " + tc.op + " inside the State's own ReleaseEach scan"
+				if r := recover(); r != want {
+					t.Errorf("%s from the visit callback: recovered %v, want panic %q", tc.op, r, want)
+				}
+			}()
+			s.ReleaseEach(func(u int) {
+				if u == 0 {
+					tc.stage(s)
+				}
+			})
+		}()
+	}
+}
+
 // TestWidenOnDenseRelease escalates through the dense round's throw: with
 // n = 1 the thrown ball lands on the saturated staging slot, so
 // DepositBatch widens and stages it on the wider cells.

@@ -66,7 +66,17 @@ func (t Timer) ObserveSeconds(h *Histogram) float64 {
 	if t.start.IsZero() {
 		return 0
 	}
-	s := time.Since(t.start).Seconds()
+	s := t.Seconds()
 	h.Observe(s)
 	return s
+}
+
+// Seconds returns the elapsed seconds without recording them (0 for an
+// inert timer), for a caller that sums several intervals into one
+// observation.
+func (t Timer) Seconds() float64 {
+	if t.start.IsZero() {
+		return 0
+	}
+	return time.Since(t.start).Seconds()
 }

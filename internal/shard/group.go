@@ -20,23 +20,35 @@ type shardPart struct {
 	state *engine.State
 	src   *rng.Source
 	// out[d] holds the global destination bins of balls this shard sends
-	// to global shard d in the current round. Written by this shard during
-	// release; in-process destinations are drained (and reset) by shard d
-	// during commit, remote destinations are shipped by the transport
-	// between the phases and reset after commit. The phase barrier orders
-	// writers and readers.
+	// to global shard d. Written by this shard when it throws; in-process
+	// destinations are drained (and reset) by shard d, remote destinations
+	// are shipped by the transport between the phases and reset after
+	// commit. The phase barrier orders writers and readers.
 	out [][]int32
-	// blk is the release phase's draw block when there are several
-	// shards: destinations are drawn drawBlock at a time and routed while
-	// the block is in L1. Allocated on the shard's first release.
+	// blk is the throw's draw block when there are several shards:
+	// destinations are drawn drawBlock at a time and routed while the
+	// block is in L1. Allocated on the shard's first release.
 	blk *[drawBlock]int32
 
 	released int // release count of the in-flight round
 	staged   int // arrival count of the in-flight round
+	left     int // balls of the in-flight round not yet thrown
+
+	// Cross-shard balls and non-empty rows this shard drained in the
+	// in-flight round, added to the exchange counters at its commit.
+	exchBalls, exchRows int
 }
 
-// drawBlock is the length of a shard's release draw block (2 KiB).
+// drawBlock is the length of a shard's throw draw block (2 KiB).
 const drawBlock = 512
+
+// roundChunk is C, the most balls a shard throws into its rows between two
+// drains of an in-process round (see Round): a shard's rows hold at most
+// 512 KiB of destinations, S·C·4 bytes over the group, whatever n. Each
+// drain re-reads the staging cells of every shard, so a smaller C costs
+// round time; EXPERIMENTS.md (E29, "bounded exchange rows") has the sweep
+// that fixed it.
+const roundChunk = 1 << 17
 
 // MaxBins is the largest supported bin count, 2³¹: destinations travel as
 // int32 bin indices and are drawn by rng.Source.Fill32n, whose bound may
@@ -50,10 +62,11 @@ const MaxBins = 1 << 31
 // shard; a tcp worker process steps a Group owning a sub-range, with the
 // remote legs of the exchange carried by Outgoing/Deliver.
 //
-// A Group is driven strictly phase-sequentially by one goroutine:
-// Release, then (for sub-range groups) ship Outgoing buffers and Deliver
-// inbound ones, then Commit. Each phase call returns only after every
-// owned shard's work completed — the runner is the phase barrier.
+// A Group is driven strictly phase-sequentially by one goroutine: Round
+// on a group owning every shard; Release, then (for sub-range groups)
+// ship Outgoing buffers and Deliver inbound ones, then Commit, on any
+// group. Each phase call returns only after every owned shard's work
+// completed — the runner is the phase barrier.
 type Group struct {
 	n      int // global bins
 	s      int // global shard count
@@ -72,9 +85,12 @@ type Group struct {
 	inbox [][][]int32
 
 	// The per-shard phase bodies, bound once at build (so a round hands
-	// the runner no fresh closure), and the release phase's arrival rule.
-	releaseFn, commitFn func(i int)
-	arrivals            Arrivals
+	// the runner no fresh closure), the release phase's arrival rule, and
+	// the most balls a shard throws between drains in the round in flight:
+	// chunk (C, roundChunk) under Round, all of them under Release.
+	releaseFn, throwFn, drainFn, commitFn func(i int)
+	arrivals                              Arrivals
+	chunk, limit                          int
 }
 
 // PartitionSize returns the canonical size of shard i when n bins are
@@ -266,8 +282,9 @@ func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
 		shift:  -1,
 		parts:  make([]shardPart, hi-lo),
 		runner: runner,
+		chunk:  roundChunk,
 	}
-	g.releaseFn, g.commitFn = g.releaseShard, g.commitShard
+	g.releaseFn, g.throwFn, g.drainFn, g.commitFn = g.releaseShard, g.throwShard, g.drainShard, g.commitShard
 	if q, r := n/s, n%s; r == 0 && q&(q-1) == 0 {
 		g.shift = bits.TrailingZeros(uint(q))
 	}
@@ -325,14 +342,71 @@ func (g *Group) owns(s int) bool { return s >= g.lo && s < g.hi }
 // draw that many uniform destinations in [0, n) from the shard's private
 // stream, and stage them in the per-destination outgoing buffers (with a
 // single shard, straight into its state). Returns after the phase barrier.
+// The rows hold the whole round's balls until Commit, so the transport can
+// ship the remote ones in between.
 func (g *Group) Release(arrivals Arrivals) {
-	sp := obs.StartSpan("release", obs.LanePhases)
-	tm := obs.StartTimer()
-	g.arrivals = arrivals
-	g.runner.Run(g.releaseFn)
+	g.arrivals, g.limit = arrivals, math.MaxInt
+	observe(mPhaseRelease, g.phase("release", g.releaseFn))
 	g.arrivals = nil
-	tm.ObserveSeconds(mPhaseRelease)
+}
+
+// Round steps one whole round of a group that owns every shard — the
+// in-process round — in sub-rounds that bound the exchange rows. The
+// release phase runs ReleaseEach, the arrival count k and a first throw of
+// at most C = roundChunk balls per shard into the rows; while any shard has
+// balls left, a drain phase (every shard stages the rows addressed to it,
+// in source order, and empties them) alternates with a throw phase (every
+// shard draws its next ≤ C destinations); the commit phase drains the last
+// rows and commits. A shard's rows so hold at most min(k, C) balls, where
+// Release's hold all k. The trajectory is Release's then Commit's: each
+// shard draws the same values in the same order, every ReleaseEach ends
+// before the first drain, and staged arrivals are counts with an
+// order-independent widen. rbb_phase_seconds counts the throws as release
+// and the drains as commit.
+func (g *Group) Round(arrivals Arrivals) {
+	if g.lo > 0 || g.hi < g.s {
+		panic("shard: Round on a group that does not own every shard")
+	}
+	g.arrivals, g.limit = arrivals, g.chunk
+	release := g.phase("release", g.releaseFn)
+	commit := 0.0
+	for g.throwing() {
+		commit += g.phase("drain", g.drainFn)
+		release += g.phase("throw", g.throwFn)
+	}
+	commit += g.phase("commit", g.commitFn)
+	g.arrivals = nil
+	observe(mPhaseRelease, release)
+	observe(mPhaseCommit, commit)
+}
+
+// phase runs fn on every owned shard — one protocol phase, ended by the
+// runner's barrier — under a span named name, and returns its wall-clock
+// seconds (0 with metrics off).
+func (g *Group) phase(name string, fn func(i int)) float64 {
+	sp := obs.StartSpan(name, obs.LanePhases)
+	tm := obs.StartTimer()
+	g.runner.Run(fn)
 	sp.End()
+	return tm.Seconds()
+}
+
+// observe records a round's seconds in a phase histogram, with metrics on.
+func observe(h *obs.Histogram, seconds float64) {
+	if obs.Enabled() {
+		h.Observe(seconds)
+	}
+}
+
+// throwing reports whether any shard has balls of the round in flight left
+// to throw.
+func (g *Group) throwing() bool {
+	for i := range g.parts {
+		if g.parts[i].left > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // releaseShard is owned shard i's release. With a single shard, routing
@@ -340,10 +414,8 @@ func (g *Group) Release(arrivals Arrivals) {
 // (engine.State.ThrowUniform), staging them exactly as Commit would stage
 // the row (staged arrivals are counts, so staging them a phase early
 // changes nothing), and no row is written or read back. With more, the
-// destinations are drawn in drawBlock blocks — the identical Uint64n
-// sequence, one bulk Fill32n per block — and each block is appended to the
-// out rows of its destination shards, reserved for the round's k balls
-// before the first draw (see reserveRows).
+// rows are reserved for the balls one throw routes (see reserveRows)
+// before the shard's first throw.
 func (g *Group) releaseShard(i int) {
 	sh := &g.parts[i]
 	released := sh.state.ReleaseEach(nil)
@@ -359,8 +431,20 @@ func (g *Group) releaseShard(i int) {
 	if sh.blk == nil {
 		sh.blk = new([drawBlock]int32)
 	}
+	sh.left = k
+	g.reserveRows(sh.out, min(k, g.limit))
+	g.throwShard(i)
+}
+
+// throwShard draws owned shard i's next min(left, limit) destinations in
+// drawBlock blocks — the identical Uint64n sequence, one bulk Fill32n per
+// block — and appends each block to the out rows of its destination
+// shards.
+func (g *Group) throwShard(i int) {
+	sh := &g.parts[i]
+	k := min(sh.left, g.limit)
+	sh.left -= k
 	bound, out := uint64(g.n), sh.out
-	g.reserveRows(out, k)
 	for k > 0 {
 		blk := sh.blk[:min(k, drawBlock)]
 		k -= len(blk)
@@ -388,17 +472,17 @@ const (
 	rowPad   = 16
 )
 
-// reserveRows readies a shard's out rows for a round that throws k balls.
-// Row d receives Binomial(k, size_d/n) of them, so every row is reserved
-// once, before the draws, for the largest shard's mean plus rowSlack
-// standard deviations, and routing never grows a row ball by ball; append
-// stays as the overflow path of a row that draws past its reservation,
-// which the slack makes vanishingly rare. Rows are empty between rounds,
-// so a short row is replaced rather than copied, by one at least 3/2 its
-// capacity: a run whose arrivals grow over many rounds (a sparse start
-// densifying) regrows each row O(log n) times, its rows ending below 3/2
-// of its largest round, and a warm round, whose rows already fit,
-// allocates nothing.
+// reserveRows readies a shard's out rows for a throw of k balls. Row d
+// receives Binomial(k, size_d/n) of them, so every row is reserved once,
+// before the draws, for the largest shard's mean plus rowSlack standard
+// deviations, and routing never grows a row ball by ball; append stays as
+// the overflow path of a row that draws past its reservation, which the
+// slack makes vanishingly rare. Rows are empty between throws, so a short
+// row is replaced rather than copied, by one at least 3/2 its capacity: a
+// run whose arrivals grow over many rounds (a sparse start densifying)
+// regrows each row O(log n) times, its rows ending below 3/2 of its
+// largest throw, and a warm round, whose rows already fit, allocates
+// nothing.
 func (g *Group) reserveRows(out [][]int32, k int) {
 	mean := float64(k) * float64(PartitionSize(g.n, g.s, 0)) / float64(g.n)
 	want := int(mean+rowSlack*math.Sqrt(mean)) + rowPad
@@ -426,15 +510,11 @@ func (g *Group) Deliver(src, dst int, buf []int32) {
 }
 
 // Commit runs the commit phase on every owned shard: drain the buffers
-// addressed to it — in global source-shard order, in-process sources read
-// directly, remote sources from the delivered inbox — merge the arrivals,
-// and refresh the shard statistics. After the phase barrier the
-// remote-destined outgoing buffers (already shipped by the transport) are
-// reset for the next round.
+// addressed to it, merge the arrivals, and refresh the shard statistics.
+// After the phase barrier the remote-destined outgoing buffers (already
+// shipped by the transport) are reset for the next round.
 func (g *Group) Commit() {
-	sp := obs.StartSpan("commit", obs.LanePhases)
-	tm := obs.StartTimer()
-	g.runner.Run(g.commitFn)
+	observe(mPhaseCommit, g.phase("commit", g.commitFn))
 	if g.lo > 0 || g.hi < g.s {
 		for i := range g.parts {
 			out := g.parts[i].out
@@ -445,39 +525,45 @@ func (g *Group) Commit() {
 			}
 		}
 	}
-	tm.ObserveSeconds(mPhaseCommit)
-	sp.End()
 }
 
-// commitShard is owned shard i's commit.
-func (g *Group) commitShard(i int) {
+// drainShard stages the rows addressed to owned shard i in global source
+// order — in-process sources read straight from their out rows, remote
+// ones from the delivered inbox — and empties them, tallying the
+// cross-shard balls and non-empty rows for the exchange counters.
+func (g *Group) drainShard(i int) {
 	sh := &g.parts[i]
 	d := g.lo + i
 	base := int32(sh.base)
-	count := obs.Enabled()
-	balls, msgs := 0, 0
 	for s := 0; s < g.s; s++ {
-		var buf []int32
+		var row *[]int32
 		if g.owns(s) {
-			buf = g.parts[s-g.lo].out[d]
-			sh.state.DepositBatch(buf, base)
-			g.parts[s-g.lo].out[d] = buf[:0]
+			row = &g.parts[s-g.lo].out[d]
 		} else {
-			buf = g.inbox[i][s]
-			sh.state.DepositBatch(buf, base)
-			g.inbox[i][s] = buf[:0]
+			row = &g.inbox[i][s]
 		}
-		if count && len(buf) > 0 && s != d {
-			balls += len(buf)
-			msgs++
+		buf := *row
+		sh.state.DepositBatch(buf, base)
+		*row = buf[:0]
+		if len(buf) > 0 && s != d {
+			sh.exchBalls += len(buf)
+			sh.exchRows++
 		}
 	}
+}
+
+// commitShard is owned shard i's commit: its last drain, the state's
+// Commit, and the round's exchange tallies.
+func (g *Group) commitShard(i int) {
+	g.drainShard(i)
+	sh := &g.parts[i]
 	sh.state.Commit()
-	if count {
+	if obs.Enabled() {
 		// One atomic add per shard per round, never per ball.
-		mExchangeBalls.Add(uint64(balls))
-		mExchangeMsgs.Add(uint64(msgs))
+		mExchangeBalls.Add(uint64(sh.exchBalls))
+		mExchangeMsgs.Add(uint64(sh.exchRows))
 	}
+	sh.exchBalls, sh.exchRows = 0, 0
 }
 
 // N returns the global number of bins.

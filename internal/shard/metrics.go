@@ -16,7 +16,7 @@ var (
 	mRounds = obs.Default.Counter("rbb_rounds_total",
 		"Completed simulation rounds.")
 	mExchangeBalls = obs.Default.Counter("rbb_exchange_balls_total",
-		"Balls moved through the exchange (drained at commit).")
+		"Balls moved between shards through the exchange rows.")
 	mExchangeMsgs = obs.Default.Counter("rbb_exchange_messages_total",
-		"Non-empty shard-to-shard exchange buffers drained at commit.")
+		"Non-empty shard-to-shard exchange rows drained (in process, once per sub-round).")
 )

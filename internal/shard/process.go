@@ -122,13 +122,14 @@ func bind(g *Group, workers int, rule ArrivalRule, round, balls int64) (*Process
 	return p, nil
 }
 
-// Step advances one synchronous round: release in parallel (departures,
-// the rule's arrival count, destination draws into the message buffers),
-// barrier, commit in parallel (drain buffers, merge, local stats),
-// barrier, then fold the global statistics and the ball count.
+// Step advances one synchronous round through Group.Round: release in
+// parallel (departures, the rule's arrival count, the first destination
+// draws into the exchange rows), drains and further throws in sub-rounds
+// of at most roundChunk balls a shard, commit in parallel (last drain, merge,
+// local stats), each phase ended by a barrier, then fold the global
+// statistics and the ball count.
 func (p *Process) Step() {
-	p.g.Release(p.arrive)
-	p.g.Commit()
+	p.g.Round(p.arrive)
 	p.released, p.staged = p.g.Released(), p.g.Staged()
 	p.balls += int64(p.staged) - int64(p.released)
 	p.maxLoad, p.empty = p.g.MaxLoad(), p.g.EmptyBins()

@@ -120,53 +120,101 @@ func TestWorkerInvariance(t *testing.T) {
 
 // TestTransportInvariance is the in-process half of the transport
 // contract: with (seed, n, S) fixed, the persistent pool at several worker
-// counts, under both dense kernels, produces byte-identical trajectories.
-// The cross-process half lives in transport/tcp's matrix test.
+// counts, under both dense kernels, and the in-process round with its
+// sub-round chunk C lowered to 64, 7 and 1 ball a shard all produce the
+// trajectory of the whole-round path (Release then Commit, whose rows
+// hold every ball of the round, as a multi-process worker's do) byte for
+// byte. The shapes cover the shift router (n = 2¹³, S = 8, from
+// all-in-one), the divide router (n = 3001, S = 3) and a start of 255 balls
+// a bin at n = 64, S = 2, whose commit widens the cells after its drains.
+// C = 1 makes a sub-round of every ball, so it runs the first few rounds
+// only. The cross-process half lives in transport/tcp's matrix test.
 func TestTransportInvariance(t *testing.T) {
-	const (
-		n      = 1 << 13
-		seed   = 17
-		shards = 8
-		rounds = 250
-	)
-	loads := config.AllInOne(n, n)
-	var variants []Options
-	for _, k := range []engine.Kernel{engine.KernelBatched, engine.KernelScalar} {
-		for _, w := range []int{1, 4, shards} {
-			variants = append(variants, Options{Shards: shards, Workers: w, Kernel: k})
-		}
+	const seed = 17
+	full := make([]int32, 64)
+	for i := range full {
+		full[i] = 255
 	}
-	var ref []int32
-	var refMax int32
-	for vi, opts := range variants {
-		p, err := NewProcess(loads, seed, opts)
+	for _, sh := range []struct {
+		name          string
+		loads         []int32
+		shards        int
+		rounds, short int // rounds, and the rounds of the C = 1 variants
+	}{
+		{"all-in-one n=2^13 S=8", config.AllInOne(1<<13, 1<<13), 8, 250, 40},
+		{"one-per-bin n=3001 S=3", config.OnePerBin(3001), 3, 120, 4},
+		{"255-a-bin n=64 S=2", full, 2, 40, 40},
+	} {
+		// The reference steps the whole-round path on one worker,
+		// recording the window max at both lengths and the loads at each.
+		ref, err := NewProcess(sh.loads, seed, Options{Shards: sh.shards, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wm int32
-		for r := 0; r < rounds; r++ {
-			p.Step()
-			if m := p.MaxLoad(); m > wm {
-				wm = m
+		var refMax [2]int32
+		var refLoads [2][]int32
+		for r := 1; r <= sh.rounds; r++ {
+			ref.g.Release(ref.arrive)
+			ref.g.Commit()
+			refMax[1] = max(refMax[1], ref.g.MaxLoad())
+			if r == sh.short {
+				refMax[0], refLoads[0] = refMax[1], ref.g.AppendLoads(nil)
 			}
 		}
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatalf("variant %d: %v", vi, err)
+		refLoads[1] = ref.g.AppendLoads(nil)
+		if err := ref.g.CheckInvariants(); err != nil {
+			t.Fatalf("%s: whole-round reference: %v", sh.name, err)
 		}
-		got := p.LoadsCopy()
-		if err := p.Close(); err != nil {
-			t.Fatalf("variant %d: close: %v", vi, err)
+		if sh.loads[0] == 255 && ref.g.LoadBytes() == int64(2*len(sh.loads)) { // 8-bit cells
+			t.Fatalf("%s: the cells never widened", sh.name)
 		}
-		if vi == 0 {
-			ref, refMax = got, wm
-			continue
+		ref.Close()
+
+		type variant struct {
+			kernel  engine.Kernel
+			workers int
+			chunk   int // 0: roundChunk
 		}
-		if wm != refMax {
-			t.Fatalf("variant %d (%v W=%d): window max %d vs %d", vi, opts.Kernel, opts.Workers, wm, refMax)
+		var variants []variant
+		for _, w := range []int{1, 4, 8} {
+			for _, k := range []engine.Kernel{engine.KernelBatched, engine.KernelScalar} {
+				variants = append(variants, variant{k, w, 0})
+			}
+			for _, c := range []int{64, 7, 1} {
+				variants = append(variants, variant{engine.KernelBatched, w, c})
+			}
 		}
-		for u := range got {
-			if got[u] != ref[u] {
-				t.Fatalf("variant %d (%v W=%d): bin %d: load %d vs %d", vi, opts.Kernel, opts.Workers, u, got[u], ref[u])
+		for _, v := range variants {
+			p, err := NewProcess(sh.loads, seed, Options{Shards: sh.shards, Workers: v.workers, Kernel: v.kernel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds, at := sh.rounds, 1
+			if v.chunk > 0 {
+				p.g.setChunk(v.chunk)
+			}
+			if v.chunk == 1 {
+				rounds, at = sh.short, 0
+			}
+			var wm int32
+			for r := 0; r < rounds; r++ {
+				p.Step()
+				wm = max(wm, p.MaxLoad())
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("%s %+v: %v", sh.name, v, err)
+			}
+			got := p.LoadsCopy()
+			if err := p.Close(); err != nil {
+				t.Fatalf("%s %+v: close: %v", sh.name, v, err)
+			}
+			if wm != refMax[at] {
+				t.Fatalf("%s %+v: window max %d over %d rounds, whole-round path %d", sh.name, v, wm, rounds, refMax[at])
+			}
+			for u := range got {
+				if got[u] != refLoads[at][u] {
+					t.Fatalf("%s %+v: round %d bin %d: load %d, whole-round path %d", sh.name, v, rounds, u, got[u], refLoads[at][u])
+				}
 			}
 		}
 	}
@@ -304,25 +352,39 @@ func testTetrisSingleShard(t *testing.T, n int, seed uint64) {
 }
 
 // TestGroupRoundAllocs: once warm, a sharded round allocates nothing — the
-// draw blocks, exchange rows and phase bodies all live on the Group. S = 1
-// covers the direct staging of draw blocks (at the Width8 and Width16 cell
-// types the recovery regime runs at), S = 8 the routed exchange rows.
+// draw blocks, exchange rows and phase bodies all live on the Group —
+// whether it runs in process (Round, in sub-rounds) or as whole-round
+// phases (Release then Commit). S = 1 covers the direct staging of draw
+// blocks (at the Width8 and Width16 cell types the recovery regime runs
+// at), S = 8 the routed exchange rows, and S = 8 with C lowered to 64
+// about 20 sub-rounds a round.
 func TestGroupRoundAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
 		width  engine.Width
-	}{{1, engine.WidthAuto}, {1, engine.Width16}, {8, engine.WidthAuto}} {
+		chunk  int // 0: roundChunk
+	}{{1, engine.WidthAuto, 0}, {1, engine.Width16, 0}, {8, engine.WidthAuto, 0}, {8, engine.WidthAuto, 64}} {
 		p, err := NewProcess(config.OnePerBin(1<<14), 3, Options{Shards: tc.shards, Workers: 1, Width: tc.width})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tc.chunk > 0 {
+			p.g.setChunk(tc.chunk)
+		}
 		p.Step() // warm-up round
-		allocs := testing.AllocsPerRun(64, func() {
+		if allocs := testing.AllocsPerRun(64, func() { p.g.Round(p.arrive) }); allocs != 0 {
+			t.Errorf("S=%d width %v chunk %d: a Round allocates %v times, want 0", tc.shards, tc.width, tc.chunk, allocs)
+		}
+		whole := func() {
 			p.g.Release(p.arrive)
 			p.g.Commit()
-		})
+		}
+		for range 8 { // rows sized for C = 64 grow to whole-round rows
+			whole()
+		}
+		allocs := testing.AllocsPerRun(64, whole)
 		if allocs != 0 {
-			t.Errorf("S=%d width %v: a round allocates %v times, want 0", tc.shards, tc.width, allocs)
+			t.Errorf("S=%d width %v chunk %d: a Release and Commit allocate %v times, want 0", tc.shards, tc.width, tc.chunk, allocs)
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
@@ -331,13 +393,13 @@ func TestGroupRoundAllocs(t *testing.T) {
 }
 
 // TestStepAllocs: a whole warm Step allocates nothing either, under every
-// arrival rule at S = 1 and S = 8 — neither the rule's Arrivals closure,
-// the statistics fold and ball counter of Process.Step, nor the Tetris
-// first-emptying hook.
+// arrival rule at S = 1, at S = 8 and at S = 8 with C lowered to 64 —
+// neither the rule's Arrivals closure, the sub-rounds, the statistics fold
+// and ball counter of Process.Step, nor the Tetris first-emptying hook.
 func TestStepAllocs(t *testing.T) {
 	const n = 1 << 14
-	for _, shards := range []int{1, 8} {
-		opts := Options{Shards: shards, Workers: 1}
+	for _, tc := range []struct{ shards, chunk int }{{1, 0}, {8, 0}, {8, 64}} {
+		opts := Options{Shards: tc.shards, Workers: 1}
 		p, err := NewProcess(config.OnePerBin(n), 3, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -351,9 +413,12 @@ func TestStepAllocs(t *testing.T) {
 			steppers = append(steppers, tp.Process)
 		}
 		for _, sp := range steppers {
+			if tc.chunk > 0 {
+				sp.g.setChunk(tc.chunk)
+			}
 			sp.Run(8) // warm-up rounds
 			if allocs := testing.AllocsPerRun(64, sp.Step); allocs != 0 {
-				t.Errorf("S=%d rule %v: a Step allocates %v times, want 0", shards, sp.Rule(), allocs)
+				t.Errorf("S=%d chunk %d rule %v: a Step allocates %v times, want 0", tc.shards, tc.chunk, sp.Rule(), allocs)
 			}
 			if err := sp.Close(); err != nil {
 				t.Fatal(err)

@@ -1,11 +1,11 @@
 // Package transport defines the placement abstraction under the sharded
 // round protocol: a Runner executes the per-shard work of one protocol
-// phase (release or commit) across the shards held in the local process and
-// returns only when all of it has completed — it IS the phase barrier of
-// the protocol.
+// phase (release, commit, or an in-process round's throw and drain) across
+// the shards held in the local process and returns only when all of it has
+// completed — it IS the phase barrier of the protocol.
 //
 // The round protocol itself (what runs inside a phase, which buffers move
-// between release and commit) lives in internal/shard; a Runner decides
+// between the phases) lives in internal/shard; a Runner decides
 // only *where* the per-shard work executes. The one implementation is the
 // persistent worker pool with shard→worker affinity (transport/local.Pool).
 // One level up, where whole shard ranges live in other processes, the
