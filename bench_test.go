@@ -19,7 +19,6 @@ import (
 	"repro/internal/jackson"
 	"repro/internal/markov"
 	"repro/internal/rng"
-	"repro/internal/tetris"
 	"repro/internal/walks"
 )
 
@@ -28,7 +27,7 @@ const benchN = 1024
 // BenchmarkE01Stability measures the anonymous process step — the kernel
 // of the Theorem 1(a) window-max experiment.
 func BenchmarkE01Stability(b *testing.B) {
-	p, err := core.NewProcess(config.OnePerBin(benchN), rng.New(1))
+	p, err := NewProcess(config.OnePerBin(benchN), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func BenchmarkE01Stability(b *testing.B) {
 func BenchmarkE02Convergence(b *testing.B) {
 	threshold := config.LegitimateThreshold(benchN, config.Beta)
 	for i := 0; i < b.N; i++ {
-		p, err := core.NewProcess(config.AllInOne(benchN, benchN), rng.New(uint64(i)))
+		p, err := NewProcess(config.AllInOne(benchN, benchN), rng.New(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +56,7 @@ func BenchmarkE02Convergence(b *testing.B) {
 // BenchmarkE03EmptyBins measures stepping plus the empty-bin counting the
 // Lemma 1–2 experiment relies on.
 func BenchmarkE03EmptyBins(b *testing.B) {
-	p, err := core.NewProcess(config.OnePerBin(benchN), rng.New(3))
+	p, err := NewProcess(config.OnePerBin(benchN), rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func BenchmarkE04Coupling(b *testing.B) {
 // worst case.
 func BenchmarkE05TetrisEmpty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, err := tetris.New(config.AllInOne(benchN, benchN), rng.New(uint64(i)), tetris.Options{})
+		p, err := NewTetris(config.AllInOne(benchN, benchN), rng.New(uint64(i)), TetrisOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +114,7 @@ func BenchmarkE06DriftChain(b *testing.B) {
 
 // BenchmarkE07TetrisLoad measures the Tetris step (Lemma 6 kernel).
 func BenchmarkE07TetrisLoad(b *testing.B) {
-	p, err := tetris.New(config.OnePerBin(benchN), rng.New(7), tetris.Options{})
+	p, err := NewTetris(config.OnePerBin(benchN), rng.New(7), TetrisOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func BenchmarkE10Adversary(b *testing.B) {
 // for the √t-crossover table (identical step cost to E01; kept separate so
 // the per-experiment mapping stays 1:1).
 func BenchmarkE11SqrtBaseline(b *testing.B) {
-	p, err := core.NewProcess(config.OnePerBin(benchN), rng.New(11))
+	p, err := NewProcess(config.OnePerBin(benchN), rng.New(11))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -230,7 +229,7 @@ func BenchmarkE12NegAssoc(b *testing.B) {
 // open-question configuration).
 func BenchmarkE13ManyBalls(b *testing.B) {
 	r := rng.New(13)
-	p, err := core.NewProcess(config.UniformRandom(benchN, 4*benchN, r), r)
+	p, err := NewProcess(config.UniformRandom(benchN, 4*benchN, r), r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -261,8 +260,8 @@ func BenchmarkE14RegularGraphs(b *testing.B) {
 // BenchmarkE15LeakyBins measures the Tetris step under Poisson batched
 // arrivals ([18] kernel).
 func BenchmarkE15LeakyBins(b *testing.B) {
-	p, err := tetris.New(config.OnePerBin(benchN), rng.New(15), tetris.Options{
-		Law:    tetris.PoissonArrivals,
+	p, err := NewTetris(config.OnePerBin(benchN), rng.New(15), TetrisOptions{
+		Law:    PoissonArrivals,
 		Lambda: 0.9,
 	})
 	if err != nil {
@@ -293,7 +292,7 @@ func BenchmarkE16Oblivious(b *testing.B) {
 // kernel of the §5 tightness probe.
 func BenchmarkE17Tightness(b *testing.B) {
 	r := rng.New(17)
-	p, err := core.NewProcess(config.UniformRandom(benchN, benchN, r), r)
+	p, err := NewProcess(config.UniformRandom(benchN, benchN, r), r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,7 +331,7 @@ func BenchmarkE19Jackson(b *testing.B) {
 // BenchmarkAblationEngineAnonymous vs BenchmarkAblationEngineToken: the
 // same law in the loads-only engine and the identity-tracking engine.
 func BenchmarkAblationEngineAnonymous(b *testing.B) {
-	p, err := core.NewProcess(config.OnePerBin(benchN), rng.New(20))
+	p, err := NewProcess(config.OnePerBin(benchN), rng.New(20))
 	if err != nil {
 		b.Fatal(err)
 	}

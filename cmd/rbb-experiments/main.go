@@ -20,10 +20,14 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/table"
 )
 
 func main() {
+	// The suite serves no /metrics and writes no trace, and telemetry is
+	// write-only, so the per-round phase timers would be pure cost.
+	obs.SetEnabled(false)
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rbb-experiments:", err)
 		os.Exit(1)

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/walks"
 )
 
@@ -81,11 +81,11 @@ func positionsToLoads(positions []int32, n int) []int32 {
 	return loads
 }
 
-// RunProcess advances a core.Process for rounds steps, applying the fault
+// RunProcess advances a shard.Process for rounds steps, applying the fault
 // (sched, place) whenever the schedule fires, and returns the maximum load
 // observed over the window. The placement draws its randomness from r
 // (which may be the process's own source).
-func RunProcess(p *core.Process, sched Schedule, place Placement, rounds int64, r *rng.Source) (windowMax int32, faults int64, err error) {
+func RunProcess(p *shard.Process, sched Schedule, place Placement, rounds int64, r *rng.Source) (windowMax int32, faults int64, err error) {
 	if p == nil || sched == nil || place == nil {
 		return 0, 0, errors.New("adversary: RunProcess with nil argument")
 	}
@@ -112,7 +112,7 @@ func RunProcess(p *core.Process, sched Schedule, place Placement, rounds int64, 
 func TestRunProcessWithPeriodicFaults(t *testing.T) {
 	const n = 256
 	r := rng.New(3)
-	p, err := core.NewProcess(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRunProcessWithPeriodicFaults(t *testing.T) {
 func TestRunProcessNoFaults(t *testing.T) {
 	const n = 128
 	r := rng.New(5)
-	p, err := core.NewProcess(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/rng"
+	"repro/internal/shard"
 )
 
 func TestNewChoicesValidation(t *testing.T) {
@@ -26,11 +27,12 @@ func TestNewChoicesValidation(t *testing.T) {
 }
 
 func TestChoicesD1MatchesProcessLaw(t *testing.T) {
-	// With d = 1 the choices process consumes RNG identically to Process
-	// (one Intn per departure in bin order), so trajectories coincide.
+	// With d = 1 the choices process consumes RNG identically to the
+	// sequential process (one Intn per departure in bin order), so
+	// trajectories coincide.
 	const n = 64
 	loads := config.UniformRandom(n, n, rng.New(5))
-	a, err := NewProcess(loads, rng.New(9))
+	a, err := shard.NewSequential(loads, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

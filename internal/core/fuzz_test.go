@@ -26,33 +26,6 @@ func decodeLoads(data []byte) []int32 {
 	return loads
 }
 
-func FuzzProcessInvariants(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 1}, uint16(100), uint64(1))
-	f.Add([]byte{16, 0, 0, 0, 0}, uint16(300), uint64(7))
-	f.Add([]byte{0}, uint16(10), uint64(3))
-	f.Fuzz(func(t *testing.T, cfg []byte, stepsRaw uint16, seed uint64) {
-		loads := decodeLoads(cfg)
-		p, err := NewProcess(loads, rng.New(seed))
-		if err != nil {
-			t.Skip()
-		}
-		steps := int(stepsRaw % 512)
-		var want int64
-		for _, l := range loads {
-			want += int64(l)
-		}
-		for i := 0; i < steps; i++ {
-			p.Step()
-		}
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatalf("loads %v after %d steps: %v", loads, steps, err)
-		}
-		if p.Balls() != want {
-			t.Fatalf("balls %d != %d", p.Balls(), want)
-		}
-	})
-}
-
 func FuzzTokenProcessInvariants(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1}, uint16(50), uint64(1), uint8(0))
 	f.Add([]byte{9, 0, 0}, uint16(200), uint64(5), uint8(1))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/dist"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -20,12 +21,16 @@ import (
 func TestArrivalLawBinomial(t *testing.T) {
 	const n = 64
 	const trials = 200000
-	r := rng.New(101)
-	// One-per-bin start: |W| = n deterministically in round 1.
+	// One-per-bin start: |W| = n deterministically in round 1. One
+	// process, reset to the start before each trial.
+	start := config.OnePerBin(n)
+	p, err := shard.NewSequential(start, rng.New(101))
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := make([]int, 12)
 	for i := 0; i < trials; i++ {
-		p, err := NewProcess(config.OnePerBin(n), r)
-		if err != nil {
+		if err := p.SetLoads(start); err != nil {
 			t.Fatal(err)
 		}
 		p.Step()
@@ -61,7 +66,7 @@ func TestArrivalLawBinomial(t *testing.T) {
 func TestDepartureExactlyOne(t *testing.T) {
 	const n = 32
 	r := rng.New(103)
-	p, err := NewProcess(config.UniformRandom(n, n, r), r)
+	p, err := shard.NewSequential(config.UniformRandom(n, n, r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,38 +89,13 @@ func TestDepartureExactlyOne(t *testing.T) {
 	}
 }
 
-// TestLoadHistogram checks the histogram accessor against the raw loads.
-func TestLoadHistogram(t *testing.T) {
-	p, err := NewProcess([]int32{0, 0, 3, 1, 3}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := p.LoadHistogram()
-	want := []int64{2, 1, 0, 2}
-	if len(h) != len(want) {
-		t.Fatalf("histogram = %v", h)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("histogram = %v, want %v", h, want)
-		}
-	}
-	var total int64
-	for _, c := range h {
-		total += c
-	}
-	if total != int64(p.N()) {
-		t.Fatal("histogram does not cover all bins")
-	}
-}
-
 // TestStationaryLoadTailGeometric records the qualitative stationary shape:
 // the fraction of bins with load >= k decays at least geometrically for
 // small k (this is what caps the maximum at O(log n)).
 func TestStationaryLoadTailGeometric(t *testing.T) {
 	const n = 4096
 	r := rng.New(107)
-	p, err := NewProcess(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +104,10 @@ func TestStationaryLoadTailGeometric(t *testing.T) {
 	const samples = 200
 	for s := 0; s < samples; s++ {
 		p.Step()
-		h := p.LoadHistogram()
+		h := make([]int64, p.MaxLoad()+1)
+		for _, l := range p.LoadsCopy() {
+			h[l]++
+		}
 		cum := int64(0)
 		for k := len(h) - 1; k >= 0; k-- {
 			cum += h[k]

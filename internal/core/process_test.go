@@ -1,5 +1,10 @@
 package core
 
+// The anonymous process of the law this package documents is the
+// one-shard shard.Process; these tests check it as NewSequential builds
+// it. (core's tests may import shard: shard's non-test code does not
+// import core.)
+
 import (
 	"math"
 	"testing"
@@ -7,24 +12,25 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/rng"
+	"repro/internal/shard"
 )
 
 func TestNewProcessValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, err := NewProcess(nil, r); err == nil {
+	if _, err := shard.NewSequential(nil, r); err == nil {
 		t.Error("no bins accepted")
 	}
-	if _, err := NewProcess([]int32{1, -2}, r); err == nil {
+	if _, err := shard.NewSequential([]int32{1, -2}, r); err == nil {
 		t.Error("negative load accepted")
 	}
-	if _, err := NewProcess([]int32{1}, nil); err == nil {
+	if _, err := shard.NewSequential([]int32{1}, nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }
 
 func TestProcessCopiesInitialLoads(t *testing.T) {
 	init := []int32{2, 0, 1}
-	p, err := NewProcess(init, rng.New(1))
+	p, err := shard.NewSequential(init, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +41,7 @@ func TestProcessCopiesInitialLoads(t *testing.T) {
 }
 
 func TestProcessInitialStats(t *testing.T) {
-	p, err := NewProcess([]int32{3, 0, 0, 1}, rng.New(1))
+	p, err := shard.NewSequential([]int32{3, 0, 0, 1}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +57,7 @@ func TestBallConservation(t *testing.T) {
 	if err := quick.Check(func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw)%50 + 2
 		r := rng.New(uint64(seed))
-		p, err := NewProcess(config.UniformRandom(n, n, r), r)
+		p, err := shard.NewSequential(config.UniformRandom(n, n, r), r)
 		if err != nil {
 			return false
 		}
@@ -69,7 +75,7 @@ func TestBallConservation(t *testing.T) {
 
 func TestSingleBinSelfLoop(t *testing.T) {
 	// With n = 1 the only ball must return to the only bin forever.
-	p, err := NewProcess([]int32{5}, rng.New(3))
+	p, err := shard.NewSequential([]int32{5}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestSingleBinSelfLoop(t *testing.T) {
 func TestLoadDropsByAtMostOne(t *testing.T) {
 	// Per the update rule, a bin's load can decrease by at most 1 per round.
 	r := rng.New(7)
-	p, err := NewProcess(config.AllInOne(32, 32), r)
+	p, err := shard.NewSequential(config.AllInOne(32, 32), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +102,7 @@ func TestLoadDropsByAtMostOne(t *testing.T) {
 				t.Fatalf("round %d bin %d: %d -> %d (dropped >1)", i, u, prev[u], p.Load(u))
 			}
 		}
-		copy(prev, p.Loads())
+		prev = p.LoadsCopy()
 	}
 }
 
@@ -105,7 +111,7 @@ func TestEmptyBinsAtLeastQuarter(t *testing.T) {
 	// For n = 512 the failure probability is astronomically small.
 	const n = 512
 	r := rng.New(11)
-	p, err := NewProcess(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestEmptyBinsFromWorstCase(t *testing.T) {
 	// round later at least n/4 bins are empty (trivially, here: most bins
 	// stay empty).
 	const n = 256
-	p, err := NewProcess(config.AllInOne(n, n), rng.New(13))
+	p, err := shard.NewSequential(config.AllInOne(n, n), rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,7 @@ func TestStabilityMaxLoadLogarithmic(t *testing.T) {
 	// Theorem 1(a) at test scale: from one-per-bin, over 4n rounds with
 	// n = 1024 the max load should stay within ~4 ln n.
 	const n = 1024
-	p, err := NewProcess(config.OnePerBin(n), rng.New(17))
+	p, err := shard.NewSequential(config.OnePerBin(n), rng.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestConvergenceFromWorstCase(t *testing.T) {
 	// reaches max load <= 4 ln n within O(n) rounds. The constant is ~1
 	// (the heavy bin drains one ball per round); allow 3n.
 	const n = 512
-	p, err := NewProcess(config.AllInOne(n, n), rng.New(19))
+	p, err := shard.NewSequential(config.AllInOne(n, n), rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +183,14 @@ func TestConvergenceFromWorstCase(t *testing.T) {
 }
 
 func TestRunUntilAlreadySatisfied(t *testing.T) {
-	p, err := NewProcess(config.OnePerBin(8), rng.New(1))
+	p, err := shard.NewSequential(config.OnePerBin(8), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Satisfied before the first step: zero steps taken even with a zero
 	// (or negative) round budget.
 	for _, budget := range []int64{0, -1, 10} {
-		if !p.RunUntil(func(*Process) bool { return true }, budget) {
+		if !p.RunUntil(func(*shard.Process) bool { return true }, budget) {
 			t.Fatalf("budget %d: pred true at start should return immediately", budget)
 		}
 		if p.Round() != 0 {
@@ -194,11 +200,11 @@ func TestRunUntilAlreadySatisfied(t *testing.T) {
 }
 
 func TestRunUntilExhausts(t *testing.T) {
-	p, err := NewProcess(config.OnePerBin(8), rng.New(1))
+	p, err := shard.NewSequential(config.OnePerBin(8), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.RunUntil(func(*Process) bool { return false }, 25) {
+	if p.RunUntil(func(*shard.Process) bool { return false }, 25) {
 		t.Fatal("unsatisfiable predicate reported success")
 	}
 	if p.Round() != 25 {
@@ -207,7 +213,7 @@ func TestRunUntilExhausts(t *testing.T) {
 }
 
 func TestRunAdvancesRounds(t *testing.T) {
-	p, err := NewProcess(config.OnePerBin(16), rng.New(2))
+	p, err := shard.NewSequential(config.OnePerBin(16), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +224,8 @@ func TestRunAdvancesRounds(t *testing.T) {
 }
 
 func TestDeterministicTrajectory(t *testing.T) {
-	mk := func() *Process {
-		p, err := NewProcess(config.OnePerBin(64), rng.New(99))
+	mk := func() *shard.Process {
+		p, err := shard.NewSequential(config.OnePerBin(64), rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,36 +244,22 @@ func TestDeterministicTrajectory(t *testing.T) {
 	}
 }
 
-func TestLoadsViewTracksState(t *testing.T) {
-	p, err := NewProcess(config.OnePerBin(16), rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := p.Loads()
-	cp := p.LoadsCopy()
-	p.Step()
-	changed := false
-	for i := range cp {
-		if view[i] != cp[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Skip("step left loads identical (possible but very unlikely); rerun")
-	}
-}
-
 // TestNegativeAssociationCounterexample reproduces Appendix B by Monte
 // Carlo: with n = 2 starting from (1,1), P(X1=0, X2=0) = 1/8 exceeds
 // P(X1=0)·P(X2=0) = 1/4 · 3/8 = 3/32, so arrivals are NOT negatively
 // associated.
 func TestNegativeAssociationCounterexample(t *testing.T) {
 	const trials = 400000
-	r := rng.New(23)
+	// One process, reset to (1, 1) before each trial: a build draws
+	// nothing, so the trials read the source as fresh processes would.
+	start := []int32{1, 1}
+	p, err := shard.NewSequential(start, rng.New(23))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bothZero, firstZero, secondZero := 0, 0, 0
 	for i := 0; i < trials; i++ {
-		p, err := NewProcess([]int32{1, 1}, r)
-		if err != nil {
+		if err := p.SetLoads(start); err != nil {
 			t.Fatal(err)
 		}
 		before0 := p.Load(0)
@@ -309,26 +301,4 @@ func maxInt32(a, b int32) int32 {
 		return a
 	}
 	return b
-}
-
-func BenchmarkProcessStep1024(b *testing.B) {
-	p, err := NewProcess(config.OnePerBin(1024), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Step()
-	}
-}
-
-func BenchmarkProcessStep8192(b *testing.B) {
-	p, err := NewProcess(config.OnePerBin(8192), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Step()
-	}
 }

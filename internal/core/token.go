@@ -1,3 +1,33 @@
+// Package core holds the engines of the paper's process that track more
+// than loads, and the process's exact law on tiny systems.
+//
+// Given n bins and m balls (the paper takes m = n), in every round one ball
+// is extracted from each non-empty bin and re-assigned to a bin chosen
+// uniformly at random (self included). With W(t) the set of non-empty bins
+// and X_u uniform over [n], the exact update is
+//
+//	Q_v(t+1) = max(Q_v(t) − 1, 0) + |{ u ∈ W(t) : X_u(t+1) = v }|
+//
+// The anonymous loads-only engine of that law is shard.Process
+// (shard.NewSequential builds the sequential one), used for the max-load,
+// empty-bin and convergence experiments (E1–E3, E11, E13). This package
+// holds:
+//
+//   - TokenProcess: ball identities with pluggable queueing strategies
+//     (FIFO/LIFO/Random), per-ball progress, per-visit delay and cover-time
+//     tracking. Used for the traversal-flavored experiments (E9, E16).
+//   - ChoicesProcess: the d-choices generalization, where each relaunched
+//     ball joins the least loaded of d sampled bins (E18).
+//   - EnumerateArrivals: the exact enumeration of every realization of a
+//     few rounds, behind the Appendix B reproduction (E12).
+//
+// TokenProcess consumes exactly one RNG draw per non-empty bin per round,
+// in bin order, for the destination, and draws ball selections (only
+// needed by the Random strategy) from a separate source. Given identical
+// destination sources it therefore produces the load vectors of
+// shard.NewSequential round by round — a property the test suite exploits
+// to verify the queueing-strategy obliviousness claimed by the paper (§2,
+// footnote 2).
 package core
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/rng"
+	"repro/internal/shard"
 )
 
 func TestStrategyStringRoundTrip(t *testing.T) {
@@ -92,7 +93,7 @@ func TestEngineEquivalence(t *testing.T) {
 			setup := rng.New(31)
 			loads := config.UniformRandom(n, n, setup)
 
-			anon, err := NewProcess(loads, rng.New(77))
+			anon, err := shard.NewSequential(loads, rng.New(77))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,8 @@
 // Package engine is the shared stepping layer under every synchronous
-// process in this repository (core.Process, core.TokenProcess,
-// core.ChoicesProcess, tetris.Process, coupling.Coupled, walks.Traversal).
+// process in this repository: each shard of shard.Process (the paper's
+// process and, as shard.Tetris, the Tetris process, sequential or
+// sharded), core.TokenProcess, core.ChoicesProcess, coupling.Coupled and
+// walks.Traversal.
 //
 // The paper's headline regime is sparse: after self-stabilization most bins
 // hold O(1) balls, and from the worst-case AllInOne start only a handful of
@@ -829,9 +831,9 @@ const throwBlock = 512
 // ThrowUniform stages k balls at destinations drawn uniformly from [0, n)
 // by src: the values of k successive src.Uint64n(n) calls, drawn
 // throwBlock at a time by one Fill32n each and staged by DepositBatch. It
-// is the one throw of every uniform round — ReleaseUniform's, a
-// single-shard sharded round's and the Tetris process's — and it needs
-// n ≤ 2³¹ (Fill32n's bound).
+// is the one throw of every uniform round — ReleaseUniform's and a
+// single-shard sharded round's, so the sequential process's and the
+// sequential Tetris process's — and it needs n ≤ 2³¹ (Fill32n's bound).
 func (s *State) ThrowUniform(src *rng.Source, k int) {
 	s.checkStage("ThrowUniform")
 	var blk [throwBlock]int32

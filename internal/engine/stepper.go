@@ -1,10 +1,10 @@
 package engine
 
 // Stepper is the uniform round-advancing surface of every synchronous
-// engine in this repository (core.Process, core.TokenProcess,
-// core.ChoicesProcess, tetris.Process, walks.Traversal, shard.Process,
-// shard.Tetris, the multi-process tcp.Engine, and the Jackson round
-// adapter in cmd/rbb-sim). The simulation harness, the experiment suite,
+// engine in this repository (shard.Process, shard.Tetris,
+// core.TokenProcess, core.ChoicesProcess, walks.Traversal, the
+// multi-process tcp.Engine, and the Jackson round adapter in
+// cmd/rbb-sim). The simulation harness, the experiment suite,
 // the run loop and the CLIs drive processes through this interface so that
 // every workload picks up engine-level improvements for free. It carries
 // only what those drivers read: a load vector is not part of it, so the

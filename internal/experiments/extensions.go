@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -39,7 +40,7 @@ func E17Tightness(cfg Config) (*Result, error) {
 		}, func(_ int, src *rng.Source) ([]float64, error) {
 			loads := config.UniformRandom(n, n, src)
 			oneShot := float64(config.MaxLoad(loads))
-			p, err := core.NewProcess(loads, src)
+			p, err := shard.NewSequential(loads, src)
 			if err != nil {
 				return nil, err
 			}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/jackson"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/table"
 )
 
@@ -46,7 +46,7 @@ func E19Jackson(cfg Config) (*Result, error) {
 		net.RunRounds(window)
 		seqMax := float64(net.WindowMaxLoad())
 
-		proc, err := core.NewProcess(config.OnePerBin(n), src)
+		proc, err := shard.NewSequential(config.OnePerBin(n), src)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -37,12 +38,17 @@ func E12NegativeAssociation(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Monte Carlo on the real engine.
-	src := rng.NewStream(cfg.Seed, 12)
+	// Monte Carlo on the real engine: one process, reset to (1, 1) before
+	// each trial. A build draws nothing, so the trials read src in the
+	// order fresh processes would.
+	start := []int32{1, 1}
+	p, err := shard.NewSequential(start, rng.NewStream(cfg.Seed, 12))
+	if err != nil {
+		return nil, err
+	}
 	var mcBoth, mc1, mc2 float64
 	for i := 0; i < trials; i++ {
-		p, err := core.NewProcess([]int32{1, 1}, src)
-		if err != nil {
+		if err := p.SetLoads(start); err != nil {
 			return nil, err
 		}
 		before := p.Load(0)
@@ -117,7 +123,7 @@ func E16Oblivious(cfg Config) (*Result, error) {
 	identical := true
 	{
 		loads := config.OnePerBin(n)
-		ref, err := core.NewProcess(loads, rng.NewStream(cfg.Seed, 160))
+		ref, err := shard.NewSequential(loads, rng.NewStream(cfg.Seed, 160))
 		if err != nil {
 			return nil, err
 		}

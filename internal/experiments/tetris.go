@@ -6,6 +6,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/tetris"
@@ -25,7 +26,7 @@ func E05TetrisEmptying(cfg Config) (*Result, error) {
 	for _, n := range ns {
 		res, err := sim.RunScalar(trials, cfg.Seed+uint64(5*n), "allEmptied",
 			func(_ int, src *rng.Source) (float64, error) {
-				p, err := tetris.New(config.AllInOne(n, n), src, tetris.Options{})
+				p, err := shard.NewSequentialTetris(config.AllInOne(n, n), src, tetris.Options{})
 				if err != nil {
 					return 0, err
 				}
@@ -71,7 +72,7 @@ func E07TetrisLoad(cfg Config) (*Result, error) {
 		window := int64(windowMult * n)
 		res, err := sim.WindowMax(trials, cfg.Seed+uint64(7*n), window,
 			func(_ int, src *rng.Source) (engine.Stepper, error) {
-				p, err := tetris.New(config.OnePerBin(n), src, tetris.Options{})
+				p, err := shard.NewSequentialTetris(config.OnePerBin(n), src, tetris.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -118,7 +119,7 @@ func E15LeakyBins(cfg Config) (*Result, error) {
 	for _, law := range []tetris.ArrivalLaw{tetris.BinomialArrivals, tetris.PoissonArrivals} {
 		for _, lambda := range lambdas {
 			src := rng.NewStream(cfg.Seed, uint64(15000)+uint64(lambda*100)+uint64(law))
-			p, err := tetris.New(config.OnePerBin(n), src, tetris.Options{Law: law, Lambda: lambda})
+			p, err := shard.NewSequentialTetris(config.OnePerBin(n), src, tetris.Options{Law: law, Lambda: lambda})
 			if err != nil {
 				return nil, err
 			}

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/tetris"
 )
 
 // obsSetEnabledForBench flips the global telemetry switch for one benchmark
@@ -44,7 +44,7 @@ func benchSharded(b *testing.B, loads []int32, workers int) {
 }
 
 func benchSequential(b *testing.B, loads []int32) {
-	p, err := core.NewProcess(loads, rng.NewStream(1, 0))
+	p, err := NewSequential(loads, rng.NewStream(1, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,4 +150,46 @@ func BenchmarkShardPoolSmallS64(b *testing.B) {
 
 func BenchmarkShardPoolBigS8(b *testing.B) {
 	benchPool(b, benchN, benchShards)
+}
+
+// The small-n sequential steps: one cache-resident round of the
+// sequential process and of the sequential Tetris process (per-round fixed
+// costs dominate at these sizes).
+func benchStep(b *testing.B, p *Process) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Step()
+	}
+}
+
+func BenchmarkProcessStep1024(b *testing.B) {
+	p, err := NewSequential(config.OnePerBin(1024), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStep(b, p)
+}
+
+func BenchmarkProcessStep8192(b *testing.B) {
+	p, err := NewSequential(config.OnePerBin(8192), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStep(b, p)
+}
+
+func BenchmarkTetrisStep1024(b *testing.B) {
+	p, err := NewSequentialTetris(config.OnePerBin(1024), rng.New(1), tetris.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStep(b, p.Process)
+}
+
+func BenchmarkTetrisStepPoisson1024(b *testing.B) {
+	p, err := NewSequentialTetris(config.OnePerBin(1024), rng.New(1), tetris.Options{Law: tetris.PoissonArrivals, Lambda: 0.75})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStep(b, p.Process)
 }

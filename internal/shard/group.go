@@ -91,6 +91,12 @@ type Group struct {
 	releaseFn, throwFn, drainFn, commitFn func(i int)
 	arrivals                              Arrivals
 	chunk, limit                          int
+
+	// quiet groups (a sequential process's) write no process-wide
+	// telemetry: no phase span, timer or histogram, no round count. Trial
+	// loops stepping sequential processes in parallel so share no cache
+	// line per round, whatever obs.Enabled says.
+	quiet bool
 }
 
 // PartitionSize returns the canonical size of shard i when n bins are
@@ -152,7 +158,7 @@ func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Run
 	if want := PartitionStart(n, s, hi) - off; len(loads) != want {
 		return nil, fmt.Errorf("shard: group loads hold %d bins, shards [%d,%d) own %d", len(loads), lo, hi, want)
 	}
-	g, _, err := buildGroup(n, s, lo, hi, runner, gopts, false, freshShards(loadsFill(loads, off), seed))
+	g, _, err := buildGroup(n, s, lo, hi, runner, gopts, false, freshShards(loadsFill(loads, off), seedStreams(seed)))
 	return g, err
 }
 
@@ -182,17 +188,22 @@ func NewGroupFromShards(n, s, lo, hi int, next func(i int) (ShardSnapshot, error
 type shardBuild func(sh *shardPart, i int, eopts engine.Options) (int64, error)
 
 // freshShards builds the shards of a fresh run over the start fill
-// serves; shard i draws from rng.NewStream(seed, i).
-func freshShards(fill Fill, seed uint64) shardBuild {
+// serves; shard i draws from stream(i).
+func freshShards(fill Fill, stream func(i int) *rng.Source) shardBuild {
 	return func(sh *shardPart, i int, eopts engine.Options) (int64, error) {
 		base := sh.base
 		st, balls, err := engine.NewFill(sh.size, func(lo int, dst []int32) { fill(base+lo, dst) }, eopts)
 		if err != nil {
 			return 0, err
 		}
-		sh.state, sh.src = st, rng.NewStream(seed, uint64(i))
+		sh.state, sh.src = st, stream(i)
 		return balls, nil
 	}
+}
+
+// seedStreams gives shard i of a seeded run rng.NewStream(seed, i).
+func seedStreams(seed uint64) func(i int) *rng.Source {
+	return func(i int) *rng.Source { return rng.NewStream(seed, uint64(i)) }
 }
 
 // restoredShards builds each shard from its checkpointed entry, which at
@@ -242,7 +253,13 @@ func buildGroup(n, s, lo, hi int, runner transport.Runner, gopts GroupOptions, s
 		sh := &g.parts[i]
 		eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
 		if onEmptied, base := gopts.OnEmptied, sh.base; onEmptied != nil {
-			eopts.OnEmptied = func(u int) { onEmptied(base + u) }
+			// The hook runs for every bin that empties in a round, so a
+			// shard at base 0 (all of a sequential process) gets it
+			// unwrapped: its local indices are the global ones.
+			eopts.OnEmptied = onEmptied
+			if base > 0 {
+				eopts.OnEmptied = func(u int) { onEmptied(base + u) }
+			}
 		}
 		balls[i], errs[i] = build(sh, lo+i, eopts)
 	}
@@ -376,14 +393,20 @@ func (g *Group) Round(arrivals Arrivals) {
 	}
 	commit += g.phase("commit", g.commitFn)
 	g.arrivals = nil
-	observe(mPhaseRelease, release)
-	observe(mPhaseCommit, commit)
+	if !g.quiet {
+		observe(mPhaseRelease, release)
+		observe(mPhaseCommit, commit)
+	}
 }
 
 // phase runs fn on every owned shard — one protocol phase, ended by the
 // runner's barrier — under a span named name, and returns its wall-clock
-// seconds (0 with metrics off).
+// seconds (0 with metrics off or in a quiet group, which opens no span).
 func (g *Group) phase(name string, fn func(i int)) float64 {
+	if g.quiet {
+		g.runner.Run(fn)
+		return 0
+	}
 	sp := obs.StartSpan(name, obs.LanePhases)
 	tm := obs.StartTimer()
 	g.runner.Run(fn)
@@ -558,8 +581,9 @@ func (g *Group) commitShard(i int) {
 	g.drainShard(i)
 	sh := &g.parts[i]
 	sh.state.Commit()
-	if obs.Enabled() {
-		// One atomic add per shard per round, never per ball.
+	if sh.exchRows > 0 && obs.Enabled() {
+		// At most one atomic add per shard per round, never per ball, and
+		// none when no row crossed shards (always, at S = 1).
 		mExchangeBalls.Add(uint64(sh.exchBalls))
 		mExchangeMsgs.Add(uint64(sh.exchRows))
 	}

@@ -6,6 +6,8 @@ import (
 	"math"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/shard/transport/local"
 	"repro/internal/tetris"
 )
@@ -14,14 +16,15 @@ import (
 // of the run, stepped on a persistent local.Pool under one ArrivalRule.
 // Each round every non-empty bin releases one ball and the rule decides
 // how many balls land uniformly at random — the released ones under
-// relaunch (the law of core.Process), a batch under the Tetris rules. It
-// implements engine.Stepper. Create with NewProcess or RestoreProcess
-// (relaunch) or NewTetris (batch rules); Close it to release the pool's
-// workers (an abandoned, unclosed process is reaped by the garbage
-// collector eventually, but long-lived callers creating many processes
-// should Close deterministically). One Step fans out to the workers and
-// joins them before returning, so a *Process itself must not be shared
-// between goroutines.
+// relaunch (the paper's process), a batch under the Tetris rules. It
+// implements engine.Stepper. Create with NewProcess, NewSequential or
+// RestoreProcess (relaunch) or NewTetris and NewSequentialTetris (batch
+// rules); Close it to release the pool's workers (an abandoned, unclosed
+// process is reaped by the garbage collector eventually, but long-lived
+// callers creating many processes should Close deterministically; a
+// one-worker process, such as a sequential one, starts no goroutine and
+// needs no Close). One Step fans out to the workers and joins them before
+// returning, so a *Process itself must not be shared between goroutines.
 type Process struct {
 	g       *Group
 	workers int
@@ -41,25 +44,53 @@ type Process struct {
 // pure function of (seed, len(loads), opts.Shards). It returns an error if
 // loads is empty or contains a negative entry.
 func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
-	return newProcess(len(loads), loadsFill(loads, 0), seed, opts, ArrivalRule{}, nil)
+	return newProcess(len(loads), loadsFill(loads, 0), seedStreams(seed), opts, ArrivalRule{}, nil)
 }
 
 // NewProcessFill is NewProcess over the n-bin start that fill serves,
 // built shard by shard (see Fill): the same process NewProcess builds
 // over the whole vector.
 func NewProcessFill(n int, fill Fill, seed uint64, opts Options) (*Process, error) {
-	return newProcess(n, fill, seed, opts, ArrivalRule{}, nil)
+	return newProcess(n, fill, seedStreams(seed), opts, ArrivalRule{}, nil)
 }
 
-// newProcess builds a process over the n-bin start fill serves, stepping
-// rule, with onEmptied (global bin indices) as the group's OnEmptied hook.
-func newProcess(n int, fill Fill, seed uint64, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
+// NewSequential builds the sequential repeated balls-into-bins process
+// over a copy of loads: one shard, stepped on the calling goroutine, that
+// draws from src itself (no copy is taken, so draws the caller makes from
+// src between rounds move the process's sequence with them). With src =
+// rng.NewStream(seed, 0) it is the process NewProcess(loads, seed,
+// Options{Shards: 1}) builds, except that its rounds write no
+// process-wide telemetry (no phase timers or spans, no rbb_rounds_total):
+// a sequential process is the building block of trial loops that export
+// no metrics. It returns an error if loads is empty or contains a
+// negative entry, or src is nil.
+func NewSequential(loads []int32, src *rng.Source) (*Process, error) {
+	if src == nil {
+		return nil, errors.New("shard: NewSequential with nil rng source")
+	}
+	p, err := newProcess(len(loads), loadsFill(loads, 0), fixedStream(src), Options{Shards: 1, Workers: 1}, ArrivalRule{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	p.g.quiet = true
+	return p, nil
+}
+
+// fixedStream gives the one shard of a sequential process src.
+func fixedStream(src *rng.Source) func(i int) *rng.Source {
+	return func(int) *rng.Source { return src }
+}
+
+// newProcess builds a process over the n-bin start fill serves, shard i
+// drawing from stream(i), stepping rule, with onEmptied (global bin
+// indices) as the group's OnEmptied hook.
+func newProcess(n int, fill Fill, stream func(i int) *rng.Source, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
 	if n < 1 {
 		return nil, errors.New("shard: NewProcess with no bins")
 	}
 	s, w := opts.resolve(n)
 	runner := local.NewPool(s, w)
-	g, balls, err := buildGroup(n, s, 0, s, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel}, false, freshShards(fill, seed))
+	g, balls, err := buildGroup(n, s, 0, s, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel}, false, freshShards(fill, stream))
 	if err != nil {
 		runner.Close()
 		return nil, err
@@ -134,7 +165,9 @@ func (p *Process) Step() {
 	p.balls += int64(p.staged) - int64(p.released)
 	p.maxLoad, p.empty = p.g.MaxLoad(), p.g.EmptyBins()
 	p.round++
-	mRounds.Inc()
+	if !p.g.quiet && obs.Enabled() {
+		mRounds.Inc()
+	}
 }
 
 // Run advances the process by k rounds.
@@ -142,6 +175,66 @@ func (p *Process) Run(k int64) {
 	for i := int64(0); i < k; i++ {
 		p.Step()
 	}
+}
+
+// RunUntil steps until pred returns true or maxRounds steps have elapsed
+// (whichever first), and reports whether pred was satisfied. pred is
+// evaluated after each step, and once before the first, so a process
+// already satisfying it takes no step.
+func (p *Process) RunUntil(pred func(*Process) bool, maxRounds int64) bool {
+	if pred(p) {
+		return true
+	}
+	for i := int64(0); i < maxRounds; i++ {
+		p.Step()
+		if pred(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// ConvergenceTime steps until the maximum load is at most threshold and
+// returns the number of rounds taken. ok is false if the bound was not
+// reached within maxRounds.
+func (p *Process) ConvergenceTime(threshold int32, maxRounds int64) (rounds int64, ok bool) {
+	start := p.round
+	reached := p.RunUntil(func(q *Process) bool { return q.maxLoad <= threshold }, maxRounds)
+	return p.round - start, reached
+}
+
+// SetLoads replaces the configuration between rounds — the §4.1
+// adversarial model, where in a faulty round an adversary reassigns all
+// balls arbitrarily. loads must cover every bin and hold the process's
+// balls, and the rule must conserve balls: under a batch rule a reload
+// would bypass the Lemma 4 first-emptying tracker. Each shard reloads its
+// own bins (engine.State.Reload, whose storage width never narrows); on
+// error nothing changes.
+func (p *Process) SetLoads(loads []int32) error {
+	if !p.rule.Conserves() {
+		return fmt.Errorf("shard: SetLoads under the %v rule", p.rule)
+	}
+	if len(loads) != p.g.N() {
+		return fmt.Errorf("shard: SetLoads with %d bins, want %d", len(loads), p.g.N())
+	}
+	var balls int64
+	for u, l := range loads {
+		if l < 0 {
+			return fmt.Errorf("shard: SetLoads bin %d negative load %d", u, l)
+		}
+		balls += int64(l)
+	}
+	if balls != p.balls {
+		return fmt.Errorf("shard: SetLoads with %d balls, want %d", balls, p.balls)
+	}
+	for i := range p.g.parts {
+		sh := &p.g.parts[i]
+		if err := sh.state.Reload(loads[sh.base : sh.base+sh.size]); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	p.maxLoad, p.empty = p.g.MaxLoad(), p.g.EmptyBins()
+	return nil
 }
 
 // Snapshot captures the full process state for checkpointing. Step
@@ -269,19 +362,36 @@ type Tetris struct {
 
 // NewTetris builds a sharded Tetris process over a copy of loads.
 func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	return newTetris(len(loads), loadsFill(loads, 0), seed, opts)
+	return newTetris(len(loads), loadsFill(loads, 0), seedStreams(seed), opts)
 }
 
 // NewTetrisFill is NewTetris over the n-bin start that fill serves, built
 // shard by shard (see Fill).
 func NewTetrisFill(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	return newTetris(n, fill, seed, opts)
+	return newTetris(n, fill, seedStreams(seed), opts)
+}
+
+// NewSequentialTetris builds the sequential Tetris process over a copy of
+// loads: one shard, stepped on the calling goroutine, that draws each
+// round's batch size (under the Binomial and Poisson laws) and then its
+// destinations from src itself, and writes no telemetry, as NewSequential
+// does.
+func NewSequentialTetris(loads []int32, src *rng.Source, opts tetris.Options) (*Tetris, error) {
+	if src == nil {
+		return nil, errors.New("shard: NewSequentialTetris with nil rng source")
+	}
+	t, err := newTetris(len(loads), loadsFill(loads, 0), fixedStream(src), TetrisOptions{Options: Options{Shards: 1, Workers: 1}, Law: opts.Law, Lambda: opts.Lambda})
+	if err != nil {
+		return nil, err
+	}
+	t.g.quiet = true
+	return t, nil
 }
 
 // newTetris builds a Tetris process over the n-bin start fill serves,
-// initialising the Lemma 4 tracker from each chunk of the start as the
-// chunk's shard is built.
-func newTetris(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, error) {
+// shard i drawing from stream(i), initialising the Lemma 4 tracker from
+// each chunk of the start as the chunk's shard is built.
+func newTetris(n int, fill Fill, stream func(i int) *rng.Source, opts TetrisOptions) (*Tetris, error) {
 	rule, err := RuleForLaw(opts.Law, opts.Lambda)
 	if err != nil {
 		return nil, err
@@ -299,7 +409,7 @@ func newTetris(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, erro
 			}
 		}
 	}
-	if t.Process, err = newProcess(n, track, seed, opts.Options, rule, t.markEmptied); err != nil {
+	if t.Process, err = newProcess(n, track, stream, opts.Options, rule, t.markEmptied); err != nil {
 		return nil, err
 	}
 	t.perShardNever = make([]int64, t.Shards())
@@ -329,10 +439,8 @@ func (t *Tetris) FirstEmptyRound(u int) int64 { return t.firstEmpty[u] }
 // empty at least once, or −1 if some bin has never emptied (Lemma 4: from
 // any start this is at most 5n w.h.p.).
 func (t *Tetris) AllEmptiedRound() (int64, bool) {
-	for _, c := range t.perShardNever {
-		if c > 0 {
-			return -1, false
-		}
+	if t.neverEmptied() > 0 {
+		return -1, false
 	}
 	var worst int64
 	for _, r := range t.firstEmpty {
@@ -341,6 +449,24 @@ func (t *Tetris) AllEmptiedRound() (int64, bool) {
 		}
 	}
 	return worst, true
+}
+
+// RunUntilAllEmptied steps until every bin has been empty at least once
+// or maxRounds rounds elapse, and returns AllEmptiedRound.
+func (t *Tetris) RunUntilAllEmptied(maxRounds int64) (int64, bool) {
+	for i := int64(0); t.neverEmptied() > 0 && i < maxRounds; i++ {
+		t.Step()
+	}
+	return t.AllEmptiedRound()
+}
+
+// neverEmptied returns the number of bins that have never been empty.
+func (t *Tetris) neverEmptied() int64 {
+	var never int64
+	for _, c := range t.perShardNever {
+		never += c
+	}
+	return never
 }
 
 // Steppers (compile-time check).

@@ -43,9 +43,9 @@
 // chunk at a time and, in the same pass, validates and stores them,
 // sets the worklist words and counts the non-empty bins, maximum load and
 // balls. A fresh shard reads its chunks from a Fill — the caller's loads
-// (NewGroup, NewProcess, NewTetris) or the start's range form
-// (NewProcessFill, NewTetrisFill) — and a restored one from its snapshot
-// entry (RestoreProcess, NewGroupFromShards). Where the source is random
+// (NewGroup, NewProcess, NewTetris and their sequential forms) or the
+// start's range form (NewProcessFill, NewTetrisFill) — and a restored one
+// from its snapshot entry (RestoreProcess, NewGroupFromShards). Where the source is random
 // access, the shards are built through the runner: each pool worker
 // builds, and so first touches, exactly the shards it will step, all
 // workers at once. The streamed source of a multi-process worker
@@ -71,14 +71,20 @@
 //
 // # Steppers
 //
-// One type steps a whole run in process: Process, a Group owning every
-// shard, driven by an ArrivalRule. The rule's Arrivals closure decides
-// each shard's arrival count, so the paper's process (relaunch), the §3.3
-// Tetris device (quota) and the leaky-bins batches (binomial, poisson) are
-// one synchronous round under different rules. Process is the in-process
-// twin of tcp.Engine, which steps the same rules across worker
-// processes. NewProcess and RestoreProcess step the relaunch rule; Tetris
-// is a Process under a batch rule plus the Lemma 4 first-emptying tracker.
+// One type steps a whole run in process, sequential or sharded: Process,
+// a Group owning every shard, driven by an ArrivalRule. The rule's
+// Arrivals closure decides each shard's arrival count, so the paper's
+// process (relaunch), the §3.3 Tetris device (quota) and the leaky-bins
+// batches (binomial, poisson) are one synchronous round under different
+// rules. Process is the in-process twin of tcp.Engine, which steps the
+// same rules across worker processes. NewProcess, NewSequential and
+// RestoreProcess step the relaunch rule; Tetris is a Process under a
+// batch rule plus the Lemma 4 first-emptying tracker. NewSequential and
+// NewSequentialTetris build the sequential process — one shard, one
+// worker, no goroutine, drawing from the caller's rng.Source — that the
+// experiments, the rbb facade and the §4.1 adversary step. Its group is
+// quiet: a round writes no process-wide telemetry, so many sequential
+// trials stepped in parallel share no cache line per round.
 //
 // # Determinism contract
 //
@@ -89,14 +95,19 @@
 // affect the trajectory (Workers only changes wall-clock; the P-invariance
 // and transport-invariance tests pin this).
 //
-// The layer is law-equivalent — NOT trajectory-equivalent — to
-// internal/engine: with S shards the destination draws come from S
+// The sharded run is law-equivalent — NOT trajectory-equivalent — to the
+// sequential one: with S shards the destination draws come from S
 // independent streams instead of one, so for the same seed the sampled
-// path differs from core.Process while the sampled distribution is
-// identical (i.i.d. uniform destinations, one per released ball). With
-// S = 1 the draw sequence collapses to exactly the sequential one, and the
-// equivalence becomes trajectory-exact against a process driven by
-// rng.NewStream(seed, 0); the test suite pins both facts.
+// path differs while the sampled distribution is identical (i.i.d.
+// uniform destinations, one per released ball). With S = 1 the draw
+// sequence collapses to the sequential one: NewProcess(loads, seed,
+// Options{Shards: 1}) steps the trajectory of NewSequential(loads,
+// rng.NewStream(seed, 0)). The sequential process draws each round's
+// batch size (under the binomial and poisson rules) and then one uniform
+// destination per arrival; FuzzSteppers replays exactly those draws
+// through the update rule on plain loads and checks every round against
+// the steppers, and the law cross-check compares S > 1 with S = 1 in
+// distribution.
 package shard
 
 import (

@@ -1,12 +1,12 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -269,8 +269,8 @@ func TestInitialSnapshot(t *testing.T) {
 
 // TestSingleShardMatchesSequential pins the S = 1 anchor of the
 // determinism contract: with one shard the draw sequence collapses to the
-// sequential one, so the trajectory equals core.Process driven by
-// rng.NewStream(seed, 0) exactly.
+// sequential one, so the trajectory equals the sequential process
+// (NewSequential) driven by rng.NewStream(seed, 0) exactly.
 func TestSingleShardMatchesSequential(t *testing.T) {
 	const seed = 7
 	// n is deliberately not a power of two; 2500 spans several release
@@ -284,7 +284,7 @@ func TestSingleShardMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := core.NewProcess(loads, rng.NewStream(seed, 0))
+		ref, err := NewSequential(loads, rng.NewStream(seed, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,6 +301,40 @@ func TestSingleShardMatchesSequential(t *testing.T) {
 		if p.MaxLoad() != ref.MaxLoad() || p.EmptyBins() != ref.EmptyBins() {
 			t.Fatalf("%s: stats diverge", name)
 		}
+	}
+}
+
+// TestSequentialIsQuiet: the sequential steppers' rounds write no
+// process-wide telemetry (no round count, no phase histogram sample),
+// while the S = 1 NewProcess whose trajectory they step records both.
+func TestSequentialIsQuiet(t *testing.T) {
+	loads := config.OnePerBin(64)
+	seq, err := NewSequential(loads, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tet, err := NewSequentialTetris(loads, rng.New(3), tetris.Options{Law: tetris.PoissonArrivals, Lambda: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, phases := mRounds.Value(), mPhaseRelease.Count()
+	seq.Run(5)
+	tet.Run(5)
+	if mRounds.Value() != rounds || mPhaseRelease.Count() != phases {
+		t.Fatalf("sequential rounds moved the telemetry: rounds %d → %d, release samples %d → %d",
+			rounds, mRounds.Value(), phases, mPhaseRelease.Count())
+	}
+	p, err := NewProcess(loads, 3, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Run(5)
+	if got := mRounds.Value() - rounds; got != 5 {
+		t.Fatalf("NewProcess counted %d rounds, want 5", got)
+	}
+	if got := mPhaseRelease.Count() - phases; got != 5 {
+		t.Fatalf("NewProcess recorded %d release samples, want 5", got)
 	}
 }
 
@@ -323,7 +357,7 @@ func testTetrisSingleShard(t *testing.T, n int, seed uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := tetris.New(config.AllInOne(n, n), rng.NewStream(seed, 0),
+		ref, err := NewSequentialTetris(config.AllInOne(n, n), rng.NewStream(seed, 0),
 			tetris.Options{Law: law, Lambda: 0.7})
 		if err != nil {
 			t.Fatal(err)
@@ -439,7 +473,7 @@ func TestLawCrossCheck(t *testing.T) {
 	)
 	var seqMax, shMax, seqEmpty, shEmpty stats.Stream
 	for trial := 0; trial < trials; trial++ {
-		ref, err := core.NewProcess(config.OnePerBin(n), rng.NewStream(1000+uint64(trial), 0))
+		ref, err := NewSequential(config.OnePerBin(n), rng.NewStream(1000+uint64(trial), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,13 +541,7 @@ func TestTetrisEmptying(t *testing.T) {
 		t.Fatal("all-in-one start reported all-emptied before running (bin 0 is full)")
 	}
 	maxRounds := int64(20 * n)
-	for i := int64(0); i < maxRounds; i++ {
-		if _, done := p.AllEmptiedRound(); done {
-			break
-		}
-		p.Step()
-	}
-	r, done := p.AllEmptiedRound()
+	r, done := p.RunUntilAllEmptied(maxRounds)
 	if !done {
 		t.Fatalf("not all bins emptied within %d rounds", maxRounds)
 	}
@@ -522,6 +550,79 @@ func TestTetrisEmptying(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetLoads: the §4.1 adversary reloads every shard between rounds —
+// here at S = 3 on three workers, moving every ball across shards and
+// into cells too narrow for it — and the run goes on from the new
+// configuration. A reload is refused whole, leaving the process as it
+// was, for a wrong bin count, a negative load or a wrong ball count, and
+// under a batch rule, whose first-emptying tracker a reload would bypass.
+func TestSetLoads(t *testing.T) {
+	const n, m = 10, 600
+	p, err := NewProcess(config.AllInOne(n, m), 9, Options{Shards: 3, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Run(5)
+	negative := config.UniformRandom(n, m, rng.New(1))
+	negative[0], negative[1] = -1, negative[1]+negative[0]+1
+	for name, loads := range map[string][]int32{
+		"bin count":     config.AllInOne(n-1, m),
+		"negative load": negative,
+		"ball count":    config.AllInOne(n, m+1),
+	} {
+		before := p.LoadsCopy()
+		if err := p.SetLoads(loads); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := p.LoadsCopy(); !slices.Equal(got, before) {
+			t.Errorf("%s: a refused reload changed the loads", name)
+		}
+	}
+	spread := make([]int32, n)
+	for u := range spread {
+		spread[u] = m / n
+	}
+	last := make([]int32, n) // every ball in shard 2, past its 8-bit cells
+	last[n-1] = m
+	for _, tc := range []struct {
+		loads      []int32
+		max, empty int
+	}{{spread, m / n, 0}, {last, m, n - 1}} {
+		if err := p.SetLoads(tc.loads); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.LoadsCopy(); !slices.Equal(got, tc.loads) {
+			t.Fatalf("reloaded %v, want %v", got, tc.loads)
+		}
+		if int(p.MaxLoad()) != tc.max || p.EmptyBins() != tc.empty {
+			t.Fatalf("after reload: max %d empty %d, want %d %d", p.MaxLoad(), p.EmptyBins(), tc.max, tc.empty)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		p.Run(20)
+		if err := p.CheckInvariants(); err != nil || p.Balls() != m {
+			t.Fatalf("20 rounds after a reload: %d balls (%v)", p.Balls(), err)
+		}
+	}
+
+	tp, err := NewTetris(config.OnePerBin(n), 9, TetrisOptions{Options: Options{Shards: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	seq, err := NewSequentialTetris(config.OnePerBin(n), rng.New(9), tetris.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Tetris{tp, seq} {
+		if err := b.SetLoads(b.LoadsCopy()); err == nil || !strings.Contains(err.Error(), "quota") {
+			t.Errorf("S=%d Tetris: SetLoads gave %v, want a refusal naming the quota rule", b.Shards(), err)
+		}
 	}
 }
 

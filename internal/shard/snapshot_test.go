@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/rng"
 )
 
@@ -68,7 +67,7 @@ func TestSnapshotResumeExactTrajectory(t *testing.T) {
 
 // TestSnapshotResumeSingleShardMatchesSequential pins S=1 parity across a
 // checkpoint boundary: the resumed single-shard process still reproduces
-// the sequential core.Process driven by rng.NewStream(seed, 0) exactly.
+// the sequential process driven by rng.NewStream(seed, 0) exactly.
 func TestSnapshotResumeSingleShardMatchesSequential(t *testing.T) {
 	const (
 		n    = 129
@@ -81,7 +80,7 @@ func TestSnapshotResumeSingleShardMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewProcess(loads, rng.NewStream(seed, 0))
+	ref, err := NewSequential(loads, rng.NewStream(seed, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

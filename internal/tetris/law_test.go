@@ -1,4 +1,4 @@
-package tetris
+package tetris_test
 
 // Law-level link to Lemma 5: a single bin's load in the Tetris process,
 // watched until it first empties, is exactly the drift chain
@@ -15,6 +15,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/markov"
 	"repro/internal/rng"
+	"repro/internal/shard"
+	"repro/internal/tetris"
 )
 
 func TestBinEmptiesLikeDriftChain(t *testing.T) {
@@ -29,7 +31,7 @@ func TestBinEmptiesLikeDriftChain(t *testing.T) {
 	tetrisTimes := make([]float64, 0, trials)
 	for i := 0; i < trials; i++ {
 		loads := config.AllInOne(n, k)
-		p, err := New(loads, r, Options{})
+		p, err := shard.NewSequentialTetris(loads, r, tetris.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

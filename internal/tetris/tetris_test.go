@@ -1,4 +1,8 @@
-package tetris
+package tetris_test
+
+// The Tetris stepper is shard.Tetris; these tests check it as
+// shard.NewSequentialTetris builds it from this package's laws. They are
+// an external test package because shard imports tetris.
 
 import (
 	"math"
@@ -7,37 +11,39 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/rng"
+	"repro/internal/shard"
+	"repro/internal/tetris"
 )
 
 func TestNewValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, err := New(nil, r, Options{}); err == nil {
+	if _, err := shard.NewSequentialTetris(nil, r, tetris.Options{}); err == nil {
 		t.Error("no bins accepted")
 	}
-	if _, err := New([]int32{1}, nil, Options{}); err == nil {
+	if _, err := shard.NewSequentialTetris([]int32{1}, nil, tetris.Options{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := New([]int32{-1}, r, Options{}); err == nil {
+	if _, err := shard.NewSequentialTetris([]int32{-1}, r, tetris.Options{}); err == nil {
 		t.Error("negative load accepted")
 	}
-	if _, err := New([]int32{1}, r, Options{Lambda: 1.5}); err == nil {
+	if _, err := shard.NewSequentialTetris([]int32{1}, r, tetris.Options{Lambda: 1.5}); err == nil {
 		t.Error("lambda > 1 accepted")
 	}
-	if _, err := New([]int32{1}, r, Options{Lambda: -0.5}); err == nil {
+	if _, err := shard.NewSequentialTetris([]int32{1}, r, tetris.Options{Lambda: -0.5}); err == nil {
 		t.Error("negative lambda accepted")
 	}
-	if _, err := New([]int32{1}, r, Options{Law: ArrivalLaw(9)}); err == nil {
+	if _, err := shard.NewSequentialTetris([]int32{1}, r, tetris.Options{Law: tetris.ArrivalLaw(9)}); err == nil {
 		t.Error("unknown law accepted")
 	}
 }
 
 func TestLawString(t *testing.T) {
-	if Deterministic.String() != "deterministic" ||
-		BinomialArrivals.String() != "binomial" ||
-		PoissonArrivals.String() != "poisson" {
+	if tetris.Deterministic.String() != "deterministic" ||
+		tetris.BinomialArrivals.String() != "binomial" ||
+		tetris.PoissonArrivals.String() != "poisson" {
 		t.Error("law names wrong")
 	}
-	if ArrivalLaw(7).String() == "" {
+	if tetris.ArrivalLaw(7).String() == "" {
 		t.Error("unknown law String should be non-empty")
 	}
 }
@@ -45,7 +51,7 @@ func TestLawString(t *testing.T) {
 func TestDeterministicArrivalCount(t *testing.T) {
 	// n = 100, λ default 3/4: exactly 75 arrivals per round, every non-empty
 	// bin loses one. Starting empty, after one round exactly 75 balls exist.
-	p, err := New(make([]int32, 100), rng.New(2), Options{})
+	p, err := shard.NewSequentialTetris(make([]int32, 100), rng.New(2), tetris.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestDeterministicArrivalCount(t *testing.T) {
 
 func TestCeilArrivals(t *testing.T) {
 	// n = 10: ceil(7.5) = 8 arrivals.
-	p, err := New(make([]int32, 10), rng.New(3), Options{})
+	p, err := shard.NewSequentialTetris(make([]int32, 10), rng.New(3), tetris.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +78,9 @@ func TestCeilArrivals(t *testing.T) {
 
 func TestBallBalanceProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint32, lawRaw uint8) bool {
-		law := ArrivalLaw(lawRaw % 3)
+		law := tetris.ArrivalLaw(lawRaw % 3)
 		r := rng.New(uint64(seed))
-		p, err := New(config.UniformRandom(50, 50, r), r, Options{Law: law})
+		p, err := shard.NewSequentialTetris(config.UniformRandom(50, 50, r), r, tetris.Options{Law: law})
 		if err != nil {
 			return false
 		}
@@ -94,7 +100,7 @@ func TestNegativeDriftKeepsLoadsBounded(t *testing.T) {
 	// Expected balance per non-empty bin is 3/4 − 1 = −1/4, so from
 	// one-per-bin the max load must stay O(log n) over a long window.
 	const n = 1024
-	p, err := New(config.OnePerBin(n), rng.New(5), Options{})
+	p, err := shard.NewSequentialTetris(config.OnePerBin(n), rng.New(5), tetris.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func TestLemma4AllEmptiedWithin5n(t *testing.T) {
 	// Lemma 4: from ANY configuration every bin empties within 5n rounds
 	// w.h.p. Use the worst case all-in-one.
 	const n = 512
-	p, err := New(config.AllInOne(n, n), rng.New(7), Options{})
+	p, err := shard.NewSequentialTetris(config.AllInOne(n, n), rng.New(7), tetris.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestLemma4AllEmptiedWithin5n(t *testing.T) {
 }
 
 func TestFirstEmptyInitialState(t *testing.T) {
-	p, err := New([]int32{0, 3, 0}, rng.New(9), Options{})
+	p, err := shard.NewSequentialTetris([]int32{0, 3, 0}, rng.New(9), tetris.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +150,7 @@ func TestFirstEmptyInitialState(t *testing.T) {
 func TestBinomialArrivalsMeanRate(t *testing.T) {
 	const n = 400
 	const rounds = 2000
-	p, err := New(make([]int32, n), rng.New(11), Options{Law: BinomialArrivals, Lambda: 0.5})
+	p, err := shard.NewSequentialTetris(make([]int32, n), rng.New(11), tetris.Options{Law: tetris.BinomialArrivals, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func TestBinomialArrivalsMeanRate(t *testing.T) {
 
 func TestPoissonArrivalsRun(t *testing.T) {
 	const n = 256
-	p, err := New(config.OnePerBin(n), rng.New(13), Options{Law: PoissonArrivals, Lambda: 0.75})
+	p, err := shard.NewSequentialTetris(config.OnePerBin(n), rng.New(13), tetris.Options{Law: tetris.PoissonArrivals, Lambda: 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +185,7 @@ func TestLeakyBinsLoadGrowsWithLambda(t *testing.T) {
 	// The stationary max load must increase as λ → 1 ([18]).
 	const n = 512
 	maxAt := func(lambda float64) int32 {
-		p, err := New(make([]int32, n), rng.New(17), Options{Law: BinomialArrivals, Lambda: lambda})
+		p, err := shard.NewSequentialTetris(make([]int32, n), rng.New(17), tetris.Options{Law: tetris.BinomialArrivals, Lambda: lambda})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +206,8 @@ func TestLeakyBinsLoadGrowsWithLambda(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	mk := func() *Process {
-		p, err := New(config.OnePerBin(64), rng.New(99), Options{})
+	mk := func() *shard.Tetris {
+		p, err := shard.NewSequentialTetris(config.OnePerBin(64), rng.New(99), tetris.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +225,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestLoadAccessors(t *testing.T) {
-	p, err := New([]int32{2, 0, 5}, rng.New(1), Options{})
+	p, err := shard.NewSequentialTetris([]int32{2, 0, 5}, rng.New(1), tetris.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,27 +236,5 @@ func TestLoadAccessors(t *testing.T) {
 	cp[0] = 42
 	if p.Load(0) != 2 {
 		t.Fatal("LoadsCopy aliases internal state")
-	}
-}
-
-func BenchmarkTetrisStep1024(b *testing.B) {
-	p, err := New(config.OnePerBin(1024), rng.New(1), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Step()
-	}
-}
-
-func BenchmarkTetrisStepPoisson1024(b *testing.B) {
-	p, err := New(config.OnePerBin(1024), rng.New(1), Options{Law: PoissonArrivals, Lambda: 0.75})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Step()
 	}
 }

@@ -8,10 +8,13 @@
 //     FIFO/LIFO/Random queueing strategies;
 //   - the Tetris analysis process of §3.3 (Tetris), including the
 //     batched-arrival "leaky bins" variant of Berenbrink et al. [18];
-//   - a sharded multi-core engine (ShardedProcess; ShardedTetris is a
-//     ShardedProcess under a batch arrival rule) that executes one run
-//     data-parallel across CPU cores, scaling a single run to
-//     n = 10⁷–10⁸ bins;
+//   - a sharded multi-core engine that executes one run data-parallel
+//     across CPU cores, scaling a single run to n = 10⁷–10⁸ bins. It is
+//     the same stepper as Process: ShardedProcess and Process are one
+//     type, as are ShardedTetris and Tetris (a Process under a batch
+//     arrival rule); NewProcess and NewTetris build its one-shard form
+//     over a caller's Source, NewShardedProcess and NewShardedTetris its
+//     S-shard form over a seed;
 //   - the Lemma 3 coupling (Coupled) establishing pathwise domination;
 //   - the Lemma 5 one-dimensional drift chain (DriftChain) with exact tail
 //     computation;
@@ -30,10 +33,10 @@
 //	for i := 0; i < 10000; i++ {
 //		p.Step()
 //	}
-//	fmt.Println(p.MaxLoad(), p.EmptyBins(), rbb.IsLegitimate(p.Loads()))
+//	fmt.Println(p.MaxLoad(), p.EmptyBins(), rbb.IsLegitimate(p.LoadsCopy()))
 //
 // The package is a thin facade: each concrete type is implemented in an
-// internal package (internal/core, internal/tetris, ...) and re-exported
+// internal package (internal/shard, internal/core, ...) and re-exported
 // here by type alias, so the full method sets documented there are
 // available on the aliases below. The experiment suite reproducing every
 // quantitative claim of the paper lives behind RunExperiment /
@@ -69,12 +72,14 @@ func NewStreamSource(seed, stream uint64) *Source { return rng.NewStream(seed, s
 
 // Process is the anonymous repeated balls-into-bins engine (the paper's
 // process, §2): every round each non-empty bin releases one ball to a
-// uniformly random bin.
-type Process = core.Process
+// uniformly random bin. It is the same type as ShardedProcess.
+type Process = shard.Process
 
-// NewProcess builds a Process over a copy of the initial configuration.
+// NewProcess builds the sequential Process over a copy of the initial
+// configuration: one shard, stepped on the calling goroutine, drawing
+// from src. Its rounds write no process-wide telemetry.
 func NewProcess(loads []int32, src *Source) (*Process, error) {
-	return core.NewProcess(loads, src)
+	return shard.NewSequential(loads, src)
 }
 
 // TokenProcess is the identity-tracking engine: same law as Process plus
@@ -114,8 +119,8 @@ func NewChoicesProcess(loads []int32, d int, src *Source) (*ChoicesProcess, erro
 
 // Tetris is the §3.3 analysis process: every non-empty bin discards one
 // ball per round and ⌈3n/4⌉ fresh balls (or a Binomial/Poisson batch)
-// arrive uniformly at random.
-type Tetris = tetris.Process
+// arrive uniformly at random. It is the same type as ShardedTetris.
+type Tetris = shard.Tetris
 
 // TetrisOptions configures arrivals for a Tetris process.
 type TetrisOptions = tetris.Options
@@ -127,9 +132,11 @@ const (
 	PoissonArrivals       = tetris.PoissonArrivals
 )
 
-// NewTetris builds a Tetris process over a copy of the configuration.
+// NewTetris builds the sequential Tetris process over a copy of the
+// configuration: one shard, stepped on the calling goroutine, drawing
+// from src.
 func NewTetris(loads []int32, src *Source, opts TetrisOptions) (*Tetris, error) {
-	return tetris.New(loads, src, opts)
+	return shard.NewSequentialTetris(loads, src, opts)
 }
 
 // ShardOptions configures the data-parallel sharded engine
@@ -139,10 +146,10 @@ func NewTetris(loads []int32, src *Source, opts TetrisOptions) (*Tetris, error) 
 // pool) only selects placement and never affects the trajectory.
 type ShardOptions = shard.Options
 
-// ShardedProcess is the data-parallel repeated balls-into-bins engine: the
-// same law as Process, executed across shards so a single run scales to
-// n = 10⁷–10⁸ bins. Law-equivalent (not trajectory-equivalent) to Process
-// for Shards > 1; trajectory-identical to a Process driven by
+// ShardedProcess is the data-parallel repeated balls-into-bins engine:
+// Process, executed across shards so a single run scales to n = 10⁷–10⁸
+// bins. Law-equivalent (not trajectory-equivalent) to the sequential
+// Process for Shards > 1; trajectory-identical to one driven by
 // NewStreamSource(seed, 0) for Shards = 1.
 type ShardedProcess = shard.Process
 

@@ -17,8 +17,10 @@ import (
 	"testing"
 )
 
-// TestReachability fails for every function or method of this module that
-// only its own package's tests reach: code the build carries for no caller.
+// TestReachability fails for every package-level declaration of this
+// module — function, method, type, constant or variable, blank names
+// aside — that only its own package's tests reach: code the build carries
+// for no caller.
 // It type-checks the module from source with the standard library alone and
 // follows references from these roots:
 //
@@ -33,7 +35,8 @@ import (
 //
 // A method that an interface names is reached when its receiver type is,
 // since a call through the interface cannot be followed statically. A
-// helper only its own package's tests need belongs in a _test.go file.
+// declaration only its own package's tests need belongs in a _test.go
+// file.
 func TestReachability(t *testing.T) {
 	m, err := loadModule(".")
 	if err != nil {
@@ -44,7 +47,7 @@ func TestReachability(t *testing.T) {
 		t.Errorf("%s %s: only its own package's tests reach it", d.pos, d.name)
 	}
 	if len(dead) > 0 {
-		t.Logf("%d functions and methods: delete each, or move it into the _test.go file that uses it", len(dead))
+		t.Logf("%d declarations: delete each, or move it into the _test.go file that uses it", len(dead))
 	}
 }
 
@@ -94,12 +97,11 @@ type module struct {
 type decl struct {
 	pkg  *modPkg
 	name string          // Recv.Method for methods
-	fn   bool            // a function or method
 	tn   *types.TypeName // for a type
 	refs []token.Pos     // the declarations it names
 }
 
-type deadFunc struct{ pos, name string }
+type deadDecl struct{ pos, name string }
 
 func loadModule(root string) (*module, error) {
 	m := &module{
@@ -250,7 +252,7 @@ func (m *module) addDecls(p *modPkg) {
 					name = recvName(d.Recv.List[0].Type) + "." + name
 				}
 				root := d.Recv == nil && (name == "init" || name == "main" && p.name == "main")
-				add(d.Name, &decl{pkg: p, name: name, fn: true, refs: m.refs(p, d)}, root)
+				add(d.Name, &decl{pkg: p, name: name, refs: m.refs(p, d)}, root)
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					refs := m.refs(p, s)
@@ -403,9 +405,9 @@ func (m *module) dependsOn(p *modPkg, path string, seen map[string]bool) bool {
 	return false
 }
 
-// unreached follows references from the roots and returns the functions
-// and methods outside nested modules that it never reaches.
-func (m *module) unreached() []deadFunc {
+// unreached follows references from the roots and returns the non-blank
+// declarations outside nested modules that it never reaches.
+func (m *module) unreached() []deadDecl {
 	reached := map[token.Pos]bool{}
 	work := append([]token.Pos(nil), m.roots...)
 	for len(work) > 0 {
@@ -421,15 +423,15 @@ func (m *module) unreached() []deadFunc {
 			work = append(work, m.viaInterfaces(d.tn.Type())...)
 		}
 	}
-	var dead []deadFunc
+	var dead []deadDecl
 	for pos, d := range m.decls {
-		if d.fn && !d.pkg.nested && !reached[pos] {
+		if d.name != "_" && !d.pkg.nested && !reached[pos] {
 			at := m.fset.Position(pos)
 			file, err := filepath.Rel(m.root, at.Filename)
 			if err != nil {
 				file = at.Filename
 			}
-			dead = append(dead, deadFunc{fmt.Sprintf("%s:%d", filepath.ToSlash(file), at.Line), d.pkg.name + "." + d.name})
+			dead = append(dead, deadDecl{fmt.Sprintf("%s:%d", filepath.ToSlash(file), at.Line), d.pkg.name + "." + d.name})
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
