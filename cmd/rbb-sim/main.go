@@ -23,7 +23,12 @@
 // function of (seed, n, shards) under all of them: the CI equivalence
 // gates diff multi-process runs against single-process ones byte for
 // byte. Internally the flags lower into spec.RunSpec, the same canonical
-// run description rbb-serve accepts over HTTP.
+// run description rbb-serve accepts over HTTP, and every placement steps
+// the plain rule-driven process, so a tetris run prints the same time
+// series and summary in process and under -procs; only the header's
+// placement fields differ. (The Lemma 4 first-emptying rounds are a
+// library measurement: rbb.NewTetris tracks them, and experiment E05
+// reports them.)
 //
 // Long runs survive restarts: -checkpoint writes whole-run snapshots
 // (periodically with -checkpoint-every, on SIGTERM/SIGINT, and at
@@ -549,16 +554,9 @@ func runLoop(out io.Writer, s engine.Stepper, pipe *shard.Pipeline, pol checkpoi
 	if q := pipe.String(); q != "" {
 		fmt.Fprintf(out, "max-load quantiles over rounds: %s\n", q)
 	}
-	switch p := s.(type) {
-	case *core.TokenProcess:
+	if p, ok := s.(*core.TokenProcess); ok {
 		fmt.Fprintf(out, "min ball progress: %d hops; max per-visit delay: %d; mean delay: %.3f\n",
 			p.MinHops(), p.MaxDelay(), p.MeanDelay())
-	case *shard.Tetris:
-		if r, done := p.AllEmptiedRound(); done {
-			fmt.Fprintf(out, "all bins emptied at least once by round %d (5n = %d)\n", r, 5*n)
-		} else {
-			fmt.Fprintf(out, "some bins have not emptied yet\n")
-		}
 	}
 	return nil
 }

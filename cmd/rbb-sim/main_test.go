@@ -179,8 +179,31 @@ func TestRunTetris(t *testing.T) {
 	if err := run([]string{"-n", "128", "-rounds", "800", "-process", "tetris", "-init", "all-in-one"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "all bins emptied at least once by round") {
+	if !strings.Contains(sb.String(), "window max load: ") {
 		t.Errorf("tetris summary missing:\n%s", sb.String())
+	}
+}
+
+// TestRunTetrisTextPlacements: a tetris run prints the same text on every
+// placement — time series and summary lines alike — so only the header,
+// whose placement fields differ by design, may differ between the pool and
+// the loopback mesh.
+func TestRunTetrisTextPlacements(t *testing.T) {
+	args := []string{"-n", "1024", "-rounds", "800", "-process", "tetris", "-init", "all-in-one", "-shards", "4", "-seed", "3"}
+	body := func(extra ...string) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := run(append(append([]string(nil), args...), extra...), &sb); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		_, rest, ok := strings.Cut(sb.String(), "\n")
+		if !ok || !strings.Contains(rest, "window max load") {
+			t.Fatalf("%v: no summary:\n%s", extra, sb.String())
+		}
+		return rest
+	}
+	if inproc, mesh := body(), body("-procs", "2"); inproc != mesh {
+		t.Errorf("-procs 2 changed the tetris text:\n%s\nin process:\n%s", mesh, inproc)
 	}
 }
 
@@ -273,7 +296,7 @@ func TestRunTetrisSharded(t *testing.T) {
 	if err := run([]string{"-n", "128", "-rounds", "800", "-process", "tetris", "-init", "all-in-one", "-shards", "4"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "all bins emptied at least once by round") {
+	if !strings.Contains(sb.String(), "window max load: ") {
 		t.Errorf("sharded tetris summary missing:\n%s", sb.String())
 	}
 }

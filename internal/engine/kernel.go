@@ -13,8 +13,8 @@
 //     and max-reduces 8 cells per uint64 word (commitDense8SWAR), the
 //     scalar kernel one cell at a time.
 //
-// A round with a mid-round observer (a visit callback, or an OnEmptied
-// tracker for the decrement) takes the per-bin loop under either kernel.
+// A round with a visit callback takes the per-bin loop under either
+// kernel: it observes the release in bin order.
 // The scalar kernel is the equivalence oracle: TestKernelEquivalence and
 // FuzzKernelEquivalence hold both kernels to it, and to the per-bin law.
 package engine
@@ -70,24 +70,11 @@ func (k Kernel) valid() bool {
 }
 
 // decDense is the batched kernel's dense ReleaseEach when nothing observes
-// per-bin order: decrement every non-empty bin and
-// return the number of releases. Without an OnEmptied callback the pass has
-// no data-dependent branch — SWAR at Width8, decDenseNZ at Width16/32 — so
-// the ~50/50 empty/non-empty pattern of a dense round costs no
-// mispredictions.
+// per-bin order: decrement every non-empty bin and return the number of
+// releases. The pass has no data-dependent branch — SWAR at Width8,
+// decDenseNZ at Width16/32 — so the ~50/50 empty/non-empty pattern of a
+// dense round costs no mispredictions.
 func (s *State) decDense() int {
-	if s.onEmptied != nil {
-		// Emptied bins are tracked in increasing bin order, the order the
-		// scalar loop reports them in.
-		switch s.width {
-		case Width8:
-			return releaseEachDenseW(s, s.load8, nil)
-		case Width16:
-			return releaseEachDenseW(s, s.load16, nil)
-		default:
-			return releaseEachDenseW(s, s.load32, nil)
-		}
-	}
 	switch s.width {
 	case Width8:
 		return decDense8SWAR(s.load8)

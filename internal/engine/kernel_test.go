@@ -44,7 +44,6 @@ func TestParseKernel(t *testing.T) {
 type trajectory struct {
 	maxLoad  []int32
 	nonEmpty []int
-	emptied  []int
 	visited  [][2]int
 	final    []int32
 	width    Width
@@ -54,14 +53,10 @@ type trajectory struct {
 // trajectory. withVisit steps the per-bin law (ReleaseUniform with a visit
 // callback: one draw and one Deposit per released bin, the dense release
 // taking the per-bin loop under either kernel) instead of the throw.
-func runTraj(t *testing.T, loads []int32, w Width, k Kernel, rounds int, seed uint64, withOnEmptied, withVisit bool) trajectory {
+func runTraj(t *testing.T, loads []int32, w Width, k Kernel, rounds int, seed uint64, withVisit bool) trajectory {
 	t.Helper()
 	var tr trajectory
-	opts := Options{Width: w, Kernel: k}
-	if withOnEmptied {
-		opts.OnEmptied = func(u int) { tr.emptied = append(tr.emptied, u) }
-	}
-	st, err := New(loads, opts)
+	st, err := New(loads, Options{Width: w, Kernel: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +114,17 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		for _, w := range []Width{WidthAuto, Width8, Width16, Width32} {
-			for _, variant := range []string{"plain", "onEmptied", "visit", "perBin"} {
+			for _, variant := range []string{"plain", "visit", "perBin"} {
 				name := fmt.Sprintf("%s/w%d/%s", cfg.name, w, variant)
 				t.Run(name, func(t *testing.T) {
 					const seed = 42
 					if variant == "perBin" {
-						checkPerBinLaw(t, cfg.loads, w, cfg.rounds, seed, true)
+						checkPerBinLaw(t, cfg.loads, w, cfg.rounds, seed)
 						return
 					}
-					oe, vis := variant == "onEmptied", variant == "visit"
-					a := runTraj(t, cfg.loads, w, KernelBatched, cfg.rounds, seed, oe, vis)
-					b := runTraj(t, cfg.loads, w, KernelScalar, cfg.rounds, seed, oe, vis)
+					vis := variant == "visit"
+					a := runTraj(t, cfg.loads, w, KernelBatched, cfg.rounds, seed, vis)
+					b := runTraj(t, cfg.loads, w, KernelScalar, cfg.rounds, seed, vis)
 					if !reflect.DeepEqual(a, b) {
 						t.Fatalf("kernels diverged:\n batched: max=%v.. nonEmpty=%v.. width=%v\n scalar:  max=%v.. nonEmpty=%v.. width=%v",
 							head(a.maxLoad), a.nonEmpty[:min(4, len(a.nonEmpty))], a.width,
@@ -148,12 +143,12 @@ func head(s []int32) []int32 { return s[:min(4, len(s))] }
 // KernelScalar with a visit callback, which draws and stages one ball per
 // released bin in bin order. The visit log is the one field a nil-visit
 // round cannot record, so it is excluded.
-func checkPerBinLaw(t *testing.T, loads []int32, w Width, rounds int, seed uint64, withOnEmptied bool) {
+func checkPerBinLaw(t *testing.T, loads []int32, w Width, rounds int, seed uint64) {
 	t.Helper()
-	want := runTraj(t, loads, w, KernelScalar, rounds, seed, withOnEmptied, true)
+	want := runTraj(t, loads, w, KernelScalar, rounds, seed, true)
 	want.visited = nil
 	for _, k := range []Kernel{KernelBatched, KernelScalar} {
-		if got := runTraj(t, loads, w, k, rounds, seed, withOnEmptied, false); !reflect.DeepEqual(got, want) {
+		if got := runTraj(t, loads, w, k, rounds, seed, false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("kernel %v: the throw diverged from the per-bin law: max=%v.. width=%v, want max=%v.. width=%v",
 				k, head(got.maxLoad), got.width, head(want.maxLoad), want.width)
 		}
@@ -175,7 +170,6 @@ func FuzzKernelEquivalence(f *testing.F) {
 		m := int(m16)
 		rounds := int(rounds8)%120 + 1
 		w := []Width{WidthAuto, Width8, Width16, Width32}[flags&3]
-		withOnEmptied := flags&4 != 0
 		withVisit := flags&8 != 0
 		var loads []int32
 		if flags&16 != 0 {
@@ -183,12 +177,12 @@ func FuzzKernelEquivalence(f *testing.F) {
 		} else {
 			loads = uniformRandom(n, m, rng.New(seed^0x9e3779b97f4a7c15))
 		}
-		a := runTraj(t, loads, w, KernelBatched, rounds, seed, withOnEmptied, withVisit)
-		b := runTraj(t, loads, w, KernelScalar, rounds, seed, withOnEmptied, withVisit)
+		a := runTraj(t, loads, w, KernelBatched, rounds, seed, withVisit)
+		b := runTraj(t, loads, w, KernelScalar, rounds, seed, withVisit)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("kernels diverged: n=%d m=%d rounds=%d w=%d flags=%#x", n, m, rounds, w, flags)
 		}
-		checkPerBinLaw(t, loads, w, rounds, seed, withOnEmptied)
+		checkPerBinLaw(t, loads, w, rounds, seed)
 	})
 }
 
@@ -234,45 +228,37 @@ func TestDepositBatchOverflow(t *testing.T) {
 
 // TestKernelReleaseEach pins the batched ReleaseEach fast path — the SWAR
 // decrement at Width8, the branch-free one at Width16 and Width32 — against
-// the generic loop, with and without an OnEmptied tracker (which keeps the
-// branching decrement).
+// the generic loop.
 func TestKernelReleaseEach(t *testing.T) {
 	loads := uniformRandom(1013, 1500, rng.New(11))
 	for _, w := range []Width{Width8, Width16, Width32} {
-		for _, tracked := range []bool{false, true} {
-			run := func(k Kernel) ([]int32, int, []int) {
-				var emptied []int
-				opts := Options{Width: w, Kernel: k}
-				if tracked {
-					opts.OnEmptied = func(u int) { emptied = append(emptied, u) }
-				}
-				st, err := New(loads, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total := 0
-				d := NewDrawer(rng.New(3))
-				for r := 0; r < 50; r++ {
-					// Alternate ReleaseEach (self-loop decrement) with real
-					// rounds so the occupancy keeps changing.
-					total += st.ReleaseEach(nil)
-					st.Commit()
-					st.ReleaseUniform(d, nil)
-					st.Commit()
-				}
-				if err := st.CheckInvariants(); err != nil {
-					t.Fatalf("w%d kernel %v: %v", w, k, err)
-				}
-				if st.Width() != w {
-					t.Fatalf("w%d kernel %v: width moved to %v", w, k, st.Width())
-				}
-				return st.LoadsCopy(), total, emptied
+		run := func(k Kernel) ([]int32, int) {
+			st, err := New(loads, Options{Width: w, Kernel: k})
+			if err != nil {
+				t.Fatal(err)
 			}
-			la, ta, ea := run(KernelBatched)
-			lb, tb, eb := run(KernelScalar)
-			if ta != tb || !reflect.DeepEqual(la, lb) || !reflect.DeepEqual(ea, eb) {
-				t.Fatalf("w%d tracked=%v: ReleaseEach diverged: released %d vs %d", w, tracked, ta, tb)
+			total := 0
+			d := NewDrawer(rng.New(3))
+			for r := 0; r < 50; r++ {
+				// Alternate ReleaseEach (self-loop decrement) with real
+				// rounds so the occupancy keeps changing.
+				total += st.ReleaseEach(nil)
+				st.Commit()
+				st.ReleaseUniform(d, nil)
+				st.Commit()
 			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatalf("w%d kernel %v: %v", w, k, err)
+			}
+			if st.Width() != w {
+				t.Fatalf("w%d kernel %v: width moved to %v", w, k, st.Width())
+			}
+			return st.LoadsCopy(), total
+		}
+		la, ta := run(KernelBatched)
+		lb, tb := run(KernelScalar)
+		if ta != tb || !reflect.DeepEqual(la, lb) {
+			t.Fatalf("w%d: ReleaseEach diverged: released %d vs %d", w, ta, tb)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package engine is the shared stepping layer under every synchronous
 // process in this repository: each shard of shard.Process (the paper's
-// process and, as shard.Tetris, the Tetris process, sequential or
-// sharded), core.TokenProcess, core.ChoicesProcess, coupling.Coupled and
-// walks.Traversal.
+// process and, under the batch rules, the Tetris and batches processes,
+// sequential or sharded), core.TokenProcess, core.ChoicesProcess,
+// coupling.Coupled and walks.Traversal. A State reports nothing during a
+// round; an observer (such as shard.Tetris's Lemma 4 tracker) reads the
+// loads between rounds.
 //
 // The paper's headline regime is sparse: after self-stabilization most bins
 // hold O(1) balls, and from the worst-case AllInOne start only a handful of
@@ -170,11 +172,6 @@ type loadElem interface {
 
 // Options configures a State.
 type Options struct {
-	// OnEmptied, if non-nil, is invoked during Commit for every bin that
-	// was non-empty at the start of the round and is empty after arrivals
-	// merge, in increasing bin order. Tetris uses it for the Lemma 4
-	// first-emptying times.
-	OnEmptied func(u int)
 	// Width is the storage-width floor (default WidthAuto: narrowest that
 	// fits). The trajectory is independent of it; only memory and the
 	// recorded snapshot width depend on it.
@@ -209,7 +206,6 @@ type State struct {
 	loadsView []int32 // lazily allocated Loads() view for narrow widths
 
 	touched []int32 // bins with staged arrivals (host deposits and sparse rounds)
-	zeroed  []int32 // bins released to zero this round (only if onEmptied != nil)
 
 	stepMax   int32 // max post-release load seen this round (sparse rounds)
 	sparse    bool  // mode of the in-flight round
@@ -217,7 +213,6 @@ type State struct {
 	scanning  bool // inside a ReleaseEach visit callback: staging panics
 	workStale bool // worklist bits out of date (rebuilt lazily after dense rounds)
 	kernel    Kernel
-	onEmptied func(u int)
 }
 
 // Fill writes the loads of bins [lo, lo+len(dst)) into dst: the source a
@@ -264,11 +259,10 @@ func NewFill(n int, fill Fill, opts Options) (*State, int64, error) {
 		return nil, 0, fmt.Errorf("engine: invalid kernel %d", uint8(opts.Kernel))
 	}
 	s := &State{
-		n:         n,
-		work:      bitset.New(n),
-		minWidth:  opts.Width,
-		kernel:    opts.Kernel,
-		onEmptied: opts.OnEmptied,
+		n:        n,
+		work:     bitset.New(n),
+		minWidth: opts.Width,
+		kernel:   opts.Kernel,
 	}
 	noteKernel(opts.Kernel)
 	var balls int64
@@ -387,7 +381,7 @@ func (s *State) widen() {
 
 // widenCells moves the backing arrays one step up the 8→16→32 ladder,
 // preserving every load and staged arrival exactly. Safe mid-round: the
-// worklist, touched/zeroed lists and statistics all refer to bin indices
+// worklist, touched list and statistics all refer to bin indices
 // and values, none of which change. Widening past int32 is impossible by
 // construction (the total ball count of every supported configuration
 // fits int32), so requesting it panics rather than silently wrapping.
@@ -666,7 +660,6 @@ func (s *State) beginRound() {
 	s.inRound = true
 	s.sparse = s.nonEmpty*sparseDenom < s.n
 	s.stepMax = 0
-	s.zeroed = s.zeroed[:0]
 	if s.sparse && s.workStale {
 		s.rebuildWork()
 	}
@@ -728,11 +721,11 @@ func (s *State) ReleaseEach(visit func(u int)) int {
 		}
 		switch s.width {
 		case Width8:
-			return releaseEachDenseW(s, s.load8, visit)
+			return releaseEachDenseW(s.load8, visit)
 		case Width16:
-			return releaseEachDenseW(s, s.load16, visit)
+			return releaseEachDenseW(s.load16, visit)
 		default:
-			return releaseEachDenseW(s, s.load32, visit)
+			return releaseEachDenseW(s.load32, visit)
 		}
 	}
 	switch s.width {
@@ -747,7 +740,6 @@ func (s *State) ReleaseEach(visit func(u int)) int {
 
 func releaseEachW[L loadElem](s *State, load []L, visit func(u int)) int {
 	released := 0
-	track := s.onEmptied != nil
 	for wi, nw := 0, s.work.NumWords(); wi < nw; wi++ {
 		w := s.work.Word(wi)
 		base := wi << 6
@@ -759,9 +751,6 @@ func releaseEachW[L loadElem](s *State, load []L, visit func(u int)) int {
 			if l == 0 {
 				s.work.Clear(u)
 				s.nonEmpty--
-				if track {
-					s.zeroed = append(s.zeroed, int32(u))
-				}
 			} else if int32(l) > s.stepMax {
 				s.stepMax = int32(l)
 			}
@@ -776,16 +765,11 @@ func releaseEachW[L loadElem](s *State, load []L, visit func(u int)) int {
 
 // releaseEachDenseW is the dense-mode ReleaseEach: a straight scan, cheaper
 // per bin once most bins are occupied. The worklist is rebuilt at Commit.
-func releaseEachDenseW[L loadElem](s *State, load []L, visit func(u int)) int {
+func releaseEachDenseW[L loadElem](load []L, visit func(u int)) int {
 	released := 0
-	track := s.onEmptied != nil
 	for u := 0; u < len(load); u++ {
 		if load[u] > 0 {
-			l := load[u] - 1
-			load[u] = l
-			if track && l == 0 {
-				s.zeroed = append(s.zeroed, int32(u))
-			}
+			load[u]--
 			if visit != nil {
 				visit(u)
 			}
@@ -845,9 +829,8 @@ func (s *State) ThrowUniform(src *rng.Source, k int) {
 	}
 }
 
-// Commit merges the staged arrivals, refreshes MaxLoad and EmptyBins, and
-// fires the OnEmptied callback for bins that released to zero and received
-// no arrival. It completes the round opened by ReleaseEach/ReleaseUniform.
+// Commit merges the staged arrivals and refreshes MaxLoad and EmptyBins. It
+// completes the round opened by ReleaseEach/ReleaseUniform.
 func (s *State) Commit() {
 	if !s.inRound {
 		panic("engine: Commit without Release")
@@ -857,14 +840,6 @@ func (s *State) Commit() {
 		s.commitSparse()
 	} else {
 		s.commitDense()
-	}
-	if s.onEmptied != nil {
-		for _, u := range s.zeroed {
-			if s.Load(int(u)) == 0 {
-				s.onEmptied(int(u))
-			}
-		}
-		s.zeroed = s.zeroed[:0]
 	}
 }
 

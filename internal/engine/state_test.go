@@ -247,40 +247,6 @@ func TestResetDeposits(t *testing.T) {
 	}
 }
 
-// TestOnEmptied checks the post-merge emptiness semantics: a bin released
-// to zero fires only if it receives no arrival in the same round.
-func TestOnEmptied(t *testing.T) {
-	var emptied []int
-	st, err := New([]int32{1, 2, 1, 0}, Options{OnEmptied: func(u int) { emptied = append(emptied, u) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round 1: bins 0,1,2 release (0 and 2 hit zero); bin 0 gets an arrival.
-	st.ReleaseEach(nil)
-	st.Deposit(0)
-	st.Deposit(0)
-	st.Deposit(1)
-	st.Commit()
-	if len(emptied) != 1 || emptied[0] != 2 {
-		t.Fatalf("emptied = %v, want [2]", emptied)
-	}
-	// Round 2: loads are {2, 2, 0, 0}; releases leave {1, 1, 0, 0} — no bin
-	// empties, and bins 2, 3 must not re-fire.
-	emptied = nil
-	st.ReleaseEach(nil)
-	st.Commit()
-	if len(emptied) != 0 {
-		t.Fatalf("emptied = %v, want []", emptied)
-	}
-	// Round 3: bins 0 and 1 both release to zero with no arrivals, and must
-	// fire in increasing bin order.
-	st.ReleaseEach(nil)
-	st.Commit()
-	if len(emptied) != 2 || emptied[0] != 0 || emptied[1] != 1 {
-		t.Fatalf("emptied = %v, want [0 1]", emptied)
-	}
-}
-
 // TestReload checks wholesale reconfiguration and its statistics.
 func TestReload(t *testing.T) {
 	st, err := New(onePerBin(100), Options{})

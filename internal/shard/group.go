@@ -122,19 +122,11 @@ func PartitionStart(n, s, i int) int {
 }
 
 // GroupOptions carries the per-shard engine configuration into a group's
-// states: the OnEmptied callback (invoked with global bin indices), the
-// storage-width floor, and the dense-round kernel. Width and Kernel are
+// states: the storage-width floor and the dense-round kernel. Both are
 // trajectory-neutral; the zero value is the default configuration.
 type GroupOptions struct {
-	// OnEmptied, if non-nil, is invoked during the commit phase for every
-	// bin that was non-empty at the start of the round and is empty after
-	// arrivals merge. Calls for bins of one shard arrive in increasing bin
-	// order from that shard's worker; calls for bins of different shards
-	// may be concurrent, so the callback must only touch per-bin (or
-	// otherwise shard-disjoint) state.
-	OnEmptied func(u int)
-	Width     engine.Width
-	Kernel    engine.Kernel
+	Width  engine.Width
+	Kernel engine.Kernel
 }
 
 // Fill writes the round-zero loads of bins [lo, lo+len(dst)) of a fresh
@@ -249,19 +241,9 @@ func buildGroup(n, s, lo, hi int, runner transport.Runner, gopts GroupOptions, s
 	}
 	balls := make([]int64, len(g.parts))
 	errs := make([]error, len(g.parts))
+	eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
 	one := func(i int) {
-		sh := &g.parts[i]
-		eopts := engine.Options{Width: gopts.Width, Kernel: gopts.Kernel}
-		if onEmptied, base := gopts.OnEmptied, sh.base; onEmptied != nil {
-			// The hook runs for every bin that empties in a round, so a
-			// shard at base 0 (all of a sequential process) gets it
-			// unwrapped: its local indices are the global ones.
-			eopts.OnEmptied = onEmptied
-			if base > 0 {
-				eopts.OnEmptied = func(u int) { onEmptied(base + u) }
-			}
-		}
-		balls[i], errs[i] = build(sh, lo+i, eopts)
+		balls[i], errs[i] = build(&g.parts[i], lo+i, eopts)
 	}
 	if streamed {
 		for i := range g.parts {
@@ -501,17 +483,22 @@ const (
 // deviations, and routing never grows a row ball by ball; append stays as
 // the overflow path of a row that draws past its reservation, which the
 // slack makes vanishingly rare. Rows are empty between throws, so a short
-// row is replaced rather than copied, by one at least 3/2 its capacity: a
-// run whose arrivals grow over many rounds (a sparse start densifying)
-// regrows each row O(log n) times, its rows ending below 3/2 of its
-// largest throw, and a warm round, whose rows already fit, allocates
+// row is replaced rather than copied. A row's first sizing is exactly the
+// reservation; a row that already had capacity and must grow gets 3/2 of
+// it, so a run whose throws grow over many rounds (a sparse start
+// densifying, or sub-round rows meeting whole-round ones) regrows each
+// row O(log n) times, and a warm round, whose rows already fit, allocates
 // nothing.
 func (g *Group) reserveRows(out [][]int32, k int) {
 	mean := float64(k) * float64(PartitionSize(g.n, g.s, 0)) / float64(g.n)
 	want := int(mean+rowSlack*math.Sqrt(mean)) + rowPad
 	for d, row := range out {
-		if cap(row) < want {
-			out[d] = make([]int32, 0, max(want, cap(row)+cap(row)/2))
+		switch {
+		case cap(row) >= want:
+		case cap(row) == 0:
+			out[d] = make([]int32, 0, want)
+		default:
+			out[d] = make([]int32, 0, want+want/2)
 		}
 	}
 }

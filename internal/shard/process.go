@@ -17,19 +17,23 @@ import (
 // Each round every non-empty bin releases one ball and the rule decides
 // how many balls land uniformly at random — the released ones under
 // relaunch (the paper's process), a batch under the Tetris rules. It
-// implements engine.Stepper. Create with NewProcess, NewSequential or
-// RestoreProcess (relaunch) or NewTetris and NewSequentialTetris (batch
-// rules); Close it to release the pool's workers (an abandoned, unclosed
-// process is reaped by the garbage collector eventually, but long-lived
-// callers creating many processes should Close deterministically; a
-// one-worker process, such as a sequential one, starts no goroutine and
-// needs no Close). One Step fans out to the workers and joins them before
-// returning, so a *Process itself must not be shared between goroutines.
+// implements engine.Stepper. Create with NewProcessFill (any rule),
+// NewProcess, NewSequential or RestoreProcess (relaunch), or as the
+// Process of a Tetris (NewTetris, NewSequentialTetris); Close it to
+// release the pool's workers (an abandoned, unclosed process is reaped by
+// the garbage collector eventually, but long-lived callers creating many
+// processes should Close deterministically; a one-worker process, such as
+// a sequential one, starts no goroutine and needs no Close). One Step
+// fans out to the workers and joins them before returning, so a *Process
+// itself must not be shared between goroutines.
 type Process struct {
 	g       *Group
 	workers int
 	rule    ArrivalRule
 	arrive  Arrivals
+	// afterStep, if set, runs at the end of every Step: a Tetris's Lemma 4
+	// tracker.
+	afterStep func()
 
 	round    int64
 	maxLoad  int32
@@ -44,14 +48,17 @@ type Process struct {
 // pure function of (seed, len(loads), opts.Shards). It returns an error if
 // loads is empty or contains a negative entry.
 func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
-	return newProcess(len(loads), loadsFill(loads, 0), seedStreams(seed), opts, ArrivalRule{}, nil)
+	return newProcess(len(loads), loadsFill(loads, 0), seedStreams(seed), opts, ArrivalRule{})
 }
 
-// NewProcessFill is NewProcess over the n-bin start that fill serves,
-// built shard by shard (see Fill): the same process NewProcess builds
-// over the whole vector.
-func NewProcessFill(n int, fill Fill, seed uint64, opts Options) (*Process, error) {
-	return newProcess(n, fill, seedStreams(seed), opts, ArrivalRule{}, nil)
+// NewProcessFill builds a sharded process stepping rule over the n-bin
+// start that fill serves, shard by shard (see Fill). Under relaunch it is
+// the process NewProcess builds over the whole vector; under a batch rule
+// it steps the trajectory of the Tetris process with the same start, seed
+// and shards, without the Lemma 4 tracker. It returns an error if n < 1, a
+// load is negative, or the rule is invalid.
+func NewProcessFill(n int, fill Fill, seed uint64, rule ArrivalRule, opts Options) (*Process, error) {
+	return newProcess(n, fill, seedStreams(seed), opts, rule)
 }
 
 // NewSequential builds the sequential repeated balls-into-bins process
@@ -68,7 +75,7 @@ func NewSequential(loads []int32, src *rng.Source) (*Process, error) {
 	if src == nil {
 		return nil, errors.New("shard: NewSequential with nil rng source")
 	}
-	p, err := newProcess(len(loads), loadsFill(loads, 0), fixedStream(src), Options{Shards: 1, Workers: 1}, ArrivalRule{}, nil)
+	p, err := newProcess(len(loads), loadsFill(loads, 0), fixedStream(src), Options{Shards: 1, Workers: 1}, ArrivalRule{})
 	if err != nil {
 		return nil, err
 	}
@@ -82,15 +89,18 @@ func fixedStream(src *rng.Source) func(i int) *rng.Source {
 }
 
 // newProcess builds a process over the n-bin start fill serves, shard i
-// drawing from stream(i), stepping rule, with onEmptied (global bin
-// indices) as the group's OnEmptied hook.
-func newProcess(n int, fill Fill, stream func(i int) *rng.Source, opts Options, rule ArrivalRule, onEmptied func(u int)) (*Process, error) {
+// drawing from stream(i), stepping rule.
+func newProcess(n int, fill Fill, stream func(i int) *rng.Source, opts Options, rule ArrivalRule) (*Process, error) {
 	if n < 1 {
 		return nil, errors.New("shard: NewProcess with no bins")
 	}
+	rule, err := rule.Normalize()
+	if err != nil {
+		return nil, err
+	}
 	s, w := opts.resolve(n)
 	runner := local.NewPool(s, w)
-	g, balls, err := buildGroup(n, s, 0, s, runner, GroupOptions{OnEmptied: onEmptied, Width: opts.Width, Kernel: opts.Kernel}, false, freshShards(fill, stream))
+	g, balls, err := buildGroup(n, s, 0, s, runner, GroupOptions{Width: opts.Width, Kernel: opts.Kernel}, false, freshShards(fill, stream))
 	if err != nil {
 		runner.Close()
 		return nil, err
@@ -165,6 +175,9 @@ func (p *Process) Step() {
 	p.balls += int64(p.staged) - int64(p.released)
 	p.maxLoad, p.empty = p.g.MaxLoad(), p.g.EmptyBins()
 	p.round++
+	if p.afterStep != nil {
+		p.afterStep()
+	}
 	if !p.g.quiet && obs.Enabled() {
 		mRounds.Inc()
 	}
@@ -206,10 +219,10 @@ func (p *Process) ConvergenceTime(threshold int32, maxRounds int64) (rounds int6
 // SetLoads replaces the configuration between rounds — the §4.1
 // adversarial model, where in a faulty round an adversary reassigns all
 // balls arbitrarily. loads must cover every bin and hold the process's
-// balls, and the rule must conserve balls: under a batch rule a reload
-// would bypass the Lemma 4 first-emptying tracker. Each shard reloads its
-// own bins (engine.State.Reload, whose storage width never narrows); on
-// error nothing changes.
+// balls, and the rule must conserve balls: a Tetris's Lemma 4 tracker
+// reads the loads only after its own rounds, so a reload would bypass it.
+// Each shard reloads its own bins (engine.State.Reload, whose storage
+// width never narrows); on error nothing changes.
 func (p *Process) SetLoads(loads []int32) error {
 	if !p.rule.Conserves() {
 		return fmt.Errorf("shard: SetLoads under the %v rule", p.rule)
@@ -348,27 +361,21 @@ type TetrisOptions struct {
 // quotas summing to K = ⌈λn⌉ under tetris.Deterministic, Binomial(n_s, λ)
 // and Poisson(λ·n_s) per shard under tetris.BinomialArrivals and
 // tetris.PoissonArrivals), plus the Lemma 4 tracker of the first round at
-// which each bin was empty.
+// which each bin was empty. The tracker draws nothing: it reads loads
+// after each round, so the trajectory is the plain Process's.
 type Tetris struct {
 	*Process
 
 	// firstEmpty[u] is the first round at which global bin u was empty (0
-	// if it started empty), or −1 if it has never been empty. Written only
-	// by u's owning shard during commit (disjoint slices ⇒ race-free);
-	// perShardNever counts that shard's never-emptied bins.
-	firstEmpty    []int64
-	perShardNever []int64
+	// if it started empty), or −1 if it has never been empty; pending
+	// lists the bins still at −1, in increasing order.
+	firstEmpty []int64
+	pending    []int32
 }
 
 // NewTetris builds a sharded Tetris process over a copy of loads.
 func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) {
 	return newTetris(len(loads), loadsFill(loads, 0), seedStreams(seed), opts)
-}
-
-// NewTetrisFill is NewTetris over the n-bin start that fill serves, built
-// shard by shard (see Fill).
-func NewTetrisFill(n int, fill Fill, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	return newTetris(n, fill, seedStreams(seed), opts)
 }
 
 // NewSequentialTetris builds the sequential Tetris process over a copy of
@@ -396,9 +403,6 @@ func newTetris(n int, fill Fill, stream func(i int) *rng.Source, opts TetrisOpti
 	if err != nil {
 		return nil, err
 	}
-	if rule, err = rule.Normalize(); err != nil {
-		return nil, err
-	}
 	t := &Tetris{firstEmpty: make([]int64, max(n, 0))}
 	track := func(lo int, dst []int32) {
 		fill(lo, dst)
@@ -409,26 +413,33 @@ func newTetris(n int, fill Fill, stream func(i int) *rng.Source, opts TetrisOpti
 			}
 		}
 	}
-	if t.Process, err = newProcess(n, track, stream, opts.Options, rule, t.markEmptied); err != nil {
+	if t.Process, err = newProcess(n, track, stream, opts.Options, rule); err != nil {
 		return nil, err
 	}
-	t.perShardNever = make([]int64, t.Shards())
-	for i := range t.perShardNever {
-		sh := &t.g.parts[i]
-		t.perShardNever[i] = int64(sh.size - sh.state.EmptyBins())
+	t.pending = make([]int32, 0, t.NonEmptyBins())
+	for u, r := range t.firstEmpty {
+		if r < 0 {
+			t.pending = append(t.pending, int32(u))
+		}
 	}
+	t.afterStep = t.scanPending
 	return t, nil
 }
 
-// markEmptied is the group's OnEmptied hook. It runs during the commit
-// phase on the owning shard's worker, while the embedded round still
-// counts the rounds before the one in flight; different shards touch
-// disjoint firstEmpty entries and their own perShardNever slot.
-func (t *Tetris) markEmptied(u int) {
-	if t.firstEmpty[u] < 0 {
-		t.firstEmpty[u] = t.round + 1
-		t.perShardNever[t.g.ShardOf(u)]--
+// scanPending is the tracker's step, run at the end of every round: a bin
+// that had never been empty was non-empty when the round began, so if it
+// reads 0 now, it emptied in this round. Such bins leave pending, which
+// is compacted in place.
+func (t *Tetris) scanPending() {
+	kept := t.pending[:0]
+	for _, u := range t.pending {
+		if t.g.Load(int(u)) == 0 {
+			t.firstEmpty[u] = t.round
+		} else {
+			kept = append(kept, u)
+		}
 	}
+	t.pending = kept
 }
 
 // FirstEmptyRound returns the first round at which bin u was empty, or −1
@@ -439,14 +450,12 @@ func (t *Tetris) FirstEmptyRound(u int) int64 { return t.firstEmpty[u] }
 // empty at least once, or −1 if some bin has never emptied (Lemma 4: from
 // any start this is at most 5n w.h.p.).
 func (t *Tetris) AllEmptiedRound() (int64, bool) {
-	if t.neverEmptied() > 0 {
+	if len(t.pending) > 0 {
 		return -1, false
 	}
 	var worst int64
 	for _, r := range t.firstEmpty {
-		if r > worst {
-			worst = r
-		}
+		worst = max(worst, r)
 	}
 	return worst, true
 }
@@ -454,19 +463,10 @@ func (t *Tetris) AllEmptiedRound() (int64, bool) {
 // RunUntilAllEmptied steps until every bin has been empty at least once
 // or maxRounds rounds elapse, and returns AllEmptiedRound.
 func (t *Tetris) RunUntilAllEmptied(maxRounds int64) (int64, bool) {
-	for i := int64(0); t.neverEmptied() > 0 && i < maxRounds; i++ {
+	for i := int64(0); len(t.pending) > 0 && i < maxRounds; i++ {
 		t.Step()
 	}
 	return t.AllEmptiedRound()
-}
-
-// neverEmptied returns the number of bins that have never been empty.
-func (t *Tetris) neverEmptied() int64 {
-	var never int64
-	for _, c := range t.perShardNever {
-		never += c
-	}
-	return never
 }
 
 // Steppers (compile-time check).

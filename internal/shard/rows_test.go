@@ -42,7 +42,7 @@ func TestFirstRoundRowAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProcessFill(n, st.Fill, 5, Options{Shards: shards, Workers: 1})
+		p, err := NewProcessFill(n, st.Fill, 5, ArrivalRule{}, Options{Shards: shards, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +67,39 @@ func TestFirstRoundRowAllocs(t *testing.T) {
 	t.Logf("all-in-one n=2^16 S=8: 4096 rounds allocated %d bytes in %d allocations", bytes, allocs)
 	if allocs > 600 {
 		t.Errorf("4096 rounds from all-in-one made %d allocations, want ≤ 600", allocs)
+	}
+}
+
+// TestWholeRoundRowRegrowth: rows that must grow past their reservation
+// grow with headroom, so a run switching from sub-round rows to the whole
+// rows of Release and Commit (a tcp worker's round) regrows them once. At
+// n = 2¹⁴, S = 8, after 65 rounds with C lowered to 64, the first whole
+// round regrows each of the S² rows and the next 127 allocate nothing.
+// Every allocation is counted (runtime.MemStats.Mallocs), not averaged.
+func TestWholeRoundRowRegrowth(t *testing.T) {
+	const n, shards, chunk = 1 << 14, 8, 64
+	p, err := NewProcess(config.OnePerBin(n), 3, Options{Shards: shards, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.g.setChunk(chunk)
+	p.Run(65)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	for r := 1; r <= 128; r++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		p.g.Release(p.arrive)
+		p.g.Commit()
+		runtime.ReadMemStats(&ms)
+		allocs := ms.Mallocs - before
+		switch {
+		case r == 1 && allocs > shards*shards:
+			t.Errorf("whole round 1 made %d allocations, want ≤ %d (one per row)", allocs, shards*shards)
+		case r > 1 && allocs != 0:
+			t.Errorf("whole round %d made %d allocations, want 0", r, allocs)
+		}
 	}
 }
 

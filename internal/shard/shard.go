@@ -44,11 +44,11 @@
 // sets the worklist words and counts the non-empty bins, maximum load and
 // balls. A fresh shard reads its chunks from a Fill — the caller's loads
 // (NewGroup, NewProcess, NewTetris and their sequential forms) or the
-// start's range form (NewProcessFill, NewTetrisFill) — and a restored one
-// from its snapshot entry (RestoreProcess, NewGroupFromShards). Where the source is random
-// access, the shards are built through the runner: each pool worker
-// builds, and so first touches, exactly the shards it will step, all
-// workers at once. The streamed source of a multi-process worker
+// start's range form (NewProcessFill, under any rule) — and a restored one
+// from its snapshot entry (RestoreProcess, NewGroupFromShards). Where the
+// source is random access, the shards are built through the runner: each
+// pool worker builds, and so first touches, exactly the shards it will
+// step, all workers at once. The streamed source of a multi-process worker
 // (NewGroupFromShards) is read in shard order, one join frame at a time,
 // so its shards are built in that order on the calling goroutine. A
 // fresh run therefore never holds its start, nor a whole shard of it, as
@@ -77,9 +77,12 @@
 // process (relaunch), the §3.3 Tetris device (quota) and the leaky-bins
 // batches (binomial, poisson) are one synchronous round under different
 // rules. Process is the in-process twin of tcp.Engine, which steps the
-// same rules across worker processes. NewProcess, NewSequential and
-// RestoreProcess step the relaunch rule; Tetris is a Process under a
-// batch rule plus the Lemma 4 first-emptying tracker. NewSequential and
+// same rules across worker processes. NewProcessFill steps any rule, and
+// spec.Build runs it on the pool for every process kind; NewProcess,
+// NewSequential and RestoreProcess step the relaunch rule. Tetris is a
+// Process under a batch rule plus the Lemma 4 first-emptying tracker,
+// which reads the loads after each round and draws nothing, so a tracked
+// run steps the plain Process's trajectory. NewSequential and
 // NewSequentialTetris build the sequential process — one shard, one
 // worker, no goroutine, drawing from the caller's rng.Source — that the
 // experiments, the rbb facade and the §4.1 adversary step. Its group is

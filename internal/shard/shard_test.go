@@ -413,9 +413,7 @@ func TestGroupRoundAllocs(t *testing.T) {
 			p.g.Release(p.arrive)
 			p.g.Commit()
 		}
-		for range 8 { // rows sized for C = 64 grow to whole-round rows
-			whole()
-		}
+		whole() // rows sized for C = 64 grow to whole-round rows
 		allocs := testing.AllocsPerRun(64, whole)
 		if allocs != 0 {
 			t.Errorf("S=%d width %v chunk %d: a Release and Commit allocate %v times, want 0", tc.shards, tc.width, tc.chunk, allocs)

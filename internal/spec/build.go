@@ -83,25 +83,17 @@ func (sp RunSpec) Build(hostWorkers int) (Process, error) {
 	if err != nil {
 		return nil, err
 	}
+	rule, err := sp.Rule()
+	if err != nil {
+		return nil, err
+	}
 	w := sp.workers(hostWorkers)
 	width := engine.Width(sp.LoadWidth)
 	kernel := sp.Kernel()
 	switch kind := sp.transport(); kind {
 	case TransportPool:
-		shOpts := shard.Options{Shards: sp.Shards, Workers: w, Width: width, Kernel: kernel}
-		if sp.Process == ProcessRBB {
-			return shard.NewProcessFill(sp.N, st.Fill, sp.Seed, shOpts)
-		}
-		law := tetris.Deterministic
-		if sp.Process == ProcessBatches {
-			law = tetris.BinomialArrivals
-		}
-		return shard.NewTetrisFill(sp.N, st.Fill, sp.Seed, shard.TetrisOptions{Options: shOpts, Law: law, Lambda: sp.Lambda})
+		return shard.NewProcessFill(sp.N, st.Fill, sp.Seed, rule, shard.Options{Shards: sp.Shards, Workers: w, Width: width, Kernel: kernel})
 	case TransportTCP, TransportTCPMesh:
-		rule, err := sp.Rule()
-		if err != nil {
-			return nil, err
-		}
 		return tcp.NewProcessFill(sp.N, st.Fill, sp.Seed, tcp.Options{
 			Shards: sp.Shards, Procs: sp.Placement.Procs, Workers: w, Rule: rule, Width: width,
 			Kernel: kernel, Mesh: kind == TransportTCPMesh, Hosts: sp.Placement.Hosts,
