@@ -1,11 +1,12 @@
 // Command rbb-sim runs a single repeated balls-into-bins (or Tetris)
 // simulation and prints a per-round time series plus a final summary.
 //
-// The original and tetris processes run on the sharded multi-core engine
-// (internal/shard): -shards picks the partition count (default: one shard
-// per available CPU), which also selects the random law's decomposition —
-// a run is a pure function of (seed, n, shards). Use an explicit -shards
-// value for results that reproduce across machines.
+// The original, tetris and batches processes run on the sharded
+// multi-core engine (internal/shard): -shards picks the partition count
+// (default: one shard per available CPU), which also selects the random
+// law's decomposition — a run is a pure function of (seed, n, shards).
+// Use an explicit -shards value for results that reproduce across
+// machines.
 //
 // Phase placement is selectable and never affects results: -transport
 // picks where the rounds execute — in process on persistent workers with
@@ -18,17 +19,17 @@
 // launches (self-spawned workers dial back on their own).
 // -procs P sets the worker process count, and P alone implies -transport
 // tcp-mesh. The retired names spawn and proc still resolve, to pool and
-// tcp-mesh. The original, tetris — every process kind with a serializable
-// arrival rule — run under every placement, and the trajectory is a pure
-// function of (seed, n, shards) under all of them: the CI equivalence
-// gates diff multi-process runs against single-process ones byte for
-// byte. Internally the flags lower into spec.RunSpec, the same canonical
-// run description rbb-serve accepts over HTTP, and every placement steps
-// the plain rule-driven process, so a tetris run prints the same time
-// series and summary in process and under -procs; only the header's
-// placement fields differ. (The Lemma 4 first-emptying rounds are a
-// library measurement: rbb.NewTetris tracks them, and experiment E05
-// reports them.)
+// tcp-mesh. The original, tetris and batches processes — every process
+// kind with a serializable arrival rule — run under every placement, and
+// the trajectory is a pure function of (seed, n, shards) under all of
+// them: the CI equivalence gates diff multi-process runs against
+// single-process ones byte for byte. Internally the flags lower into
+// spec.RunSpec, the same canonical run description rbb-serve accepts over
+// HTTP, and every placement steps the plain rule-driven process, so a
+// tetris or batches run prints the same time series and summary in
+// process and under -procs; only the header's placement fields differ.
+// (The Lemma 4 first-emptying rounds are a library measurement:
+// rbb.NewTetris tracks them, and experiment E05 reports them.)
 //
 // Long runs survive restarts: -checkpoint writes whole-run snapshots
 // (periodically with -checkpoint-every, on SIGTERM/SIGINT, and at
@@ -64,6 +65,7 @@
 //	rbb-sim -n 16777216 -rounds 5000 -shards 64 -checkpoint run.ckpt -checkpoint-every 500
 //	rbb-sim -resume run.ckpt -rounds 5000 -checkpoint run.ckpt
 //	rbb-sim -n 1024 -process tetris -rounds 5000
+//	rbb-sim -n 1024 -process batches -lambda 0.9 -rounds 5000
 //	rbb-sim -n 512 -process token -strategy lifo -rounds 2000
 //	rbb-sim -n 1024 -process choices -d 2 -rounds 5000
 //	rbb-sim -n 1024 -process jackson -rounds 5000
@@ -129,14 +131,14 @@ func run(args []string, out io.Writer) error {
 		n         = fs.Int("n", 1024, "number of bins")
 		m         = fs.Int("m", 0, "number of balls (default: n)")
 		rounds    = fs.Int64("rounds", 10000, "rounds to simulate (with -resume: the total target round, counted from the original start)")
-		process   = fs.String("process", "original", "process: original | tetris | token | choices | jackson")
+		process   = fs.String("process", "original", "process: original | tetris | batches | token | choices | jackson")
 		strategy  = fs.String("strategy", "fifo", "token queueing strategy: fifo | lifo | random")
 		initName  = fs.String("init", "one-per-bin", "initial configuration: one-per-bin | all-in-one | uniform | zipf")
-		lambda    = fs.Float64("lambda", 0.75, "tetris arrival rate per bin")
+		lambda    = fs.Float64("lambda", 0.75, "arrival rate per bin of -process tetris (ceil(lambda*n) balls a round) and batches (Binomial(n, lambda) balls a round), in (0, 1]")
 		choices   = fs.Int("d", 2, "number of choices for -process choices")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		every     = fs.Int64("report-every", 0, "print a row every K rounds (0 = auto, ~20 rows)")
-		shards    = fs.Int("shards", 0, "shard count for the data-parallel engine, original|tetris only (0 = GOMAXPROCS; the run is a pure function of seed, n and this value)")
+		shards    = fs.Int("shards", 0, "shard count for the data-parallel engine, original|tetris|batches only (0 = GOMAXPROCS; the run is a pure function of seed, n and this value)")
 		transp    = fs.String("transport", "", "phase transport: pool (in-process persistent workers with shard affinity, default) | tcp | tcp-mesh (worker processes over TCP; mesh delivers exchanges worker-to-worker); the retired names spawn and proc resolve to pool and tcp-mesh; never affects results")
 		procs     = fs.Int("procs", 0, "worker processes for -transport tcp|tcp-mesh (0 = 2); -procs P > 1 with no -transport implies tcp-mesh, and 0 or 1 then stays in process; each worker holds a contiguous shard range; never affects results")
 		hostsF    = fs.String("hosts", "", "comma-separated `rbb-sim -worker -listen` daemon addresses (host:port) for -transport tcp|tcp-mesh; default: self-spawned loopback workers")
@@ -146,8 +148,8 @@ func run(args []string, out io.Writer) error {
 		ckptPath  = fs.String("checkpoint", "", "write whole-run checkpoints to this file (original process only): every -checkpoint-every rounds, on SIGTERM/SIGINT, and at completion")
 		ckptEvery = fs.Int64("checkpoint-every", 0, "rounds between periodic checkpoints (0 = only on signal and at completion; requires -checkpoint)")
 		ckptComp  = fs.Bool("checkpoint-compress", false, "flate-compress the per-shard checkpoint sections (format v2; smaller files, identical state; requires -checkpoint)")
-		loadWidth = fs.String("load-width", "auto", "load storage width floor in bits: auto | 8 | 16 | 32 (auto stores each shard at the narrowest width that fits, widening on demand; original|tetris only; never affects results)")
-		kernelF   = fs.String("kernel", "", "dense-round kernel, which sets only the dense decrement and the width-8 commit: batched (branch-free decrement + SWAR commit, default) | scalar (the per-bin loops); original|tetris only; never affects results")
+		loadWidth = fs.String("load-width", "auto", "load storage width floor in bits: auto | 8 | 16 | 32 (auto stores each shard at the narrowest width that fits, widening on demand; original|tetris|batches only; never affects results)")
+		kernelF   = fs.String("kernel", "", "dense-round kernel, which sets only the dense decrement and the width-8 commit: batched (branch-free decrement + SWAR commit, default) | scalar (the per-bin loops); original|tetris|batches only; never affects results")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the run to this file (telemetry side channel, never affects results)")
 		memProf   = fs.String("memprofile", "", "write a heap pprof profile (after a final GC) to this file on exit (telemetry side channel, never affects results)")
 		resume    = fs.String("resume", "", "resume from a checkpoint file; n, m, seed, shards, quantiles and load widths come from the file")
@@ -253,9 +255,12 @@ func run(args []string, out io.Writer) error {
 	if balls == 0 {
 		balls = *n
 	}
-	// Every process but tetris conserves its balls, and all of them may
-	// gather in one int32 bin; refused here, before Build allocates the run.
-	if *process != "tetris" && balls > math.MaxInt32 {
+	// tetris and batches throw a batch a round instead of relaunching their
+	// releases. Every other process conserves its balls, and all of them
+	// may gather in one int32 bin; refused here, before Build allocates the
+	// run.
+	batched := *process == spec.ProcessTetris || *process == spec.ProcessBatches
+	if !batched && balls > math.MaxInt32 {
 		return fmt.Errorf("need m <= %d, got %d", math.MaxInt32, balls)
 	}
 	// The sharded process kinds lower into the canonical spec.RunSpec — the
@@ -268,19 +273,19 @@ func run(args []string, out io.Writer) error {
 		Process: spec.ProcessRBB, Seed: *seed, N: *n, M: balls, Shards: *shards,
 		Init: *initName, LoadWidth: int(width), Placement: pl,
 	}
-	if *process == "tetris" {
-		rs.Process, rs.M, rs.Lambda = spec.ProcessTetris, 0, *lambda
+	if batched {
+		rs.Process, rs.M, rs.Lambda = *process, 0, *lambda
 	}
 	if err := rs.NormalizePlacement(); err != nil {
 		return err
 	}
-	if rs.Placement.Transport != spec.TransportPool && *process != "original" && *process != "tetris" {
-		return fmt.Errorf("-transport %s supports only -process original|tetris (got %q)", rs.Placement.Transport, *process)
+	if rs.Placement.Transport != spec.TransportPool && *process != "original" && !batched {
+		return fmt.Errorf("-transport %s supports only -process original|tetris|batches (got %q)", rs.Placement.Transport, *process)
 	}
 
 	var s engine.Stepper
 	switch *process {
-	case "original", "tetris":
+	case "original", "tetris", "batches":
 		p, err := rs.Build(0)
 		if err != nil {
 			return err
@@ -322,7 +327,7 @@ func run(args []string, out io.Writer) error {
 		}
 		s = &jacksonStepper{net: net}
 	default:
-		return fmt.Errorf("unknown process %q (want original|tetris|token|choices|jackson)", *process)
+		return fmt.Errorf("unknown process %q (want original|tetris|batches|token|choices|jackson)", *process)
 	}
 
 	if !*jsonOut {

@@ -123,6 +123,44 @@ func TestRunTetrisProcs(t *testing.T) {
 	}
 }
 
+// TestRunBatches: -process batches is the spec's batches process, the
+// binomial rule of E27's campaign (the one rbb-serve runs for
+// {"process":"batches"}): its -json summary is the same on every
+// placement, -lambda reaches the rule, and the rule is not tetris's quota.
+func TestRunBatches(t *testing.T) {
+	args := []string{"-n", "256", "-rounds", "300", "-process", "batches", "-shards", "4", "-seed", "6", "-json"}
+	summary := func(extra ...string) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := run(append(append([]string(nil), args...), extra...), &sb); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		return sb.String()
+	}
+	inproc := summary()
+	for _, extra := range [][]string{
+		{"-procs", "2"},
+		{"-transport", "tcp", "-procs", "2"},
+	} {
+		if got := summary(extra...); got != inproc {
+			t.Errorf("%v changed the batches summary:\n%s\n%s", extra, got, inproc)
+		}
+	}
+	if summary("-lambda", "0.75") != inproc {
+		t.Error("-lambda 0.75 is not the default rate")
+	}
+	if summary("-lambda", "0.5") == inproc {
+		t.Error("-lambda 0.5 left the batches summary unchanged")
+	}
+	var tetris strings.Builder
+	if err := run(append(append([]string(nil), args...), "-process", "tetris"), &tetris); err != nil {
+		t.Fatal(err)
+	}
+	if tetris.String() == inproc {
+		t.Error("batches ran tetris's quota rule")
+	}
+}
+
 // TestRunResumeTCPMigration: a checkpoint written by an in-process run
 // resumes onto the TCP mesh and finishes byte-identical to the
 // uninterrupted run — the CLI face of the cross-machine migration story.
@@ -324,6 +362,8 @@ func TestRunErrors(t *testing.T) {
 		{"-transport", "bogus"},
 		{"-procs", "-1"},
 		{"-procs", "2", "-process", "token"},
+		{"-process", "batches", "-lambda", "1.5"},
+		{"-process", "batches", "-checkpoint", "batches.ckpt"},
 		{"-procs", "2", "-transport", "spawn"},
 		{"-hosts", "localhost:1", "-transport", "spawn"},
 		{"-hosts", "localhost:1", "-transport", "tcp", "-procs", "2"},

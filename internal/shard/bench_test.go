@@ -63,6 +63,21 @@ func BenchmarkShardBalancedWMax(b *testing.B) {
 	benchSharded(b, config.OnePerBin(benchN), runtime.GOMAXPROCS(0))
 }
 
+// The general router's pair: the balanced round at n = 2²²−3, where the
+// shards hold 524 288 and 524 287 bins, so every ball is routed by the
+// reciprocal multiplies instead of the shift. A W1 round within ~15% of
+// BenchmarkShardBalancedW1's is the router's target (EXPERIMENTS.md E29,
+// "the exchange router").
+const benchGeneralN = benchN - 3
+
+func BenchmarkShardGeneralW1(b *testing.B) {
+	benchSharded(b, config.OnePerBin(benchGeneralN), 1)
+}
+
+func BenchmarkShardGeneralWMax(b *testing.B) {
+	benchSharded(b, config.OnePerBin(benchGeneralN), runtime.GOMAXPROCS(0))
+}
+
 func BenchmarkSeqBalanced(b *testing.B) {
 	benchSequential(b, config.OnePerBin(benchN))
 }

@@ -68,13 +68,10 @@ const MaxBins = 1 << 31
 // group. Each phase call returns only after every owned shard's work
 // completed — the runner is the phase barrier.
 type Group struct {
-	n      int // global bins
-	s      int // global shard count
-	lo, hi int // owned shard range [lo, hi)
-	// shift routes a destination to its shard with v >> shift when every
-	// shard has the same power-of-two size (the common n = 2^k case);
-	// −1 selects the general divide-based router.
-	shift  int
+	n      int         // global bins
+	s      int         // global shard count
+	lo, hi int         // owned shard range [lo, hi)
+	route  router      // global bin → global shard, for the throw and ShardOf
 	parts  []shardPart // parts[i] is global shard lo+i
 	runner transport.Runner
 
@@ -278,15 +275,12 @@ func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
 		s:      s,
 		lo:     lo,
 		hi:     hi,
-		shift:  -1,
+		route:  newRouter(n, s),
 		parts:  make([]shardPart, hi-lo),
 		runner: runner,
 		chunk:  roundChunk,
 	}
 	g.releaseFn, g.throwFn, g.drainFn, g.commitFn = g.releaseShard, g.throwShard, g.drainShard, g.commitShard
-	if q, r := n/s, n%s; r == 0 && q&(q-1) == 0 {
-		g.shift = bits.TrailingZeros(uint(q))
-	}
 	for i := range g.parts {
 		g.parts[i] = shardPart{
 			base: PartitionStart(n, s, lo+i),
@@ -318,20 +312,70 @@ func checkGroupRange(n, s, lo, hi int) error {
 	return nil
 }
 
-// ShardOf returns the global shard owning global bin v. The first n mod S
-// shards hold q+1 bins, the rest q; with a uniform power-of-two partition
-// the lookup is a single shift (the hot path of destination routing).
-func (g *Group) ShardOf(v int) int {
-	if g.shift >= 0 {
-		return v >> g.shift
-	}
-	q, r := g.n/g.s, g.n%g.s
-	big := r * (q + 1)
-	if v < big {
-		return v / (q + 1)
-	}
-	return r + (v-big)/q
+// router maps a global bin to the global shard that owns it under the
+// canonical partition (PartitionStart): the first r = n mod S shards hold
+// q+1 bins and the rest q, where q = ⌊n/S⌋. A group builds one and routes
+// every throw and every ShardOf through it, with no divide: a shift when
+// every shard holds the same power-of-two count (r = 0, the common n = 2^k
+// case), else a reciprocal multiply for each kind of shard and a
+// branch-free select between the two. Four words, so a copy in a local
+// lives in registers through the throw loop.
+type router struct {
+	// shift is log₂ q on the shift path, −1 on the general one.
+	shift int
+	// r, and the reciprocals of q+1 and q (see general).
+	r, cBig, cSmall uint64
 }
+
+// newRouter builds the router of n bins split into s shards (1 ≤ s ≤ n ≤
+// MaxBins, so every bin and every count fits 31 bits).
+func newRouter(n, s int) router {
+	q, r := n/s, n%s
+	if r == 0 && q&(q-1) == 0 {
+		return router{shift: bits.TrailingZeros(uint(q))}
+	}
+	return router{shift: -1, r: uint64(r), cBig: recip(q + 1), cSmall: recip(q)}
+}
+
+// recip is general's c for a divisor d ≥ 1: ⌊(2⁶⁴−1)/(2d)⌋ + 1.
+func recip(d int) uint64 { return math.MaxUint64/(2*uint64(d)) + 1 }
+
+// of returns the global shard of bin v.
+func (rt router) of(v int32) int {
+	if rt.shift >= 0 {
+		return int(v >> rt.shiftCount())
+	}
+	return rt.general(v)
+}
+
+// shiftCount is the shift path's count, masked. The mask lets the compiler
+// prove the count below 32, so it drops Go's shift-range saturation
+// (CMP/SBB/NOT/OR before the SAR, and moving the row's cap out of CX and
+// back) from every ball. In the throw loop at n = 2²², S = 8 that cost
+// 2.1 of 3.1 ns a ball, draw excluded (EXPERIMENTS.md E29, "the exchange
+// router"). shift ≤ 31, so the mask changes no value.
+func (rt router) shiftCount() uint { return uint(rt.shift) & 31 }
+
+// general routes bin v when the shift cannot. The shard of x is
+// ⌊x/(q+1)⌋ while that is below r, and r + ⌊(x − r(q+1))/q⌋ = ⌊(x−r)/q⌋
+// from there on. Each quotient is one multiply: with D = 2d and
+// c = ⌊(2⁶⁴−1)/D⌋ + 1, ⌊x/d⌋ = ⌊2x/D⌋ = mulhi(2x, c) exactly for every
+// 2x < 2³² and D ≥ 2 (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+// Computation", 2019). Doubling spares d = 1 (q = 1, S < n < 2S), whose c
+// would not fit 64 bits, a case of its own. Both quotients are computed
+// and one is picked by a borrow, since at r ≠ 0 a branch would go each
+// way at random ball by ball.
+func (rt router) general(v int32) int {
+	x := uint64(uint32(v))
+	onBig, _ := bits.Mul64(x<<1, rt.cBig)
+	onSmall, _ := bits.Mul64((x-rt.r)<<1, rt.cSmall) // x < r wraps; then unused
+	lt := uint64(int64(onBig-rt.r) >> 63)            // all ones iff onBig < r
+	return int(onSmall ^ (onSmall^onBig)&lt)
+}
+
+// ShardOf returns the global shard owning global bin v, through the same
+// router as the throw.
+func (g *Group) ShardOf(v int) int { return g.route.of(int32(v)) }
 
 // owns reports whether global shard s is held by this group.
 func (g *Group) owns(s int) bool { return s >= g.lo && s < g.hi }
@@ -444,28 +488,28 @@ func (g *Group) releaseShard(i int) {
 // throwShard draws owned shard i's next min(left, limit) destinations in
 // drawBlock blocks — the identical Uint64n sequence, one bulk Fill32n per
 // block — and appends each block to the out rows of its destination
-// shards.
+// shards. Each router path has its own loop: testing the path per ball
+// cost 3–10% of a W = 1, S = 8 round at n = 2²² and 2²² − 3.
 func (g *Group) throwShard(i int) {
 	sh := &g.parts[i]
 	k := min(sh.left, g.limit)
 	sh.left -= k
-	bound, out := uint64(g.n), sh.out
+	bound, out, rt := uint64(g.n), sh.out, g.route
 	for k > 0 {
 		blk := sh.blk[:min(k, drawBlock)]
 		k -= len(blk)
 		sh.src.Fill32n(blk, bound)
-		switch {
-		case g.shift >= 0:
-			shift := uint(g.shift)
+		if rt.shift >= 0 {
+			shift := rt.shiftCount()
 			for _, v := range blk {
 				d := v >> shift
 				out[d] = append(out[d], v)
 			}
-		default:
-			for _, v := range blk {
-				d := g.ShardOf(int(v))
-				out[d] = append(out[d], v)
-			}
+			continue
+		}
+		for _, v := range blk {
+			d := rt.general(v)
+			out[d] = append(out[d], v)
 		}
 	}
 }
@@ -563,9 +607,12 @@ func (g *Group) drainShard(i int) {
 }
 
 // commitShard is owned shard i's commit: its last drain, the state's
-// Commit, and the round's exchange tallies.
+// Commit, and the round's exchange tallies. A single shard has no rows to
+// drain: its release staged the round's balls itself (see releaseShard).
 func (g *Group) commitShard(i int) {
-	g.drainShard(i)
+	if g.s > 1 {
+		g.drainShard(i)
+	}
 	sh := &g.parts[i]
 	sh.state.Commit()
 	if sh.exchRows > 0 && obs.Enabled() {

@@ -74,6 +74,68 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// TestRouter holds the router, on both of its paths, to the partition
+// arithmetic (PartitionStart, PartitionSize): every bin of every shape up
+// to n = 300, then, at large shapes, the bins on both sides of every shard
+// boundary and random bins. The large shapes reach n = 2³¹ − 1 and 2³¹,
+// q = 1 with r = 1 and r = S − 1, r = 0 with q not a power of two, and
+// r = S − 1 with a large q.
+func TestRouter(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		for s := 1; s <= n; s++ {
+			rt, v := newRouter(n, s), 0
+			for i := 0; i < s; i++ {
+				if PartitionStart(n, s, i) != v {
+					t.Fatalf("n=%d S=%d: shard %d starts at %d, want %d", n, s, i, PartitionStart(n, s, i), v)
+				}
+				for end := v + PartitionSize(n, s, i); v < end; v++ {
+					if got := rt.of(int32(v)); got != i {
+						t.Fatalf("n=%d S=%d: bin %d routed to shard %d, want %d", n, s, v, got, i)
+					}
+				}
+			}
+			if v != n {
+				t.Fatalf("n=%d S=%d: shards cover %d bins", n, s, v)
+			}
+		}
+	}
+
+	shapes := [][2]int{{MaxBins, 1}, {MaxBins - 1, 1}, {1000003, 1}}
+	for _, s := range []int{2, 3, 7, 8, 64, 1000} {
+		shapes = append(shapes,
+			[2]int{MaxBins, s},
+			[2]int{MaxBins - 1, s},
+			[2]int{s + 1, s},
+			[2]int{2*s - 1, s},
+			[2]int{s * 1000003, s},
+			[2]int{s*(1<<20) + s - 1, s},
+		)
+	}
+	src := rng.New(29)
+	for _, sh := range shapes {
+		n, s := sh[0], sh[1]
+		rt := newRouter(n, s)
+		check := func(v, want int) {
+			t.Helper()
+			if got := rt.of(int32(v)); got != want {
+				t.Fatalf("n=%d S=%d: bin %d routed to shard %d, want %d", n, s, v, got, want)
+			}
+		}
+		for i := 0; i < s; i++ {
+			base, size := PartitionStart(n, s, i), PartitionSize(n, s, i)
+			if i > 0 {
+				check(base-1, i-1)
+			}
+			check(base, i)
+			check(base+size-1, i)
+		}
+		for range 1000 {
+			v := src.Intn(n)
+			check(v, sort.Search(s, func(i int) bool { return PartitionStart(n, s, i+1) > v }))
+		}
+	}
+}
+
 // TestWorkerInvariance is the P-invariance contract: with the shard count
 // held fixed, the aggregate trajectory is byte-identical whether the
 // phases run on one goroutine or eight.
@@ -121,12 +183,15 @@ func TestWorkerInvariance(t *testing.T) {
 // TestTransportInvariance is the in-process half of the transport
 // contract: with (seed, n, S) fixed, the persistent pool at several worker
 // counts, under both dense kernels, and the in-process round with its
-// sub-round chunk C lowered to 64, 7 and 1 ball a shard all produce the
-// trajectory of the whole-round path (Release then Commit, whose rows
-// hold every ball of the round, as a multi-process worker's do) byte for
-// byte. The shapes cover the shift router (n = 2¹³, S = 8, from
-// all-in-one), the divide router (n = 3001, S = 3) and a start of 255 balls
-// a bin at n = 64, S = 2, whose commit widens the cells after its drains.
+// sub-round chunk C lowered (to 64, 7 and 1 ball a shard on the small
+// shapes, to 2¹² on the n ≈ 10⁶ one, where a C of 64 makes thousands of
+// phases a round) all produce the trajectory of the whole-round path (Release then
+// Commit, whose rows hold every ball of the round, as a multi-process
+// worker's do) byte for byte. The shapes cover the shift router
+// (n = 2¹³, S = 8, from all-in-one), the general router (n = 3001, S = 3,
+// and n = 1000003, S = 7, whose first four shards hold one bin more) and
+// a start of 255 balls a bin at n = 64, S = 2, whose commit widens the
+// cells after its drains.
 // C = 1 makes a sub-round of every ball, so it runs the first few rounds
 // only. The cross-process half lives in transport/tcp's matrix test.
 func TestTransportInvariance(t *testing.T) {
@@ -135,15 +200,18 @@ func TestTransportInvariance(t *testing.T) {
 	for i := range full {
 		full[i] = 255
 	}
+	small := []int{64, 7, 1}
 	for _, sh := range []struct {
 		name          string
 		loads         []int32
 		shards        int
-		rounds, short int // rounds, and the rounds of the C = 1 variants
+		rounds, short int   // rounds, and the rounds of the C = 1 variants
+		chunks        []int // the lowered values of C
 	}{
-		{"all-in-one n=2^13 S=8", config.AllInOne(1<<13, 1<<13), 8, 250, 40},
-		{"one-per-bin n=3001 S=3", config.OnePerBin(3001), 3, 120, 4},
-		{"255-a-bin n=64 S=2", full, 2, 40, 40},
+		{"all-in-one n=2^13 S=8", config.AllInOne(1<<13, 1<<13), 8, 250, 40, small},
+		{"one-per-bin n=3001 S=3", config.OnePerBin(3001), 3, 120, 4, small},
+		{"one-per-bin n=1000003 S=7", config.OnePerBin(1000003), 7, 8, 0, []int{1 << 12}},
+		{"255-a-bin n=64 S=2", full, 2, 40, 40, small},
 	} {
 		// The reference steps the whole-round path on one worker,
 		// recording the window max at both lengths and the loads at each.
@@ -180,7 +248,7 @@ func TestTransportInvariance(t *testing.T) {
 			for _, k := range []engine.Kernel{engine.KernelBatched, engine.KernelScalar} {
 				variants = append(variants, variant{k, w, 0})
 			}
-			for _, c := range []int{64, 7, 1} {
+			for _, c := range sh.chunks {
 				variants = append(variants, variant{engine.KernelBatched, w, c})
 			}
 		}
