@@ -149,8 +149,8 @@ func BenchmarkE08CoverTime(b *testing.B) {
 // BenchmarkE09Progress measures the token-engine step with delay tracking
 // (§4 progress kernel).
 func BenchmarkE09Progress(b *testing.B) {
-	p, err := core.NewTokenProcess(config.OnePerBin(benchN), rng.New(9), core.TokenOptions{
-		Strategy:    core.FIFO,
+	p, err := NewTokenProcess(config.OnePerBin(benchN), rng.New(9), TokenOptions{
+		Strategy:    FIFO,
 		TrackDelays: true,
 	})
 	if err != nil {
@@ -276,8 +276,8 @@ func BenchmarkE15LeakyBins(b *testing.B) {
 // BenchmarkE16Oblivious measures the Random-strategy token step (the most
 // expensive strategy, exercising the pick stream).
 func BenchmarkE16Oblivious(b *testing.B) {
-	p, err := core.NewTokenProcess(config.OnePerBin(benchN), rng.New(16), core.TokenOptions{
-		Strategy: core.Random,
+	p, err := NewTokenProcess(config.OnePerBin(benchN), rng.New(16), TokenOptions{
+		Strategy: Random,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -342,7 +342,7 @@ func BenchmarkAblationEngineAnonymous(b *testing.B) {
 }
 
 func BenchmarkAblationEngineToken(b *testing.B) {
-	p, err := core.NewTokenProcess(config.OnePerBin(benchN), rng.New(20), core.TokenOptions{})
+	p, err := NewTokenProcess(config.OnePerBin(benchN), rng.New(20), TokenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func BenchmarkAblationEngineToken(b *testing.B) {
 
 // BenchmarkAblationEngineTokenCover adds the m×n visited matrix.
 func BenchmarkAblationEngineTokenCover(b *testing.B) {
-	p, err := core.NewTokenProcess(config.OnePerBin(benchN), rng.New(20), core.TokenOptions{TrackCover: true})
+	p, err := NewTokenProcess(config.OnePerBin(benchN), rng.New(20), TokenOptions{TrackCover: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -423,8 +423,8 @@ func BenchmarkAblationBoundedModulo(b *testing.B) {
 
 // BenchmarkAblationStrategyFIFO/LIFO/Random: queue disciplines (DESIGN.md
 // §4.4; E16 shows the laws coincide, these show the constants).
-func benchStrategy(b *testing.B, s core.Strategy) {
-	p, err := core.NewTokenProcess(config.OnePerBin(benchN), rng.New(23), core.TokenOptions{Strategy: s})
+func benchStrategy(b *testing.B, s Strategy) {
+	p, err := NewTokenProcess(config.OnePerBin(benchN), rng.New(23), TokenOptions{Strategy: s})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -434,6 +434,6 @@ func benchStrategy(b *testing.B, s core.Strategy) {
 	}
 }
 
-func BenchmarkAblationStrategyFIFO(b *testing.B)   { benchStrategy(b, core.FIFO) }
-func BenchmarkAblationStrategyLIFO(b *testing.B)   { benchStrategy(b, core.LIFO) }
-func BenchmarkAblationStrategyRandom(b *testing.B) { benchStrategy(b, core.Random) }
+func BenchmarkAblationStrategyFIFO(b *testing.B)   { benchStrategy(b, FIFO) }
+func BenchmarkAblationStrategyLIFO(b *testing.B)   { benchStrategy(b, LIFO) }
+func BenchmarkAblationStrategyRandom(b *testing.B) { benchStrategy(b, Random) }

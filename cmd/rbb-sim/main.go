@@ -55,6 +55,9 @@
 // tuning — like -trace and -metrics they are side channels that never
 // touch stdout or the results.
 //
+// A flag that the chosen process does not read (-strategy without -process
+// token, -shards on token|choices|jackson, …) is an error, never ignored.
+//
 // Examples:
 //
 //	rbb-sim -n 1024 -rounds 10000
@@ -83,6 +86,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -97,6 +101,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/shard/transport/tcp"
 	"repro/internal/spec"
+	"repro/internal/walks"
 )
 
 func main() {
@@ -238,8 +243,8 @@ func run(args []string, out io.Writer) error {
 		}
 		return runResumed(out, *resume, *rounds, *every, *ckptPath, *ckptEvery, pl, *ckptComp, *timings, *jsonOut)
 	}
-	if *ckptPath != "" && *process != "original" {
-		return fmt.Errorf("-checkpoint supports only -process original (got %q)", *process)
+	if err := checkReadFlags(fs, *process); err != nil {
+		return err
 	}
 	if *n < 1 || *n > shard.MaxBins {
 		return fmt.Errorf("need 1 <= n <= %d (2^31), got %d", shard.MaxBins, *n)
@@ -274,13 +279,10 @@ func run(args []string, out io.Writer) error {
 		Init: *initName, LoadWidth: int(width), Placement: pl,
 	}
 	if batched {
-		rs.Process, rs.M, rs.Lambda = *process, 0, *lambda
+		rs.Process, rs.Lambda = *process, *lambda
 	}
 	if err := rs.NormalizePlacement(); err != nil {
 		return err
-	}
-	if rs.Placement.Transport != spec.TransportPool && *process != "original" && !batched {
-		return fmt.Errorf("-transport %s supports only -process original|tetris|batches (got %q)", rs.Placement.Transport, *process)
 	}
 
 	var s engine.Stepper
@@ -297,11 +299,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		strat, err := core.ParseStrategy(*strategy)
+		strat, err := walks.ParseStrategy(*strategy)
 		if err != nil {
 			return err
 		}
-		p, err := core.NewTokenProcess(loads, src, core.TokenOptions{Strategy: strat, TrackDelays: true})
+		p, err := walks.NewTokenProcess(loads, src, walks.Options{Strategy: strat, TrackDelays: true})
 		if err != nil {
 			return err
 		}
@@ -326,8 +328,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		s = &jacksonStepper{net: net}
-	default:
-		return fmt.Errorf("unknown process %q (want original|tetris|batches|token|choices|jackson)", *process)
 	}
 
 	if !*jsonOut {
@@ -343,6 +343,48 @@ func run(args []string, out io.Writer) error {
 	}
 	pol := checkpoint.Policy{Path: *ckptPath, Every: *ckptEvery, Seed: *seed, Pipeline: pipe, Compress: *ckptComp}
 	return runLoop(out, s, pipe, pol, *rounds, *every, *timings, *jsonOut)
+}
+
+// sharded names the process kinds the sharded engine steps: the spec kinds.
+const sharded = "original|tetris|batches"
+
+// named reports whether the "|"-separated list names process.
+func named(list, process string) bool {
+	return slices.Contains(strings.Split(list, "|"), process)
+}
+
+// checkReadFlags refuses an unknown process kind, and any flag set on the
+// command line that the chosen kind does not read: running anyway would
+// run a different run from the one asked for.
+func checkReadFlags(fs *flag.FlagSet, process string) error {
+	if all := sharded + "|token|choices|jackson"; !named(all, process) {
+		return fmt.Errorf("unknown process %q (want %s)", process, all)
+	}
+	// Each flag that only some kinds read, and those kinds.
+	readers := map[string]string{
+		"m": "original|token|choices|jackson", "lambda": "tetris|batches",
+		"strategy": "token", "d": "choices", "checkpoint": "original",
+		"shards": sharded, "transport": sharded, "procs": sharded, "hosts": sharded,
+		"load-width": sharded, "kernel": sharded,
+	}
+	// RunSpec.Normalize's refusals of the two law fields a spec kind may
+	// not carry, so rbb-sim and rbb-serve refuse one spec alike.
+	specWords := map[string]string{
+		"m":      "m applies only to the rbb process",
+		"lambda": "lambda applies only to the tetris and batches processes",
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		who, ok := readers[f.Name]
+		switch {
+		case err != nil || !ok || named(who, process):
+		case specWords[f.Name] != "" && named(sharded, process):
+			err = fmt.Errorf("-%s under -process %s: %s", f.Name, process, specWords[f.Name])
+		default:
+			err = fmt.Errorf("-%s does not apply to -process %s (only %s)", f.Name, process, who)
+		}
+	})
+	return err
 }
 
 // startTelemetry wires the -trace and -metrics side channels: it installs a
@@ -559,7 +601,7 @@ func runLoop(out io.Writer, s engine.Stepper, pipe *shard.Pipeline, pol checkpoi
 	if q := pipe.String(); q != "" {
 		fmt.Fprintf(out, "max-load quantiles over rounds: %s\n", q)
 	}
-	if p, ok := s.(*core.TokenProcess); ok {
+	if p, ok := s.(*walks.Traversal); ok {
 		fmt.Fprintf(out, "min ball progress: %d hops; max per-visit delay: %d; mean delay: %.3f\n",
 			p.MinHops(), p.MaxDelay(), p.MeanDelay())
 	}

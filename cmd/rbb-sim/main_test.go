@@ -14,6 +14,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/shard"
 	"repro/internal/shard/transport/tcp"
+	"repro/internal/spec"
 )
 
 // TestMain doubles as the transport worker entry point: coordinator
@@ -374,6 +375,41 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// A flag the chosen process does not read is refused, naming the flag
+	// and the process; the spec kinds refuse -m and -lambda in
+	// RunSpec.Normalize's words, as rbb-serve does.
+	specErr := func(sp spec.RunSpec) string {
+		sp.N, sp.Rounds = 64, 3
+		if err := sp.Normalize(0); err != nil {
+			return err.Error()
+		}
+		t.Fatalf("spec %+v accepted", sp)
+		return ""
+	}
+	for _, c := range []struct {
+		args       []string
+		flag, proc string
+		words      string
+	}{
+		{[]string{"-process", "batches", "-m", "500"}, "m", "batches", specErr(spec.RunSpec{Process: "batches", M: 500})},
+		{[]string{"-process", "tetris", "-m", "7"}, "m", "tetris", specErr(spec.RunSpec{Process: "tetris", M: 7})},
+		{[]string{"-lambda", "0.5"}, "lambda", "original", specErr(spec.RunSpec{Lambda: 0.5})},
+		{[]string{"-process", "jackson", "-lambda", "0.3"}, "lambda", "jackson", ""},
+		{[]string{"-strategy", "lifo"}, "strategy", "original", ""},
+		{[]string{"-d", "3"}, "d", "original", ""},
+		{[]string{"-process", "token", "-shards", "4"}, "shards", "token", ""},
+		{[]string{"-process", "token", "-load-width", "16"}, "load-width", "token", ""},
+		{[]string{"-process", "choices", "-kernel", "scalar"}, "kernel", "choices", ""},
+	} {
+		err := run(append([]string{"-n", "64", "-rounds", "3", "-json"}, c.args...), &sb)
+		if err == nil {
+			t.Errorf("args %v accepted", c.args)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-"+c.flag+" ") || !strings.Contains(msg, "-process "+c.proc) || !strings.Contains(msg, c.words) {
+			t.Errorf("args %v: error %q does not name -%s, -process %s and %q", c.args, msg, c.flag, c.proc, c.words)
 		}
 	}
 }

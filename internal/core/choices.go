@@ -1,3 +1,23 @@
+// Package core holds the d-choices variant of the paper's process and the
+// process's exact law on tiny systems.
+//
+// Given n bins and m balls (the paper takes m = n), in every round one ball
+// is extracted from each non-empty bin and re-assigned to a bin chosen
+// uniformly at random (self included). With W(t) the set of non-empty bins
+// and X_u uniform over [n], the exact update is
+//
+//	Q_v(t+1) = max(Q_v(t) − 1, 0) + |{ u ∈ W(t) : X_u(t+1) = v }|
+//
+// The anonymous loads-only engine of that law is shard.Process
+// (shard.NewSequential builds the sequential one), used for the max-load,
+// empty-bin and convergence experiments (E1–E3, E11, E13); the token
+// process, with ball identities, queueing strategies, delays and cover,
+// is walks.NewTokenProcess (E9, E16). This package holds:
+//
+//   - ChoicesProcess: the d-choices generalization, where each relaunched
+//     ball joins the least loaded of d sampled bins (E18).
+//   - EnumerateArrivals: the exact enumeration of every realization of a
+//     few rounds, behind the Appendix B reproduction (E12).
 package core
 
 import (

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/walks"
 )
 
 // decodeLoads turns fuzz bytes into a small valid configuration.
@@ -32,8 +33,8 @@ func FuzzTokenProcessInvariants(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 1}, uint16(120), uint64(9), uint8(2))
 	f.Fuzz(func(t *testing.T, cfg []byte, stepsRaw uint16, seed uint64, stratRaw uint8) {
 		loads := decodeLoads(cfg)
-		p, err := NewTokenProcess(loads, rng.New(seed), TokenOptions{
-			Strategy:    Strategy(stratRaw % 3),
+		p, err := walks.NewTokenProcess(loads, rng.New(seed), walks.Options{
+			Strategy:    walks.Strategy(stratRaw % 3),
 			TrackCover:  stratRaw%2 == 0,
 			TrackDelays: stratRaw%2 == 1,
 		})

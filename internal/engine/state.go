@@ -1,10 +1,10 @@
 // Package engine is the shared stepping layer under every synchronous
 // process in this repository: each shard of shard.Process (the paper's
 // process and, under the batch rules, the Tetris and batches processes,
-// sequential or sharded), core.TokenProcess, core.ChoicesProcess,
-// coupling.Coupled and walks.Traversal. A State reports nothing during a
-// round; an observer (such as shard.Tetris's Lemma 4 tracker) reads the
-// loads between rounds.
+// sequential or sharded), walks.Traversal (the §4 traversal, the token
+// process included), core.ChoicesProcess and coupling.Coupled. A State
+// reports nothing during a round; an observer (such as shard.Tetris's
+// Lemma 4 tracker) reads the loads between rounds.
 //
 // The paper's headline regime is sparse: after self-stabilization most bins
 // hold O(1) balls, and from the worst-case AllInOne start only a handful of

@@ -2,7 +2,7 @@ package engine
 
 // Stepper is the uniform round-advancing surface of every synchronous
 // engine in this repository (shard.Process, shard.Tetris,
-// core.TokenProcess, core.ChoicesProcess, walks.Traversal, the
+// walks.Traversal, the token process included, core.ChoicesProcess, the
 // multi-process tcp.Engine, and the Jackson round adapter in
 // cmd/rbb-sim). The simulation harness, the experiment suite,
 // the run loop and the CLIs drive processes through this interface so that

@@ -11,6 +11,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/table"
+	"repro/internal/walks"
 )
 
 // E12NegativeAssociation reproduces Appendix B: for n = 2 starting from
@@ -117,7 +118,7 @@ func E16Oblivious(cfg Config) (*Result, error) {
 	windowMult := pick(cfg.Scale, 8, 16, 32)
 	window := int64(windowMult * n)
 
-	strategies := []core.Strategy{core.FIFO, core.LIFO, core.Random}
+	strategies := []walks.Strategy{walks.FIFO, walks.LIFO, walks.Random}
 
 	// Level 1: exact trajectory equality on shared destination stream.
 	identical := true
@@ -127,9 +128,9 @@ func E16Oblivious(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		toks := make([]*core.TokenProcess, len(strategies))
+		toks := make([]*walks.Traversal, len(strategies))
 		for i, s := range strategies {
-			tp, err := core.NewTokenProcess(loads, rng.NewStream(cfg.Seed, 160), core.TokenOptions{
+			tp, err := walks.NewTokenProcess(loads, rng.NewStream(cfg.Seed, 160), walks.Options{
 				Strategy:   s,
 				PickSource: rng.NewStream(cfg.Seed, 161+uint64(i)),
 			})
@@ -166,7 +167,7 @@ func E16Oblivious(cfg Config) (*Result, error) {
 		s := s
 		res, err := sim.WindowMax(trials, cfg.Seed+uint64(1600+i), window,
 			func(_ int, src *rng.Source) (engine.Stepper, error) {
-				tp, err := core.NewTokenProcess(config.OnePerBin(n), src, core.TokenOptions{Strategy: s})
+				tp, err := walks.NewTokenProcess(config.OnePerBin(n), src, walks.Options{Strategy: s})
 				if err != nil {
 					return nil, err
 				}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mixing"
 	"repro/internal/rng"
@@ -104,8 +103,8 @@ func E09Progress(cfg Config) (*Result, error) {
 			Metrics:     []string{"minHops", "maxDelay"},
 			Parallelism: cfg.Parallelism,
 		}, func(_ int, src *rng.Source) ([]float64, error) {
-			p, err := core.NewTokenProcess(config.OnePerBin(n), src, core.TokenOptions{
-				Strategy:    core.FIFO,
+			p, err := walks.NewTokenProcess(config.OnePerBin(n), src, walks.Options{
+				Strategy:    walks.FIFO,
 				TrackDelays: true,
 			})
 			if err != nil {

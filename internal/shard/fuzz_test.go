@@ -4,11 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/coupling"
 	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/tetris"
+	"repro/internal/walks"
 )
 
 // FuzzSteppers checks the steppers on tiny systems whose loads sit at the
@@ -215,9 +215,9 @@ func checkConservation(t *testing.T, loads []int32, rounds int, lambda float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tp *core.TokenProcess
+	var tp *walks.Traversal
 	if token {
-		if tp, err = core.NewTokenProcess(loads, rng.New(seed), core.TokenOptions{}); err != nil {
+		if tp, err = walks.NewTokenProcess(loads, rng.New(seed), walks.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

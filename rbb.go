@@ -4,8 +4,9 @@
 // the paper's analysis and applications touch:
 //
 //   - the repeated balls-into-bins process itself, in a fast anonymous
-//     engine (Process) and an identity-tracking engine (TokenProcess) with
-//     FIFO/LIFO/Random queueing strategies;
+//     engine (Process) and an identity-tracking engine (TokenProcess, the
+//     Traversal of the complete graph) with FIFO/LIFO/Random queueing
+//     strategies;
 //   - the Tetris analysis process of §3.3 (Tetris), including the
 //     batched-arrival "leaky bins" variant of Berenbrink et al. [18];
 //   - a sharded multi-core engine that executes one run data-parallel
@@ -19,7 +20,8 @@
 //   - the Lemma 5 one-dimensional drift chain (DriftChain) with exact tail
 //     computation;
 //   - the §4 multi-token traversal protocol on arbitrary graphs
-//     (Traversal), with cover-time tracking and a single-token baseline;
+//     (Traversal), with queueing strategies, delay and cover-time
+//     tracking and a single-token baseline;
 //   - the §4.1 adversarial fault model (schedules × placements with
 //     a fault-injecting traversal runner, in internal/adversary);
 //   - deterministic, splittable PRNG streams (Source) so every result in
@@ -83,26 +85,30 @@ func NewProcess(loads []int32, src *Source) (*Process, error) {
 }
 
 // TokenProcess is the identity-tracking engine: same law as Process plus
-// per-ball positions, progress, delays and cover tracking.
-type TokenProcess = core.TokenProcess
+// per-ball positions, progress, delays and cover tracking. It is the same
+// type as Traversal: the token process is the traversal of the complete
+// graph with self-loops.
+type TokenProcess = walks.Traversal
 
-// TokenOptions configures a TokenProcess.
-type TokenOptions = core.TokenOptions
+// TokenOptions configures a TokenProcess; it is the same type as
+// TraversalOptions.
+type TokenOptions = walks.Options
 
 // Strategy selects which queued ball a bin releases.
-type Strategy = core.Strategy
+type Strategy = walks.Strategy
 
 // Queueing strategies. The process law is oblivious to this choice
 // (§2 footnote 2; verified by experiment E16).
 const (
-	FIFO   = core.FIFO
-	LIFO   = core.LIFO
-	Random = core.Random
+	FIFO   = walks.FIFO
+	LIFO   = walks.LIFO
+	Random = walks.Random
 )
 
-// NewTokenProcess builds a TokenProcess over a copy of the configuration.
+// NewTokenProcess builds a TokenProcess over a copy of the configuration:
+// the traversal of the complete graph on len(loads) nodes.
 func NewTokenProcess(loads []int32, src *Source, opts TokenOptions) (*TokenProcess, error) {
-	return core.NewTokenProcess(loads, src, opts)
+	return walks.NewTokenProcess(loads, src, opts)
 }
 
 // ChoicesProcess is the d-choices generalization (paper §1.3, citing
@@ -245,10 +251,12 @@ func MixingTimeTV(g Graph, start int, eps float64, maxSteps int) (int, bool, err
 }
 
 // Traversal is the §4 multi-token traversal engine: m tokens walking a
-// graph under the one-token-per-round-per-node constraint.
+// graph under the one-token-per-round-per-node constraint. It is the same
+// type as TokenProcess.
 type Traversal = walks.Traversal
 
-// TraversalOptions configures a Traversal.
+// TraversalOptions configures a Traversal; it is the same type as
+// TokenOptions.
 type TraversalOptions = walks.Options
 
 // NewTraversal builds a traversal with loads[u] tokens at node u.
