@@ -87,11 +87,11 @@ func BenchmarkE04Coupling(b *testing.B) {
 // worst case.
 func BenchmarkE05TetrisEmpty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, err := NewTetris(config.AllInOne(benchN, benchN), rng.New(uint64(i)), TetrisOptions{})
+		p, err := NewTetris(config.AllInOne(benchN, benchN), rng.New(uint64(i)), ArrivalRule{Kind: ArrivalQuota})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := p.RunUntilAllEmptied(int64(20 * benchN)); !ok {
+		if _, ok := NewEmptyTracker(p).RunUntilAllEmptied(int64(20 * benchN)); !ok {
 			b.Fatal("not emptied")
 		}
 	}
@@ -114,7 +114,7 @@ func BenchmarkE06DriftChain(b *testing.B) {
 
 // BenchmarkE07TetrisLoad measures the Tetris step (Lemma 6 kernel).
 func BenchmarkE07TetrisLoad(b *testing.B) {
-	p, err := NewTetris(config.OnePerBin(benchN), rng.New(7), TetrisOptions{})
+	p, err := NewTetris(config.OnePerBin(benchN), rng.New(7), ArrivalRule{Kind: ArrivalQuota})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,10 +260,7 @@ func BenchmarkE14RegularGraphs(b *testing.B) {
 // BenchmarkE15LeakyBins measures the Tetris step under Poisson batched
 // arrivals ([18] kernel).
 func BenchmarkE15LeakyBins(b *testing.B) {
-	p, err := NewTetris(config.OnePerBin(benchN), rng.New(15), TetrisOptions{
-		Law:    PoissonArrivals,
-		Lambda: 0.9,
-	})
+	p, err := NewTetris(config.OnePerBin(benchN), rng.New(15), ArrivalRule{Kind: ArrivalPoisson, Lambda: 0.9})
 	if err != nil {
 		b.Fatal(err)
 	}

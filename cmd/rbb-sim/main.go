@@ -28,8 +28,8 @@
 // HTTP, and every placement steps the plain rule-driven process, so a
 // tetris or batches run prints the same time series and summary in
 // process and under -procs; only the header's placement fields differ.
-// (The Lemma 4 first-emptying rounds are a library measurement:
-// rbb.NewTetris tracks them, and experiment E05 reports them.)
+// (The Lemma 4 first-emptying rounds are a library measurement: an
+// rbb.EmptyTracker observes them, and experiment E05 reports them.)
 //
 // Long runs survive restarts: -checkpoint writes whole-run snapshots
 // (periodically with -checkpoint-every, on SIGTERM/SIGINT, and at
@@ -158,7 +158,6 @@ func run(args []string, out io.Writer) error {
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the run to this file (telemetry side channel, never affects results)")
 		memProf   = fs.String("memprofile", "", "write a heap pprof profile (after a final GC) to this file on exit (telemetry side channel, never affects results)")
 		resume    = fs.String("resume", "", "resume from a checkpoint file; n, m, seed, shards, quantiles and load widths come from the file")
-		timings   = fs.Bool("timings", false, "add wall-clock fields (ckpt_encode_seconds) to the -json summary; timing is machine noise, so byte-compared summaries must leave it off")
 		jsonOut   = fs.Bool("json", false, "print only the final observer summary as one JSON line (rounds, window max, empty-bin fractions, quantiles, memory) — the format served by rbb-serve")
 		tracePath = fs.String("trace", "", "write phase spans as Chrome trace format JSON to this file (load it in chrome://tracing or Perfetto); telemetry only, never affects results")
 		metrics   = fs.String("metrics", "", "dump the end-of-run metrics in Prometheus text format to this file (\"-\" = stderr); telemetry only, never affects results")
@@ -190,11 +189,17 @@ func run(args []string, out io.Writer) error {
 	if *ckptEvery < 0 {
 		return fmt.Errorf("need checkpoint-every >= 0, got %d", *ckptEvery)
 	}
+	if *every < 0 {
+		return fmt.Errorf("need report-every >= 0, got %d", *every)
+	}
 	if *ckptEvery > 0 && *ckptPath == "" {
 		return errors.New("-checkpoint-every requires -checkpoint")
 	}
 	if *ckptComp && *ckptPath == "" {
 		return errors.New("-checkpoint-compress requires -checkpoint")
+	}
+	if *every != 0 && *jsonOut {
+		return errors.New("-report-every does not apply under -json, which prints only the summary")
 	}
 	width, err := engine.ParseWidth(*loadWidth)
 	if err != nil {
@@ -241,7 +246,7 @@ func run(args []string, out io.Writer) error {
 		if conflict != "" {
 			return fmt.Errorf("-resume takes -%s from the checkpoint file; drop the flag", conflict)
 		}
-		return runResumed(out, *resume, *rounds, *every, *ckptPath, *ckptEvery, pl, *ckptComp, *timings, *jsonOut)
+		return runResumed(out, *resume, *rounds, *every, *ckptPath, *ckptEvery, pl, *ckptComp, *jsonOut)
 	}
 	if err := checkReadFlags(fs, *process); err != nil {
 		return err
@@ -342,7 +347,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	pol := checkpoint.Policy{Path: *ckptPath, Every: *ckptEvery, Seed: *seed, Pipeline: pipe, Compress: *ckptComp}
-	return runLoop(out, s, pipe, pol, *rounds, *every, *timings, *jsonOut)
+	return runLoop(out, s, pipe, pol, *rounds, *every, *jsonOut)
 }
 
 // sharded names the process kinds the sharded engine steps: the spec kinds.
@@ -498,7 +503,7 @@ func printSummary(out io.Writer, sum shard.Summary) error {
 // placement — in process or over TCP workers (the snapshot doubles as the
 // worker join payload, so a run born under one placement migrates to any
 // other, machines included) — and continues it to the target round.
-func runResumed(out io.Writer, path string, target, every int64, ckptPath string, ckptEvery int64, pl spec.Placement, compress, timings, jsonOut bool) error {
+func runResumed(out io.Writer, path string, target, every int64, ckptPath string, ckptEvery int64, pl spec.Placement, compress, jsonOut bool) error {
 	snap, err := checkpoint.ReadFile(path)
 	if err != nil {
 		return err
@@ -529,7 +534,7 @@ func runResumed(out io.Writer, path string, target, every int64, ckptPath string
 			p.Round(), p.N(), balls, snap.Seed, placementInfo(p, rs.Placement.Transport), config.LegitimateThreshold(p.N(), config.Beta))
 	}
 	pol := checkpoint.Policy{Path: ckptPath, Every: ckptEvery, Seed: snap.Seed, Pipeline: pipe, Compress: compress}
-	return runLoop(out, p, pipe, pol, target, every, timings, jsonOut)
+	return runLoop(out, p, pipe, pol, target, every, jsonOut)
 }
 
 // placementInfo renders the header's placement fields: the shard count
@@ -553,12 +558,8 @@ func placementInfo(s engine.Stepper, transport string) string {
 // anywhere, SIGTERM/SIGINT cancel the run context and checkpoint.Run
 // snapshots and stops at the next round boundary — the same shared path
 // rbb-serve uses for its shutdown.
-func runLoop(out io.Writer, s engine.Stepper, pipe *shard.Pipeline, pol checkpoint.Policy, target, every int64, timings, jsonOut bool) error {
+func runLoop(out io.Writer, s engine.Stepper, pipe *shard.Pipeline, pol checkpoint.Policy, target, every int64, jsonOut bool) error {
 	ctx := context.Background()
-	// Cumulative across every write of the run (periodic, triggered, final),
-	// matching the Summary field's contract — not just the last write.
-	var encSeconds float64
-	pol.OnWrite = func(seconds float64) { encSeconds += seconds }
 	if pol.Path != "" {
 		var stop context.CancelFunc
 		ctx, stop = signal.NotifyContext(ctx, syscall.SIGTERM, os.Interrupt)
@@ -591,11 +592,7 @@ func runLoop(out io.Writer, s engine.Stepper, pipe *shard.Pipeline, pol checkpoi
 		return nil
 	}
 	if jsonOut {
-		sum := pipe.SummaryFor(s)
-		if timings {
-			sum.CkptEncodeSeconds = encSeconds
-		}
-		return printSummary(out, sum)
+		return printSummary(out, pipe.SummaryFor(s))
 	}
 	fmt.Fprintf(out, "\nwindow max load: %d (%.2f x ln n)\n", pipe.WindowMax(), float64(pipe.WindowMax())/math.Log(float64(n)))
 	if q := pipe.String(); q != "" {

@@ -348,6 +348,7 @@ func TestRunErrors(t *testing.T) {
 		// 2^31 bins start with 2^31 balls, one more than an int32 bin holds.
 		{"-n", "2147483648", "-rounds", "1", "-shards", "1"},
 		{"-rounds", "-1"},
+		{"-report-every", "-5"},
 		{"-process", "bogus"},
 		{"-init", "bogus"},
 		{"-process", "token", "-strategy", "bogus"},
@@ -410,6 +411,25 @@ func TestRunErrors(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.Contains(msg, "-"+c.flag+" ") || !strings.Contains(msg, "-process "+c.proc) || !strings.Contains(msg, c.words) {
 			t.Errorf("args %v: error %q does not name -%s, -process %s and %q", c.args, msg, c.flag, c.proc, c.words)
+		}
+	}
+	// So is an output flag the output mode does not read: -json prints no
+	// time series for -report-every to space, fresh or resumed. -timings
+	// is no flag at all (-metrics dumps rbb_ckpt_write_seconds).
+	for _, c := range []struct{ args, names []string }{
+		{[]string{"-json", "-report-every", "2"}, []string{"-report-every", "-json"}},
+		{[]string{"-resume", "missing.ckpt", "-json", "-report-every", "2"}, []string{"-report-every", "-json"}},
+		{[]string{"-json", "-timings"}, []string{"-timings"}},
+	} {
+		err := run(append([]string{"-n", "64", "-rounds", "3"}, c.args...), &sb)
+		if err == nil {
+			t.Errorf("args %v accepted", c.args)
+			continue
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("args %v: error %q does not name %s", c.args, err, name)
+			}
 		}
 	}
 }

@@ -22,18 +22,10 @@ func main() {
 	fmt.Printf("measuring window max load over %d rounds after warm-up (ln n = %.1f)\n\n", window, math.Log(n))
 	fmt.Printf("%10s  %6s  %14s  %12s  %14s\n", "law", "λ", "window max", "max / ln n", "balls (mean)")
 
-	for _, law := range []struct {
-		name string
-		opt  rbb.TetrisOptions
-	}{
-		{"binomial", rbb.TetrisOptions{Law: rbb.BinomialArrivals}},
-		{"poisson", rbb.TetrisOptions{Law: rbb.PoissonArrivals}},
-	} {
+	for _, law := range []rbb.ArrivalKind{rbb.ArrivalBinomial, rbb.ArrivalPoisson} {
 		for _, lambda := range []float64{0.5, 0.75, 0.9, 0.97} {
-			opts := law.opt
-			opts.Lambda = lambda
 			src := rbb.NewSource(uint64(1000 + int(lambda*100)))
-			p, err := rbb.NewTetris(rbb.OnePerBin(n), src, opts)
+			p, err := rbb.NewTetris(rbb.OnePerBin(n), src, rbb.ArrivalRule{Kind: law, Lambda: lambda})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -48,7 +40,7 @@ func main() {
 				ballSum += float64(p.Balls())
 			}
 			fmt.Printf("%10s  %6.2f  %14d  %12.2f  %14.0f\n",
-				law.name, lambda, windowMax, float64(windowMax)/math.Log(n), ballSum/float64(window))
+				law, lambda, windowMax, float64(windowMax)/math.Log(n), ballSum/float64(window))
 		}
 	}
 

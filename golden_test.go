@@ -33,7 +33,7 @@ func TestGoldenProcessTrajectory(t *testing.T) {
 }
 
 func TestGoldenTetrisTrajectory(t *testing.T) {
-	p, err := NewTetris(OnePerBin(64), NewSource(12345), TetrisOptions{})
+	p, err := NewTetris(OnePerBin(64), NewSource(12345), ArrivalRule{Kind: ArrivalQuota})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func RunProcess(p *shard.Process, sched Schedule, place Placement, rounds int64,
 func TestRunProcessWithPeriodicFaults(t *testing.T) {
 	const n = 256
 	r := rng.New(3)
-	p, err := shard.NewSequential(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r, shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRunProcessWithPeriodicFaults(t *testing.T) {
 func TestRunProcessNoFaults(t *testing.T) {
 	const n = 128
 	r := rng.New(5)
-	p, err := shard.NewSequential(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r, shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ type Policy struct {
 	Compress bool
 	// OnWrite, if non-nil, is called after every successful checkpoint
 	// write with the wall-clock time the write took (snapshot or stream,
-	// encode and file I/O included). cmd/rbb-sim feeds its
-	// ckpt_encode_seconds summary field from it.
+	// encode and file I/O included). The benchmark's checkpoint timings
+	// (ladder/) read it.
 	OnWrite func(seconds float64)
 }
 
@@ -54,8 +54,8 @@ type Policy struct {
 // arrival rule it steps. Run checkpoints only the relaunch rule, because
 // the format records no rule and every checkpoint resumes as rbb; it
 // streams the state (see streamer) and never gathers it into memory.
-// *shard.Process (and with it *shard.Tetris) implements Process, and so
-// does the multi-process coordinator of internal/shard/transport/tcp —
+// *shard.Process implements Process under every rule, and so does the
+// multi-process coordinator of internal/shard/transport/tcp —
 // which is how `rbb-sim -procs P` shares this runner (periodic, triggered
 // and snapshot-and-stop checkpoints) with single-process runs.
 type Process interface {

@@ -156,10 +156,10 @@ func TestLoadRejectsBinsOverLimit(t *testing.T) {
 // TestRunRejectsUnstreamable: Run streams every checkpoint, so a Process
 // that is neither a StreamProcess nor a *shard.Process is refused before
 // its first round when checkpointing is on — and so is a Process stepping
-// any rule but relaunch, whatever its type: a *shard.Tetris is a Process
-// (it embeds one), but its checkpoint would later resume as rbb, so the
-// rule guard refuses it with an error naming the rule. The tcp package
-// pins the same guard on the star and the mesh.
+// any rule but relaunch, whatever its type: a *shard.Process under the
+// quota rule streams like any other, but its checkpoint would later
+// resume as rbb, so the rule guard refuses it with an error naming the
+// rule. The tcp package pins the same guard on the star and the mesh.
 func TestRunRejectsUnstreamable(t *testing.T) {
 	p, _ := newStreamRun(t, config.OnePerBin(64), 2, engine.WidthAuto, 0)
 	defer p.Close()
@@ -216,9 +216,9 @@ func TestRunPlainStepper(t *testing.T) {
 }
 
 // newTetris builds a small sharded tetris process.
-func newTetris(t *testing.T) *shard.Tetris {
+func newTetris(t *testing.T) *shard.Process {
 	t.Helper()
-	tp, err := shard.NewTetris(config.OnePerBin(64), 3, shard.TetrisOptions{Options: shard.Options{Shards: 2}})
+	tp, err := shard.NewProcess(config.OnePerBin(64), 3, shard.Options{Shards: 2, Rule: shard.ArrivalRule{Kind: shard.ArrivalQuota}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestChoicesD1MatchesProcessLaw(t *testing.T) {
 	// trajectories coincide.
 	const n = 64
 	loads := config.UniformRandom(n, n, rng.New(5))
-	a, err := shard.NewSequential(loads, rng.New(9))
+	a, err := shard.NewSequential(loads, rng.New(9), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestArrivalLawBinomial(t *testing.T) {
 	// One-per-bin start: |W| = n deterministically in round 1. One
 	// process, reset to the start before each trial.
 	start := config.OnePerBin(n)
-	p, err := shard.NewSequential(start, rng.New(101))
+	p, err := shard.NewSequential(start, rng.New(101), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestArrivalLawBinomial(t *testing.T) {
 func TestDepartureExactlyOne(t *testing.T) {
 	const n = 32
 	r := rng.New(103)
-	p, err := shard.NewSequential(config.UniformRandom(n, n, r), r)
+	p, err := shard.NewSequential(config.UniformRandom(n, n, r), r, shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDepartureExactlyOne(t *testing.T) {
 func TestStationaryLoadTailGeometric(t *testing.T) {
 	const n = 4096
 	r := rng.New(107)
-	p, err := shard.NewSequential(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r, shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,20 +17,20 @@ import (
 
 func TestNewProcessValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, err := shard.NewSequential(nil, r); err == nil {
+	if _, err := shard.NewSequential(nil, r, shard.ArrivalRule{}); err == nil {
 		t.Error("no bins accepted")
 	}
-	if _, err := shard.NewSequential([]int32{1, -2}, r); err == nil {
+	if _, err := shard.NewSequential([]int32{1, -2}, r, shard.ArrivalRule{}); err == nil {
 		t.Error("negative load accepted")
 	}
-	if _, err := shard.NewSequential([]int32{1}, nil); err == nil {
+	if _, err := shard.NewSequential([]int32{1}, nil, shard.ArrivalRule{}); err == nil {
 		t.Error("nil source accepted")
 	}
 }
 
 func TestProcessCopiesInitialLoads(t *testing.T) {
 	init := []int32{2, 0, 1}
-	p, err := shard.NewSequential(init, rng.New(1))
+	p, err := shard.NewSequential(init, rng.New(1), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestProcessCopiesInitialLoads(t *testing.T) {
 }
 
 func TestProcessInitialStats(t *testing.T) {
-	p, err := shard.NewSequential([]int32{3, 0, 0, 1}, rng.New(1))
+	p, err := shard.NewSequential([]int32{3, 0, 0, 1}, rng.New(1), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestBallConservation(t *testing.T) {
 	if err := quick.Check(func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw)%50 + 2
 		r := rng.New(uint64(seed))
-		p, err := shard.NewSequential(config.UniformRandom(n, n, r), r)
+		p, err := shard.NewSequential(config.UniformRandom(n, n, r), r, shard.ArrivalRule{})
 		if err != nil {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestBallConservation(t *testing.T) {
 
 func TestSingleBinSelfLoop(t *testing.T) {
 	// With n = 1 the only ball must return to the only bin forever.
-	p, err := shard.NewSequential([]int32{5}, rng.New(3))
+	p, err := shard.NewSequential([]int32{5}, rng.New(3), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSingleBinSelfLoop(t *testing.T) {
 func TestLoadDropsByAtMostOne(t *testing.T) {
 	// Per the update rule, a bin's load can decrease by at most 1 per round.
 	r := rng.New(7)
-	p, err := shard.NewSequential(config.AllInOne(32, 32), r)
+	p, err := shard.NewSequential(config.AllInOne(32, 32), r, shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestEmptyBinsAtLeastQuarter(t *testing.T) {
 	// For n = 512 the failure probability is astronomically small.
 	const n = 512
 	r := rng.New(11)
-	p, err := shard.NewSequential(config.OnePerBin(n), r)
+	p, err := shard.NewSequential(config.OnePerBin(n), r, shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestEmptyBinsFromWorstCase(t *testing.T) {
 	// round later at least n/4 bins are empty (trivially, here: most bins
 	// stay empty).
 	const n = 256
-	p, err := shard.NewSequential(config.AllInOne(n, n), rng.New(13))
+	p, err := shard.NewSequential(config.AllInOne(n, n), rng.New(13), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStabilityMaxLoadLogarithmic(t *testing.T) {
 	// Theorem 1(a) at test scale: from one-per-bin, over 4n rounds with
 	// n = 1024 the max load should stay within ~4 ln n.
 	const n = 1024
-	p, err := shard.NewSequential(config.OnePerBin(n), rng.New(17))
+	p, err := shard.NewSequential(config.OnePerBin(n), rng.New(17), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestConvergenceFromWorstCase(t *testing.T) {
 	// reaches max load <= 4 ln n within O(n) rounds. The constant is ~1
 	// (the heavy bin drains one ball per round); allow 3n.
 	const n = 512
-	p, err := shard.NewSequential(config.AllInOne(n, n), rng.New(19))
+	p, err := shard.NewSequential(config.AllInOne(n, n), rng.New(19), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestConvergenceFromWorstCase(t *testing.T) {
 }
 
 func TestRunUntilAlreadySatisfied(t *testing.T) {
-	p, err := shard.NewSequential(config.OnePerBin(8), rng.New(1))
+	p, err := shard.NewSequential(config.OnePerBin(8), rng.New(1), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRunUntilAlreadySatisfied(t *testing.T) {
 }
 
 func TestRunUntilExhausts(t *testing.T) {
-	p, err := shard.NewSequential(config.OnePerBin(8), rng.New(1))
+	p, err := shard.NewSequential(config.OnePerBin(8), rng.New(1), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRunUntilExhausts(t *testing.T) {
 }
 
 func TestRunAdvancesRounds(t *testing.T) {
-	p, err := shard.NewSequential(config.OnePerBin(16), rng.New(2))
+	p, err := shard.NewSequential(config.OnePerBin(16), rng.New(2), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRunAdvancesRounds(t *testing.T) {
 
 func TestDeterministicTrajectory(t *testing.T) {
 	mk := func() *shard.Process {
-		p, err := shard.NewSequential(config.OnePerBin(64), rng.New(99))
+		p, err := shard.NewSequential(config.OnePerBin(64), rng.New(99), shard.ArrivalRule{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestNegativeAssociationCounterexample(t *testing.T) {
 	// One process, reset to (1, 1) before each trial: a build draws
 	// nothing, so the trials read the source as fresh processes would.
 	start := []int32{1, 1}
-	p, err := shard.NewSequential(start, rng.New(23))
+	p, err := shard.NewSequential(start, rng.New(23), shard.ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestEngineEquivalence(t *testing.T) {
 			setup := rng.New(31)
 			loads := config.UniformRandom(n, n, setup)
 
-			anon, err := shard.NewSequential(loads, rng.New(77))
+			anon, err := shard.NewSequential(loads, rng.New(77), shard.ArrivalRule{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,8 @@
 // process and, under the batch rules, the Tetris and batches processes,
 // sequential or sharded), walks.Traversal (the §4 traversal, the token
 // process included), core.ChoicesProcess and coupling.Coupled. A State
-// reports nothing during a round; an observer (such as shard.Tetris's
-// Lemma 4 tracker) reads the loads between rounds.
+// reports nothing during a round; an observer (such as the Lemma 4
+// tracker, shard.EmptyTracker) reads the loads between rounds.
 //
 // The paper's headline regime is sparse: after self-stabilization most bins
 // hold O(1) balls, and from the worst-case AllInOne start only a handful of

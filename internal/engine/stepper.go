@@ -1,7 +1,7 @@
 package engine
 
 // Stepper is the uniform round-advancing surface of every synchronous
-// engine in this repository (shard.Process, shard.Tetris,
+// engine in this repository (shard.Process under every arrival rule,
 // walks.Traversal, the token process included, core.ChoicesProcess, the
 // multi-process tcp.Engine, and the Jackson round adapter in
 // cmd/rbb-sim). The simulation harness, the experiment suite,

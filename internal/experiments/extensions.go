@@ -40,7 +40,7 @@ func E17Tightness(cfg Config) (*Result, error) {
 		}, func(_ int, src *rng.Source) ([]float64, error) {
 			loads := config.UniformRandom(n, n, src)
 			oneShot := float64(config.MaxLoad(loads))
-			p, err := shard.NewSequential(loads, src)
+			p, err := shard.NewSequential(loads, src, shard.ArrivalRule{})
 			if err != nil {
 				return nil, err
 			}

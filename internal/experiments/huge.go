@@ -50,8 +50,7 @@ func E20HugeN(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := shard.NewProcessFill(c.n, st.Fill, seed, shard.ArrivalRule{},
-			shard.Options{Shards: e20Shards, Workers: cfg.Parallelism})
+		p, err := shard.NewProcessFill(c.n, st.Fill, seed, shard.Options{Shards: e20Shards, Workers: cfg.Parallelism})
 		if err != nil {
 			return nil, err
 		}

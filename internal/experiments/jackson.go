@@ -46,7 +46,7 @@ func E19Jackson(cfg Config) (*Result, error) {
 		net.RunRounds(window)
 		seqMax := float64(net.WindowMaxLoad())
 
-		proc, err := shard.NewSequential(config.OnePerBin(n), src)
+		proc, err := shard.NewSequential(config.OnePerBin(n), src, shard.ArrivalRule{})
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func E12NegativeAssociation(cfg Config) (*Result, error) {
 	// each trial. A build draws nothing, so the trials read src in the
 	// order fresh processes would.
 	start := []int32{1, 1}
-	p, err := shard.NewSequential(start, rng.NewStream(cfg.Seed, 12))
+	p, err := shard.NewSequential(start, rng.NewStream(cfg.Seed, 12), shard.ArrivalRule{})
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func E16Oblivious(cfg Config) (*Result, error) {
 	identical := true
 	{
 		loads := config.OnePerBin(n)
-		ref, err := shard.NewSequential(loads, rng.NewStream(cfg.Seed, 160))
+		ref, err := shard.NewSequential(loads, rng.NewStream(cfg.Seed, 160), shard.ArrivalRule{})
 		if err != nil {
 			return nil, err
 		}

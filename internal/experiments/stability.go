@@ -32,7 +32,7 @@ func E01Stability(cfg Config) (*Result, error) {
 		window := int64(windowMult * n)
 		res, err := sim.WindowMax(trials, cfg.Seed+uint64(n), window,
 			func(_ int, src *rng.Source) (engine.Stepper, error) {
-				p, err := shard.NewSequential(config.OnePerBin(n), src)
+				p, err := shard.NewSequential(config.OnePerBin(n), src, shard.ArrivalRule{})
 				if err != nil {
 					return nil, err
 				}
@@ -81,7 +81,7 @@ func E02Convergence(cfg Config) (*Result, error) {
 		threshold := config.LegitimateThreshold(n, config.Beta)
 		res, err := sim.RunScalar(trials, cfg.Seed+uint64(2*n), "tconv",
 			func(_ int, src *rng.Source) (float64, error) {
-				p, err := shard.NewSequential(config.AllInOne(n, n), src)
+				p, err := shard.NewSequential(config.AllInOne(n, n), src, shard.ArrivalRule{})
 				if err != nil {
 					return 0, err
 				}
@@ -130,7 +130,7 @@ func E03EmptyBins(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, err := shard.NewSequential(loads, src)
+			p, err := shard.NewSequential(loads, src, shard.ArrivalRule{})
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +167,7 @@ func E11SqrtBaseline(cfg Config) (*Result, error) {
 	}
 
 	src := rng.NewStream(cfg.Seed, 11)
-	p, err := shard.NewSequential(config.OnePerBin(n), src)
+	p, err := shard.NewSequential(config.OnePerBin(n), src, shard.ArrivalRule{})
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +234,7 @@ func E13ManyBalls(cfg Config) (*Result, error) {
 			Metrics:     []string{"max", "maxHalf"},
 			Parallelism: cfg.Parallelism,
 		}, func(_ int, src *rng.Source) ([]float64, error) {
-			p, err := shard.NewSequential(config.UniformRandom(n, m, src), src)
+			p, err := shard.NewSequential(config.UniformRandom(n, m, src), src, shard.ArrivalRule{})
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +268,7 @@ func E13ManyBalls(cfg Config) (*Result, error) {
 	mBig := int(float64(n) * lnF(n))
 	res, err := sim.WindowMax(trials, cfg.Seed+uint64(mBig), window,
 		func(_ int, src *rng.Source) (engine.Stepper, error) {
-			p, err := shard.NewSequential(config.UniformRandom(n, mBig, src), src)
+			p, err := shard.NewSequential(config.UniformRandom(n, mBig, src), src, shard.ArrivalRule{})
 			if err != nil {
 				return nil, err
 			}

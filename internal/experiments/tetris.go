@@ -9,8 +9,10 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/tetris"
 )
+
+// tetrisRule is the paper's Tetris process: ⌈3n/4⌉ arrivals a round.
+var tetrisRule = shard.ArrivalRule{Kind: shard.ArrivalQuota}
 
 // E05TetrisEmptying reproduces Lemma 4: in the Tetris process, starting
 // from any configuration (here the worst case, all balls in one bin), every
@@ -26,11 +28,11 @@ func E05TetrisEmptying(cfg Config) (*Result, error) {
 	for _, n := range ns {
 		res, err := sim.RunScalar(trials, cfg.Seed+uint64(5*n), "allEmptied",
 			func(_ int, src *rng.Source) (float64, error) {
-				p, err := shard.NewSequentialTetris(config.AllInOne(n, n), src, tetris.Options{})
+				p, err := shard.NewSequential(config.AllInOne(n, n), src, tetrisRule)
 				if err != nil {
 					return 0, err
 				}
-				round, ok := p.RunUntilAllEmptied(int64(20 * n))
+				round, ok := shard.NewEmptyTracker(p).RunUntilAllEmptied(int64(20 * n))
 				if !ok {
 					return 0, fmt.Errorf("bins not all emptied within 20n for n=%d", n)
 				}
@@ -72,7 +74,7 @@ func E07TetrisLoad(cfg Config) (*Result, error) {
 		window := int64(windowMult * n)
 		res, err := sim.WindowMax(trials, cfg.Seed+uint64(7*n), window,
 			func(_ int, src *rng.Source) (engine.Stepper, error) {
-				p, err := shard.NewSequentialTetris(config.OnePerBin(n), src, tetris.Options{})
+				p, err := shard.NewSequential(config.OnePerBin(n), src, tetrisRule)
 				if err != nil {
 					return nil, err
 				}
@@ -116,10 +118,12 @@ func E15LeakyBins(cfg Config) (*Result, error) {
 	window := int64(windowMult * n)
 	pass := true
 	prevByLaw := map[string]float64{}
-	for _, law := range []tetris.ArrivalLaw{tetris.BinomialArrivals, tetris.PoissonArrivals} {
+	for _, law := range []shard.ArrivalKind{shard.ArrivalBinomial, shard.ArrivalPoisson} {
 		for _, lambda := range lambdas {
-			src := rng.NewStream(cfg.Seed, uint64(15000)+uint64(lambda*100)+uint64(law))
-			p, err := shard.NewSequentialTetris(config.OnePerBin(n), src, tetris.Options{Law: law, Lambda: lambda})
+			// Each row draws from its own stream, whose offset numbers the
+			// laws from the quota rule: binomial 1, poisson 2.
+			src := rng.NewStream(cfg.Seed, uint64(15000)+uint64(lambda*100)+uint64(law-shard.ArrivalQuota))
+			p, err := shard.NewSequential(config.OnePerBin(n), src, shard.ArrivalRule{Kind: law, Lambda: lambda})
 			if err != nil {
 				return nil, err
 			}

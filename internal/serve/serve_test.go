@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/tetris"
 )
 
 // Info returns the public state of the run with the given id.
@@ -57,31 +56,20 @@ func refSummary(t *testing.T, sp Spec) shard.Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st engine.Stepper
+	var rule shard.ArrivalRule
 	switch sp.Process {
-	case spec.ProcessRBB:
-		p, err := shard.NewProcess(loads, sp.Seed, shard.Options{Shards: sp.Shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = p
-	default:
-		law := tetris.Deterministic
-		if sp.Process == spec.ProcessBatches {
-			law = tetris.BinomialArrivals
-		}
-		tp, err := shard.NewTetris(loads, sp.Seed, shard.TetrisOptions{
-			Options: shard.Options{Shards: sp.Shards},
-			Law:     law,
-			Lambda:  sp.Lambda,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = tp
+	case spec.ProcessTetris:
+		rule = shard.ArrivalRule{Kind: shard.ArrivalQuota, Lambda: sp.Lambda}
+	case spec.ProcessBatches:
+		rule = shard.ArrivalRule{Kind: shard.ArrivalBinomial, Lambda: sp.Lambda}
 	}
-	engine.Run(st, sp.Rounds, pipe)
-	return pipe.SummaryFor(st)
+	p, err := shard.NewProcess(loads, sp.Seed, shard.Options{Shards: sp.Shards, Rule: rule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	engine.Run(p, sp.Rounds, pipe)
+	return pipe.SummaryFor(p)
 }
 
 // submit POSTs a spec and returns the accepted RunInfo.

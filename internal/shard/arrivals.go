@@ -7,13 +7,23 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/rng"
-	"repro/internal/tetris"
 )
 
 // ArrivalKind names a per-round arrival law that the sharded engine can
 // execute and the multi-process transports can carry across process and
 // machine boundaries. The kind values are part of the wire protocol
 // (internal/shard/transport/tcp) — append only, never renumber.
+//
+// Every law releases one ball from each non-empty bin and throws the
+// round's arrivals independently and uniformly at random; the laws differ
+// only in how many balls a round throws. Under relaunch the released balls
+// are re-thrown, which is the paper's process. The other three are the
+// Tetris process of §3.3 — the analysis device the paper couples with the
+// original process — and the batched-arrival ("leaky bins") variant of
+// Berenbrink et al. (PODC 2016), cited as [18]. Their arrivals are i.i.d.
+// across rounds, the property that makes Tetris analyzable (Lemmas 4–6)
+// and the reason its per-bin load is exactly the Markov chain of Lemma 5
+// (see package markov).
 type ArrivalKind uint8
 
 const (
@@ -21,13 +31,16 @@ const (
 	// released in the round is re-thrown. Conserves balls.
 	ArrivalRelaunch ArrivalKind = iota
 	// ArrivalQuota throws exactly ⌈λ·n⌉ balls per round, split into fixed
-	// per-shard quotas summing to the total (tetris.Deterministic).
+	// per-shard quotas summing to the total. λ = 3/4 is the paper's Tetris
+	// process; for n not divisible by 4 the ceiling is conservative for
+	// every use in this repository (more arrivals only make the dominating
+	// process larger, so upper-bound experiments stay upper bounds).
 	ArrivalQuota
-	// ArrivalBinomial throws Binomial(n, λ) balls per round; shard s draws
-	// Binomial(n_s, λ) from its own stream (tetris.BinomialArrivals).
+	// ArrivalBinomial throws Binomial(n, λ) balls per round (leaky bins,
+	// [18]); shard s draws Binomial(n_s, λ) from its own stream.
 	ArrivalBinomial
 	// ArrivalPoisson throws Poisson(λ·n) balls per round; shard s draws
-	// Poisson(λ·n_s) from its own stream (tetris.PoissonArrivals).
+	// Poisson(λ·n_s) from its own stream.
 	ArrivalPoisson
 )
 
@@ -63,20 +76,6 @@ type ArrivalRule struct {
 	// Lambda is the arrival rate per bin for the non-relaunch kinds;
 	// 0 means the paper's 3/4. Must be 0 for ArrivalRelaunch.
 	Lambda float64
-}
-
-// RuleForLaw maps a tetris arrival law to its sharded rule.
-func RuleForLaw(law tetris.ArrivalLaw, lambda float64) (ArrivalRule, error) {
-	switch law {
-	case tetris.Deterministic:
-		return ArrivalRule{Kind: ArrivalQuota, Lambda: lambda}, nil
-	case tetris.BinomialArrivals:
-		return ArrivalRule{Kind: ArrivalBinomial, Lambda: lambda}, nil
-	case tetris.PoissonArrivals:
-		return ArrivalRule{Kind: ArrivalPoisson, Lambda: lambda}, nil
-	default:
-		return ArrivalRule{}, fmt.Errorf("shard: unknown arrival law %v", law)
-	}
 }
 
 // Conserves reports whether the rule conserves balls (arrivals ≡ releases).

@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/tetris"
 )
 
 // obsSetEnabledForBench flips the global telemetry switch for one benchmark
@@ -44,7 +43,7 @@ func benchSharded(b *testing.B, loads []int32, workers int) {
 }
 
 func benchSequential(b *testing.B, loads []int32) {
-	p, err := NewSequential(loads, rng.NewStream(1, 0))
+	p, err := NewSequential(loads, rng.NewStream(1, 0), ArrivalRule{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func benchStep(b *testing.B, p *Process) {
 }
 
 func BenchmarkProcessStep1024(b *testing.B) {
-	p, err := NewSequential(config.OnePerBin(1024), rng.New(1))
+	p, err := NewSequential(config.OnePerBin(1024), rng.New(1), ArrivalRule{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func BenchmarkProcessStep1024(b *testing.B) {
 }
 
 func BenchmarkProcessStep8192(b *testing.B) {
-	p, err := NewSequential(config.OnePerBin(8192), rng.New(1))
+	p, err := NewSequential(config.OnePerBin(8192), rng.New(1), ArrivalRule{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,17 +193,17 @@ func BenchmarkProcessStep8192(b *testing.B) {
 }
 
 func BenchmarkTetrisStep1024(b *testing.B) {
-	p, err := NewSequentialTetris(config.OnePerBin(1024), rng.New(1), tetris.Options{})
+	p, err := NewSequential(config.OnePerBin(1024), rng.New(1), ArrivalRule{Kind: ArrivalQuota})
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchStep(b, p.Process)
+	benchStep(b, p)
 }
 
 func BenchmarkTetrisStepPoisson1024(b *testing.B) {
-	p, err := NewSequentialTetris(config.OnePerBin(1024), rng.New(1), tetris.Options{Law: tetris.PoissonArrivals, Lambda: 0.75})
+	p, err := NewSequential(config.OnePerBin(1024), rng.New(1), ArrivalRule{Kind: ArrivalPoisson, Lambda: 0.75})
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchStep(b, p.Process)
+	benchStep(b, p)
 }

@@ -38,7 +38,7 @@ func TestParallelBuildMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					opts := Options{Shards: s, Workers: w, Width: floor}
-					p, err := NewProcessFill(n, st.Fill, seed, ArrivalRule{}, opts)
+					p, err := NewProcessFill(n, st.Fill, seed, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -119,7 +119,7 @@ func TestParallelBuildFailure(t *testing.T) {
 		}
 	}
 	before := runtime.NumGoroutine()
-	_, err := NewProcessFill(n, fill, 1, ArrivalRule{}, Options{Shards: s, Workers: 3})
+	_, err := NewProcessFill(n, fill, 1, Options{Shards: s, Workers: 3})
 	if err == nil || !strings.HasPrefix(err.Error(), "shard 5: ") {
 		t.Fatalf("build error %v, want one naming shard 5", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/coupling"
 	"repro/internal/dist"
 	"repro/internal/rng"
-	"repro/internal/tetris"
 	"repro/internal/walks"
 )
 
@@ -18,9 +17,10 @@ import (
 // ordinary test suite, and overflows both the sparse and the dense commit
 // at both widths.
 //
-// The sequential process and the sequential Tetris process under each law
-// must match, round by round, a replay of a copy of their source through
-// the update rule itself (see replay). The sharded process at S = 3 under
+// The sequential process under each arrival rule must match, round by
+// round, a replay of a copy of its source through the update rule itself
+// (see replay), and under the batch rules an EmptyTracker observing it
+// must match the replay's first-empty rounds. The sharded process at S = 3 under
 // relaunch and quota, the Lemma 3 coupling and the token process must
 // keep their ball counts every round; the token process holds a record
 // per ball, so it runs only at the 8-bit edge.
@@ -40,6 +40,9 @@ func FuzzSteppers(f *testing.F) {
 		f.Add(hot(21, 3), wide, uint8(63), uint8(2), uint64(3))
 	}
 	f.Add([]byte{0x83}, false, uint8(10), uint8(0), uint64(4))
+	// Cold bins of one and two balls beside a hot one empty within the
+	// first rounds, so the trackers' first-empty rounds are checked too.
+	f.Add([]byte{1, 2, 0x80, 1, 2, 4, 5, 1}, false, uint8(30), uint8(1), uint64(5))
 	f.Fuzz(func(t *testing.T, cfg []byte, wide bool, roundsRaw, lambdaRaw uint8, seed uint64) {
 		loads := edgeLoads(cfg, wide)
 		rounds := int(roundsRaw%64) + 1
@@ -120,17 +123,17 @@ func (r *replay) step() {
 	}
 }
 
-// checkSequential steps the sequential process and the sequential Tetris
-// process under each law against their replays.
+// checkSequential steps the sequential process under each arrival rule
+// against its replay, and under the batch rules an EmptyTracker as well.
 func checkSequential(t *testing.T, loads []int32, rounds int, lambda float64, seed uint64) {
 	n := len(loads)
 	src := rng.New(seed)
-	p, err := NewSequential(loads, src)
+	p, err := NewSequential(loads, src, ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	relaunch := func(released int, _ *rng.Source) int { return released }
-	matchReplay(t, "relaunch", p, nil, newReplay(t, loads, src, relaunch), rounds)
+	matchReplay(t, p, nil, newReplay(t, loads, src, relaunch), rounds)
 
 	binom, err := dist.NewBinomial(n, lambda)
 	if err != nil {
@@ -142,30 +145,34 @@ func checkSequential(t *testing.T, loads []int32, rounds int, lambda float64, se
 	}
 	k := int(math.Ceil(lambda * float64(n)))
 	for _, tc := range []struct {
-		law   tetris.ArrivalLaw
+		law   ArrivalKind
 		count func(released int, src *rng.Source) int
 	}{
-		{tetris.Deterministic, func(int, *rng.Source) int { return k }},
-		{tetris.BinomialArrivals, func(_ int, src *rng.Source) int { return binom.Sample(src) }},
-		{tetris.PoissonArrivals, func(_ int, src *rng.Source) int { return pois.Sample(src) }},
+		{ArrivalQuota, func(int, *rng.Source) int { return k }},
+		{ArrivalBinomial, func(_ int, src *rng.Source) int { return binom.Sample(src) }},
+		{ArrivalPoisson, func(_ int, src *rng.Source) int { return pois.Sample(src) }},
 	} {
 		src := rng.New(seed)
-		tp, err := NewSequentialTetris(loads, src, tetris.Options{Law: tc.law, Lambda: lambda})
+		tp, err := NewSequential(loads, src, ArrivalRule{Kind: tc.law, Lambda: lambda})
 		if err != nil {
 			t.Fatal(err)
 		}
-		matchReplay(t, tc.law.String(), tp.Process, tp.FirstEmptyRound, newReplay(t, loads, src, tc.count), rounds)
+		matchReplay(t, tp, NewEmptyTracker(tp), newReplay(t, loads, src, tc.count), rounds)
 	}
 }
 
 // matchReplay steps p and r rounds times and fails at the first round on
-// which p's loads, statistics, invariants or (if first is non-nil)
-// first-empty rounds leave the replay's.
-func matchReplay(t *testing.T, name string, p *Process, first func(u int) int64, r *replay, rounds int) {
+// which p's loads, statistics, invariants or (if first is non-nil, after
+// it observes the round) first-empty rounds leave the replay's.
+func matchReplay(t *testing.T, p *Process, first *EmptyTracker, r *replay, rounds int) {
 	t.Helper()
+	name := p.Rule().String()
 	for round := 1; round <= rounds; round++ {
 		p.Step()
 		r.step()
+		if first != nil {
+			first.Observe(p)
+		}
 		if err := p.CheckInvariants(); err != nil {
 			t.Fatalf("%s round %d: %v", name, round, err)
 		}
@@ -182,8 +189,8 @@ func matchReplay(t *testing.T, name string, p *Process, first func(u int) int64,
 			if want == 0 {
 				empty++
 			}
-			if first != nil && first(v) != r.first[v] {
-				t.Fatalf("%s round %d bin %d: first empty at %d, replay %d", name, round, v, first(v), r.first[v])
+			if first != nil && first.FirstEmptyRound(v) != r.first[v] {
+				t.Fatalf("%s round %d bin %d: first empty at %d, replay %d", name, round, v, first.FirstEmptyRound(v), r.first[v])
 			}
 		}
 		if p.Balls() != balls || p.MaxLoad() != top || p.EmptyBins() != empty {
@@ -206,7 +213,8 @@ func checkConservation(t *testing.T, loads []int32, rounds int, lambda float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	quota, err := NewTetris(loads, seed, TetrisOptions{Options: opts, Lambda: lambda})
+	opts.Rule = ArrivalRule{Kind: ArrivalQuota, Lambda: lambda}
+	quota, err := NewProcess(loads, seed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

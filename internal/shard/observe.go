@@ -140,12 +140,6 @@ type Summary struct {
 	// peak. It is a deterministic function of the trajectory and the width
 	// floor — safe for byte-compared summaries.
 	MemBytesPerBin float64 `json:"mem_bytes_per_bin,omitempty"`
-	// CkptEncodeSeconds is the cumulative wall-clock time of every
-	// checkpoint write across the run — periodic, triggered and final,
-	// encode and file I/O included. Timing is machine noise, not
-	// trajectory: callers fill it only when explicitly asked (rbb-sim
-	// -timings), so default summaries stay byte-comparable.
-	CkptEncodeSeconds float64 `json:"ckpt_encode_seconds,omitempty"`
 }
 
 // Summary returns the current digest of the pipeline.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/shard/transport/local"
-	"repro/internal/tetris"
 )
 
 // Process is the in-process sharded stepper: a Group owning every shard
@@ -17,9 +16,8 @@ import (
 // Each round every non-empty bin releases one ball and the rule decides
 // how many balls land uniformly at random — the released ones under
 // relaunch (the paper's process), a batch under the Tetris rules. It
-// implements engine.Stepper. Create with NewProcessFill (any rule),
-// NewProcess, NewSequential or RestoreProcess (relaunch), or as the
-// Process of a Tetris (NewTetris, NewSequentialTetris); Close it to
+// implements engine.Stepper. Create with NewProcess, NewProcessFill or
+// NewSequential (any rule) or RestoreProcess (relaunch); Close it to
 // release the pool's workers (an abandoned, unclosed process is reaped by
 // the garbage collector eventually, but long-lived callers creating many
 // processes should Close deterministically; a one-worker process, such as
@@ -31,9 +29,6 @@ type Process struct {
 	workers int
 	rule    ArrivalRule
 	arrive  Arrivals
-	// afterStep, if set, runs at the end of every Step: a Tetris's Lemma 4
-	// tracker.
-	afterStep func()
 
 	round    int64
 	maxLoad  int32
@@ -43,39 +38,38 @@ type Process struct {
 	balls    int64
 }
 
-// NewProcess builds a sharded repeated balls-into-bins process over a
-// copy of loads. Shard s draws from rng.NewStream(seed, s); the run is a
-// pure function of (seed, len(loads), opts.Shards). It returns an error if
-// loads is empty or contains a negative entry.
+// NewProcess builds a sharded process stepping opts.Rule over a copy of
+// loads. Shard s draws from rng.NewStream(seed, s); the run is a pure
+// function of (seed, len(loads), opts.Shards, opts.Rule). It returns an
+// error if loads is empty or contains a negative entry, or the rule is
+// invalid.
 func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
-	return newProcess(len(loads), loadsFill(loads, 0), seedStreams(seed), opts, ArrivalRule{})
+	return newProcess(len(loads), loadsFill(loads, 0), seedStreams(seed), opts)
 }
 
-// NewProcessFill builds a sharded process stepping rule over the n-bin
-// start that fill serves, shard by shard (see Fill). Under relaunch it is
-// the process NewProcess builds over the whole vector; under a batch rule
-// it steps the trajectory of the Tetris process with the same start, seed
-// and shards, without the Lemma 4 tracker. It returns an error if n < 1, a
-// load is negative, or the rule is invalid.
-func NewProcessFill(n int, fill Fill, seed uint64, rule ArrivalRule, opts Options) (*Process, error) {
-	return newProcess(n, fill, seedStreams(seed), opts, rule)
+// NewProcessFill builds the process NewProcess builds, over the n-bin
+// start that fill serves, shard by shard (see Fill). It returns an error
+// if n < 1, a load is negative, or the rule is invalid.
+func NewProcessFill(n int, fill Fill, seed uint64, opts Options) (*Process, error) {
+	return newProcess(n, fill, seedStreams(seed), opts)
 }
 
-// NewSequential builds the sequential repeated balls-into-bins process
-// over a copy of loads: one shard, stepped on the calling goroutine, that
-// draws from src itself (no copy is taken, so draws the caller makes from
-// src between rounds move the process's sequence with them). With src =
-// rng.NewStream(seed, 0) it is the process NewProcess(loads, seed,
-// Options{Shards: 1}) builds, except that its rounds write no
-// process-wide telemetry (no phase timers or spans, no rbb_rounds_total):
-// a sequential process is the building block of trial loops that export
-// no metrics. It returns an error if loads is empty or contains a
-// negative entry, or src is nil.
-func NewSequential(loads []int32, src *rng.Source) (*Process, error) {
+// NewSequential builds the sequential process stepping rule over a copy
+// of loads: one shard, stepped on the calling goroutine, that draws each
+// round's batch size (under the binomial and poisson rules) and then its
+// destinations from src itself (no copy is taken, so draws the caller
+// makes from src between rounds move the process's sequence with them).
+// With src = rng.NewStream(seed, 0) it is the process NewProcess(loads,
+// seed, Options{Shards: 1, Rule: rule}) builds, except that its rounds
+// write no process-wide telemetry (no phase timers or spans, no
+// rbb_rounds_total): a sequential process is the building block of trial
+// loops that export no metrics. It returns an error if loads is empty or
+// contains a negative entry, src is nil, or the rule is invalid.
+func NewSequential(loads []int32, src *rng.Source, rule ArrivalRule) (*Process, error) {
 	if src == nil {
 		return nil, errors.New("shard: NewSequential with nil rng source")
 	}
-	p, err := newProcess(len(loads), loadsFill(loads, 0), fixedStream(src), Options{Shards: 1, Workers: 1}, ArrivalRule{})
+	p, err := newProcess(len(loads), loadsFill(loads, 0), fixedStream(src), Options{Shards: 1, Workers: 1, Rule: rule})
 	if err != nil {
 		return nil, err
 	}
@@ -89,12 +83,12 @@ func fixedStream(src *rng.Source) func(i int) *rng.Source {
 }
 
 // newProcess builds a process over the n-bin start fill serves, shard i
-// drawing from stream(i), stepping rule.
-func newProcess(n int, fill Fill, stream func(i int) *rng.Source, opts Options, rule ArrivalRule) (*Process, error) {
+// drawing from stream(i), stepping opts.Rule.
+func newProcess(n int, fill Fill, stream func(i int) *rng.Source, opts Options) (*Process, error) {
 	if n < 1 {
 		return nil, errors.New("shard: NewProcess with no bins")
 	}
-	rule, err := rule.Normalize()
+	rule, err := opts.Rule.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +104,8 @@ func newProcess(n int, fill Fill, stream func(i int) *rng.Source, opts Options, 
 
 // RestoreProcess rebuilds a relaunch process from a snapshot taken with
 // Snapshot. The shard count comes from the snapshot (opts.Shards is
-// ignored — it is part of the saved random law); Workers, Width and Kernel
+// ignored — it is part of the saved random law), and opts.Rule must be
+// relaunch, the only rule a snapshot resumes; Workers, Width and Kernel
 // are taken from opts as usual (Width is the restore-side floor; a shard
 // never restores narrower than its snapshot recorded, so resumed runs
 // keep the ratchet). Every structural property is validated: the
@@ -132,6 +127,9 @@ func RestoreProcess(snap *EngineSnapshot, opts Options) (*Process, error) {
 	}
 	if snap.Round < 0 {
 		return nil, fmt.Errorf("shard: snapshot round %d < 0", snap.Round)
+	}
+	if opts.Rule != (ArrivalRule{}) {
+		return nil, fmt.Errorf("shard: RestoreProcess under the %v rule (a snapshot resumes only relaunch)", opts.Rule)
 	}
 	opts.Shards = s
 	_, w := opts.resolve(snap.N)
@@ -175,9 +173,6 @@ func (p *Process) Step() {
 	p.balls += int64(p.staged) - int64(p.released)
 	p.maxLoad, p.empty = p.g.MaxLoad(), p.g.EmptyBins()
 	p.round++
-	if p.afterStep != nil {
-		p.afterStep()
-	}
 	if !p.g.quiet && obs.Enabled() {
 		mRounds.Inc()
 	}
@@ -219,8 +214,8 @@ func (p *Process) ConvergenceTime(threshold int32, maxRounds int64) (rounds int6
 // SetLoads replaces the configuration between rounds — the §4.1
 // adversarial model, where in a faulty round an adversary reassigns all
 // balls arbitrarily. loads must cover every bin and hold the process's
-// balls, and the rule must conserve balls: a Tetris's Lemma 4 tracker
-// reads the loads only after its own rounds, so a reload would bypass it.
+// balls, and the rule must conserve balls: the adversary reassigns the
+// process's balls, which only relaunch keeps from round to round.
 // Each shard reloads its own bins (engine.State.Reload, whose storage
 // width never narrows); on error nothing changes.
 func (p *Process) SetLoads(loads []int32) error {
@@ -344,96 +339,52 @@ func (p *Process) CheckInvariants() error {
 	return nil
 }
 
-// TetrisOptions configures a sharded Tetris process.
-type TetrisOptions struct {
-	// Options configures the sharding.
-	Options
-	// Law is the arrival law (default tetris.Deterministic).
-	Law tetris.ArrivalLaw
-	// Lambda is the arrival rate per bin; 0 means the paper's 3/4.
-	Lambda float64
-}
-
-// Tetris is the sharded Tetris / batched-arrival ("leaky bins") process:
-// every round each non-empty bin discards one ball and K fresh balls land
-// uniformly at random. It is a Process under the batch rule of its law
-// (see ArrivalRule.Arrivals for the exact per-shard decomposition: fixed
-// quotas summing to K = ⌈λn⌉ under tetris.Deterministic, Binomial(n_s, λ)
-// and Poisson(λ·n_s) per shard under tetris.BinomialArrivals and
-// tetris.PoissonArrivals), plus the Lemma 4 tracker of the first round at
-// which each bin was empty. The tracker draws nothing: it reads loads
-// after each round, so the trajectory is the plain Process's.
-type Tetris struct {
-	*Process
-
-	// firstEmpty[u] is the first round at which global bin u was empty (0
-	// if it started empty), or −1 if it has never been empty; pending
-	// lists the bins still at −1, in increasing order.
+// EmptyTracker is the Lemma 4 tracker: an engine.Observer, bound to one
+// Process, that records the first round at which each bin was empty. It
+// draws nothing: it reads the loads once when it is built, then after each
+// observed round only the bins that have not emptied yet, so a tracked run
+// steps the plain Process's trajectory. Observe it after every round
+// (engine.Run does) or step through RunUntilAllEmptied.
+type EmptyTracker struct {
+	p *Process
+	// round is the process's round at the last observation.
+	round int64
+	// firstEmpty[u] is the first observed round at which bin u was empty,
+	// or −1 if it has not been; pending lists the bins still at −1, in
+	// increasing order.
 	firstEmpty []int64
 	pending    []int32
 }
 
-// NewTetris builds a sharded Tetris process over a copy of loads.
-func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) {
-	return newTetris(len(loads), loadsFill(loads, 0), seedStreams(seed), opts)
-}
-
-// NewSequentialTetris builds the sequential Tetris process over a copy of
-// loads: one shard, stepped on the calling goroutine, that draws each
-// round's batch size (under the Binomial and Poisson laws) and then its
-// destinations from src itself, and writes no telemetry, as NewSequential
-// does.
-func NewSequentialTetris(loads []int32, src *rng.Source, opts tetris.Options) (*Tetris, error) {
-	if src == nil {
-		return nil, errors.New("shard: NewSequentialTetris with nil rng source")
-	}
-	t, err := newTetris(len(loads), loadsFill(loads, 0), fixedStream(src), TetrisOptions{Options: Options{Shards: 1, Workers: 1}, Law: opts.Law, Lambda: opts.Lambda})
-	if err != nil {
-		return nil, err
-	}
-	t.g.quiet = true
-	return t, nil
-}
-
-// newTetris builds a Tetris process over the n-bin start fill serves,
-// shard i drawing from stream(i), initialising the Lemma 4 tracker from
-// each chunk of the start as the chunk's shard is built.
-func newTetris(n int, fill Fill, stream func(i int) *rng.Source, opts TetrisOptions) (*Tetris, error) {
-	rule, err := RuleForLaw(opts.Law, opts.Lambda)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tetris{firstEmpty: make([]int64, max(n, 0))}
-	track := func(lo int, dst []int32) {
-		fill(lo, dst)
-		for u, l := range dst {
-			t.firstEmpty[lo+u] = -1
-			if l == 0 {
-				t.firstEmpty[lo+u] = 0
-			}
-		}
-	}
-	if t.Process, err = newProcess(n, track, stream, opts.Options, rule); err != nil {
-		return nil, err
-	}
-	t.pending = make([]int32, 0, t.NonEmptyBins())
-	for u, r := range t.firstEmpty {
-		if r < 0 {
+// NewEmptyTracker starts tracking p at its current round: every bin empty
+// now reads p.Round(), so on a fresh process the initially empty bins
+// read 0.
+func NewEmptyTracker(p *Process) *EmptyTracker {
+	t := &EmptyTracker{p: p, round: p.round, firstEmpty: make([]int64, p.N()), pending: make([]int32, 0, p.NonEmptyBins())}
+	for u, l := range p.LoadsCopy() {
+		t.firstEmpty[u] = -1
+		if l == 0 {
+			t.firstEmpty[u] = p.round
+		} else {
 			t.pending = append(t.pending, int32(u))
 		}
 	}
-	t.afterStep = t.scanPending
-	return t, nil
+	return t
 }
 
-// scanPending is the tracker's step, run at the end of every round: a bin
-// that had never been empty was non-empty when the round began, so if it
-// reads 0 now, it emptied in this round. Such bins leave pending, which
-// is compacted in place.
-func (t *Tetris) scanPending() {
+// Observe implements engine.Observer for the tracked process, whatever
+// stepper it is handed: a bin that had never been empty was non-empty when
+// the round began, so if it reads 0 now, it emptied in this round. It
+// panics unless the process advanced exactly one round since the last
+// observation, since a bin could have emptied in a round it did not see.
+func (t *EmptyTracker) Observe(engine.Stepper) {
+	if r := t.p.round; r != t.round+1 {
+		panic(fmt.Sprintf("shard: EmptyTracker observes round %d after round %d", r, t.round))
+	}
+	t.round++
 	kept := t.pending[:0]
 	for _, u := range t.pending {
-		if t.g.Load(int(u)) == 0 {
+		if t.p.g.Load(int(u)) == 0 {
 			t.firstEmpty[u] = t.round
 		} else {
 			kept = append(kept, u)
@@ -444,12 +395,12 @@ func (t *Tetris) scanPending() {
 
 // FirstEmptyRound returns the first round at which bin u was empty, or −1
 // if it has not emptied yet.
-func (t *Tetris) FirstEmptyRound(u int) int64 { return t.firstEmpty[u] }
+func (t *EmptyTracker) FirstEmptyRound(u int) int64 { return t.firstEmpty[u] }
 
 // AllEmptiedRound returns the first round by which every bin had been
 // empty at least once, or −1 if some bin has never emptied (Lemma 4: from
 // any start this is at most 5n w.h.p.).
-func (t *Tetris) AllEmptiedRound() (int64, bool) {
+func (t *EmptyTracker) AllEmptiedRound() (int64, bool) {
 	if len(t.pending) > 0 {
 		return -1, false
 	}
@@ -460,17 +411,19 @@ func (t *Tetris) AllEmptiedRound() (int64, bool) {
 	return worst, true
 }
 
-// RunUntilAllEmptied steps until every bin has been empty at least once
-// or maxRounds rounds elapse, and returns AllEmptiedRound.
-func (t *Tetris) RunUntilAllEmptied(maxRounds int64) (int64, bool) {
+// RunUntilAllEmptied steps the process, observing every round, until every
+// bin has been empty at least once or maxRounds rounds elapse, and returns
+// AllEmptiedRound.
+func (t *EmptyTracker) RunUntilAllEmptied(maxRounds int64) (int64, bool) {
 	for i := int64(0); len(t.pending) > 0 && i < maxRounds; i++ {
-		t.Step()
+		t.p.Step()
+		t.Observe(t.p)
 	}
 	return t.AllEmptiedRound()
 }
 
-// Steppers (compile-time check).
+// Compile-time checks.
 var (
-	_ engine.Stepper = (*Process)(nil)
-	_ engine.Stepper = (*Tetris)(nil)
+	_ engine.Stepper  = (*Process)(nil)
+	_ engine.Observer = (*EmptyTracker)(nil)
 )

@@ -42,7 +42,7 @@ func TestFirstRoundRowAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProcessFill(n, st.Fill, 5, ArrivalRule{}, Options{Shards: shards, Workers: 1})
+		p, err := NewProcessFill(n, st.Fill, 5, Options{Shards: shards, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

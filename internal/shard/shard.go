@@ -43,12 +43,12 @@
 // chunk at a time and, in the same pass, validates and stores them,
 // sets the worklist words and counts the non-empty bins, maximum load and
 // balls. A fresh shard reads its chunks from a Fill — the caller's loads
-// (NewGroup, NewProcess, NewTetris and their sequential forms) or the
-// start's range form (NewProcessFill, under any rule) — and a restored one
-// from its snapshot entry (RestoreProcess, NewGroupFromShards). Where the
-// source is random access, the shards are built through the runner: each
-// pool worker builds, and so first touches, exactly the shards it will
-// step, all workers at once. The streamed source of a multi-process worker
+// (NewGroup, NewProcess, NewSequential) or the start's range form
+// (NewProcessFill) — and a restored one from its snapshot entry
+// (RestoreProcess, NewGroupFromShards). Where the source is random
+// access, the shards are built through the runner: each pool worker
+// builds, and so first touches, exactly the shards it will step, all
+// workers at once. The streamed source of a multi-process worker
 // (NewGroupFromShards) is read in shard order, one join frame at a time,
 // so its shards are built in that order on the calling goroutine. A
 // fresh run therefore never holds its start, nor a whole shard of it, as
@@ -72,22 +72,21 @@
 // # Steppers
 //
 // One type steps a whole run in process, sequential or sharded: Process,
-// a Group owning every shard, driven by an ArrivalRule. The rule's
-// Arrivals closure decides each shard's arrival count, so the paper's
-// process (relaunch), the §3.3 Tetris device (quota) and the leaky-bins
-// batches (binomial, poisson) are one synchronous round under different
-// rules. Process is the in-process twin of tcp.Engine, which steps the
-// same rules across worker processes. NewProcessFill steps any rule, and
-// spec.Build runs it on the pool for every process kind; NewProcess,
-// NewSequential and RestoreProcess step the relaunch rule. Tetris is a
-// Process under a batch rule plus the Lemma 4 first-emptying tracker,
-// which reads the loads after each round and draws nothing, so a tracked
-// run steps the plain Process's trajectory. NewSequential and
-// NewSequentialTetris build the sequential process — one shard, one
-// worker, no goroutine, drawing from the caller's rng.Source — that the
-// experiments, the rbb facade and the §4.1 adversary step. Its group is
-// quiet: a round writes no process-wide telemetry, so many sequential
-// trials stepped in parallel share no cache line per round.
+// a Group owning every shard, driven by the ArrivalRule of its Options.
+// The rule's Arrivals closure decides each shard's arrival count, so the
+// paper's process (relaunch), the §3.3 Tetris device (quota) and the
+// leaky-bins batches (binomial, poisson) are one synchronous round under
+// different rules. Process is the in-process twin of tcp.Engine, which
+// steps the same rules across worker processes. NewProcess, NewProcessFill
+// and NewSequential step any rule, and spec.Build runs NewProcessFill on
+// the pool for every process kind; RestoreProcess resumes relaunch.
+// NewSequential builds the sequential process — one shard, one worker, no
+// goroutine, drawing from the caller's rng.Source — that the experiments,
+// the rbb facade and the §4.1 adversary step. Its group is quiet: a round
+// writes no process-wide telemetry, so many sequential trials stepped in
+// parallel share no cache line per round. The Lemma 4 first-emptying
+// rounds are an observer's (EmptyTracker): it reads the loads between
+// rounds and draws nothing, so a tracked run steps the plain trajectory.
 //
 // # Determinism contract
 //
@@ -104,8 +103,9 @@
 // path differs while the sampled distribution is identical (i.i.d.
 // uniform destinations, one per released ball). With S = 1 the draw
 // sequence collapses to the sequential one: NewProcess(loads, seed,
-// Options{Shards: 1}) steps the trajectory of NewSequential(loads,
-// rng.NewStream(seed, 0)). The sequential process draws each round's
+// Options{Shards: 1, Rule: rule}) steps the trajectory of
+// NewSequential(loads, rng.NewStream(seed, 0), rule). The sequential
+// process draws each round's
 // batch size (under the binomial and poisson rules) and then one uniform
 // destination per arrival; FuzzSteppers replays exactly those draws
 // through the update rule on plain loads and checks every round against
@@ -123,8 +123,12 @@ import (
 	"repro/internal/rng"
 )
 
-// Options configures a Process (and, inside TetrisOptions, a Tetris).
+// Options configures a Process.
 type Options struct {
+	// Rule is the arrival rule every round steps (default: relaunch, the
+	// paper's process). It is part of the random law: results are a pure
+	// function of (seed, n, Shards, Rule).
+	Rule ArrivalRule
 	// Shards is the number of contiguous bin partitions S (clamped to n).
 	// It selects the random law's decomposition: results are a pure
 	// function of (seed, n, Shards). 0 means runtime.GOMAXPROCS(0); pass

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/tetris"
 )
 
 func TestEngineValidation(t *testing.T) {
@@ -20,10 +19,10 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewProcess([]int32{-1}, 1, Options{}); err == nil {
 		t.Error("negative load accepted")
 	}
-	if _, err := NewTetris([]int32{1}, 1, TetrisOptions{Lambda: 1.5}); err == nil {
+	if _, err := NewProcess([]int32{1}, 1, Options{Rule: ArrivalRule{Kind: ArrivalQuota, Lambda: 1.5}}); err == nil {
 		t.Error("lambda > 1 accepted")
 	}
-	if _, err := NewTetris([]int32{1}, 1, TetrisOptions{Law: tetris.ArrivalLaw(99)}); err == nil {
+	if _, err := NewProcess([]int32{1}, 1, Options{Rule: ArrivalRule{Kind: ArrivalKind(99)}}); err == nil {
 		t.Error("bogus arrival law accepted")
 	}
 	// Past 2^31 bins a destination no longer fits an int32: the group frame
@@ -352,7 +351,7 @@ func TestSingleShardMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewSequential(loads, rng.NewStream(seed, 0))
+		ref, err := NewSequential(loads, rng.NewStream(seed, 0), ArrivalRule{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,11 +376,11 @@ func TestSingleShardMatchesSequential(t *testing.T) {
 // while the S = 1 NewProcess whose trajectory they step records both.
 func TestSequentialIsQuiet(t *testing.T) {
 	loads := config.OnePerBin(64)
-	seq, err := NewSequential(loads, rng.New(3))
+	seq, err := NewSequential(loads, rng.New(3), ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tet, err := NewSequentialTetris(loads, rng.New(3), tetris.Options{Law: tetris.PoissonArrivals, Lambda: 0.5})
+	tet, err := NewSequential(loads, rng.New(3), ArrivalRule{Kind: ArrivalPoisson, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +406,11 @@ func TestSequentialIsQuiet(t *testing.T) {
 }
 
 // TestTetrisSingleShardMatchesSequential pins the same anchor for the
-// batched process under all three arrival laws. Their arrival count is not
-// the release count, so this also covers a single shard staging its draw
-// blocks straight into the state when k ≠ released; n = 3001 throws
-// several blocks per round, the last one partial.
+// batched process under all three arrival laws, first-emptying rounds
+// included (each run observed by its own EmptyTracker). Their arrival
+// count is not the release count, so this also covers a single shard
+// staging its draw blocks straight into the state when k ≠ released;
+// n = 3001 throws several blocks per round, the last one partial.
 func TestTetrisSingleShardMatchesSequential(t *testing.T) {
 	const seed = 11
 	for _, n := range []int{130, 3001} {
@@ -419,20 +419,22 @@ func TestTetrisSingleShardMatchesSequential(t *testing.T) {
 }
 
 func testTetrisSingleShard(t *testing.T, n int, seed uint64) {
-	for _, law := range []tetris.ArrivalLaw{tetris.Deterministic, tetris.BinomialArrivals, tetris.PoissonArrivals} {
-		p, err := NewTetris(config.AllInOne(n, n), seed,
-			TetrisOptions{Options: Options{Shards: 1}, Law: law, Lambda: 0.7})
+	for _, law := range []ArrivalKind{ArrivalQuota, ArrivalBinomial, ArrivalPoisson} {
+		rule := ArrivalRule{Kind: law, Lambda: 0.7}
+		p, err := NewProcess(config.AllInOne(n, n), seed, Options{Shards: 1, Rule: rule})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewSequentialTetris(config.AllInOne(n, n), rng.NewStream(seed, 0),
-			tetris.Options{Law: law, Lambda: 0.7})
+		ref, err := NewSequential(config.AllInOne(n, n), rng.NewStream(seed, 0), rule)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pt, reft := NewEmptyTracker(p), NewEmptyTracker(ref)
 		for r := 0; r < 400; r++ {
 			p.Step()
+			pt.Observe(p)
 			ref.Step()
+			reft.Observe(ref)
 		}
 		got, want := p.LoadsCopy(), ref.LoadsCopy()
 		for u := range got {
@@ -445,9 +447,9 @@ func testTetrisSingleShard(t *testing.T, n int, seed uint64) {
 		}
 		// The first-emptying tracker must agree with the sequential one.
 		for u := 0; u < n; u++ {
-			if p.FirstEmptyRound(u) != ref.FirstEmptyRound(u) {
+			if pt.FirstEmptyRound(u) != reft.FirstEmptyRound(u) {
 				t.Fatalf("n=%d law %v: bin %d first-empty %d vs %d",
-					n, law, u, p.FirstEmptyRound(u), ref.FirstEmptyRound(u))
+					n, law, u, pt.FirstEmptyRound(u), reft.FirstEmptyRound(u))
 			}
 		}
 	}
@@ -495,30 +497,29 @@ func TestGroupRoundAllocs(t *testing.T) {
 // TestStepAllocs: a whole warm Step allocates nothing either, under every
 // arrival rule at S = 1, at S = 8 and at S = 8 with C lowered to 64 —
 // neither the rule's Arrivals closure, the sub-rounds, the statistics fold
-// and ball counter of Process.Step, nor the Tetris first-emptying hook.
+// and ball counter of Process.Step, nor an EmptyTracker observing it.
 func TestStepAllocs(t *testing.T) {
 	const n = 1 << 14
 	for _, tc := range []struct{ shards, chunk int }{{1, 0}, {8, 0}, {8, 64}} {
-		opts := Options{Shards: tc.shards, Workers: 1}
-		p, err := NewProcess(config.OnePerBin(n), 3, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		steppers := []*Process{p}
-		for _, law := range []tetris.ArrivalLaw{tetris.Deterministic, tetris.BinomialArrivals, tetris.PoissonArrivals} {
-			tp, err := NewTetris(config.OnePerBin(n), 3, TetrisOptions{Options: opts, Law: law})
+		for _, law := range []ArrivalKind{ArrivalRelaunch, ArrivalQuota, ArrivalBinomial, ArrivalPoisson} {
+			sp, err := NewProcess(config.OnePerBin(n), 3, Options{Shards: tc.shards, Workers: 1, Rule: ArrivalRule{Kind: law}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			steppers = append(steppers, tp.Process)
-		}
-		for _, sp := range steppers {
 			if tc.chunk > 0 {
 				sp.g.setChunk(tc.chunk)
 			}
 			sp.Run(8) // warm-up rounds
 			if allocs := testing.AllocsPerRun(64, sp.Step); allocs != 0 {
 				t.Errorf("S=%d chunk %d rule %v: a Step allocates %v times, want 0", tc.shards, tc.chunk, sp.Rule(), allocs)
+			}
+			tr := NewEmptyTracker(sp)
+			observed := func() {
+				sp.Step()
+				tr.Observe(sp)
+			}
+			if allocs := testing.AllocsPerRun(64, observed); allocs != 0 {
+				t.Errorf("S=%d chunk %d rule %v: an observed Step allocates %v times, want 0", tc.shards, tc.chunk, sp.Rule(), allocs)
 			}
 			if err := sp.Close(); err != nil {
 				t.Fatal(err)
@@ -539,7 +540,7 @@ func TestLawCrossCheck(t *testing.T) {
 	)
 	var seqMax, shMax, seqEmpty, shEmpty stats.Stream
 	for trial := 0; trial < trials; trial++ {
-		ref, err := NewSequential(config.OnePerBin(n), rng.NewStream(1000+uint64(trial), 0))
+		ref, err := NewSequential(config.OnePerBin(n), rng.NewStream(1000+uint64(trial), 0), ArrivalRule{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,15 +600,17 @@ func TestConservationAndInvariants(t *testing.T) {
 
 func TestTetrisEmptying(t *testing.T) {
 	const n = 256
-	p, err := NewTetris(config.AllInOne(n, n), 5, TetrisOptions{Options: Options{Shards: 4, Workers: 4}})
+	p, err := NewProcess(config.AllInOne(n, n), 5, Options{Shards: 4, Workers: 4, Rule: tetrisRule})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done := p.AllEmptiedRound(); done {
+	defer p.Close()
+	tr := NewEmptyTracker(p)
+	if _, done := tr.AllEmptiedRound(); done {
 		t.Fatal("all-in-one start reported all-emptied before running (bin 0 is full)")
 	}
 	maxRounds := int64(20 * n)
-	r, done := p.RunUntilAllEmptied(maxRounds)
+	r, done := tr.RunUntilAllEmptied(maxRounds)
 	if !done {
 		t.Fatalf("not all bins emptied within %d rounds", maxRounds)
 	}
@@ -624,7 +627,7 @@ func TestTetrisEmptying(t *testing.T) {
 // into cells too narrow for it — and the run goes on from the new
 // configuration. A reload is refused whole, leaving the process as it
 // was, for a wrong bin count, a negative load or a wrong ball count, and
-// under a batch rule, whose first-emptying tracker a reload would bypass.
+// under a batch rule, which does not keep the balls a reload reassigns.
 func TestSetLoads(t *testing.T) {
 	const n, m = 10, 600
 	p, err := NewProcess(config.AllInOne(n, m), 9, Options{Shards: 3, Workers: 3})
@@ -676,16 +679,16 @@ func TestSetLoads(t *testing.T) {
 		}
 	}
 
-	tp, err := NewTetris(config.OnePerBin(n), 9, TetrisOptions{Options: Options{Shards: 3}})
+	tp, err := NewProcess(config.OnePerBin(n), 9, Options{Shards: 3, Rule: tetrisRule})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	seq, err := NewSequentialTetris(config.OnePerBin(n), rng.New(9), tetris.Options{})
+	seq, err := NewSequential(config.OnePerBin(n), rng.New(9), tetrisRule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []*Tetris{tp, seq} {
+	for _, b := range []*Process{tp, seq} {
 		if err := b.SetLoads(b.LoadsCopy()); err == nil || !strings.Contains(err.Error(), "quota") {
 			t.Errorf("S=%d Tetris: SetLoads gave %v, want a refusal naming the quota rule", b.Shards(), err)
 		}

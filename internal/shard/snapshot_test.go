@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -80,7 +81,7 @@ func TestSnapshotResumeSingleShardMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSequential(loads, rng.NewStream(seed, 0))
+	ref, err := NewSequential(loads, rng.NewStream(seed, 0), ArrivalRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +188,35 @@ func TestRestoreProcessRejectsCorruptSnapshots(t *testing.T) {
 	// And an untouched snapshot still restores.
 	if _, err := RestoreProcess(fresh(), Options{}); err != nil {
 		t.Errorf("clean snapshot rejected: %v", err)
+	}
+}
+
+// TestRestoreProcessRefusesBatchRule: a snapshot records no rule and
+// resumes only relaunch, so RestoreProcess refuses any other rule in its
+// options, naming it, rather than step a batch rule from a relaunch state.
+func TestRestoreProcessRefusesBatchRule(t *testing.T) {
+	p, err := NewProcess(config.OnePerBin(64), 1, Options{Shards: 2, Rule: tetrisRule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Run(3)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []ArrivalRule{tetrisRule, {Kind: ArrivalBinomial, Lambda: 0.5}, {Lambda: 0.5}} {
+		if _, err := RestoreProcess(snap, Options{Rule: rule}); err == nil || !strings.Contains(err.Error(), rule.String()) {
+			t.Errorf("rule %v: RestoreProcess gave %v, want a refusal naming the rule", rule, err)
+		}
+	}
+	q, err := RestoreProcess(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if q.Rule() != (ArrivalRule{}) || q.Round() != 3 {
+		t.Fatalf("restored %v at round %d, want relaunch at round 3", q.Rule(), q.Round())
 	}
 }
 

@@ -40,7 +40,7 @@ func (e *Engine) Staged() int { return e.staged }
 
 // CheckpointBytes serializes p's current state in the checkpoint format:
 // a coordinator streams it from its workers as checkpoint.Run does, an
-// in-process engine (*shard.Process, *shard.Tetris) is gathered and saved.
+// in-process engine (*shard.Process) is gathered and saved.
 func CheckpointBytes(p checkpoint.Process, seed uint64) ([]byte, error) {
 	var b bytes.Buffer
 	if sp, ok := p.(checkpoint.StreamProcess); ok {

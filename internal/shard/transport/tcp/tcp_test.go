@@ -15,7 +15,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/shard"
 	"repro/internal/shard/transport/tcp"
-	"repro/internal/tetris"
 )
 
 // The coordinator re-executes this test binary as its workers: the hook
@@ -345,20 +344,12 @@ func TestArrivalRulesOverTCP(t *testing.T) {
 		s      = 4
 		rounds = 80
 	)
-	laws := []struct {
-		name string
-		law  tetris.ArrivalLaw
-	}{
-		{"quota", tetris.Deterministic},
-		{"binomial", tetris.BinomialArrivals},
-		{"poisson", tetris.PoissonArrivals},
-	}
-	for _, l := range laws {
-		t.Run(l.name, func(t *testing.T) {
+	for _, law := range []shard.ArrivalKind{shard.ArrivalQuota, shard.ArrivalBinomial, shard.ArrivalPoisson} {
+		t.Run(law.String(), func(t *testing.T) {
 			loads := make([]int32, n)
-			ref, err := shard.NewTetris(loads, seed, shard.TetrisOptions{Options: shard.Options{Shards: s}, Law: l.law})
+			ref, err := shard.NewProcess(loads, seed, shard.Options{Shards: s, Rule: shard.ArrivalRule{Kind: law}})
 			if err != nil {
-				t.Fatalf("NewTetris: %v", err)
+				t.Fatalf("shard.NewProcess: %v", err)
 			}
 			defer ref.Close()
 			ref.Run(rounds)
@@ -380,13 +371,13 @@ func TestArrivalRulesOverTCP(t *testing.T) {
 			}
 
 			if got, want := ckptBytes(t, seed, mesh), ckptBytes(t, seed, star); !bytes.Equal(got, want) {
-				t.Fatalf("%s rule: tcp-mesh checkpoint differs from the star", l.name)
+				t.Fatalf("%s rule: tcp-mesh checkpoint differs from the star", law)
 			}
 			if got, want := mesh.Balls(), ref.Balls(); got != want {
-				t.Fatalf("%s rule: Balls() = %d over tcp, %d in process", l.name, got, want)
+				t.Fatalf("%s rule: Balls() = %d over tcp, %d in process", law, got, want)
 			}
 			if got, want := ckptBytes(t, seed, mesh), ckptBytes(t, seed, ref); !bytes.Equal(got, want) {
-				t.Fatalf("%s rule: tcp-mesh checkpoint differs from in-process tetris", l.name)
+				t.Fatalf("%s rule: tcp-mesh checkpoint differs from in-process tetris", law)
 			}
 		})
 	}
@@ -408,11 +399,8 @@ func TestRunRefusesBatchRuleCheckpoints(t *testing.T) {
 		name string
 		mesh bool
 	}{{"star", false}, {"mesh", true}} {
-		for _, law := range []tetris.ArrivalLaw{tetris.Deterministic, tetris.BinomialArrivals} {
-			rule, err := shard.RuleForLaw(law, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, law := range []shard.ArrivalKind{shard.ArrivalQuota, shard.ArrivalBinomial} {
+			rule := shard.ArrivalRule{Kind: law}
 			t.Run(topo.name+"/"+rule.Kind.String(), func(t *testing.T) {
 				e, err := tcp.NewProcess(loads, seed, tcp.Options{Shards: s, Procs: 2, Rule: rule, Mesh: topo.mesh})
 				if err != nil {

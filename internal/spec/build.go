@@ -12,7 +12,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/shard/transport/tcp"
-	"repro/internal/tetris"
 )
 
 // Process is the run surface Build, Open and Start return: the engine
@@ -56,9 +55,9 @@ func (sp RunSpec) Rule() (shard.ArrivalRule, error) {
 	case ProcessRBB:
 		return shard.ArrivalRule{}, nil
 	case ProcessTetris:
-		return shard.RuleForLaw(tetris.Deterministic, sp.Lambda)
+		return shard.ArrivalRule{Kind: shard.ArrivalQuota, Lambda: sp.Lambda}, nil
 	case ProcessBatches:
-		return shard.RuleForLaw(tetris.BinomialArrivals, sp.Lambda)
+		return shard.ArrivalRule{Kind: shard.ArrivalBinomial, Lambda: sp.Lambda}, nil
 	}
 	return shard.ArrivalRule{}, fmt.Errorf("unknown process %q", sp.Process)
 }
@@ -92,7 +91,7 @@ func (sp RunSpec) Build(hostWorkers int) (Process, error) {
 	kernel := sp.Kernel()
 	switch kind := sp.transport(); kind {
 	case TransportPool:
-		return shard.NewProcessFill(sp.N, st.Fill, sp.Seed, rule, shard.Options{Shards: sp.Shards, Workers: w, Width: width, Kernel: kernel})
+		return shard.NewProcessFill(sp.N, st.Fill, sp.Seed, shard.Options{Shards: sp.Shards, Workers: w, Rule: rule, Width: width, Kernel: kernel})
 	case TransportTCP, TransportTCPMesh:
 		return tcp.NewProcessFill(sp.N, st.Fill, sp.Seed, tcp.Options{
 			Shards: sp.Shards, Procs: sp.Placement.Procs, Workers: w, Rule: rule, Width: width,

@@ -15,7 +15,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/shard"
 	"repro/internal/shard/transport/tcp"
-	"repro/internal/tetris"
 )
 
 // TestMain doubles as the transport worker entry point: runs placed on a
@@ -197,11 +196,11 @@ func TestBuildMatchesLoads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				law := tetris.Deterministic
+				rule := shard.ArrivalRule{Kind: shard.ArrivalQuota, Lambda: sp.Lambda}
 				if proc == ProcessBatches {
-					law = tetris.BinomialArrivals
+					rule.Kind = shard.ArrivalBinomial
 				}
-				ref, err := shard.NewTetris(loads, seed, shard.TetrisOptions{Options: shard.Options{Shards: shards, Workers: 1}, Law: law, Lambda: sp.Lambda})
+				ref, err := shard.NewProcess(loads, seed, shard.Options{Shards: shards, Workers: 1, Rule: rule})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,15 +7,15 @@
 //     engine (Process) and an identity-tracking engine (TokenProcess, the
 //     Traversal of the complete graph) with FIFO/LIFO/Random queueing
 //     strategies;
-//   - the Tetris analysis process of §3.3 (Tetris), including the
-//     batched-arrival "leaky bins" variant of Berenbrink et al. [18];
+//   - the Tetris analysis process of §3.3, including the batched-arrival
+//     "leaky bins" variant of Berenbrink et al. [18]: the same Process
+//     under an ArrivalRule that throws a batch a round (NewTetris), with
+//     the Lemma 4 first-emptying rounds recorded by an EmptyTracker;
 //   - a sharded multi-core engine that executes one run data-parallel
 //     across CPU cores, scaling a single run to n = 10⁷–10⁸ bins. It is
-//     the same stepper as Process: ShardedProcess and Process are one
-//     type, as are ShardedTetris and Tetris (a Process under a batch
-//     arrival rule); NewProcess and NewTetris build its one-shard form
-//     over a caller's Source, NewShardedProcess and NewShardedTetris its
-//     S-shard form over a seed;
+//     the same stepper as Process: NewProcess and NewTetris build its
+//     one-shard form over a caller's Source, NewShardedProcess its
+//     S-shard form over a seed, under the rule its ShardOptions name;
 //   - the Lemma 3 coupling (Coupled) establishing pathwise domination;
 //   - the Lemma 5 one-dimensional drift chain (DriftChain) with exact tail
 //     computation;
@@ -46,6 +46,8 @@
 package rbb
 
 import (
+	"fmt"
+
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/coupling"
@@ -56,7 +58,6 @@ import (
 	"repro/internal/mixing"
 	"repro/internal/rng"
 	"repro/internal/shard"
-	"repro/internal/tetris"
 	"repro/internal/walks"
 )
 
@@ -74,15 +75,56 @@ func NewStreamSource(seed, stream uint64) *Source { return rng.NewStream(seed, s
 
 // Process is the anonymous repeated balls-into-bins engine (the paper's
 // process, §2): every round each non-empty bin releases one ball to a
-// uniformly random bin. It is the same type as ShardedProcess.
+// uniformly random bin. Under a batch ArrivalRule it is the Tetris
+// process instead (NewTetris).
 type Process = shard.Process
 
 // NewProcess builds the sequential Process over a copy of the initial
 // configuration: one shard, stepped on the calling goroutine, drawing
 // from src. Its rounds write no process-wide telemetry.
 func NewProcess(loads []int32, src *Source) (*Process, error) {
-	return shard.NewSequential(loads, src)
+	return shard.NewSequential(loads, src, ArrivalRule{})
 }
+
+// ArrivalRule decides how many balls a round throws: the released ones
+// under ArrivalRelaunch (the paper's process, the zero rule), ⌈λn⌉ under
+// ArrivalQuota (the §3.3 Tetris process at λ = 3/4), and a Binomial(n, λ)
+// or Poisson(λn) batch under ArrivalBinomial and ArrivalPoisson (leaky
+// bins, [18]). A Lambda of 0 means 3/4.
+type ArrivalRule = shard.ArrivalRule
+
+// ArrivalKind selects an ArrivalRule's law.
+type ArrivalKind = shard.ArrivalKind
+
+// Arrival laws.
+const (
+	ArrivalRelaunch = shard.ArrivalRelaunch
+	ArrivalQuota    = shard.ArrivalQuota
+	ArrivalBinomial = shard.ArrivalBinomial
+	ArrivalPoisson  = shard.ArrivalPoisson
+)
+
+// NewTetris builds the sequential Tetris process over a copy of the
+// configuration: every non-empty bin discards one ball per round and a
+// batch of fresh balls, as rule decides, arrives uniformly at random. It
+// is the Process under rule — one shard, stepped on the calling
+// goroutine, drawing from src — and refuses relaunch, the zero rule, which
+// is NewProcess's.
+func NewTetris(loads []int32, src *Source, rule ArrivalRule) (*Process, error) {
+	if rule.Conserves() {
+		return nil, fmt.Errorf("rbb: NewTetris under the %v rule (want quota, binomial or poisson)", rule)
+	}
+	return shard.NewSequential(loads, src, rule)
+}
+
+// EmptyTracker records the first round at which each bin of a Process was
+// empty (Lemma 4: under the Tetris rule every bin has emptied within 5n
+// rounds w.h.p.). It is an observer bound to its process: observe it
+// after every round, or step through its RunUntilAllEmptied.
+type EmptyTracker = shard.EmptyTracker
+
+// NewEmptyTracker starts tracking p at its current round.
+func NewEmptyTracker(p *Process) *EmptyTracker { return shard.NewEmptyTracker(p) }
 
 // TokenProcess is the identity-tracking engine: same law as Process plus
 // per-ball positions, progress, delays and cover tracking. It is the same
@@ -123,62 +165,23 @@ func NewChoicesProcess(loads []int32, d int, src *Source) (*ChoicesProcess, erro
 	return core.NewChoicesProcess(loads, d, src)
 }
 
-// Tetris is the §3.3 analysis process: every non-empty bin discards one
-// ball per round and ⌈3n/4⌉ fresh balls (or a Binomial/Poisson batch)
-// arrive uniformly at random. It is the same type as ShardedTetris.
-type Tetris = shard.Tetris
-
-// TetrisOptions configures arrivals for a Tetris process.
-type TetrisOptions = tetris.Options
-
-// Arrival laws for Tetris.
-const (
-	DeterministicArrivals = tetris.Deterministic
-	BinomialArrivals      = tetris.BinomialArrivals
-	PoissonArrivals       = tetris.PoissonArrivals
-)
-
-// NewTetris builds the sequential Tetris process over a copy of the
-// configuration: one shard, stepped on the calling goroutine, drawing
-// from src.
-func NewTetris(loads []int32, src *Source, opts TetrisOptions) (*Tetris, error) {
-	return shard.NewSequentialTetris(loads, src, opts)
-}
-
 // ShardOptions configures the data-parallel sharded engine
-// (internal/shard): Shards selects the partition — and with it the random
-// law's decomposition, so a run is a pure function of (seed, n, Shards) —
-// while Workers (the goroutine count of the persistent affinity worker
-// pool) only selects placement and never affects the trajectory.
+// (internal/shard): Rule selects the arrival law (relaunch by default)
+// and Shards the partition — and with it the random law's decomposition,
+// so a run is a pure function of (seed, n, Shards, Rule) — while Workers
+// (the goroutine count of the persistent affinity worker pool) only
+// selects placement and never affects the trajectory.
 type ShardOptions = shard.Options
 
-// ShardedProcess is the data-parallel repeated balls-into-bins engine:
-// Process, executed across shards so a single run scales to n = 10⁷–10⁸
-// bins. Law-equivalent (not trajectory-equivalent) to the sequential
-// Process for Shards > 1; trajectory-identical to one driven by
-// NewStreamSource(seed, 0) for Shards = 1.
-type ShardedProcess = shard.Process
-
-// NewShardedProcess builds a sharded process over a copy of the
-// configuration; shard s draws from NewStreamSource(seed, s).
-func NewShardedProcess(loads []int32, seed uint64, opts ShardOptions) (*ShardedProcess, error) {
+// NewShardedProcess builds the Process over a copy of the configuration,
+// executed across shards so a single run scales to n = 10⁷–10⁸ bins;
+// shard s draws from NewStreamSource(seed, s). Under a batch opts.Rule it
+// is the sharded Tetris process. Law-equivalent (not
+// trajectory-equivalent) to the sequential process for Shards > 1;
+// trajectory-identical to one driven by NewStreamSource(seed, 0) for
+// Shards = 1.
+func NewShardedProcess(loads []int32, seed uint64, opts ShardOptions) (*Process, error) {
 	return shard.NewProcess(loads, seed, opts)
-}
-
-// ShardedTetris is the data-parallel Tetris / leaky-bins engine: a
-// ShardedProcess (which it embeds) stepping a batch arrival rule instead of
-// relaunch, plus the Lemma 4 first-emptying tracker. The batch is
-// decomposed exactly across shards (fixed quotas, or per-shard
-// Binomial/Poisson draws whose sums recover the sequential law).
-type ShardedTetris = shard.Tetris
-
-// ShardedTetrisOptions configures a ShardedTetris.
-type ShardedTetrisOptions = shard.TetrisOptions
-
-// NewShardedTetris builds a sharded Tetris process over a copy of the
-// configuration.
-func NewShardedTetris(loads []int32, seed uint64, opts ShardedTetrisOptions) (*ShardedTetris, error) {
-	return shard.NewTetris(loads, seed, opts)
 }
 
 // Coupled runs the original process and Tetris on the joint probability

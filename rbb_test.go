@@ -3,6 +3,7 @@ package rbb
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -34,11 +35,11 @@ func TestFacadeTokenProcess(t *testing.T) {
 
 func TestFacadeTetrisAndCoupling(t *testing.T) {
 	src := NewSource(3)
-	tet, err := NewTetris(AllInOne(128, 128), src, TetrisOptions{})
+	tet, err := NewTetris(AllInOne(128, 128), src, ArrivalRule{Kind: ArrivalQuota})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tet.RunUntilAllEmptied(5 * 128); !ok {
+	if _, ok := NewEmptyTracker(tet).RunUntilAllEmptied(5 * 128); !ok {
 		t.Fatal("tetris did not empty within 5n")
 	}
 	c, err := NewCoupled(UniformRandom(128, 128, src), src)
@@ -129,15 +130,27 @@ func TestFacadeSharded(t *testing.T) {
 	if p.Round() != 50 || p.Balls() != 512 {
 		t.Fatalf("round %d balls %d", p.Round(), p.Balls())
 	}
-	tet, err := NewShardedTetris(AllInOne(256, 256), 11, ShardedTetrisOptions{
-		Options: ShardOptions{Shards: 4},
-	})
+	tet, err := NewShardedProcess(AllInOne(256, 256), 11, ShardOptions{Shards: 4, Rule: ArrivalRule{Kind: ArrivalQuota}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tet.Run(50)
-	if tet.Round() != 50 {
-		t.Fatalf("tetris round %d", tet.Round())
+	if tet.Round() != 50 || tet.Rule().Kind != ArrivalQuota {
+		t.Fatalf("tetris round %d rule %v", tet.Round(), tet.Rule())
+	}
+}
+
+// TestFacadeNewTetrisRefusesRelaunch: the zero rule is relaunch, the
+// paper's process, which NewTetris refuses (naming it) instead of
+// building the process NewProcess builds.
+func TestFacadeNewTetrisRefusesRelaunch(t *testing.T) {
+	if _, err := NewTetris(OnePerBin(8), NewSource(1), ArrivalRule{}); err == nil || !strings.Contains(err.Error(), "relaunch") {
+		t.Fatalf("NewTetris under the zero rule gave %v, want a refusal naming relaunch", err)
+	}
+	for _, kind := range []ArrivalKind{ArrivalQuota, ArrivalBinomial, ArrivalPoisson} {
+		if _, err := NewTetris(OnePerBin(8), NewSource(1), ArrivalRule{Kind: kind}); err != nil {
+			t.Errorf("%v: %v", kind, err)
+		}
 	}
 }
 
