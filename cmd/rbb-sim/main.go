@@ -154,7 +154,7 @@ func run(args []string, out io.Writer) error {
 		ckptEvery = fs.Int64("checkpoint-every", 0, "rounds between periodic checkpoints (0 = only on signal and at completion; requires -checkpoint)")
 		ckptComp  = fs.Bool("checkpoint-compress", false, "flate-compress the per-shard checkpoint sections (format v2; smaller files, identical state; requires -checkpoint)")
 		loadWidth = fs.String("load-width", "auto", "load storage width floor in bits: auto | 8 | 16 | 32 (auto stores each shard at the narrowest width that fits, widening on demand; original|tetris|batches only; never affects results)")
-		kernelF   = fs.String("kernel", "", "dense-round kernel, which sets only the dense decrement and the width-8 commit: batched (branch-free decrement + SWAR commit, default) | scalar (the per-bin loops); original|tetris|batches only; never affects results")
+		kernelF   = fs.String("kernel", "", "dense-round kernel, which sets only the dense release decrement (these processes land their arrivals, so no commit merges): batched (branch-free decrement, default) | scalar (the per-bin loop); original|tetris|batches only; never affects results")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU pprof profile of the run to this file (telemetry side channel, never affects results)")
 		memProf   = fs.String("memprofile", "", "write a heap pprof profile (after a final GC) to this file on exit (telemetry side channel, never affects results)")
 		resume    = fs.String("resume", "", "resume from a checkpoint file; n, m, seed, shards, quantiles and load widths come from the file")

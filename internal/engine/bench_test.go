@@ -71,22 +71,30 @@ func BenchmarkStepDenseRefOnePerBin(b *testing.B) {
 // stationary point, always above the 1/3 dense threshold), so every
 // measured round takes the kernel under test. Width8 is the steady state
 // the paper guarantees (max load Θ(log n) w.h.p.) and the only width with
-// the SWAR commit; at Width32 the kernels differ in the decrement alone.
-// Both kernels throw through ThrowUniform, so the pair differs only in the
-// two scans.
-func benchDenseKernel(b *testing.B, n int, w Width, k Kernel) {
+// the SWAR merge. Each pair has two legs. The plain leg throws through
+// ThrowUniform, whose balls land in the cells and whose Commit does no
+// scan, so its kernels differ only in the release decrement. The staged
+// leg steps the per-bin law (ReleaseUniform with a visit): the release
+// takes the per-bin loop and each ball is staged by Deposit under both
+// kernels, so its pair differs only in the merge scan, at Width32 not at
+// all.
+func benchDenseKernel(b *testing.B, n int, w Width, k Kernel, staged bool) {
 	st, err := New(onePerBin(n), Options{Width: w, Kernel: k})
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := NewDrawer(rng.New(1))
+	var visit func(u, dest int)
+	if staged {
+		visit = func(u, dest int) {}
+	}
 	// The first round from onePerBin releases every bin; time from the
 	// second.
-	st.ReleaseUniform(d, nil)
+	st.ReleaseUniform(d, visit)
 	st.Commit()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ReleaseUniform(d, nil)
+		st.ReleaseUniform(d, visit)
 		st.Commit()
 	}
 	b.ReportMetric(float64(st.NonEmptyBins())/float64(n), "occupancy/final")
@@ -96,9 +104,15 @@ func BenchmarkDenseKernel(b *testing.B) {
 	for _, logN := range []int{20, 21, 22, 23, 24, 25} {
 		for _, w := range []Width{Width8, Width32} {
 			for _, k := range []Kernel{KernelScalar, KernelBatched} {
-				b.Run(fmt.Sprintf("n=2^%d/w%d/%s", logN, w, k), func(b *testing.B) {
-					benchDenseKernel(b, 1<<logN, w, k)
-				})
+				for _, staged := range []bool{false, true} {
+					name := fmt.Sprintf("n=2^%d/w%d/%s", logN, w, k)
+					if staged {
+						name += "/staged"
+					}
+					b.Run(name, func(b *testing.B) {
+						benchDenseKernel(b, 1<<logN, w, k, staged)
+					})
+				}
 			}
 		}
 	}

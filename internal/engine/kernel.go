@@ -1,17 +1,21 @@
 // Dense-round kernels.
 //
-// A dense round is a release scan over every cell, a throw (ThrowUniform:
-// the released balls' destinations drawn in 512-entry blocks and staged by
-// DepositBatch, the same under every kernel) and a commit scan that merges
-// the staged arrivals. The kernels differ only in the two scans:
+// A dense round is a release scan over every cell, which counts the bins
+// it leaves empty, and a throw (ThrowUniform: the released balls'
+// destinations drawn in 512-entry blocks and landed in the cells by
+// DepositBatch, the same under every kernel), which keeps the maximum and
+// the non-empty count as it goes; its Commit does no scan. Arrivals staged
+// by Deposit (the per-bin law, the walks, d-choices, the coupling's Tetris
+// side) end the round with a commit scan that merges them. The kernels
+// differ only in those two scans:
 //
 //   - the release decrement: the batched kernel decrements every non-empty
-//     cell without a data-dependent branch (SWAR, 8 cells per word, at
-//     Width8; decDenseNZ at Width16/32), the scalar kernel with the
-//     per-bin loop;
-//   - the Width8 commit: the batched kernel merges load+arr, zero-detects
-//     and max-reduces 8 cells per uint64 word (commitDense8SWAR), the
-//     scalar kernel one cell at a time.
+//     cell and counts the empty ones without a data-dependent branch
+//     (SWAR, 8 cells per word, at Width8; decDenseNZ at Width16/32), the
+//     scalar kernel with the per-bin loop;
+//   - the Width8 merge of staged arrivals: the batched kernel merges
+//     load+arr, zero-detects and max-reduces 8 cells per uint64 word
+//     (commitDense8SWAR), the scalar kernel one cell at a time.
 //
 // A round with a visit callback takes the per-bin loop under either
 // kernel: it observes the release in bin order.
@@ -26,7 +30,7 @@ import (
 	"math/bits"
 )
 
-// Kernel selects the dense release decrement and the Width8 dense commit.
+// Kernel selects the dense release decrement and the Width8 dense merge.
 // The trajectory is independent of it — both kernels draw nothing
 // themselves and produce byte-identical states and widening decisions — so
 // it lives on the placement plane of spec.RunSpec (excluded from
@@ -35,7 +39,7 @@ type Kernel uint8
 
 const (
 	// KernelBatched is the default: the branch-free decrement and the SWAR
-	// commit above.
+	// merge above.
 	KernelBatched Kernel = iota
 	// KernelScalar is the per-bin dense loop, kept as the equivalence
 	// oracle.
@@ -71,7 +75,7 @@ func (k Kernel) valid() bool {
 
 // decDense is the batched kernel's dense ReleaseEach when nothing observes
 // per-bin order: decrement every non-empty bin and return the number of
-// releases. The pass has no data-dependent branch — SWAR at Width8,
+// bins left empty. The pass has no data-dependent branch — SWAR at Width8,
 // decDenseNZ at Width16/32 — so the ~50/50 empty/non-empty pattern of a
 // dense round costs no mispredictions.
 func (s *State) decDense() int {
@@ -85,17 +89,18 @@ func (s *State) decDense() int {
 	}
 }
 
-// decDenseNZ decrements every non-empty bin without branching on the load:
-// nz is 1 for a positive load and 0 for an empty bin (uint64(l)−1 has its
-// top bit set only when l = 0; loads are never negative).
+// decDenseNZ decrements every non-empty bin without branching on the load
+// and returns the number of bins it leaves empty: (uint64(l)−1)>>63 is 1
+// for an empty bin and 0 for a positive load (loads are never negative),
+// tested once to decrement and once on the result to count.
 func decDenseNZ[L loadElem](load []L) int {
-	released := 0
+	empty := 0
 	for u, l := range load {
-		nz := 1 - int((uint64(l)-1)>>63)
-		load[u] = l - L(nz)
-		released += nz
+		l -= L(1 - (uint64(l)-1)>>63)
+		load[u] = l
+		empty += int((uint64(l) - 1) >> 63)
 	}
-	return released
+	return empty
 }
 
 // SWAR constants: the per-byte high-bit mask and its complement.
@@ -114,28 +119,31 @@ func zeroMask8(v uint64) uint64 {
 }
 
 // decDense8SWAR decrements every non-zero byte lane of load and returns the
-// number of lanes decremented — decDense at Width8.
-// Decremented lanes hold ≥ 1, so the word-wide subtraction never borrows
-// across lanes.
+// number of lanes it leaves zero — decDense at Width8: the popcount of
+// zeroMask8 of each decremented word. Decremented lanes hold ≥ 1, so the
+// word-wide subtraction never borrows across lanes.
 func decDense8SWAR(load []uint8) int {
-	released := 0
+	empty := 0
 	i := 0
 	for ; i+8 <= len(load); i += 8 {
 		v := binary.LittleEndian.Uint64(load[i:])
 		if v == 0 {
+			empty += 8
 			continue
 		}
-		nz := zeroMask8(v) ^ swarH
-		binary.LittleEndian.PutUint64(load[i:], v-(nz>>7))
-		released += bits.OnesCount64(nz)
+		v -= (zeroMask8(v) ^ swarH) >> 7
+		binary.LittleEndian.PutUint64(load[i:], v)
+		empty += bits.OnesCount64(zeroMask8(v))
 	}
 	for ; i < len(load); i++ {
 		if load[i] > 0 {
 			load[i]--
-			released++
+		}
+		if load[i] == 0 {
+			empty++
 		}
 	}
-	return released
+	return empty
 }
 
 // maxU8x8 returns the lane-wise unsigned max of two words of byte lanes.
@@ -160,7 +168,7 @@ func foldMax8(max int32, w uint64) int32 {
 	return max
 }
 
-// commitDense8SWAR is the Width8 dense commit of the batched kernel: merge
+// commitDense8SWAR is the Width8 dense merge of the batched kernel: merge
 // load+arr, zero arr, count empties and max-reduce, 8 cells per word. Same
 // contract as commitDenseW — returns the running maximum, the running empty
 // count, and the cell whose merged load would overflow uint8 (the caller

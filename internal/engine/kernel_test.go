@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/rng"
 )
 
@@ -52,7 +53,9 @@ type trajectory struct {
 // runTraj steps a fresh State rounds times under kernel k and records its
 // trajectory. withVisit steps the per-bin law (ReleaseUniform with a visit
 // callback: one draw and one Deposit per released bin, the dense release
-// taking the per-bin loop under either kernel) instead of the throw.
+// taking the per-bin loop under either kernel) instead of the throw. After
+// every round it holds the running statistics to a recount (checkStats),
+// so a count that slips fails at its round.
 func runTraj(t *testing.T, loads []int32, w Width, k Kernel, rounds int, seed uint64, withVisit bool) trajectory {
 	t.Helper()
 	var tr trajectory
@@ -68,6 +71,7 @@ func runTraj(t *testing.T, loads []int32, w Width, k Kernel, rounds int, seed ui
 	for r := 0; r < rounds; r++ {
 		st.ReleaseUniform(d, visit)
 		st.Commit()
+		checkStats(t, st, fmt.Sprintf("kernel %v round %d", k, r))
 		tr.maxLoad = append(tr.maxLoad, st.MaxLoad())
 		tr.nonEmpty = append(tr.nonEmpty, st.NonEmptyBins())
 	}
@@ -77,6 +81,26 @@ func runTraj(t *testing.T, loads []int32, w Width, k Kernel, rounds int, seed ui
 	tr.final = st.LoadsCopy()
 	tr.width = st.Width()
 	return tr
+}
+
+// checkStats holds MaxLoad and NonEmptyBins to a recount of the loads.
+// Unlike CheckInvariants it leaves the worklist alone, so a worklist that a
+// dense round left stale is still rebuilt by the next sparse round's own
+// path.
+func checkStats(t *testing.T, st *State, where string) {
+	t.Helper()
+	var top int32
+	nonEmpty := 0
+	for _, l := range st.LoadsCopy() {
+		top = max(top, l)
+		if l > 0 {
+			nonEmpty++
+		}
+	}
+	if st.MaxLoad() != top || st.NonEmptyBins() != nonEmpty {
+		t.Fatalf("%s: MaxLoad %d, NonEmptyBins %d; the loads hold %d and %d",
+			where, st.MaxLoad(), st.NonEmptyBins(), top, nonEmpty)
+	}
 }
 
 func constLoads(n int, v int32) []int32 {
@@ -186,11 +210,13 @@ func FuzzKernelEquivalence(f *testing.F) {
 	})
 }
 
-// TestDepositBatchOverflow pins the staging widen-resume contract of
-// depositBatchW, in a dense round (no touched list) and a sparse one: the
-// index whose staged count would overflow is returned mid-batch with
-// nothing staged for it, and the replay from that index on the widened
-// array stages the rest of the batch exactly, each bin touched once.
+// TestDepositBatchOverflow pins the landing widen-resume contract of landW,
+// in a dense round and a sparse one: the index whose cell would pass the
+// width is returned mid-batch with nothing landed for it, and the replay
+// from that index on the widened cells lands the rest of the batch
+// exactly. The non-empty count and the landed maximum follow every ball,
+// and in the sparse round so does the worklist bit of each bin filled from
+// empty. Nothing is staged.
 func TestDepositBatchOverflow(t *testing.T) {
 	const offset = 10
 	vs := []int32{offset + 2}
@@ -198,30 +224,36 @@ func TestDepositBatchOverflow(t *testing.T) {
 		vs = append(vs, offset+5)
 	}
 	vs = append(vs, offset+7)
-	for _, dense := range []bool{true, false} {
-		s := &State{}
-		arr := make([]uint8, 8)
-		ov := depositBatchW(s, arr, math.MaxUint8, vs, offset, dense, 0)
+	for _, sparse := range []bool{false, true} {
+		// Bin 6 holds 4 balls after the release; stepMax starts at its 4.
+		s := &State{n: 8, work: bitset.New(8), sparse: sparse, inRound: true, nonEmpty: 1, stepMax: 4}
+		s.work.Set(6)
+		load := []uint8{0, 0, 0, 0, 0, 0, 4, 0}
+		ov := landW(s, load, math.MaxUint8, vs, offset, 0)
 		if ov != 256 {
-			t.Fatalf("dense=%v: overflow index %d, want 256", dense, ov)
+			t.Fatalf("sparse=%v: overflow index %d, want 256", sparse, ov)
 		}
-		if arr[2] != 1 || arr[5] != 255 || arr[7] != 0 {
-			t.Fatalf("dense=%v: staged %v at overflow, want bin 2 = 1, bin 5 = 255, bin 7 = 0", dense, arr)
+		if want := []uint8{0, 0, 1, 0, 0, 255, 4, 0}; !reflect.DeepEqual(load, want) || s.nonEmpty != 3 || s.stepMax != 255 {
+			t.Fatalf("sparse=%v: at the overflow cells %v, nonEmpty %d, stepMax %d; want %v, 3, 255",
+				sparse, load, s.nonEmpty, s.stepMax, want)
 		}
-		// The caller widens (arr values carry over) and resumes at ov.
-		arr16 := widenSlice[uint8, uint16](arr)
-		if ov2 := depositBatchW(s, arr16, math.MaxUint16, vs, offset, dense, ov); ov2 != -1 {
-			t.Fatalf("dense=%v: resumed staging overflowed again at %d", dense, ov2)
+		// The caller widens (the loads carry over) and resumes at ov.
+		load16 := widenSlice[uint8, uint16](load)
+		if ov2 := landW(s, load16, math.MaxUint16, vs, offset, ov); ov2 != -1 {
+			t.Fatalf("sparse=%v: the resumed landing overflowed again at %d", sparse, ov2)
 		}
-		if want := []uint16{0, 0, 1, 0, 0, 300, 0, 1}; !reflect.DeepEqual(arr16, want) {
-			t.Fatalf("dense=%v: staged %v after resume, want %v", dense, arr16, want)
+		if want := []uint16{0, 0, 1, 0, 0, 300, 4, 1}; !reflect.DeepEqual(load16, want) || s.nonEmpty != 4 || s.stepMax != 300 {
+			t.Fatalf("sparse=%v: after the resume cells %v, nonEmpty %d, stepMax %d; want %v, 4, 300",
+				sparse, load16, s.nonEmpty, s.stepMax, want)
 		}
-		var want []int32
-		if !dense {
-			want = []int32{2, 5, 7}
+		// A dense round leaves its worklist stale for the next sparse
+		// round to rebuild; a sparse one sets the bit of each filled bin.
+		want := uint64(1 << 6)
+		if sparse {
+			want |= 1<<2 | 1<<5 | 1<<7
 		}
-		if !reflect.DeepEqual(s.touched, want) {
-			t.Fatalf("dense=%v: touched %v, want %v", dense, s.touched, want)
+		if got := s.work.Word(0); got != want || len(s.touched) != 0 {
+			t.Fatalf("sparse=%v: worklist %#b, touched %v; want %#b and nothing staged", sparse, got, s.touched, want)
 		}
 	}
 }
@@ -264,15 +296,15 @@ func TestKernelReleaseEach(t *testing.T) {
 }
 
 // TestDecDenseNZ checks the branch-free decrement bin by bin at the edges
-// of both wider cell types.
+// of both wider cell types, and the count of the bins it leaves empty.
 func TestDecDenseNZ(t *testing.T) {
 	l16 := []uint16{0, 1, 2, math.MaxUint16, 0, 7}
-	if got := decDenseNZ(l16); got != 4 || !reflect.DeepEqual(l16, []uint16{0, 0, 1, math.MaxUint16 - 1, 0, 6}) {
-		t.Fatalf("Width16: released %d, loads %v", got, l16)
+	if got := decDenseNZ(l16); got != 3 || !reflect.DeepEqual(l16, []uint16{0, 0, 1, math.MaxUint16 - 1, 0, 6}) {
+		t.Fatalf("Width16: %d left empty, loads %v", got, l16)
 	}
 	l32 := []int32{math.MaxInt32, 0, 1, 0}
-	if got := decDenseNZ(l32); got != 2 || !reflect.DeepEqual(l32, []int32{math.MaxInt32 - 1, 0, 0, 0}) {
-		t.Fatalf("Width32: released %d, loads %v", got, l32)
+	if got := decDenseNZ(l32); got != 3 || !reflect.DeepEqual(l32, []int32{math.MaxInt32 - 1, 0, 0, 0}) {
+		t.Fatalf("Width32: %d left empty, loads %v", got, l32)
 	}
 }
 

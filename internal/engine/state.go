@@ -24,12 +24,14 @@
 // int32 that fits (Options.Width can pin a floor), and widens — 8→16→32,
 // never back — the moment any value would overflow the current type. The
 // widening check is exact and its trigger is order-independent within a
-// round (a staged count or a committed sum either exceeds the type's range
-// or it does not, regardless of the order increments arrive in), so the
-// width after any round is a pure function of the trajectory and the floor:
-// identical across transports, worker counts and snapshot/resume cuts. All
-// accessors keep their int32 signatures; representation is invisible to
-// callers except through Width/LoadBytes.
+// round: a landed cell, a staged count or a merged sum passes the type's
+// range exactly when some bin ends the round above it, whatever the order
+// the increments arrive in. Only the point inside the round where a widen
+// fires depends on how arrivals come; the width after any round is a pure
+// function of the trajectory and the floor, identical across transports,
+// worker counts and snapshot/resume cuts. All accessors keep their int32
+// signatures; representation is invisible to callers except through
+// Width/LoadBytes.
 //
 // # Round protocol
 //
@@ -37,19 +39,24 @@
 //
 //	state.ReleaseEach(visit)        // or ReleaseUniform(drawer, visit)
 //	state.Deposit(v)                // zero or more, any time before Commit
-//	state.ThrowUniform(src, k)      // or k uniform arrivals at once
+//	state.ThrowUniform(src, k)      // or DepositBatch, after the release
 //	state.Commit()
 //
 // Release* removes exactly one ball from every non-empty bin, visiting bins
-// in increasing bin order. Deposit stages an arrival; staged arrivals are
-// not visible through Load until Commit merges them. Commit completes the
-// round and refreshes MaxLoad/EmptyBins. Deposits may also be staged before
-// the round's Release* call (the coupling construction needs this); the
-// effect is identical. They may not be staged from inside the State's own
-// ReleaseEach visit callback: a deposit that widened the cells would leave
-// the rest of the scan on the old ones, so Deposit, DepositBatch and
-// ThrowUniform panic there. A caller whose visit draws destinations
-// records them and stages them after the scan.
+// in increasing bin order. Deposit stages an arrival in the staging cells;
+// staged arrivals are not visible through Load until Commit merges them.
+// DepositBatch and ThrowUniform land their arrivals in the load cells
+// themselves, after the round's release, so they show through Load at
+// once, and they keep the round's statistics exact as they go: a Commit
+// with nothing staged does no scan. Commit completes the round and
+// refreshes MaxLoad/EmptyBins. Deposits may also be staged before the
+// round's Release* call (the coupling construction needs this); the effect
+// is identical. A batch may not land before the release (DepositBatch
+// panics outside a round). Nothing may be staged or landed from inside the
+// State's own ReleaseEach visit callback: an arrival that widened the cells
+// would leave the rest of the scan on the old ones, so Deposit,
+// DepositBatch and ThrowUniform panic there. A caller whose visit draws
+// destinations records them and stages or lands them after the scan.
 //
 // # RNG draw-order contract
 //
@@ -58,8 +65,8 @@
 // order, because that is the order both release paths visit bins in.
 // ReleaseUniform itself draws exactly one bounded value per released ball
 // from the supplied Drawer, after the release scan (ThrowUniform). That
-// stages the same arrivals as one draw per non-empty bin in bin order —
-// the destinations are i.i.d. and staged arrivals are counts — so a State
+// lands the same arrivals as one draw per non-empty bin in bin order —
+// the destinations are i.i.d. and arrivals are counts — so a State
 // produces byte-identical trajectories to the historical dense engines
 // for any seed; the golden tests pin this. Widening never consumes a draw
 // and never changes a value, so the trajectory is also independent of
@@ -177,8 +184,8 @@ type Options struct {
 	// recorded snapshot width depend on it.
 	Width Width
 	// Kernel selects the dense release decrement and the Width8 dense
-	// commit (default KernelBatched). The trajectory is independent of it;
-	// only speed depends on it.
+	// merge of staged arrivals (default KernelBatched). The trajectory is
+	// independent of it; only speed depends on it.
 	Kernel Kernel
 }
 
@@ -205,12 +212,12 @@ type State struct {
 	minWidth  Width   // Options.Width floor (never narrower than this)
 	loadsView []int32 // lazily allocated Loads() view for narrow widths
 
-	touched []int32 // bins with staged arrivals (host deposits and sparse rounds)
+	touched []int32 // bins with arrivals staged by Deposit
 
-	stepMax   int32 // max post-release load seen this round (sparse rounds)
+	stepMax   int32 // max load a released (sparse rounds) or landed bin reached this round
 	sparse    bool  // mode of the in-flight round
 	inRound   bool
-	scanning  bool // inside a ReleaseEach visit callback: staging panics
+	scanning  bool // inside a ReleaseEach visit callback: staging and landing panic
 	workStale bool // worklist bits out of date (rebuilt lazily after dense rounds)
 	kernel    Kernel
 }
@@ -429,9 +436,11 @@ func (s *State) WidenTo(w Width) error {
 // Width returns the current storage width (Width8, Width16 or Width32).
 func (s *State) Width() Width { return s.width }
 
-// LoadBytes returns the resident bytes of the load vector and the arrival
-// staging area at the current width: a pure function of (n, width), since
-// it feeds byte-compared run summaries.
+// LoadBytes returns the bytes of the load vector and the arrival staging
+// area at the current width. It is a formula, a pure function of (n,
+// width), since it feeds byte-compared run summaries: a run that stages
+// nothing never writes its staging cells, so their pages need not be
+// resident.
 func (s *State) LoadBytes() int64 {
 	return int64(s.n) * 2 * int64(uint8(s.width)/8)
 }
@@ -446,8 +455,10 @@ func (s *State) EmptyBins() int { return s.n - s.nonEmpty }
 func (s *State) NonEmptyBins() int { return s.nonEmpty }
 
 // Load returns the load of bin u. Between a Release* call and Commit it
-// reflects the post-departure, pre-arrival snapshot (the d-choices rule
-// compares against exactly this snapshot).
+// reflects the post-departure load plus the arrivals landed so far by
+// DepositBatch or ThrowUniform; arrivals staged by Deposit show only after
+// Commit (the d-choices rule, which deposits, compares against exactly the
+// post-departure snapshot).
 func (s *State) Load(u int) int32 {
 	switch s.width {
 	case Width8:
@@ -507,8 +518,8 @@ func (s *State) LoadsCopy() []int32 {
 	return s.AppendLoads(make([]int32, 0, s.n))
 }
 
-// Sum returns the total number of balls currently in the system (staged
-// arrivals excluded).
+// Sum returns the total number of balls in the load cells (arrivals staged
+// by Deposit excluded).
 func (s *State) Sum() int64 {
 	switch s.width {
 	case Width8:
@@ -529,7 +540,7 @@ func sumW[L loadElem](load []L) int64 {
 }
 
 // Deposit stages one arriving ball at bin v. Staged balls become visible at
-// Commit.
+// Commit, which merges them, and ResetDeposits can discard them.
 func (s *State) Deposit(v int) {
 	s.checkStage("Deposit")
 	for {
@@ -561,27 +572,28 @@ func (s *State) Deposit(v int) {
 	}
 }
 
-// DepositBatch stages one arriving ball at bin v−offset for every v in vs
-// — the bulk form of Deposit used by ThrowUniform and by the sharded
-// engine's commit phase, where arrivals come pre-collected in per-shard
-// message buffers. During a dense round the touched list is skipped
-// entirely (the dense Commit drains arr wholesale and never reads it),
-// which makes the batch path cheaper than repeated Deposit calls; because
-// of that skip, arrivals staged through DepositBatch mid-round cannot be
-// rolled back with ResetDeposits.
+// DepositBatch lands one arriving ball at bin v−offset for every v in vs —
+// the bulk arrival of ThrowUniform, of the sharded drains (whose arrivals
+// come pre-collected in per-shard rows) and of the coupling's original
+// process. Unlike Deposit it writes the load cells themselves, so it must
+// come after the round's release: it panics outside a round. The arrivals
+// show through Load at once, the round's maximum and non-empty count stay
+// exact as they land, and ResetDeposits cannot roll them back.
 func (s *State) DepositBatch(vs []int32, offset int32) {
 	s.checkStage("DepositBatch")
-	dense := s.inRound && !s.sparse
+	if !s.inRound {
+		panic("engine: DepositBatch outside a round")
+	}
 	start := 0
 	for {
 		var ov int
 		switch s.width {
 		case Width8:
-			ov = depositBatchW(s, s.arr8, math.MaxUint8, vs, offset, dense, start)
+			ov = landW(s, s.load8, math.MaxUint8, vs, offset, start)
 		case Width16:
-			ov = depositBatchW(s, s.arr16, math.MaxUint16, vs, offset, dense, start)
+			ov = landW(s, s.load16, math.MaxUint16, vs, offset, start)
 		default:
-			ov = depositBatchW(s, s.arr32, math.MaxInt32, vs, offset, dense, start)
+			ov = landW(s, s.load32, math.MaxInt32, vs, offset, start)
 		}
 		if ov < 0 {
 			return
@@ -591,46 +603,59 @@ func (s *State) DepositBatch(vs []int32, offset int32) {
 	}
 }
 
-// depositBatchW stages vs[start:] and returns the index whose staged count
-// would overflow the current width (the caller widens and resumes there),
-// or −1 when done.
-func depositBatchW[L loadElem](s *State, arr []L, lim L, vs []int32, offset int32, dense bool, start int) int {
-	if dense {
+// landW lands vs[start:] on load and returns the index whose cell would
+// pass lim (the caller widens and resumes there; nothing is written for
+// it), or −1 when done. Each landed ball raises stepMax to its bin's new
+// load, and a bin filled from empty counts as non-empty: without a branch
+// in a dense round, whose worklist is stale anyway, and with its worklist
+// bit in a sparse one.
+func landW[L loadElem](s *State, load []L, lim L, vs []int32, offset int32, start int) int {
+	top, nonEmpty := s.stepMax, s.nonEmpty
+	ov := -1
+	if s.sparse {
 		for i := start; i < len(vs); i++ {
 			u := vs[i] - offset
-			a := arr[u]
+			a := load[u]
 			if a == lim {
-				return i
+				ov = i
+				break
 			}
-			arr[u] = a + 1
+			if a == 0 {
+				s.work.Set(int(u))
+				nonEmpty++
+			}
+			load[u] = a + 1
+			top = max(top, int32(a)+1)
 		}
-		return -1
+	} else {
+		for i := start; i < len(vs); i++ {
+			u := vs[i] - offset
+			a := load[u]
+			if a == lim {
+				ov = i
+				break
+			}
+			load[u] = a + 1
+			top = max(top, int32(a)+1)
+			nonEmpty += int((uint64(a) - 1) >> 63) // 1 iff a == 0
+		}
 	}
-	for i := start; i < len(vs); i++ {
-		u := vs[i] - offset
-		a := arr[u]
-		if a == lim {
-			return i
-		}
-		if a == 0 {
-			s.touched = append(s.touched, u)
-		}
-		arr[u] = a + 1
-	}
-	return -1
+	s.stepMax, s.nonEmpty = top, nonEmpty
+	return ov
 }
 
-// checkStage panics when op stages arrivals from inside the State's own
-// ReleaseEach visit callback, like the other misuse guards: a widen there
-// would leave the rest of the scan decrementing the old cells.
+// checkStage panics when op stages or lands arrivals from inside the
+// State's own ReleaseEach visit callback, like the other misuse guards: a
+// widen there would leave the rest of the scan decrementing the old cells.
 func (s *State) checkStage(op string) {
 	if s.scanning {
 		panic("engine: " + op + " inside the State's own ReleaseEach scan")
 	}
 }
 
-// ResetDeposits discards every staged arrival (the coupling's case (ii)
-// redraw needs this).
+// ResetDeposits discards every arrival staged by Deposit (the coupling's
+// case (ii) redraw needs this). Arrivals landed by DepositBatch or
+// ThrowUniform are in the load cells and stay.
 func (s *State) ResetDeposits() {
 	switch s.width {
 	case Width8:
@@ -703,9 +728,9 @@ func rebuildWorkW[L loadElem](s *State, load []L) {
 // (if non-nil) per bin in increasing bin order, and returns the number of
 // released balls. Loads observed through Load during the callbacks are
 // post-departure for bins at or before u and pre-departure after it.
-// visit must not stage arrivals on s (Deposit, DepositBatch and
+// visit must not stage or land arrivals on s (Deposit, DepositBatch and
 // ThrowUniform panic inside the scan); it may record destinations for the
-// caller to stage after ReleaseEach returns.
+// caller to stage or land after ReleaseEach returns.
 func (s *State) ReleaseEach(visit func(u int)) int {
 	s.beginRound()
 	if visit != nil {
@@ -713,20 +738,25 @@ func (s *State) ReleaseEach(visit func(u int)) int {
 		defer func() { s.scanning = false }()
 	}
 	if !s.sparse {
-		if s.kernel == KernelBatched && visit == nil {
+		// Every non-empty bin releases, and the scan counts the bins it
+		// leaves empty, so the non-empty count stays exact; the worklist
+		// bits are rebuilt by the next sparse round.
+		released := s.nonEmpty
+		var empty int
+		switch {
+		case s.kernel == KernelBatched && visit == nil:
 			// Nothing observes per-bin order: the batched kernel's
-			// decrement is the whole dense release (worklist and stats
-			// rebuild at Commit).
-			return s.decDense()
-		}
-		switch s.width {
-		case Width8:
-			return releaseEachDenseW(s.load8, visit)
-		case Width16:
-			return releaseEachDenseW(s.load16, visit)
+			// decrement is the whole dense release.
+			empty = s.decDense()
+		case s.width == Width8:
+			empty = releaseEachDenseW(s.load8, visit)
+		case s.width == Width16:
+			empty = releaseEachDenseW(s.load16, visit)
 		default:
-			return releaseEachDenseW(s.load32, visit)
+			empty = releaseEachDenseW(s.load32, visit)
 		}
+		s.nonEmpty = s.n - empty
+		return released
 	}
 	switch s.width {
 	case Width8:
@@ -764,34 +794,39 @@ func releaseEachW[L loadElem](s *State, load []L, visit func(u int)) int {
 }
 
 // releaseEachDenseW is the dense-mode ReleaseEach: a straight scan, cheaper
-// per bin once most bins are occupied. The worklist is rebuilt at Commit.
+// per bin once most bins are occupied. It returns the number of bins it
+// leaves empty.
 func releaseEachDenseW[L loadElem](load []L, visit func(u int)) int {
-	released := 0
-	for u := 0; u < len(load); u++ {
-		if load[u] > 0 {
-			load[u]--
+	empty := 0
+	for u, l := range load {
+		if l > 0 {
+			l--
+			load[u] = l
 			if visit != nil {
 				visit(u)
 			}
-			released++
+		}
+		if l == 0 {
+			empty++
 		}
 	}
-	return released
+	return empty
 }
 
-// ReleaseUniform removes one ball from every non-empty bin and stages each
-// released ball at a destination drawn uniformly from [0, n) — the repeated
-// balls-into-bins law — drawing exactly one bounded value per released
-// ball, and returns the number of released balls. With a nil visit it is
-// ReleaseEach followed by ThrowUniform of the released count. With a
-// non-nil visit it is the per-bin law itself: visit(u, dest) is invoked
-// per released bin u in increasing bin order, dest drawn by d.Intn and
-// staged by Deposit, one ball at a time — the reference the throw is
-// tested against. It stages after the release scan, not inside it: a
-// Deposit that widened the cells mid-scan would leave the scan
-// decrementing the old ones. The two paths stage the same arrivals
-// from the same draws: the destinations are independent of the bins that
-// released them, and staged arrivals are counts.
+// ReleaseUniform removes one ball from every non-empty bin and sends each
+// released ball to a destination drawn uniformly from [0, n) — the
+// repeated balls-into-bins law — drawing exactly one bounded value per
+// released ball, and returns the number of released balls. With a nil
+// visit it is ReleaseEach followed by ThrowUniform of the released count,
+// which lands the balls. With a non-nil visit it is the per-bin law
+// itself: visit(u, dest) is invoked per released bin u in increasing bin
+// order, dest drawn by d.Intn and staged by Deposit, one ball at a time,
+// and Commit merges them — the independent reference the throw is tested
+// against. It stages after the release scan, not inside it: a Deposit
+// that widened the cells mid-scan would leave the scan decrementing the
+// old ones. The two paths deliver the same arrivals from the same draws:
+// the destinations are independent of the bins that released them, and
+// arrivals are counts.
 func (s *State) ReleaseUniform(d *Drawer, visit func(u, dest int)) int {
 	if visit == nil {
 		released := s.ReleaseEach(nil)
@@ -809,15 +844,16 @@ func (s *State) ReleaseUniform(d *Drawer, visit func(u, dest int)) int {
 }
 
 // throwBlock is the length of ThrowUniform's draw block: 2 KiB of
-// destinations, staged while they are still in L1.
+// destinations, landed while they are still in L1.
 const throwBlock = 512
 
-// ThrowUniform stages k balls at destinations drawn uniformly from [0, n)
+// ThrowUniform lands k balls at destinations drawn uniformly from [0, n)
 // by src: the values of k successive src.Uint64n(n) calls, drawn
-// throwBlock at a time by one Fill32n each and staged by DepositBatch. It
-// is the one throw of every uniform round — ReleaseUniform's and a
-// single-shard sharded round's, so the sequential process's and the
-// sequential Tetris process's — and it needs n ≤ 2³¹ (Fill32n's bound).
+// throwBlock at a time by one Fill32n each and landed by DepositBatch, so
+// it too must follow the round's release. It is the one throw of every
+// uniform round — ReleaseUniform's and a single-shard sharded round's, so
+// the sequential process's and the sequential Tetris process's — and it
+// needs n ≤ 2³¹ (Fill32n's bound).
 func (s *State) ThrowUniform(src *rng.Source, k int) {
 	s.checkStage("ThrowUniform")
 	var blk [throwBlock]int32
@@ -829,24 +865,36 @@ func (s *State) ThrowUniform(src *rng.Source, k int) {
 	}
 }
 
-// Commit merges the staged arrivals and refreshes MaxLoad and EmptyBins. It
-// completes the round opened by ReleaseEach/ReleaseUniform.
+// Commit merges the arrivals staged by Deposit and refreshes MaxLoad and
+// EmptyBins. It completes the round opened by ReleaseEach/ReleaseUniform.
+// The release and the landed arrivals keep the non-empty count exact, so
+// a sparse round merges only its touched bins, and a dense round merges
+// with a full scan only when something was staged. A dense round with
+// nothing staged does no scan: its new maximum is the larger of the old
+// maximum − 1 and the largest landed load. A bin that got no arrival ends
+// at most at the old maximum − 1, and one that held the old maximum ends
+// exactly there; a landed bin's last increment is its final load. This
+// holds for any number of arrivals.
 func (s *State) Commit() {
 	if !s.inRound {
 		panic("engine: Commit without Release")
 	}
 	s.inRound = false
-	if s.sparse {
+	switch {
+	case s.sparse:
 		s.commitSparse()
-	} else {
+	case len(s.touched) > 0:
 		s.commitDense()
+	default:
+		s.maxLoad = max(s.maxLoad-1, s.stepMax) // stepMax ≥ 0
 	}
 }
 
 // commitSparse merges only the touched bins. Every bin that can hold a ball
-// after the round is either a released bin (its post-release load entered
-// stepMax) or a touched arrival bin (merged here), so the maximum over both
-// is the exact new maximum.
+// after the round is a released bin (its post-release load entered
+// stepMax), a landed bin (its final load entered stepMax) or a touched
+// bin (merged here), so the maximum over all three is the exact new
+// maximum.
 func (s *State) commitSparse() {
 	max := s.stepMax
 	start := 0
@@ -894,8 +942,8 @@ func commitSparseW[L loadElem](s *State, load, arr []L, lim int64, start int, ma
 	return max, -1
 }
 
-// commitDense merges with a full scan, recomputing the statistics and
-// rebuilding the worklist a word at a time.
+// commitDense merges the staged arrivals with a full scan, which recounts
+// the maximum and the empty bins, landed arrivals included.
 func (s *State) commitDense() {
 	var max int32
 	empty := 0

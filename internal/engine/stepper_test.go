@@ -73,8 +73,9 @@ func TestEmptyFractionAllEmpty(t *testing.T) {
 	}
 }
 
-// TestDepositBatch pins the bulk staging path against per-ball Deposit in
-// both round modes and outside a round.
+// TestDepositBatch pins the bulk landing path against per-ball Deposit,
+// and its panic outside a round: a batch lands in the load cells, so it
+// must follow the release.
 func TestDepositBatch(t *testing.T) {
 	loads := []int32{0, 3, 0, 1, 2, 0, 0, 1}
 	batch := []int32{10, 11, 10, 14, 17, 10} // global ids, offset 10
@@ -105,21 +106,26 @@ func TestDepositBatch(t *testing.T) {
 			t.Fatalf("bin %d: batch %d, per-ball %d", u, got[u], want[u])
 		}
 	}
-	// Pre-round staging (before ReleaseEach) must also agree.
-	preRound := run(func(s *State) {
-		s.DepositBatch(batch, 10)
-		s.ReleaseEach(nil)
-	})
-	wantPre := run(func(s *State) {
-		for _, v := range batch {
-			s.Deposit(int(v) - 10)
+	for _, tc := range []struct {
+		when  string
+		ready func(s *State)
+	}{
+		{"before the release", func(s *State) {}},
+		{"after Commit", func(s *State) { s.ReleaseEach(nil); s.Commit() }},
+	} {
+		s, err := New(loads, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.ReleaseEach(nil)
-	})
-	for u := range wantPre {
-		if preRound[u] != wantPre[u] {
-			t.Fatalf("pre-round bin %d: batch %d, per-ball %d", u, preRound[u], wantPre[u])
-		}
+		tc.ready(s)
+		func() {
+			defer func() {
+				if r := recover(); r != "engine: DepositBatch outside a round" {
+					t.Errorf("DepositBatch %s: recovered %v, want the outside-a-round panic", tc.when, r)
+				}
+			}()
+			s.DepositBatch(batch, 10)
+		}()
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -298,9 +299,11 @@ func TestStageInsideReleaseEachPanics(t *testing.T) {
 	}
 }
 
-// TestWidenOnDenseRelease escalates through the dense round's throw: with
-// n = 1 the thrown ball lands on the saturated staging slot, so
-// DepositBatch widens and stages it on the wider cells.
+// TestWidenOnDenseRelease escalates through a dense round's arrivals, with
+// n = 1. With 255 arrivals staged at the bin, the thrown ball lands on the
+// load cell, which still fits, so the widen fires while Commit merges the
+// staged ones. With the bin at 255 and nothing staged, the second of two
+// thrown balls would pass the cell, so the throw itself widens.
 func TestWidenOnDenseRelease(t *testing.T) {
 	s, err := New([]int32{10}, Options{})
 	if err != nil {
@@ -316,15 +319,106 @@ func TestWidenOnDenseRelease(t *testing.T) {
 	if got := s.ReleaseUniform(d, nil); got != 1 {
 		t.Fatalf("released %d, want 1", got)
 	}
-	if s.Width() != Width16 {
-		t.Fatalf("post-release width %v, want 16", s.Width())
-	}
 	s.Commit()
+	if s.Width() != Width16 {
+		t.Fatalf("post-commit width %v, want 16", s.Width())
+	}
 	if got := s.Load(0); got != 10+255+1-1 {
 		t.Fatalf("load %d, want 265", got)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+
+	s, err = New([]int32{255}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ReleaseEach(nil)
+	s.ThrowUniform(rng.NewStream(1, 0), 2)
+	if s.Width() != Width16 {
+		t.Fatalf("width %v after the landing throw, want 16", s.Width())
+	}
+	s.Commit()
+	if got := s.Load(0); got != 256 || s.MaxLoad() != 256 {
+		t.Fatalf("landed load %d, max %d; want 256 and 256", got, s.MaxLoad())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStagedAndLandedRound steps the round shape of the coupling's
+// original-and-Tetris pair, which no fuzzer steps: arrivals staged by
+// Deposit before the release, then a batch landed by DepositBatch after
+// it. In a dense and in a sparse round it overflows Width8 once on each
+// path — a landed cell passing 255 inside the batch, and a staged count
+// passing it only in the merge — and holds the committed loads, maximum
+// and non-empty count to plain per-bin arithmetic.
+func TestStagedAndLandedRound(t *testing.T) {
+	const n = 64
+	for _, dense := range []bool{true, false} {
+		for _, path := range []string{"landed", "staged"} {
+			t.Run(fmt.Sprintf("dense=%v/%s", dense, path), func(t *testing.T) {
+				loads := make([]int32, n)
+				if dense {
+					for u := range loads {
+						loads[u] = int32(u % 3) // 42 of 64 bins non-empty
+					}
+				} else {
+					loads[20], loads[33] = 1, 5
+				}
+				loads[9] = 200 // 199 after the release
+				staged := []int{4, 4, 40, 63}
+				landed := []int32{0, 4, 17, 63, 33}
+				var landWidth Width
+				if path == "landed" {
+					landed = append(landed, slices.Repeat([]int32{9}, 60)...) // 259 inside the batch
+					landWidth = Width16
+				} else {
+					staged = append(staged, slices.Repeat([]int{9}, 30)...)
+					landed = append(landed, slices.Repeat([]int32{9}, 30)...) // 229 landed, 259 merged
+					landWidth = Width8
+				}
+				want := make([]int32, n)
+				for u, l := range loads {
+					want[u] = max(l-1, 0)
+				}
+				for _, u := range staged {
+					want[u]++
+				}
+				for _, u := range landed {
+					want[u]++
+				}
+
+				s, err := New(loads, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, u := range staged {
+					s.Deposit(u)
+				}
+				s.ReleaseEach(nil)
+				if s.sparse == dense {
+					t.Fatalf("the round runs sparse=%v, want dense=%v", s.sparse, dense)
+				}
+				s.DepositBatch(landed, 0)
+				if s.Width() != landWidth {
+					t.Fatalf("width %v after the landing, want %v", s.Width(), landWidth)
+				}
+				s.Commit()
+				if got := s.LoadsCopy(); !slices.Equal(got, want) {
+					t.Fatalf("loads %v, want %v", got, want)
+				}
+				checkStats(t, s, "after the round")
+				if s.Width() != Width16 || s.MaxLoad() != 259 {
+					t.Fatalf("width %v, max %d; want 16 and 259", s.Width(), s.MaxLoad())
+				}
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -81,6 +81,32 @@ func BenchmarkSeqBalanced(b *testing.B) {
 	benchSequential(b, config.OnePerBin(benchN))
 }
 
+// BenchmarkSeqRecovery is the recovery rung's episode (Theorem 1(b)): a
+// sequential n = 2^14 process from all its balls in one bin, stepped to
+// its first round with max load ≤ config.LegitimateThreshold. The start
+// bin holds 16 384 balls, so every round runs at Width16: sparse at first,
+// dense once the balls spread. An op is one episode at a fixed seed, its
+// build untimed; ns/round is the stepping time over the rounds stepped.
+func BenchmarkSeqRecovery(b *testing.B) {
+	const n = 1 << 14
+	thr := config.LegitimateThreshold(n, config.Beta)
+	loads := config.AllInOne(n, n)
+	var rounds int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := NewSequential(loads, rng.NewStream(1, 0), ArrivalRule{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for p.MaxLoad() > thr {
+			p.Step()
+		}
+		rounds += p.Round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+}
+
 func BenchmarkShardAllInOneW1(b *testing.B) {
 	benchSharded(b, config.AllInOne(benchN, benchN), 1)
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzSteppers checks the steppers on tiny systems whose loads sit at the
-// storage-width edges: near 255 (65,535 when wide), where a commit
-// overflows the cells it merges into, widens them and resumes. Run with
+// storage-width edges: near 255 (65,535 when wide), where an arrival
+// overflows the cells it lands in (or, on the coupling's staged Tetris
+// side, merges into), widens them and resumes. Run with
 // `go test -fuzz=FuzzSteppers`; the seed corpus runs as part of the
-// ordinary test suite, and overflows both the sparse and the dense commit
-// at both widths.
+// ordinary test suite, and widens in both a sparse and a dense round at
+// both widths.
 //
 // The sequential process under each arrival rule must match, round by
 // round, a replay of a copy of its source through the update rule itself

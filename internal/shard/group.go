@@ -45,8 +45,8 @@ const drawBlock = 512
 // roundChunk is C, the most balls a shard throws into its rows between two
 // drains of an in-process round (see Round): a shard's rows hold at most
 // 512 KiB of destinations, S·C·4 bytes over the group, whatever n. Each
-// drain re-reads the staging cells of every shard, so a smaller C costs
-// round time; EXPERIMENTS.md (E29, "bounded exchange rows") has the sweep
+// drain lands its balls in the load cells of every shard again, so a
+// smaller C costs round time; EXPERIMENTS.md (E29, "bounded exchange rows") has the sweep
 // that fixed it.
 const roundChunk = 1 << 17
 
@@ -384,7 +384,8 @@ func (g *Group) owns(s int) bool { return s >= g.lo && s < g.hi }
 // from each non-empty bin, decide the shard's arrival count via arrivals,
 // draw that many uniform destinations in [0, n) from the shard's private
 // stream, and stage them in the per-destination outgoing buffers (with a
-// single shard, straight into its state). Returns after the phase barrier.
+// single shard, land them straight in its state). Returns after the phase
+// barrier.
 // The rows hold the whole round's balls until Commit, so the transport can
 // ship the remote ones in between.
 func (g *Group) Release(arrivals Arrivals) {
@@ -397,15 +398,15 @@ func (g *Group) Release(arrivals Arrivals) {
 // in-process round — in sub-rounds that bound the exchange rows. The
 // release phase runs ReleaseEach, the arrival count k and a first throw of
 // at most C = roundChunk balls per shard into the rows; while any shard has
-// balls left, a drain phase (every shard stages the rows addressed to it,
-// in source order, and empties them) alternates with a throw phase (every
-// shard draws its next ≤ C destinations); the commit phase drains the last
-// rows and commits. A shard's rows so hold at most min(k, C) balls, where
-// Release's hold all k. The trajectory is Release's then Commit's: each
-// shard draws the same values in the same order, every ReleaseEach ends
-// before the first drain, and staged arrivals are counts with an
-// order-independent widen. rbb_phase_seconds counts the throws as release
-// and the drains as commit.
+// balls left, a drain phase (every shard lands the rows addressed to it in
+// its load cells, in source order, and empties them) alternates with a
+// throw phase (every shard draws its next ≤ C destinations); the commit
+// phase lands the last rows and commits. A shard's rows so hold at most
+// min(k, C) balls, where Release's hold all k. The trajectory is Release's
+// then Commit's: each shard draws the same values in the same order, every
+// ReleaseEach ends before the first drain, and landed arrivals are counts
+// with an order-independent widen. rbb_phase_seconds counts the throws as
+// release and the drains as commit.
 func (g *Group) Round(arrivals Arrivals) {
 	if g.lo > 0 || g.hi < g.s {
 		panic("shard: Round on a group that does not own every shard")
@@ -460,9 +461,9 @@ func (g *Group) throwing() bool {
 
 // releaseShard is owned shard i's release. With a single shard, routing
 // is the identity: the state throws the round's k balls itself
-// (engine.State.ThrowUniform), staging them exactly as Commit would stage
-// the row (staged arrivals are counts, so staging them a phase early
-// changes nothing), and no row is written or read back. With more, the
+// (engine.State.ThrowUniform), landing them exactly as Commit would land
+// the row (arrivals are counts, so landing them a phase early changes
+// nothing), and no row is written or read back. With more, the
 // rows are reserved for the balls one throw routes (see reserveRows)
 // before the shard's first throw.
 func (g *Group) releaseShard(i int) {
@@ -563,8 +564,9 @@ func (g *Group) Deliver(src, dst int, buf []int32) {
 	g.inbox[i][src] = append(g.inbox[i][src][:0], buf...)
 }
 
-// Commit runs the commit phase on every owned shard: drain the buffers
-// addressed to it, merge the arrivals, and refresh the shard statistics.
+// Commit runs the commit phase on every owned shard: land the buffers
+// addressed to it in its load cells, and refresh the shard statistics,
+// which the landing kept exact.
 // After the phase barrier the remote-destined outgoing buffers (already
 // shipped by the transport) are reset for the next round.
 func (g *Group) Commit() {
@@ -581,9 +583,10 @@ func (g *Group) Commit() {
 	}
 }
 
-// drainShard stages the rows addressed to owned shard i in global source
-// order — in-process sources read straight from their out rows, remote
-// ones from the delivered inbox — and empties them, tallying the
+// drainShard lands the rows addressed to owned shard i in its load cells
+// (engine.State.DepositBatch), in global source order — in-process
+// sources read straight from their out rows, remote ones from the
+// delivered inbox — and empties them, tallying the
 // cross-shard balls and non-empty rows for the exchange counters.
 func (g *Group) drainShard(i int) {
 	sh := &g.parts[i]
@@ -608,7 +611,7 @@ func (g *Group) drainShard(i int) {
 
 // commitShard is owned shard i's commit: its last drain, the state's
 // Commit, and the round's exchange tallies. A single shard has no rows to
-// drain: its release staged the round's balls itself (see releaseShard).
+// drain: its release landed the round's balls itself (see releaseShard).
 func (g *Group) commitShard(i int) {
 	if g.s > 1 {
 		g.drainShard(i)

@@ -164,7 +164,7 @@ func bind(g *Group, workers int, rule ArrivalRule, round, balls int64) (*Process
 // Step advances one synchronous round through Group.Round: release in
 // parallel (departures, the rule's arrival count, the first destination
 // draws into the exchange rows), drains and further throws in sub-rounds
-// of at most roundChunk balls a shard, commit in parallel (last drain, merge,
+// of at most roundChunk balls a shard, commit in parallel (last drain,
 // local stats), each phase ended by a barrier, then fold the global
 // statistics and the ball count.
 func (p *Process) Step() {

@@ -27,8 +27,8 @@
 //	           destinations (multi-process transport) receive serialized
 //	           copies.
 //	commit   — every shard drains the buffers addressed to it (in source
-//	           shard order), merges the arrivals into its local State, and
-//	           refreshes its local statistics.
+//	           shard order), landing the arrivals in its local State's
+//	           load cells, and refreshes its local statistics.
 //
 // After the commit barrier the coordinator folds the per-shard statistics
 // into the global MaxLoad/EmptyBins in O(S). No shard ever touches another
