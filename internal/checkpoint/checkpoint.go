@@ -56,10 +56,11 @@
 // (a single byte copy at width 8) and its worklist words, rebuilt first
 // when a dense round left them stale. Up to GOMAXPROCS shards encode
 // concurrently, each encoder reusing one frame buffer, so a write
-// allocates about one frame per encoder rather than the 4 bytes per bin of
-// an []int32 gather. An in-process *shard.Process streams through it
-// directly; the multi-process workers answer a snapshot request with it
-// and the coordinator relays their frames (StreamProcess). Save and
+// allocates at most one frame per encoder rather than the 4 bytes per bin
+// of an []int32 gather, and a warm write none (the encoders and the output
+// buffer are pooled across writes). An in-process *shard.Process streams
+// through it directly; the multi-process workers answer a snapshot request
+// with it and the coordinator relays their frames (StreamProcess). Save and
 // SaveOptions remain the encoders of a gathered Snapshot — the resume,
 // migration and test paths — and write the identical bytes.
 //

@@ -13,6 +13,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/shard"
 )
@@ -131,7 +132,8 @@ func ReadHeader(r io.Reader) (Header, error) {
 func appendFrame(dst []byte, kind byte, index uint32, width byte, compress bool, payload []byte) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeaderSize)...)
-	var e frameEncoder
+	e := encoders.Get().(*frameEncoder)
+	defer encoders.Put(e)
 	return e.finish(append(dst, payload...), start, kind, index, width, compress)
 }
 
@@ -202,13 +204,19 @@ func (e *frameEncoder) liveShardFrame(g *shard.Group, s int, compress bool) ([]b
 	return b, err
 }
 
+// encoders keeps frameEncoders, each with its grown frame buffer and flate
+// state, from one checkpoint write to the next, so a periodic checkpoint
+// does not allocate a frame per worker every write.
+var encoders = sync.Pool{New: func() any { return new(frameEncoder) }}
+
 // encodeFrames encodes frames [lo, hi) with encode on up to GOMAXPROCS
 // goroutines and hands them to emit in order. Each goroutine encodes
-// through a frameEncoder taken from a pool of one per worker and returned
-// once its frame is emitted, so the frames in flight — and the frame
-// buffers one call allocates — number at most one per worker. After the
-// first error emit sees no more frames, but every goroutine is still
-// drained so none is left behind.
+// through a frameEncoder taken from a free list of one per worker and
+// returned once its frame is emitted, so the frames in flight number at
+// most one per worker. The free list is filled from the encoders pool and
+// given back to it at the end, so a warm call allocates no frame buffer.
+// After the first error emit sees no more frames, but every goroutine is
+// still drained so none is left behind.
 func encodeFrames(lo, hi int, encode func(e *frameEncoder, i int) ([]byte, error), emit func(frame []byte) error) error {
 	workers := min(runtime.GOMAXPROCS(0), hi-lo)
 	type result struct {
@@ -218,11 +226,16 @@ func encodeFrames(lo, hi int, encode func(e *frameEncoder, i int) ([]byte, error
 	}
 	free := make(chan *frameEncoder, workers)
 	for range workers {
-		free <- new(frameEncoder)
+		free <- encoders.Get().(*frameEncoder)
 	}
+	defer func() {
+		for range workers {
+			encoders.Put(<-free)
+		}
+	}()
 	// A channel of per-frame channels keeps the output in order. It holds
 	// one slot per encoder: the dispatcher cannot run further ahead than
-	// the pool lets it anyway.
+	// the free list lets it anyway.
 	frames := make(chan chan result, workers)
 	go func() {
 		for i := lo; i < hi; i++ {
@@ -256,8 +269,9 @@ func encodeFrames(lo, hi int, encode func(e *frameEncoder, i int) ([]byte, error
 // in-process engine's checkpoint through it, and the multi-process workers
 // answer a snapshot request with it. Up to GOMAXPROCS shards encode
 // concurrently, each encoder reusing one frame buffer, so a call allocates
-// about one frame per encoder however many shards g holds. A frame is
-// valid only until emit returns. g must be between rounds.
+// at most one frame per encoder however many shards g holds, and a warm
+// call none: the encoders are pooled across calls. A frame is valid only
+// until emit returns. g must be between rounds.
 func EncodeShards(g *shard.Group, compress bool, emit func(frame []byte) error) error {
 	return encodeFrames(g.Lo(), g.Hi(), func(e *frameEncoder, s int) ([]byte, error) {
 		return e.liveShardFrame(g, s, compress)
@@ -544,11 +558,20 @@ func writeProcess(dst io.Writer, p *shard.Process, seed uint64, obs *shard.Pipel
 	})
 }
 
+// writers keeps writeFramed's 64 KiB output buffers from one checkpoint
+// write to the next.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+
 // writeFramed writes one v2 checkpoint to dst: the header h, the h.Shards
 // shard frames that encode produces (through encodeFrames, in shard
 // order), and the observer frame when obs is non-nil.
 func writeFramed(dst io.Writer, h Header, obs *shard.PipelineSnapshot, encode func(e *frameEncoder, i int) ([]byte, error)) error {
-	bw := bufio.NewWriterSize(dst, 1<<16)
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(dst)
+	defer func() {
+		bw.Reset(nil)
+		writers.Put(bw)
+	}()
 	if err := WriteHeader(bw, h); err != nil {
 		return err
 	}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,25 +92,58 @@ func newStreamRun(t *testing.T, loads []int32, shards int, floor engine.Width, r
 // TestLiveStreamAllocs gates the memory property of the live encoder: one
 // checkpoint.Run write of a warm in-process engine at n = 2²⁰, S = 8
 // allocates fewer than n bytes — about one frame per encoder — where the
-// whole-run []int32 gather alone is 4n.
+// whole-run []int32 gather alone is 4n. A write after that reuses the
+// pooled encoders and output buffer, so it allocates a small fixed amount
+// (the observer frame, the ordering channels, the file): under 32 KiB,
+// where one shard frame is 147 KiB. The warm writes run with the collector
+// off, which would otherwise empty the pools at any cycle, and not under
+// the race detector, which drops a random quarter of what a sync.Pool is
+// given back.
+//
+// A sync.Pool keeps one buffer per P where no other P can take it, so a
+// write that starts on another P than the last one ended on may find its
+// pool empty and allocate. With the collector off a pool only grows, and
+// a Get cannot miss while the pool holds GOMAXPROCS buffers, since at most
+// GOMAXPROCS−1 sit out of reach. So the writer pool (one buffer out at a
+// time, one held after the first write) can miss once more, and so can
+// the encoder pool (two out at a time, two held). Of eight warm writes at
+// least six therefore allocate no buffer, whichever P each runs on, and
+// the gate is on the fifth smallest.
 func TestLiveStreamAllocs(t *testing.T) {
 	const n = 1 << 20
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p, pipe := newStreamRun(t, config.OnePerBin(n), 8, engine.WidthAuto, 8)
 	defer p.Close()
 	pol := Policy{Path: filepath.Join(t.TempDir(), "run.ckpt"), Seed: 21, Pipeline: pipe}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	// Target = the current round: Run steps nothing and writes the final
-	// checkpoint once.
-	if _, _, err := Run(context.Background(), p, p.Round(), pol); err != nil {
-		t.Fatal(err)
+	write := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		// Target = the current round: Run steps nothing and writes the
+		// final checkpoint once.
+		if _, _, err := Run(context.Background(), p, p.Round(), pol); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= n {
+	if got := write(); got >= n {
 		t.Errorf("one checkpoint write allocated %d bytes, want < %d", got, n)
 	} else {
 		t.Logf("one checkpoint write allocated %d bytes", got)
+	}
+	if raceEnabled {
+		return
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warm := make([]uint64, 8)
+	for i := range warm {
+		warm[i] = write()
+	}
+	t.Logf("warm checkpoint writes allocated %v bytes", warm)
+	slices.Sort(warm)
+	if warm[4] >= 32<<10 {
+		t.Errorf("warm checkpoint writes allocated %v bytes, want five under %d", warm, 32<<10)
 	}
 }
 

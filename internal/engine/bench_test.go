@@ -27,8 +27,8 @@ const (
 	resetEvery = 2048
 )
 
-func benchEngine(b *testing.B, loads []int32) {
-	st, err := New(loads, Options{})
+func benchEngine(b *testing.B, loads []int32, opts Options) {
+	st, err := New(loads, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,9 +58,9 @@ func benchDenseRef(b *testing.B, loads []int32) {
 	b.ReportMetric(float64(benchN-ref.empty), "nonempty/final")
 }
 
-func BenchmarkStepSparseAllInOne(b *testing.B)   { benchEngine(b, allInOne(benchN, benchN)) }
+func BenchmarkStepSparseAllInOne(b *testing.B)   { benchEngine(b, allInOne(benchN, benchN), Options{}) }
 func BenchmarkStepDenseRefAllInOne(b *testing.B) { benchDenseRef(b, allInOne(benchN, benchN)) }
-func BenchmarkStepSparseOnePerBin(b *testing.B)  { benchEngine(b, onePerBin(benchN)) }
+func BenchmarkStepSparseOnePerBin(b *testing.B)  { benchEngine(b, onePerBin(benchN), Options{}) }
 func BenchmarkStepDenseRefOnePerBin(b *testing.B) {
 	benchDenseRef(b, onePerBin(benchN))
 }
@@ -71,7 +71,9 @@ func BenchmarkStepDenseRefOnePerBin(b *testing.B) {
 // stationary point, always above the 1/3 dense threshold), so every
 // measured round takes the kernel under test. Width8 is the steady state
 // the paper guarantees (max load Θ(log n) w.h.p.) and the only width with
-// the SWAR merge. Each pair has two legs. The plain leg throws through
+// the SWAR merge; Width16, where every round of an all-in-one recovery runs,
+// has the 4-lane SWAR decrement, and Width32 the branch-free scalar one.
+// Each pair has two legs. The plain leg throws through
 // ThrowUniform, whose balls land in the cells and whose Commit does no
 // scan, so its kernels differ only in the release decrement. The staged
 // leg steps the per-bin law (ReleaseUniform with a visit): the release
@@ -102,7 +104,7 @@ func benchDenseKernel(b *testing.B, n int, w Width, k Kernel, staged bool) {
 
 func BenchmarkDenseKernel(b *testing.B) {
 	for _, logN := range []int{20, 21, 22, 23, 24, 25} {
-		for _, w := range []Width{Width8, Width32} {
+		for _, w := range []Width{Width8, Width16, Width32} {
 			for _, k := range []Kernel{KernelScalar, KernelBatched} {
 				for _, staged := range []bool{false, true} {
 					name := fmt.Sprintf("n=2^%d/w%d/%s", logN, w, k)
@@ -119,13 +121,30 @@ func BenchmarkDenseKernel(b *testing.B) {
 }
 
 // BenchmarkStepOccupancy profiles the layer across the occupancy spectrum
-// (m balls thrown into n bins, m/n from 1/64 to 1), locating the
-// sparse/dense switch.
+// (m balls thrown into n bins, m/n from 1/64 to 1, about 1−e^(−m/n) of the
+// bins non-empty) at the auto width (Width8 here) and at a Width16 floor,
+// under both kernels, locating the sparse/dense switch. The sparse path is
+// the same under both kernels and the switch is not: at m = n/4 and n/3
+// (0.22n and 0.28n non-empty) a batched round runs dense and a scalar one
+// sparse, so the pair prices the two paths at one occupancy; at n/8 and
+// n/6 (0.12n and 0.15n) both run sparse, and at n both dense. Names
+// without a suffix are the default options (auto width, batched kernel).
 func BenchmarkStepOccupancy(b *testing.B) {
-	for _, frac := range []int{64, 16, 4, 1} {
-		b.Run(fmt.Sprintf("m=n_div_%d", frac), func(b *testing.B) {
-			loads := uniformRandom(benchN, benchN/frac, rng.New(3))
-			benchEngine(b, loads)
-		})
+	for _, w := range []Width{WidthAuto, Width16} {
+		for _, frac := range []int{64, 16, 8, 6, 4, 3, 1} {
+			for _, k := range []Kernel{KernelBatched, KernelScalar} {
+				name := fmt.Sprintf("m=n_div_%d", frac)
+				if w != WidthAuto {
+					name += fmt.Sprintf("/w%d", w)
+				}
+				if k != KernelBatched {
+					name += "/" + k.String()
+				}
+				b.Run(name, func(b *testing.B) {
+					loads := uniformRandom(benchN, benchN/frac, rng.New(3))
+					benchEngine(b, loads, Options{Width: w, Kernel: k})
+				})
+			}
+		}
 	}
 }

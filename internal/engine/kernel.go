@@ -11,8 +11,11 @@
 //
 //   - the release decrement: the batched kernel decrements every non-empty
 //     cell and counts the empty ones without a data-dependent branch
-//     (SWAR, 8 cells per word, at Width8; decDenseNZ at Width16/32), the
-//     scalar kernel with the per-bin loop;
+//     (SWAR, 8 cells per word at Width8 and 4 at Width16; decDenseNZ at
+//     Width32), the scalar kernel with the per-bin loop. Since its pass
+//     costs about half the loop's, a batched round with no visit runs
+//     dense from n/6 non-empty bins where the others wait for n/3 (see
+//     sparseDenom);
 //   - the Width8 merge of staged arrivals: the batched kernel merges
 //     load+arr, zero-detects and max-reduces 8 cells per uint64 word
 //     (commitDense8SWAR), the scalar kernel one cell at a time.
@@ -75,15 +78,15 @@ func (k Kernel) valid() bool {
 
 // decDense is the batched kernel's dense ReleaseEach when nothing observes
 // per-bin order: decrement every non-empty bin and return the number of
-// bins left empty. The pass has no data-dependent branch — SWAR at Width8,
-// decDenseNZ at Width16/32 — so the ~50/50 empty/non-empty pattern of a
-// dense round costs no mispredictions.
+// bins left empty. The pass has no data-dependent branch — SWAR at Width8
+// and Width16, decDenseNZ at Width32 — so the ~50/50 empty/non-empty
+// pattern of a dense round costs no mispredictions.
 func (s *State) decDense() int {
 	switch s.width {
 	case Width8:
 		return decDense8SWAR(s.load8)
 	case Width16:
-		return decDenseNZ(s.load16)
+		return decDense16SWAR(s.load16)
 	default:
 		return decDenseNZ(s.load32)
 	}
@@ -92,7 +95,9 @@ func (s *State) decDense() int {
 // decDenseNZ decrements every non-empty bin without branching on the load
 // and returns the number of bins it leaves empty: (uint64(l)−1)>>63 is 1
 // for an empty bin and 0 for a positive load (loads are never negative),
-// tested once to decrement and once on the result to count.
+// tested once to decrement and once on the result to count. It is decDense
+// at Width32, where a two-lane SWAR form measured no faster, and the tail
+// of decDense16SWAR.
 func decDenseNZ[L loadElem](load []L) int {
 	empty := 0
 	for u, l := range load {
@@ -144,6 +149,52 @@ func decDense8SWAR(load []uint8) int {
 		}
 	}
 	return empty
+}
+
+// 16-bit SWAR constants: the per-lane high-bit mask, its complement, and
+// the low bit of every lane.
+const (
+	swar16H   = uint64(0x8000800080008000)
+	swar16L   = ^swar16H // 0x7fff7fff7fff7fff
+	swar16One = uint64(0x0001000100010001)
+)
+
+// nonZero16 returns the high bit of every non-zero 16-bit lane of v, exact
+// for the reason zeroMask8 is: v&^swar16H keeps each lane ≤ 0x7fff, so
+// adding 0x7fff sets a lane's high bit iff its low fifteen bits are
+// non-zero and never carries into the next lane, and OR-ing v back in
+// folds the lane's own high bit.
+func nonZero16(v uint64) uint64 {
+	return (((v &^ swar16H) + swar16L) | v) & swar16H
+}
+
+// dec16x4 decrements every non-zero 16-bit lane of v and returns the
+// result with the number of lanes that stay non-zero. Both come from v
+// itself: the subtrahend is 1 in each non-zero lane (which holds ≥ 1, so
+// nothing borrows across lanes), and a lane stays non-zero iff it held ≥ 2,
+// that is iff it is non-zero with its low bit cleared, so the count does
+// not wait on the subtraction.
+func dec16x4(v uint64) (uint64, int) {
+	return v - nonZero16(v)>>15, bits.OnesCount64(nonZero16(v &^ swar16One))
+}
+
+// decDense16SWAR is decDense at Width16: it decrements every non-zero cell
+// of load, four 16-bit lanes a word and two words an iteration, and
+// returns the number of cells it leaves zero. The (*[8]uint16) view makes
+// every index constant, so each word is one 64-bit load and one store; the
+// n mod 8 tail takes decDenseNZ.
+func decDense16SWAR(load []uint16) int {
+	kept := 0
+	i := 0
+	for ; i+8 <= len(load); i += 8 {
+		c := (*[8]uint16)(load[i:])
+		v, kv := dec16x4(uint64(c[0]) | uint64(c[1])<<16 | uint64(c[2])<<32 | uint64(c[3])<<48)
+		w, kw := dec16x4(uint64(c[4]) | uint64(c[5])<<16 | uint64(c[6])<<32 | uint64(c[7])<<48)
+		c[0], c[1], c[2], c[3] = uint16(v), uint16(v>>16), uint16(v>>32), uint16(v>>48)
+		c[4], c[5], c[6], c[7] = uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
+		kept += kv + kw
+	}
+	return i - kept + decDenseNZ(load[i:])
 }
 
 // maxU8x8 returns the lane-wise unsigned max of two words of byte lanes.

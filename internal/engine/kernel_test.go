@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -135,6 +136,13 @@ func TestKernelEquivalence(t *testing.T) {
 		// Unaligned tail: n ∤ 8 exercises the scalar head/tail of the SWAR
 		// passes.
 		{"tail_n1013", onePerBin(1013), 300},
+		// Occupancy between the two switch points: uniform m = n/4 keeps
+		// 0.21n–0.23n bins non-empty, so every batched nil-visit round runs
+		// dense (≥ n/6) while the scalar and visit rounds of the same
+		// trajectory run sparse (< n/3). At the Width16 floor the batched
+		// rounds take the SWAR pass, over a tail of n mod 8 = 3. (The
+		// all-in-one start above crosses both switch points as it spreads.)
+		{"between_n4099", uniformRandom(4099, 4099/4, rng.New(13)), 400},
 	}
 	for _, cfg := range configs {
 		for _, w := range []Width{WidthAuto, Width8, Width16, Width32} {
@@ -189,6 +197,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint64(3), uint16(9), uint16(2000), uint8(40), uint8(6))
 	f.Add(uint64(4), uint16(1013), uint16(1013), uint8(60), uint8(16))
 	f.Add(uint64(5), uint16(256), uint16(60000), uint8(30), uint8(2))
+	// Width16 floor, n = 1003 (n mod 8 = 3), m = n/4: between the switches.
+	f.Add(uint64(6), uint16(1002), uint16(250), uint8(90), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, n16, m16 uint16, rounds8, flags uint8) {
 		n := int(n16)%1024 + 1
 		m := int(m16)
@@ -296,15 +306,35 @@ func TestKernelReleaseEach(t *testing.T) {
 }
 
 // TestDecDenseNZ checks the branch-free decrement bin by bin at the edges
-// of both wider cell types, and the count of the bins it leaves empty.
+// of the Width32 cells it serves, and the count of the bins it leaves
+// empty.
 func TestDecDenseNZ(t *testing.T) {
-	l16 := []uint16{0, 1, 2, math.MaxUint16, 0, 7}
-	if got := decDenseNZ(l16); got != 3 || !reflect.DeepEqual(l16, []uint16{0, 0, 1, math.MaxUint16 - 1, 0, 6}) {
-		t.Fatalf("Width16: %d left empty, loads %v", got, l16)
-	}
 	l32 := []int32{math.MaxInt32, 0, 1, 0}
 	if got := decDenseNZ(l32); got != 3 || !reflect.DeepEqual(l32, []int32{math.MaxInt32 - 1, 0, 0, 0}) {
 		t.Fatalf("Width32: %d left empty, loads %v", got, l32)
+	}
+}
+
+// TestDecDense16SWAR holds the Width16 pass to decDenseNZ, cell by cell and
+// in the count of cells it leaves empty, on loads drawn from the lane edges
+// (0, 1, 2, 65,534, 65,535) at every length from 0 to 40: every tail
+// length n mod 8, after zero to four whole iterations, and every lane
+// position of each edge value.
+func TestDecDense16SWAR(t *testing.T) {
+	edges := []uint16{0, 1, 2, math.MaxUint16 - 1, math.MaxUint16}
+	r := rng.New(16)
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 50; trial++ {
+			want := make([]uint16, n)
+			for i := range want {
+				want[i] = edges[r.Uint64n(uint64(len(edges)))]
+			}
+			got := slices.Clone(want)
+			wantEmpty, gotEmpty := decDenseNZ(want), decDense16SWAR(got)
+			if gotEmpty != wantEmpty || !slices.Equal(got, want) {
+				t.Fatalf("n=%d: decDense16SWAR left %d empty, loads %v; decDenseNZ %d, %v", n, gotEmpty, got, wantEmpty, want)
+			}
+		}
 	}
 }
 
@@ -338,6 +368,34 @@ func TestSWARPrimitives(t *testing.T) {
 			t.Fatalf("maxU8x8(%#016x, %#016x) = %#016x, want %#016x", x, y, got, want)
 		}
 	}
+	// The 16-bit lane helpers, on words built from the lane edges and on
+	// the random ones.
+	edges := []uint64{0, 1, 2, 0x7fff, 0x8000, 0x8001, 0xfffe, 0xffff}
+	for _, a := range edges {
+		for _, b := range edges {
+			words = append(words, a|b<<16|b<<32|a<<48, b|a<<16|a<<32|b<<48)
+		}
+	}
+	for _, x := range words {
+		var wantNZ, wantDec uint64
+		wantKept := 0
+		for lane := 0; lane < 4; lane++ {
+			l := (x >> (16 * lane)) & 0xffff
+			if l != 0 {
+				wantNZ |= 0x8000 << (16 * lane)
+				wantDec |= (l - 1) << (16 * lane)
+			}
+			if l >= 2 {
+				wantKept++
+			}
+		}
+		if got := nonZero16(x); got != wantNZ {
+			t.Fatalf("nonZero16(%#016x) = %#016x, want %#016x", x, got, wantNZ)
+		}
+		if got, kept := dec16x4(x); got != wantDec || kept != wantKept {
+			t.Fatalf("dec16x4(%#016x) = %#016x, %d kept; want %#016x, %d", x, got, kept, wantDec, wantKept)
+		}
+	}
 }
 
 // TestDenseRoundAllocs: once warm, dense rounds allocate nothing under
@@ -366,8 +424,9 @@ func TestDenseRoundAllocs(t *testing.T) {
 }
 
 // TestSparseRoundAllocs: the sparse path stays allocation-free too. With
-// m = n/8 the non-empty count can never reach the dense threshold (bins
-// with balls ≤ m < n/3), so every measured round is sparse by construction.
+// m = n/8 balls at most n/8 bins are ever non-empty, below the lowest
+// dense threshold (sparseDenomBatched), so every measured round is sparse
+// by construction.
 func TestSparseRoundAllocs(t *testing.T) {
 	for _, k := range []Kernel{KernelBatched, KernelScalar} {
 		t.Run(k.String(), func(t *testing.T) {

@@ -14,24 +14,27 @@
 // and empty-count from the bins actually touched in a round, instead of
 // rescanning all n bins. When the worklist grows past a constant fraction
 // of n the State switches to a dense scan for that round — the dense scan
-// is cheaper per bin, and the switch is invisible to callers.
+// is cheaper per bin, and the switch is invisible to callers. The fraction
+// is where the round's dense release crosses the sparse path: n/6 for the
+// batched kernel's branch-free pass, n/3 for the per-bin loop of a round
+// with a visit callback or of the scalar kernel.
 //
 // # Load representation
 //
 // The same max-load bound makes loads tiny: Θ(log n) w.h.p. means a bin
 // load rarely needs more than one byte. A State therefore stores the load
-// vector and the arrival staging area at the narrowest of uint8, uint16 or
-// int32 that fits (Options.Width can pin a floor), and widens — 8→16→32,
-// never back — the moment any value would overflow the current type. The
-// widening check is exact and its trigger is order-independent within a
-// round: a landed cell, a staged count or a merged sum passes the type's
-// range exactly when some bin ends the round above it, whatever the order
-// the increments arrive in. Only the point inside the round where a widen
-// fires depends on how arrivals come; the width after any round is a pure
-// function of the trajectory and the floor, identical across transports,
-// worker counts and snapshot/resume cuts. All accessors keep their int32
-// signatures; representation is invisible to callers except through
-// Width/LoadBytes.
+// vector and the arrival staging area (allocated by the first Deposit) at
+// the narrowest of uint8, uint16 or int32 that fits (Options.Width can pin
+// a floor), and widens — 8→16→32, never back — the moment any value would
+// overflow the current type. The widening check is exact and its trigger
+// is order-independent within a round: a landed cell, a staged count or a
+// merged sum passes the type's range exactly when some bin ends the round
+// above it, whatever the order the increments arrive in. Only the point
+// inside the round where a widen fires depends on how arrivals come; the
+// width after any round is a pure function of the trajectory and the
+// floor, identical across transports, worker counts and snapshot/resume
+// cuts. All accessors keep their int32 signatures; representation is
+// invisible to callers except through Width/LoadBytes.
 //
 // # Round protocol
 //
@@ -88,10 +91,18 @@ import (
 // trailingZeros is a local alias keeping the worklist drain loops compact.
 func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 
-// sparseDenom sets the sparse/dense switch: a round runs sparse when
-// |W| * sparseDenom < n. The dense per-bin constant is a few ns while the
-// sparse per-bin constant is roughly 3× that, so n/3 is the break-even.
-const sparseDenom = 3
+// The sparse/dense switch: a round runs sparse when |W|·d < n, where d
+// depends on the dense release the round would run. The sparse path costs
+// roughly 3× the per-bin dense loop per bin it touches, so a round whose
+// dense release is that loop — a round with a visit callback, or any round
+// of the scalar kernel — switches at n/3 (sparseDenom). The batched
+// kernel's branch-free release with no visit is about twice as cheap again
+// (SWAR at Width8 and Width16), and crosses the sparse path at n/6
+// (sparseDenomBatched). BenchmarkStepOccupancy re-measures both.
+const (
+	sparseDenom        = 3
+	sparseDenomBatched = 6
+)
 
 // Width is the storage width of the load vector and arrival staging area.
 // The zero value (WidthAuto) means "narrowest that fits, widen on demand";
@@ -195,8 +206,11 @@ type Options struct {
 //
 // Exactly one of the (load8, arr8)/(load16, arr16)/(load32, arr32) pairs is
 // live, selected by width; every public accessor dispatches on it. The
-// widening ratchet only ever moves 8→16→32, mid-round included (widening is
-// a pure value-preserving representation change).
+// staging cells of the pair are nil until the State's first Deposit:
+// thrown and landed arrivals never stage, so a State that only releases
+// and throws never allocates them. The widening ratchet only ever moves
+// 8→16→32, mid-round included (widening is a pure value-preserving
+// representation change).
 type State struct {
 	n     int
 	width Width
@@ -251,10 +265,10 @@ func CopyFill(loads []int32) Fill {
 // width the first chunk needs and widen on demand, and the same pass sets
 // the worklist words and counts the non-empty bins, the maximum load and
 // the balls. The whole configuration is therefore never held as an
-// []int32, and the cells are allocated, and the loads written, by the
-// goroutine that calls NewFill. It returns an error if n < 1, a load is
-// negative (naming the lowest such bin), or opts.Width is not a defined
-// Width.
+// []int32, and the load cells are allocated, and the loads written, by the
+// goroutine that calls NewFill; the staging cells wait for the first
+// Deposit. It returns an error if n < 1, a load is negative (naming the
+// lowest such bin), or opts.Width is not a defined Width.
 func NewFill(n int, fill Fill, opts Options) (*State, int64, error) {
 	if n < 1 {
 		return nil, 0, errors.New("engine: New with no bins")
@@ -288,11 +302,11 @@ func NewFill(n int, fill Fill, opts Options) (*State, int64, error) {
 			s.width = want
 			switch want {
 			case Width8:
-				s.load8, s.arr8 = make([]uint8, n), make([]uint8, n)
+				s.load8 = make([]uint8, n)
 			case Width16:
-				s.load16, s.arr16 = make([]uint16, n), make([]uint16, n)
+				s.load16 = make([]uint16, n)
 			default:
-				s.load32, s.arr32 = make([]int32, n), make([]int32, n)
+				s.load32 = make([]int32, n)
 			}
 		}
 		for s.width < want {
@@ -387,9 +401,10 @@ func (s *State) widen() {
 }
 
 // widenCells moves the backing arrays one step up the 8→16→32 ladder,
-// preserving every load and staged arrival exactly. Safe mid-round: the
-// worklist, touched list and statistics all refer to bin indices
-// and values, none of which change. Widening past int32 is impossible by
+// preserving every load and staged arrival exactly (staging cells that were
+// never allocated stay unallocated). Safe mid-round: the worklist, touched
+// list and statistics all refer to bin indices and values, none of which
+// change. Widening past int32 is impossible by
 // construction (the total ball count of every supported configuration
 // fits int32), so requesting it panics rather than silently wrapping.
 // NewFill widens through it directly: a build that outgrows its first
@@ -409,8 +424,12 @@ func (s *State) widenCells() {
 	}
 }
 
-// widenSlice converts src into a freshly allocated wider representation.
+// widenSlice converts src into a freshly allocated wider representation;
+// a nil src stays nil.
 func widenSlice[A, B loadElem](src []A) []B {
+	if src == nil {
+		return nil
+	}
 	out := make([]B, len(src))
 	for i, v := range src {
 		out[i] = B(v)
@@ -437,10 +456,11 @@ func (s *State) WidenTo(w Width) error {
 func (s *State) Width() Width { return s.width }
 
 // LoadBytes returns the bytes of the load vector and the arrival staging
-// area at the current width. It is a formula, a pure function of (n,
-// width), since it feeds byte-compared run summaries: a run that stages
-// nothing never writes its staging cells, so their pages need not be
-// resident.
+// area at the current width: the footprint of a State that stages. It is a
+// formula, a pure function of (n, width), since it feeds byte-compared run
+// summaries (mem_bytes_per_bin), so it counts the staging cells whether or
+// not a Deposit has allocated them yet; a run that only throws holds half
+// of it.
 func (s *State) LoadBytes() int64 {
 	return int64(s.n) * 2 * int64(uint8(s.width)/8)
 }
@@ -540,36 +560,48 @@ func sumW[L loadElem](load []L) int64 {
 }
 
 // Deposit stages one arriving ball at bin v. Staged balls become visible at
-// Commit, which merges them, and ResetDeposits can discard them.
+// Commit, which merges them, and ResetDeposits can discard them. A State's
+// first Deposit allocates its staging cells.
 func (s *State) Deposit(v int) {
 	s.checkStage("Deposit")
 	for {
 		switch s.width {
 		case Width8:
-			if a := s.arr8[v]; a != math.MaxUint8 {
+			arr := stagingCells(&s.arr8, s.n)
+			if a := arr[v]; a != math.MaxUint8 {
 				if a == 0 {
 					s.touched = append(s.touched, int32(v))
 				}
-				s.arr8[v] = a + 1
+				arr[v] = a + 1
 				return
 			}
 		case Width16:
-			if a := s.arr16[v]; a != math.MaxUint16 {
+			arr := stagingCells(&s.arr16, s.n)
+			if a := arr[v]; a != math.MaxUint16 {
 				if a == 0 {
 					s.touched = append(s.touched, int32(v))
 				}
-				s.arr16[v] = a + 1
+				arr[v] = a + 1
 				return
 			}
 		default:
-			if s.arr32[v] == 0 {
+			arr := stagingCells(&s.arr32, s.n)
+			if arr[v] == 0 {
 				s.touched = append(s.touched, int32(v))
 			}
-			s.arr32[v]++
+			arr[v]++
 			return
 		}
 		s.widen()
 	}
+}
+
+// stagingCells returns *arr, first allocating n zero cells when it is nil.
+func stagingCells[L loadElem](arr *[]L, n int) []L {
+	if *arr == nil {
+		*arr = make([]L, n)
+	}
+	return *arr
 }
 
 // DepositBatch lands one arriving ball at bin v−offset for every v in vs —
@@ -674,16 +706,17 @@ func (s *State) ResetDeposits() {
 	s.touched = s.touched[:0]
 }
 
-// beginRound decides the round's mode and resets per-round scratch. Dense
-// rounds do not maintain the worklist bits (they never read them); the
-// first sparse round after a dense one rebuilds the bits in a single pass,
-// so the rebuild cost is amortized across the dense stretch.
-func (s *State) beginRound() {
+// beginRound decides the round's mode — sparse when |W|·denom < n — and
+// resets per-round scratch. Dense rounds do not maintain the worklist bits
+// (they never read them); the first sparse round after a dense one
+// rebuilds the bits in a single pass, so the rebuild cost is amortized
+// across the dense stretch.
+func (s *State) beginRound(denom int) {
 	if s.inRound {
 		panic("engine: Release called twice without Commit")
 	}
 	s.inRound = true
-	s.sparse = s.nonEmpty*sparseDenom < s.n
+	s.sparse = s.nonEmpty*denom < s.n
 	s.stepMax = 0
 	if s.sparse && s.workStale {
 		s.rebuildWork()
@@ -732,7 +765,14 @@ func rebuildWorkW[L loadElem](s *State, load []L) {
 // ThrowUniform panic inside the scan); it may record destinations for the
 // caller to stage or land after ReleaseEach returns.
 func (s *State) ReleaseEach(visit func(u int)) int {
-	s.beginRound()
+	// Nothing observes per-bin order: the batched kernel's decrement is
+	// the whole dense release, and it is dense from n/6.
+	batched := s.kernel == KernelBatched && visit == nil
+	if batched {
+		s.beginRound(sparseDenomBatched)
+	} else {
+		s.beginRound(sparseDenom)
+	}
 	if visit != nil {
 		s.scanning = true
 		defer func() { s.scanning = false }()
@@ -744,9 +784,7 @@ func (s *State) ReleaseEach(visit func(u int)) int {
 		released := s.nonEmpty
 		var empty int
 		switch {
-		case s.kernel == KernelBatched && visit == nil:
-			// Nothing observes per-bin order: the batched kernel's
-			// decrement is the whole dense release.
+		case batched:
 			empty = s.decDense()
 		case s.width == Width8:
 			empty = releaseEachDenseW(s.load8, visit)
@@ -1108,6 +1146,8 @@ func (s *State) CheckInvariants() error {
 	}
 }
 
+// checkInvariantsW checks load, and arr unless a State that never staged
+// left it nil.
 func checkInvariantsW[L loadElem](s *State, load, arr []L) error {
 	var max int32
 	nonEmpty := 0
@@ -1124,7 +1164,9 @@ func checkInvariantsW[L loadElem](s *State, load, arr []L) error {
 				max = int32(l)
 			}
 		}
-		if arr[u] != 0 {
+	}
+	for u, a := range arr {
+		if a != 0 {
 			return fmt.Errorf("engine: leftover staged arrival at bin %d", u)
 		}
 	}

@@ -247,6 +247,71 @@ func TestResetDeposits(t *testing.T) {
 	}
 }
 
+// TestStagingCellsLazy: a State allocates its staging cells on its first
+// Deposit, never before. Relaunch rounds (ReleaseUniform's throw), Tetris
+// rounds (ReleaseEach, then a throw of k ≠ released balls) and a sharded
+// drain (DepositBatch at an offset) land every arrival in the load cells,
+// through an 8→16 widen, and leave the staging cells unallocated; the
+// first Deposit allocates them at the width of the moment, and the next
+// widen carries them up. CheckInvariants holds on both sides.
+func TestStagingCellsLazy(t *testing.T) {
+	const n = 4096
+	s, err := New(onePerBin(n), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staging := func() (w8, w16, w32 bool) { return s.arr8 != nil, s.arr16 != nil, s.arr32 != nil }
+	none := func(where string) {
+		t.Helper()
+		if w8, w16, w32 := staging(); w8 || w16 || w32 {
+			t.Fatalf("%s: staging cells allocated (8: %v, 16: %v, 32: %v)", where, w8, w16, w32)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+	}
+	none("New")
+	d, src := NewDrawer(rng.New(3)), rng.New(4)
+	for r := 0; r < 20; r++ {
+		s.ReleaseUniform(d, nil)
+		s.Commit()
+		s.ReleaseEach(nil)
+		s.ThrowUniform(src, 3*n/4+r)
+		s.Commit()
+	}
+	none("relaunch and Tetris rounds")
+	s.ReleaseEach(nil)
+	row := make([]int32, 300)
+	for i := range row {
+		row[i] = 1000 + 9 // bin 9 of a shard whose first bin is 1000
+	}
+	s.DepositBatch(row, 1000)
+	s.Commit()
+	if s.Width() != Width16 {
+		t.Fatalf("width %v after landing 300 balls in one bin, want 16", s.Width())
+	}
+	none("a drain that widened")
+
+	s.ReleaseEach(nil)
+	s.Deposit(7)
+	if w8, w16, w32 := staging(); w8 || !w16 || w32 || len(s.arr16) != n {
+		t.Fatalf("after a Deposit at Width16: staging 8: %v, 16: %v (%d cells), 32: %v", w8, w16, len(s.arr16), w32)
+	}
+	s.Commit()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WidenTo(Width32); err != nil {
+		t.Fatal(err)
+	}
+	if w8, w16, w32 := staging(); w8 || w16 || !w32 || len(s.arr32) != n {
+		t.Fatalf("after a widen to 32: staging 8: %v, 16: %v, 32: %v (%d cells)", w8, w16, w32, len(s.arr32))
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReload checks wholesale reconfiguration and its statistics.
 func TestReload(t *testing.T) {
 	st, err := New(onePerBin(100), Options{})
